@@ -8,7 +8,6 @@ whose block subproblems are solved in closed form.
 
 from .blocks import (
     BlockKernel,
-    BlockPartition,
     BlockProblem,
     BlockVector,
     DomainError,
@@ -40,7 +39,6 @@ from .solver import (
     run,
     solve_block_subproblem,
     stationarity_residual,
-    sweep,
     trace_to_json,
     validate_schedule,
 )

@@ -1,17 +1,17 @@
-"""Block-structured vectors, kernels, and Bregman distances.
+"""Block-structured points, kernels, and Bregman distances.
 
-A point x in R^n is split into N contiguous blocks x_1..x_N.  Everything
-downstream (the solver, the applications, the diagnostics) speaks this
-vocabulary: kernels and nonsmooth terms are attached per block, and the
-Bregman distance is always taken along a single block while the others
-stay frozen.
+A point x = (x_1, ..., x_N) is a tuple of N blocks, each an array in its
+natural shape (a vector, a matrix).  Everything downstream (the solver,
+the applications, the diagnostics) speaks this vocabulary: kernels and
+nonsmooth terms are attached per block, and the Bregman distance is always
+taken along a single block while the others stay frozen.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -26,104 +26,49 @@ class ParameterError(ValueError):
     """A numeric parameter or shape is outside its admissible range."""
 
 
-@dataclass(frozen=True)
-class BlockPartition:
-    """Fixed split of R^n into N contiguous blocks of sizes ``dims[i]``."""
-
-    dims: tuple[int, ...]
-    offsets: tuple[int, ...] = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        dims = tuple(int(d) for d in self.dims)
-        if not dims:
-            raise ParameterError("a partition needs at least one block")
-        if any(d < 1 for d in dims):
-            raise ParameterError(f"block sizes must be positive, got {dims}")
-        offsets = [0]
-        for d in dims[:-1]:
-            offsets.append(offsets[-1] + d)
-        object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "offsets", tuple(offsets))
-
-    @property
-    def N(self) -> int:
-        return len(self.dims)
-
-    @property
-    def n(self) -> int:
-        return sum(self.dims)
-
-    def block_slice(self, i: int) -> slice:
-        if not 0 <= i < self.N:
-            raise IndexError(f"block index {i} out of range for {self.N} blocks")
-        off = self.offsets[i]
-        return slice(off, off + self.dims[i])
+def _readonly(a) -> Array:
+    """``a`` as a read-only float array; one that already is one is shared."""
+    if isinstance(a, np.ndarray) and a.dtype == np.float64 and not a.flags.writeable:
+        return a
+    a = np.array(a, dtype=float)
+    a.setflags(write=False)
+    return a
 
 
 @dataclass(frozen=True, eq=False)
 class BlockVector:
-    """Immutable point in R^n addressable block by block."""
+    """Immutable point (x_1, ..., x_N); every block is a read-only array."""
 
-    partition: BlockPartition
-    data: Array
+    blocks: tuple[Array, ...]
 
     def __post_init__(self) -> None:
-        data = np.array(self.data, dtype=float, copy=True)
-        if data.ndim != 1 or data.size != self.partition.n:
-            raise ParameterError(
-                f"data must be a flat vector of length {self.partition.n}, "
-                f"got shape {np.shape(self.data)}"
-            )
-        data.setflags(write=False)
-        object.__setattr__(self, "data", data)
-
-    @classmethod
-    def from_blocks(cls, partition: BlockPartition, blocks: Sequence[Array]) -> "BlockVector":
-        if len(blocks) != partition.N:
-            raise ParameterError(f"expected {partition.N} blocks, got {len(blocks)}")
-        parts = [np.asarray(b, dtype=float).ravel() for b in blocks]
-        for i, p in enumerate(parts):
-            if p.size != partition.dims[i]:
-                raise ParameterError(
-                    f"block {i} has size {p.size}, expected {partition.dims[i]}"
-                )
-        return cls(partition, np.concatenate(parts))
+        object.__setattr__(self, "blocks", tuple(_readonly(b) for b in self.blocks))
 
     def block(self, i: int) -> Array:
-        """Read-only view of block i."""
-        return self.data[self.partition.block_slice(i)]
+        return self.blocks[i]
 
     def with_block(self, i: int, values: Array) -> "BlockVector":
-        """New vector with block i replaced by ``values``."""
-        values = np.asarray(values, dtype=float).ravel()
-        if values.size != self.partition.dims[i]:
-            raise ParameterError(
-                f"block {i} has size {self.partition.dims[i]}, got {values.size}"
-            )
-        buf = self.data.copy()
-        buf[self.partition.block_slice(i)] = values
-        return BlockVector(self.partition, buf)
-
-
-def _everywhere(x: BlockVector) -> bool:
-    return True
+        """New point with block i replaced by ``values``; the other blocks
+        are shared, not copied."""
+        blocks = list(self.blocks)
+        blocks[i] = values
+        return BlockVector(tuple(blocks))
 
 
 @dataclass(frozen=True)
 class BlockKernel:
-    """One kernel h: R^n -> R with its per-block gradient.
+    """One kernel h with its per-block gradient.
 
     ``sigma`` is the block strong-convexity modulus supplied by the
     application layer.  ``block_grad(i, x)`` returns the gradient of h with
-    respect to block i; kernels may support only their own block.
-    ``domain_check`` defaults to all of R^n.
+    respect to block i, in the block's shape; kernels may support only
+    their own block.  ``value`` is +inf (or any non-finite value) outside
+    the kernel's domain.
     """
 
     value: Callable[[BlockVector], float]
     block_grad: Callable[[int, BlockVector], Array]
     sigma: float
-    block_hess_action: Callable[[int, BlockVector, Array], Array] | None = None
-    domain_check: Callable[[BlockVector], bool] = _everywhere
 
     def __post_init__(self) -> None:
         if not self.sigma > 0:
@@ -135,10 +80,10 @@ class NonsmoothBlock:
     """Nonsmooth term g_i on one block.
 
     ``value`` returns an extended real (math.inf outside the domain).
-    ``solver``, when present, returns the exact minimizer of the block model
-    and is called as ``solver(problem, schedule, i, x_current, x_prev)``.
-    ``project`` is a Euclidean projection onto dom g_i; it enables the
-    numeric fallback oracle when no exact solver exists.
+    ``solver`` returns the exact minimizer of the block model and is called
+    as ``solver(problem, schedule, i, x_current, x_prev)``; ``run`` needs
+    one on every block.  ``project``, a Euclidean projection onto dom g_i,
+    serves only the projected-gradient reference oracle in diagnostics.
     """
 
     value: Callable[[Array], float]
@@ -167,11 +112,12 @@ def nonnegative_indicator() -> NonsmoothBlock:
 class BlockProblem:
     """Everything the solver needs: f, its block gradients, kernels, g terms.
 
-    ``L[i]`` is the relative-smoothness constant of f with respect to
-    ``kernels[i]`` along block i.
+    ``shapes[i]`` is the shape of block i; ``L[i]`` is the
+    relative-smoothness constant of f with respect to ``kernels[i]`` along
+    block i.
     """
 
-    partition: BlockPartition
+    shapes: tuple[tuple[int, ...], ...]
     f_value: Callable[[BlockVector], float]
     f_block_grad: Callable[[int, BlockVector], Array]
     kernels: tuple[BlockKernel, ...]
@@ -179,10 +125,11 @@ class BlockProblem:
     g: tuple[NonsmoothBlock, ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "shapes", tuple(tuple(int(d) for d in s) for s in self.shapes))
         object.__setattr__(self, "kernels", tuple(self.kernels))
         object.__setattr__(self, "L", tuple(float(v) for v in self.L))
         object.__setattr__(self, "g", tuple(self.g))
-        N = self.partition.N
+        N = self.N
         if not (len(self.kernels) == len(self.L) == len(self.g) == N):
             raise ParameterError(
                 f"kernels/L/g must all have length {N}, got "
@@ -190,6 +137,10 @@ class BlockProblem:
             )
         if any(not v > 0 for v in self.L):
             raise ParameterError(f"all L_i must be positive, got {self.L}")
+
+    @property
+    def N(self) -> int:
+        return len(self.shapes)
 
     @property
     def sigma(self) -> tuple[float, ...]:
@@ -203,17 +154,11 @@ def block_bregman_distance(kernel: BlockKernel, i: int, x: BlockVector, y_i: Arr
     block-convex kernels the result is nonnegative; cancellation-level
     negative roundoff is clamped to zero, anything larger is returned as is.
     """
-    y_i = np.asarray(y_i, dtype=float).ravel()
-    if not kernel.domain_check(x):
-        raise DomainError("base point lies outside the kernel domain")
-    y = x.with_block(i, y_i)
-    if not kernel.domain_check(y):
-        raise DomainError("shifted point lies outside the kernel domain")
     hx = float(kernel.value(x))
-    hy = float(kernel.value(y))
+    hy = float(kernel.value(x.with_block(i, y_i)))
     if not (math.isfinite(hx) and math.isfinite(hy)):
-        raise DomainError("kernel value is not finite on an in-domain point")
-    inner = float(np.dot(kernel.block_grad(i, x), y_i - x.block(i)))
+        raise DomainError("kernel value is not finite: a point lies outside its domain")
+    inner = float(np.vdot(kernel.block_grad(i, x), y_i - x.block(i)))
     d = hy - hx - inner
     if d < 0.0:
         slack = 1e-12 * (abs(hx) + abs(hy) + abs(inner) + 1.0)
@@ -249,30 +194,25 @@ def model_value(
     """
     if not gamma > 0:
         raise ParameterError(f"gamma must be positive, got {gamma}")
-    z = np.asarray(z, dtype=float).ravel()
     gz = float(problem.g[i].value(z))
     if math.isinf(gz):
         return math.inf
     xi = x_k.block(i)
     step = problem.f_block_grad(i, x_k) - (alpha / gamma) * (xi - x_prev.block(i))
-    lin = float(np.dot(step, z - xi))
+    lin = float(np.vdot(step, z - xi))
     breg = block_bregman_distance(problem.kernels[i], i, x_k, z)
     return lin + breg / gamma + gz
 
 
 def full_gradient(problem: BlockProblem, x: BlockVector) -> Array:
-    """Concatenated block gradients of f at x."""
-    return np.concatenate(
-        [np.asarray(problem.f_block_grad(i, x), dtype=float).ravel()
-         for i in range(problem.partition.N)]
-    )
+    """The block gradients of f at x, flattened and concatenated."""
+    return np.concatenate([np.ravel(problem.f_block_grad(i, x)) for i in range(problem.N)])
 
 
 def squared_norm_kernel() -> BlockKernel:
     """The Euclidean kernel h(x) = ||x||^2 / 2 (modulus 1 on every block)."""
     return BlockKernel(
-        value=lambda x: 0.5 * float(np.dot(x.data, x.data)),
+        value=lambda x: 0.5 * sum(float(np.vdot(b, b)) for b in x.blocks),
         block_grad=lambda i, x: np.array(x.block(i)),
         sigma=1.0,
-        block_hess_action=lambda i, x, v: np.array(v, dtype=float),
     )

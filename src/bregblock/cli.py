@@ -31,7 +31,8 @@ KAPPA_GRID = (0.0, 0.3, 0.6, 0.9)
 
 @dataclass
 class SolveConfig:
-    """Validated bundle of everything a solve needs."""
+    """Bundle of everything a solve needs; SymTriInstance, derive_schedule
+    and run check the values."""
 
     input: str
     rank: int
@@ -51,21 +52,6 @@ class SolveConfig:
     factors_out: str | None = None
     labels_out: str | None = None
     timing: bool = True
-
-    def validate(self) -> None:
-        if self.rank < 1:
-            raise ParameterError(f"rank must be a positive integer, got {self.rank}")
-        for name in ("a1", "b1", "a2", "eps1", "eps2"):
-            if not getattr(self, name) > 0:
-                raise ParameterError(f"{name} must be positive, got {getattr(self, name)}")
-        if not 0.0 <= self.kappa < 1.0:
-            raise ParameterError(f"kappa must lie in [0, 1), got {self.kappa}")
-        if not 0.0 < self.rho <= 1.0:
-            raise ParameterError(f"rho must lie in (0, 1], got {self.rho}")
-        if self.max_iters < 0:
-            raise ParameterError(f"max_iters must be nonnegative, got {self.max_iters}")
-        if self.residual_tol < 0 or self.stall_tol < 0:
-            raise ParameterError("tolerances must be nonnegative")
 
 
 _CONFIG_TYPES = {f.name: f.type for f in fields(SolveConfig)}
@@ -115,9 +101,7 @@ def _build_solve_config(args: argparse.Namespace) -> SolveConfig:
             values[f.name] = flag
     if "input" not in values or values.get("rank") is None:
         raise ParameterError("solve requires --input and --rank (flags or config file)")
-    cfg = SolveConfig(**values)
-    cfg.validate()
-    return cfg
+    return SolveConfig(**values)
 
 
 def _parse_float_list(raw: str, what: str) -> list[float]:
@@ -257,15 +241,15 @@ def cmd_check(args: argparse.Namespace) -> int:
         x = stf.pack_factors(inst, U, V)
         for i, (analytic, func) in enumerate(
             (
-                (stf.grad_U(inst, U, V).ravel(), problem.f_value),
-                (stf.grad_V(inst, U, V).ravel(), problem.f_value),
+                (stf.grad_U(inst, U, V), problem.f_value),
+                (stf.grad_V(inst, U, V), problem.f_value),
             )
         ):
             fd = finite_difference_block_grad(func, i, x, step=1e-5)
             grad_err = max(grad_err, _rel_err(analytic, fd))
         for i, kern in enumerate(problem.kernels):
             fd = finite_difference_block_grad(kern.value, i, x, step=1e-5)
-            grad_err = max(grad_err, _rel_err(np.asarray(kern.block_grad(i, x)), fd))
+            grad_err = max(grad_err, _rel_err(kern.block_grad(i, x), fd))
 
     schedule = derive_schedule((inst.L1, inst.L2), (inst.sigma1, inst.sigma2), kappa=0.5)
     oracle_gap = 0.0

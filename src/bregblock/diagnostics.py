@@ -33,12 +33,13 @@ def finite_difference_block_grad(
     x: BlockVector,
     step: float = 1e-5,
 ) -> Array:
-    """Central finite differences of ``func`` along the coordinates of block i."""
+    """Central finite differences of ``func`` along the coordinates of block
+    i, in the block's shape."""
     if not step > 0:
         raise ValueError(f"step must be positive, got {step}")
     base = np.array(x.block(i))
-    grad = np.empty(base.size)
-    for j in range(base.size):
+    grad = np.empty(base.shape)
+    for j in np.ndindex(base.shape):
         plus = base.copy()
         plus[j] += step
         minus = base.copy()
@@ -61,12 +62,11 @@ def _sampled_pair(
     """
     scale_varied = SAMPLE_SCALES[s % 3]
     scale_fixed = SAMPLE_SCALES[(s // 3) % 3]
-    blocks = []
-    for b, dim in enumerate(problem.partition.dims):
-        scale = scale_varied if b == i else scale_fixed
-        blocks.append(scale * rng.random(dim))
-    x = BlockVector.from_blocks(problem.partition, blocks)
-    y_i = scale_varied * rng.random(problem.partition.dims[i])
+    x = BlockVector(tuple(
+        (scale_varied if b == i else scale_fixed) * rng.random(shape)
+        for b, shape in enumerate(problem.shapes)
+    ))
+    y_i = scale_varied * rng.random(problem.shapes[i])
     return x, y_i
 
 
@@ -89,7 +89,7 @@ def verify_relative_smoothness(
     """
     if samples < 1:
         raise ValueError(f"need at least one sample, got {samples}")
-    N = problem.partition.N
+    N = problem.N
     violations = 0
     worst = -math.inf
     for s in range(samples):
@@ -101,17 +101,17 @@ def verify_relative_smoothness(
         Li = problem.L[i]
         kern = problem.kernels[i]
 
-        gx = np.asarray(problem.f_block_grad(i, x), dtype=float)
+        gx = problem.f_block_grad(i, x)
         descent_gap = float(problem.f_value(y)) - (
             float(problem.f_value(x))
-            + float(np.dot(gx, diff))
+            + float(np.vdot(gx, diff))
             + Li * block_bregman_distance(kern, i, x, y_i)
         )
 
-        gy = np.asarray(problem.f_block_grad(i, y), dtype=float)
-        hx = np.asarray(kern.block_grad(i, x), dtype=float)
-        hy = np.asarray(kern.block_grad(i, y), dtype=float)
-        mono_gap = float(np.dot(gx - gy, -diff)) - Li * float(np.dot(hx - hy, -diff))
+        gy = problem.f_block_grad(i, y)
+        hx = kern.block_grad(i, x)
+        hy = kern.block_grad(i, y)
+        mono_gap = float(np.vdot(gx - gy, -diff)) - Li * float(np.vdot(hx - hy, -diff))
 
         worst = max(worst, descent_gap, mono_gap)
         if descent_gap > slack or mono_gap > slack:
@@ -144,11 +144,10 @@ def numeric_subproblem_oracle(
     kern = problem.kernels[i]
     xi = np.array(x.block(i))
     drift = problem.f_block_grad(i, x) - (alpha / gamma) * (xi - x_prev.block(i))
-    gh_at_x = np.asarray(kern.block_grad(i, x), dtype=float)
+    gh_at_x = kern.block_grad(i, x)
 
     def smooth_grad(z: Array) -> Array:
-        gh = np.asarray(kern.block_grad(i, x.with_block(i, z)), dtype=float)
-        return drift + (gh - gh_at_x) / gamma
+        return drift + (kern.block_grad(i, x.with_block(i, z)) - gh_at_x) / gamma
 
     def value(z: Array) -> float:
         # projected iterates are feasible, so g contributes exactly zero
@@ -162,7 +161,7 @@ def numeric_subproblem_oracle(
         while True:
             cand = term.project(z - gz / lip)
             d = cand - z
-            quad = fz + float(np.dot(gz, d)) + 0.5 * lip * float(np.dot(d, d))
+            quad = fz + float(np.vdot(gz, d)) + 0.5 * lip * float(np.vdot(d, d))
             if value(cand) <= quad + 1e-15 * (1.0 + abs(fz)) or lip > 1e16:
                 break
             lip *= 2.0

@@ -16,7 +16,7 @@ import math
 import time
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -32,11 +32,12 @@ from .blocks import (
 
 
 class ConfigurationError(RuntimeError):
-    """A block has neither an exact subproblem solver nor a usable projection."""
+    """A block has no exact subproblem solver, or its solver returned an
+    infeasible point."""
 
 
 class InfeasibleError(ValueError):
-    """The starting point violates a nonsmooth term or a kernel domain."""
+    """The starting point violates a nonsmooth term."""
 
 
 TERMINATION_RESIDUAL = "residual_tol"
@@ -170,19 +171,9 @@ def solve_block_subproblem(
     x_current: BlockVector,
     x_prev: BlockVector,
 ) -> Array:
-    """Minimize the block-i model: exact solver if supplied, else the
-    projected-gradient oracle when the block is projectable."""
+    """Minimize the block-i model with the block's exact solver."""
     term = problem.g[i]
-    if term.solver is not None:
-        z = np.asarray(term.solver(problem, schedule, i, x_current, x_prev), dtype=float).ravel()
-    elif term.project is not None:
-        from .diagnostics import numeric_subproblem_oracle
-
-        z = numeric_subproblem_oracle(problem, schedule, i, x_current, x_prev)
-    else:
-        raise ConfigurationError(
-            f"block {i}: no exact solver and no projection for the numeric fallback"
-        )
+    z = np.asarray(term.solver(problem, schedule, i, x_current, x_prev), dtype=float)
     if math.isinf(float(term.value(z))):
         raise ConfigurationError(f"block {i}: subproblem solver returned an infeasible point")
     return z
@@ -204,23 +195,12 @@ def sweep_with_partials(
     cur = x_k
     partials = [x_k]
     gaps: list[float] = []
-    for i in range(problem.partition.N):
+    for i in range(problem.N):
         z = solve_block_subproblem(problem, schedule, i, cur, x_prev)
         gaps.append(block_bregman_distance(problem.kernels[i], i, cur, z))
         cur = cur.with_block(i, z)
         partials.append(cur)
     return cur, gaps, partials
-
-
-def sweep(
-    problem: BlockProblem,
-    schedule: StepSchedule,
-    x_k: BlockVector,
-    x_prev: BlockVector,
-) -> tuple[BlockVector, list[float]]:
-    """One cyclic block pass; returns the new iterate and its Bregman gaps."""
-    x_next, gaps, _ = sweep_with_partials(problem, schedule, x_k, x_prev)
-    return x_next, gaps
 
 
 def lyapunov_value(
@@ -251,19 +231,19 @@ def stationarity_residual(
     as a subgradient of g_i at the new block, so stacking
     grad_i f(x_next) + eta_i over blocks gives a certified residual vector.
     """
-    if len(partials) != problem.partition.N + 1:
+    if len(partials) != problem.N + 1:
         raise ParameterError("partials must contain N+1 iterates from one sweep")
     parts = []
-    for j in range(problem.partition.N):
+    for j in range(problem.N):
         pre, post = partials[j], partials[j + 1]
         kern = problem.kernels[j]
-        gh_pre = np.asarray(kern.block_grad(j, pre), dtype=float)
-        gh_post = np.asarray(kern.block_grad(j, post), dtype=float)
+        gh_pre = kern.block_grad(j, pre)
+        gh_post = kern.block_grad(j, post)
         ga, al = schedule.gamma[j], schedule.alpha[j]
         eta = (gh_pre - gh_post) / ga
         eta += (al / ga) * (x_k.block(j) - x_prev.block(j))
         eta -= problem.f_block_grad(j, pre)
-        parts.append(problem.f_block_grad(j, x_next) + eta)
+        parts.append(np.ravel(problem.f_block_grad(j, x_next) + eta))
     return float(np.linalg.norm(np.concatenate(parts)))
 
 
@@ -274,7 +254,6 @@ def run(
     max_iters: int = 1000,
     residual_tol: float = 1e-9,
     stall_tol: float = 0.0,
-    schedule_hook: Callable[[int], StepSchedule] | None = None,
 ) -> SolveResult:
     """Iterate sweeps from x0 until a stopping rule fires.
 
@@ -287,22 +266,32 @@ def run(
     The k=0 record carries ||grad f(x0)|| as its residual (the certified
     residual needs a completed sweep); stopping only consults k >= 1.
 
-    ``schedule_hook(k)``, when given, supplies per-iteration (gamma, alpha)
-    values; its delta weights must match the base schedule so the Lyapunov
-    function is fixed across iterations.
+    Before the first sweep it checks the limits, the schedule and x0's
+    block shapes against ``problem.shapes`` (ParameterError), an exact
+    solver on every block (ConfigurationError) and the feasibility of x0
+    (InfeasibleError); the sweeps then check no shapes.
     """
+    if max_iters < 0:
+        raise ParameterError(f"max_iters must be nonnegative, got {max_iters}")
+    if not (residual_tol >= 0 and stall_tol >= 0):
+        raise ParameterError(
+            f"tolerances must be nonnegative, got residual_tol={residual_tol}, "
+            f"stall_tol={stall_tol}"
+        )
     validate_schedule(schedule, problem.L, problem.sigma)
-    for i in range(problem.partition.N):
-        if math.isinf(float(problem.g[i].value(x0.block(i)))):
+    shapes = tuple(b.shape for b in x0.blocks)
+    if shapes != problem.shapes:
+        raise ParameterError(f"x0 has block shapes {shapes}, expected {problem.shapes}")
+    for i, term in enumerate(problem.g):
+        if term.solver is None:
+            raise ConfigurationError(f"block {i} has no exact subproblem solver")
+        if math.isinf(float(term.value(x0.block(i)))):
             raise InfeasibleError(f"x0 is infeasible for nonsmooth block {i}")
-    for i, kern in enumerate(problem.kernels):
-        if not kern.domain_check(x0):
-            raise InfeasibleError(f"x0 lies outside the domain of kernel {i}")
 
     start = time.perf_counter()
     scale = 1.0 + float(np.linalg.norm(full_gradient(problem, x0)))
     phi0 = phi_value(problem, x0)
-    zeros = tuple(0.0 for _ in range(problem.partition.N))
+    zeros = tuple(0.0 for _ in range(problem.N))
     trace = [
         IterationRecord(
             k=0,
@@ -317,14 +306,8 @@ def run(
     x_prev, x = x0, x0
     termination = TERMINATION_MAX_ITERS
     for k in range(int(max_iters)):
-        sched_k = schedule
-        if schedule_hook is not None:
-            sched_k = schedule_hook(k)
-            if sched_k.delta != schedule.delta:
-                raise ParameterError("schedule_hook must keep the delta weights fixed")
-            validate_schedule(sched_k, problem.L, problem.sigma)
-        x_next, gaps, partials = sweep_with_partials(problem, sched_k, x, x_prev)
-        residual = stationarity_residual(problem, sched_k, partials, x, x_prev, x_next)
+        x_next, gaps, partials = sweep_with_partials(problem, schedule, x, x_prev)
+        residual = stationarity_residual(problem, schedule, partials, x, x_prev, x_next)
         lyap = lyapunov_value(problem, schedule, x_next, gaps)
         if not math.isfinite(lyap):
             raise ArithmeticError(f"Lyapunov value is not finite at iteration {k + 1}")

@@ -6,7 +6,9 @@ subproblems admit closed-form minimizers: the U update reduces to an
 elementwise clamp followed by a scalar cubic root, the V update to a
 clamped scaled gradient step.  Plugged into the generic solver this gives
 a monotone (in the Lyapunov sense) scheme for community-detection style
-factorizations.
+factorizations.  Factor shapes are checked where factors enter
+(pack_factors, relative_error, and run through the problem's block
+shapes); the objective, gradients, kernels and updates trust them.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ import numpy as np
 from .blocks import (
     Array,
     BlockKernel,
-    BlockPartition,
     BlockProblem,
     BlockVector,
     ParameterError,
@@ -42,8 +43,9 @@ class SymTriInstance:
     Derived constants (set in __post_init__): the smallest admissible
     relative-smoothness bounds L1 = max(6/a1, 2/b1) and L2 = 1/a2, the
     strong-convexity moduli sigma1 = b1*eps1 and sigma2 = a2*eps2, and the
-    cached Frobenius norm of X.  Asymmetric input is accepted with a
-    warning; pass symmetrize=True to replace X by (X + X^T)/2.
+    cached Frobenius norm of X.  Entries must be finite.  Asymmetric input
+    is accepted with a warning; pass symmetrize=True to replace X by
+    (X + X^T)/2.
     """
 
     X: Array
@@ -64,6 +66,8 @@ class SymTriInstance:
         X = np.array(self.X, dtype=float, copy=True)
         if X.ndim != 2 or X.shape[0] != X.shape[1]:
             raise ParameterError(f"X must be square, got shape {X.shape}")
+        if not np.isfinite(X).all():
+            raise ParameterError("X has NaN or infinite entries")
         m = X.shape[0]
         if not 1 <= int(self.r) <= m:
             raise ParameterError(f"rank must lie in [1, {m}], got {self.r}")
@@ -125,7 +129,6 @@ def _check_shapes(inst: SymTriInstance, U: Array, V: Array) -> tuple[Array, Arra
 
 def f_value(inst: SymTriInstance, U: Array, V: Array) -> float:
     """Fit term ||X - U V U^T||_F^2 / 2."""
-    U, V = _check_shapes(inst, U, V)
     R = inst.X - U @ V @ U.T
     return 0.5 * _sq_norm(R)
 
@@ -133,7 +136,6 @@ def f_value(inst: SymTriInstance, U: Array, V: Array) -> float:
 def grad_U(inst: SymTriInstance, U: Array, V: Array) -> Array:
     """Gradient of the fit term in U; exact for asymmetric X as well:
     -X U V^T - X^T U V + U V U^T U V^T + U V^T U^T U V."""
-    U, V = _check_shapes(inst, U, V)
     X = inst.X
     UV = U @ V
     UVt = U @ V.T
@@ -142,14 +144,12 @@ def grad_U(inst: SymTriInstance, U: Array, V: Array) -> Array:
 
 def grad_V(inst: SymTriInstance, U: Array, V: Array) -> Array:
     """Gradient of the fit term in V: U^T (U V U^T - X) U."""
-    U, V = _check_shapes(inst, U, V)
     UtU = U.T @ U
     return UtU @ V @ UtU - U.T @ inst.X @ U
 
 
 def kernel_h1_value(inst: SymTriInstance, U: Array, V: Array) -> float:
     """(a1/4)||V||^2 ||U||^4 + (b1/2)(||X|| ||V|| + eps1) ||U||^2."""
-    U, V = _check_shapes(inst, U, V)
     u2 = _sq_norm(U)
     v2 = _sq_norm(V)
     return 0.25 * inst.a1 * v2 * u2 * u2 + 0.5 * inst.b1 * (
@@ -158,38 +158,20 @@ def kernel_h1_value(inst: SymTriInstance, U: Array, V: Array) -> float:
 
 
 def kernel_h1_grad(inst: SymTriInstance, U: Array, V: Array) -> Array:
-    U, V = _check_shapes(inst, U, V)
     u2 = _sq_norm(U)
     v2 = _sq_norm(V)
     return (inst.a1 * u2 * v2 + inst.b1 * (inst.norm_X * math.sqrt(v2) + inst.eps1)) * U
 
 
-def kernel_h1_hess_action(inst: SymTriInstance, U: Array, V: Array, Z: Array) -> Array:
-    U, V = _check_shapes(inst, U, V)
-    Z = np.asarray(Z, dtype=float)
-    u2 = _sq_norm(U)
-    v2 = _sq_norm(V)
-    coeff = inst.a1 * u2 * v2 + inst.b1 * (inst.norm_X * math.sqrt(v2) + inst.eps1)
-    return (2.0 * inst.a1 * v2 * float(np.vdot(U, Z))) * U + coeff * Z
-
-
 def kernel_h2_value(inst: SymTriInstance, U: Array, V: Array) -> float:
     """(a2/2)(||U||^4 + eps2) ||V||^2."""
-    U, V = _check_shapes(inst, U, V)
     u2 = _sq_norm(U)
     return 0.5 * inst.a2 * (u2 * u2 + inst.eps2) * _sq_norm(V)
 
 
 def kernel_h2_grad(inst: SymTriInstance, U: Array, V: Array) -> Array:
-    U, V = _check_shapes(inst, U, V)
     u2 = _sq_norm(U)
     return inst.a2 * (u2 * u2 + inst.eps2) * V
-
-
-def kernel_h2_hess_action(inst: SymTriInstance, U: Array, V: Array, Z: Array) -> Array:
-    U, V = _check_shapes(inst, U, V)
-    u2 = _sq_norm(U)
-    return inst.a2 * (u2 * u2 + inst.eps2) * np.asarray(Z, dtype=float)
 
 
 def cubic_positive_root(tau1: float, tau2: float) -> float:
@@ -237,8 +219,6 @@ def update_U(
     positive root of t^3 - tau1 t^2 - tau2 with tau1 = b1(||X|| ||V_k|| + eps1)
     and tau2 = a1 ||V_k||^2 ||P||^2, and U+ = P / t.
     """
-    U_k, V_k = _check_shapes(inst, U_k, V_k)
-    U_prev, _ = _check_shapes(inst, U_prev, V_k)
     G = kernel_h1_grad(inst, U_k, V_k) - gamma1 * grad_U(inst, U_k, V_k)
     G += alpha1 * (U_k - U_prev)
     P = np.maximum(G, 0.0)
@@ -263,16 +243,10 @@ def update_V(
     so the model minimizer is the clamped step
     max(V_k + (alpha2 (V_k - V_prev) - gamma2 grad_V f(U_next, V_k)) / eta, 0).
     """
-    U_next, V_k = _check_shapes(inst, U_next, V_k)
-    _, V_prev = _check_shapes(inst, U_next, V_prev)
     u2 = _sq_norm(U_next)
     eta = inst.a2 * (u2 * u2 + inst.eps2)
     step = alpha2 * (V_k - V_prev) - gamma2 * grad_V(inst, U_next, V_k)
     return np.maximum(V_k + step / eta, 0.0)
-
-
-def _split(inst: SymTriInstance, x: BlockVector) -> tuple[Array, Array]:
-    return x.block(0).reshape(inst.m, inst.r), x.block(1).reshape(inst.r, inst.r)
 
 
 def _own_block_only(i_expected: int, fn):
@@ -285,64 +259,44 @@ def _own_block_only(i_expected: int, fn):
 
 
 def as_block_problem(inst: SymTriInstance) -> BlockProblem:
-    """Bind the instance into the generic two-block problem: blocks are
-    vec(U) and vec(V), the nonsmooth terms are nonnegativity indicators,
-    and the exact subproblem solvers are the closed-form updates."""
-    partition = BlockPartition((inst.m * inst.r, inst.r * inst.r))
-
-    def fv(x: BlockVector) -> float:
-        return f_value(inst, *_split(inst, x))
+    """Bind the instance into the generic two-block problem: the blocks are
+    U (m x r) and V (r x r) in their natural shapes, the nonsmooth terms
+    are nonnegativity indicators, and the exact subproblem solvers are the
+    closed-form updates."""
 
     def fg(i: int, x: BlockVector) -> Array:
-        U, V = _split(inst, x)
         if i == 0:
-            return grad_U(inst, U, V).ravel()
+            return grad_U(inst, *x.blocks)
         if i == 1:
-            return grad_V(inst, U, V).ravel()
+            return grad_V(inst, *x.blocks)
         raise ParameterError(f"block index {i} out of range")
 
-    def h1_hess(i: int, x: BlockVector, v: Array) -> Array:
-        if i != 0:
-            raise ParameterError(f"kernel exposes only block 0, asked for {i}")
-        Z = np.asarray(v, dtype=float).reshape(inst.m, inst.r)
-        return kernel_h1_hess_action(inst, *_split(inst, x), Z).ravel()
-
-    def h2_hess(i: int, x: BlockVector, v: Array) -> Array:
-        if i != 1:
-            raise ParameterError(f"kernel exposes only block 1, asked for {i}")
-        Z = np.asarray(v, dtype=float).reshape(inst.r, inst.r)
-        return kernel_h2_hess_action(inst, *_split(inst, x), Z).ravel()
-
     kernel1 = BlockKernel(
-        value=lambda x: kernel_h1_value(inst, *_split(inst, x)),
-        block_grad=_own_block_only(0, lambda x: kernel_h1_grad(inst, *_split(inst, x)).ravel()),
+        value=lambda x: kernel_h1_value(inst, *x.blocks),
+        block_grad=_own_block_only(0, lambda x: kernel_h1_grad(inst, *x.blocks)),
         sigma=inst.sigma1,
-        block_hess_action=h1_hess,
     )
     kernel2 = BlockKernel(
-        value=lambda x: kernel_h2_value(inst, *_split(inst, x)),
-        block_grad=_own_block_only(1, lambda x: kernel_h2_grad(inst, *_split(inst, x)).ravel()),
+        value=lambda x: kernel_h2_value(inst, *x.blocks),
+        block_grad=_own_block_only(1, lambda x: kernel_h2_grad(inst, *x.blocks)),
         sigma=inst.sigma2,
-        block_hess_action=h2_hess,
     )
 
     def u_solver(problem, schedule, i, x_cur, x_prev):
-        U_k, V_k = _split(inst, x_cur)
-        U_prev, _ = _split(inst, x_prev)
-        return update_U(inst, schedule.gamma[0], schedule.alpha[0], U_k, U_prev, V_k).ravel()
+        U_k, V_k = x_cur.blocks
+        return update_U(inst, schedule.gamma[0], schedule.alpha[0], U_k, x_prev.block(0), V_k)
 
     def v_solver(problem, schedule, i, x_cur, x_prev):
-        U_next, V_k = _split(inst, x_cur)
-        _, V_prev = _split(inst, x_prev)
-        return update_V(inst, schedule.gamma[1], schedule.alpha[1], U_next, V_k, V_prev).ravel()
+        U_next, V_k = x_cur.blocks
+        return update_V(inst, schedule.gamma[1], schedule.alpha[1], U_next, V_k, x_prev.block(1))
 
     g = (
         replace(nonnegative_indicator(), solver=u_solver),
         replace(nonnegative_indicator(), solver=v_solver),
     )
     return BlockProblem(
-        partition=partition,
-        f_value=fv,
+        shapes=((inst.m, inst.r), (inst.r, inst.r)),
+        f_value=lambda x: f_value(inst, *x.blocks),
         f_block_grad=fg,
         kernels=(kernel1, kernel2),
         L=(inst.L1, inst.L2),
@@ -361,14 +315,12 @@ def initial_factors(inst: SymTriInstance, seed: int = 0) -> tuple[Array, Array]:
 
 
 def pack_factors(inst: SymTriInstance, U: Array, V: Array) -> BlockVector:
-    U, V = _check_shapes(inst, U, V)
-    partition = BlockPartition((inst.m * inst.r, inst.r * inst.r))
-    return BlockVector.from_blocks(partition, [U.ravel(), V.ravel()])
+    """The point (U, V), after checking both shapes against the instance."""
+    return BlockVector(_check_shapes(inst, U, V))
 
 
-def unpack_factors(inst: SymTriInstance, x: BlockVector) -> FactorPair:
-    U, V = _split(inst, x)
-    return FactorPair(U=U, V=V)
+def unpack_factors(x: BlockVector) -> FactorPair:
+    return FactorPair(*x.blocks)
 
 
 def relative_error(inst: SymTriInstance, U: Array, V: Array) -> float:
@@ -419,4 +371,4 @@ def solve_instance(
         residual_tol=residual_tol,
         stall_tol=stall_tol,
     )
-    return result, unpack_factors(inst, result.x_final)
+    return result, unpack_factors(result.x_final)

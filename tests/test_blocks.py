@@ -5,104 +5,89 @@ import pytest
 
 from bregblock import (
     BlockKernel,
-    BlockPartition,
     BlockProblem,
     BlockVector,
     DomainError,
     ParameterError,
     SymTriInstance,
     block_bregman_distance,
+    derive_schedule,
     model_value,
     nonnegative_indicator,
     phi_value,
+    run,
     squared_norm_kernel,
     zero_term,
 )
 from bregblock import symtrinmf as stf
+from points import flat, point
 
 
-def linear_problem(partition, c, g=None):
+def linear_problem(shapes, c, g=None):
     """f(x) = <c, x> with Euclidean kernels on every block."""
     c = np.asarray(c, dtype=float)
-    kernels = tuple(squared_norm_kernel() for _ in range(partition.N))
-    terms = tuple(g if g is not None else zero_term() for _ in range(partition.N))
+    N = len(shapes)
     return BlockProblem(
-        partition=partition,
-        f_value=lambda x: float(np.dot(c, x.data)),
-        f_block_grad=lambda i, x: c[partition.block_slice(i)].copy(),
-        kernels=kernels,
-        L=tuple(1.0 for _ in range(partition.N)),
-        g=terms,
+        shapes=shapes,
+        f_value=lambda x: float(np.dot(c, flat(x))),
+        f_block_grad=lambda i, x: point(shapes, c).block(i).copy(),
+        kernels=tuple(squared_norm_kernel() for _ in range(N)),
+        L=tuple(1.0 for _ in range(N)),
+        g=tuple(g if g is not None else zero_term() for _ in range(N)),
     )
-
-
-class TestPartition:
-    def test_basic(self):
-        p = BlockPartition((2, 3, 1))
-        assert p.N == 3
-        assert p.n == 6
-        assert p.offsets == (0, 2, 5)
-        assert [p.block_slice(i) for i in range(3)] == [slice(0, 2), slice(2, 5), slice(5, 6)]
-
-    def test_offsets_partition_range(self):
-        p = BlockPartition((4, 1, 7, 2))
-        covered = []
-        for i in range(p.N):
-            sl = p.block_slice(i)
-            covered.extend(range(sl.start, sl.stop))
-        assert covered == list(range(p.n))
-
-    @pytest.mark.parametrize("dims", [(), (0,), (2, -1)])
-    def test_invalid_dims(self, dims):
-        with pytest.raises(ParameterError):
-            BlockPartition(dims)
 
 
 class TestBlockVector:
     def test_scatter_gather_bitwise(self):
         rng = np.random.default_rng(0)
-        p = BlockPartition((3, 5, 2))
-        data = rng.standard_normal(10)
-        x = BlockVector(p, data)
-        rebuilt = np.concatenate([x.block(i) for i in range(p.N)])
-        assert np.array_equal(rebuilt, data)
-        y = BlockVector.from_blocks(p, [x.block(i) for i in range(p.N)])
-        assert np.array_equal(y.data, data)
+        blocks = (rng.standard_normal(3), rng.standard_normal((5, 2)), rng.standard_normal((2, 2)))
+        x = BlockVector(blocks)
+        for i, b in enumerate(blocks):
+            assert x.block(i) is x.blocks[i]
+            assert x.block(i).shape == b.shape
+            assert x.block(i).tobytes() == b.tobytes()
+        assert all(a is b for a, b in zip(BlockVector(x.blocks).blocks, x.blocks))
 
     def test_with_block_roundtrip(self):
-        p = BlockPartition((2, 2))
-        x = BlockVector(p, np.arange(4.0))
-        values = np.array([9.5, -1.25])
+        x = BlockVector((np.arange(6.0).reshape(3, 2), np.arange(4.0).reshape(2, 2)))
+        values = np.array([[9.5, -1.25], [0.0, 3.0]])
         y = x.with_block(1, values)
         assert np.array_equal(y.block(1), values)
-        assert np.array_equal(y.block(0), x.block(0))
-        assert np.array_equal(x.data, np.arange(4.0))  # original untouched
+        assert y.block(0) is x.block(0)  # shared, not copied
+        assert np.array_equal(x.block(1), np.arange(4.0).reshape(2, 2))  # original untouched
+        with pytest.raises(IndexError):
+            x.with_block(2, values)
 
     def test_immutable(self):
-        x = BlockVector(BlockPartition((2,)), np.zeros(2))
+        source = np.zeros((2, 2))
+        x = BlockVector((source,))
         with pytest.raises(ValueError):
-            x.data[0] = 1.0
+            x.block(0)[0, 0] = 1.0
+        source[0, 0] = 1.0
+        assert x.block(0)[0, 0] == 0.0  # the caller's array was copied
+        with pytest.raises(ValueError):
+            x.with_block(0, source).block(0)[0, 0] = 2.0
 
     def test_bad_sizes(self):
-        p = BlockPartition((2, 2))
+        # shapes are checked where points enter: pack_factors and run
+        inst = SymTriInstance(np.eye(3), 2)
         with pytest.raises(ParameterError):
-            BlockVector(p, np.zeros(3))
-        with pytest.raises(ParameterError):
-            BlockVector(p, np.zeros(4)).with_block(0, np.zeros(3))
-        with pytest.raises(ParameterError):
-            BlockVector.from_blocks(p, [np.zeros(2)])
+            stf.pack_factors(inst, np.ones((3, 3)), np.ones((2, 2)))
+        problem = linear_problem(((2,), (2, 1)), np.zeros(4))
+        schedule = derive_schedule(problem.L, problem.sigma)
+        for blocks in ((np.zeros(2), np.zeros(2)), (np.zeros(2),), (np.zeros(3), np.zeros((2, 1)))):
+            with pytest.raises(ParameterError):
+                run(problem, schedule, BlockVector(blocks), max_iters=1)
 
 
 class TestBregmanDistance:
     def test_quadratic_kernel(self):
-        p = BlockPartition((1,))
-        x = BlockVector(p, [1.0])
+        x = BlockVector(([1.0],))
         d = block_bregman_distance(squared_norm_kernel(), 0, x, np.array([3.0]))
         assert d == pytest.approx(2.0, abs=0.0)
 
     def test_identity_case(self):
-        p = BlockPartition((2, 3))
-        x = BlockVector(p, np.arange(5.0))
+        x = BlockVector((np.arange(2.0), np.arange(6.0).reshape(2, 3)))
         for kern in (squared_norm_kernel(),):
             for i in range(2):
                 assert block_bregman_distance(kern, i, x, x.block(i)) == 0.0
@@ -113,7 +98,7 @@ class TestBregmanDistance:
         inst = SymTriInstance(np.zeros((1, 1)), 1)
         problem = stf.as_block_problem(inst)
         x = stf.pack_factors(inst, np.array([[0.0]]), np.array([[1.0]]))
-        d = block_bregman_distance(problem.kernels[0], 0, x, np.array([1.0]))
+        d = block_bregman_distance(problem.kernels[0], 0, x, np.array([[1.0]]))
         assert d == pytest.approx(2.5, rel=1e-15)
 
     def test_nonnegative_on_samples(self):
@@ -121,11 +106,11 @@ class TestBregmanDistance:
         raw = rng.random((3, 3))
         inst = SymTriInstance(0.5 * (raw + raw.T), 2)
         problem = stf.as_block_problem(inst)
-        p = problem.partition
         for _ in range(50):
-            x = BlockVector(p, rng.random(p.n) * rng.choice([0.1, 1.0, 10.0]))
-            for i in range(p.N):
-                y_i = rng.random(p.dims[i])
+            scale = rng.choice([0.1, 1.0, 10.0])
+            x = BlockVector(tuple(rng.random(s) * scale for s in problem.shapes))
+            for i in range(problem.N):
+                y_i = rng.random(problem.shapes[i])
                 assert block_bregman_distance(problem.kernels[i], i, x, y_i) >= 0.0
 
     def test_strong_convexity_lower_bound(self):
@@ -134,41 +119,39 @@ class TestBregmanDistance:
         raw = rng.random((3, 3))
         inst = SymTriInstance(0.5 * (raw + raw.T), 2)
         problem = stf.as_block_problem(inst)
-        p = problem.partition
         for _ in range(50):
-            x = BlockVector(p, rng.random(p.n))
-            for i in range(p.N):
-                y_i = rng.random(p.dims[i])
+            x = BlockVector(tuple(rng.random(s) for s in problem.shapes))
+            for i in range(problem.N):
+                y_i = rng.random(problem.shapes[i])
                 diff = float(np.linalg.norm(y_i - x.block(i)))
                 d = block_bregman_distance(problem.kernels[i], i, x, y_i)
                 sigma = problem.kernels[i].sigma
                 assert d >= 0.5 * sigma * diff**2 * (1.0 - 1e-9) - 1e-15
 
     def test_domain_error(self):
-        p = BlockPartition((1,))
-        kern = BlockKernel(
-            value=lambda x: -math.log(x.data[0]),
-            block_grad=lambda i, x: -1.0 / x.data,
-            sigma=1.0,
-            domain_check=lambda x: bool(np.all(x.data > 0)),
-        )
-        inside = BlockVector(p, [1.0])
+        # the log barrier is +inf off its domain (0, inf)
+        def value(x):
+            t = float(x.block(0)[0])
+            return -math.log(t) if t > 0 else math.inf
+
+        kern = BlockKernel(value=value, block_grad=lambda i, x: -1.0 / x.block(0), sigma=1.0)
+        inside = BlockVector(([1.0],))
         with pytest.raises(DomainError):
             block_bregman_distance(kern, 0, inside, np.array([-1.0]))
         with pytest.raises(DomainError):
-            block_bregman_distance(kern, 0, BlockVector(p, [-1.0]), np.array([1.0]))
+            block_bregman_distance(kern, 0, BlockVector(([-1.0],)), np.array([1.0]))
 
 
 class TestPhiValue:
     def test_indicator_feasible(self):
-        p = BlockPartition((2, 2))
-        problem = linear_problem(p, np.zeros(4), g=nonnegative_indicator())
-        assert phi_value(problem, BlockVector(p, [0.0, 1.0, 2.0, 3.0])) == 0.0
+        shapes = ((2,), (1, 2))
+        problem = linear_problem(shapes, np.zeros(4), g=nonnegative_indicator())
+        assert phi_value(problem, point(shapes, [0.0, 1.0, 2.0, 3.0])) == 0.0
 
     def test_indicator_infeasible(self):
-        p = BlockPartition((2, 2))
-        problem = linear_problem(p, np.zeros(4), g=nonnegative_indicator())
-        assert phi_value(problem, BlockVector(p, [0.0, 1.0, -0.5, 3.0])) == math.inf
+        shapes = ((2,), (1, 2))
+        problem = linear_problem(shapes, np.zeros(4), g=nonnegative_indicator())
+        assert phi_value(problem, point(shapes, [0.0, 1.0, -0.5, 3.0])) == math.inf
 
     def test_tri_factorization_scalar(self):
         inst = SymTriInstance(np.array([[4.0]]), 1)
@@ -180,33 +163,34 @@ class TestPhiValue:
         rng = np.random.default_rng(3)
         data = rng.standard_normal(6)
         c = rng.standard_normal(6)
-        whole = linear_problem(BlockPartition((6,)), c)
-        split = linear_problem(BlockPartition((2, 4)), c)
-        assert phi_value(whole, BlockVector(whole.partition, data)) == pytest.approx(
-            phi_value(split, BlockVector(split.partition, data)), rel=1e-15
+        whole = linear_problem(((6,),), c)
+        split = linear_problem(((2,), (2, 2)), c)
+        assert phi_value(whole, point(whole.shapes, data)) == pytest.approx(
+            phi_value(split, point(split.shapes, data)), rel=1e-15
         )
 
 
 class TestModelValue:
     def test_zero_at_current_block(self):
         rng = np.random.default_rng(4)
-        p = BlockPartition((3,))
-        problem = linear_problem(p, rng.standard_normal(3))
-        x = BlockVector(p, rng.standard_normal(3))
-        xp = BlockVector(p, rng.standard_normal(3))
+        shapes = ((3,),)
+        problem = linear_problem(shapes, rng.standard_normal(3))
+        x = point(shapes, rng.standard_normal(3))
+        xp = point(shapes, rng.standard_normal(3))
         assert model_value(problem, 0.5, 0.2, 0, x, xp, x.block(0)) == 0.0
 
     def test_euclidean_analytic_form(self):
         # alpha=0, h = ||.||^2/2, f linear with gradient c, gamma=1:
         # model(z) = <c, z - x> + ||z - x||^2 / 2
         rng = np.random.default_rng(5)
-        p = BlockPartition((4,))
+        shapes = ((2, 2),)
         c = rng.standard_normal(4)
-        problem = linear_problem(p, c)
-        x = BlockVector(p, rng.standard_normal(4))
+        problem = linear_problem(shapes, c)
+        x = point(shapes, rng.standard_normal(4))
         for _ in range(10):
-            z = rng.standard_normal(4)
-            expected = float(np.dot(c, z - x.data)) + 0.5 * float(np.dot(z - x.data, z - x.data))
+            z = rng.standard_normal((2, 2))
+            d = (z - x.block(0)).ravel()
+            expected = float(np.dot(c, d)) + 0.5 * float(np.dot(d, d))
             assert model_value(problem, 1.0, 0.0, 0, x, x, z) == pytest.approx(expected, rel=1e-12)
 
     def test_tri_factorization_v_block_minimum(self):
@@ -215,20 +199,18 @@ class TestModelValue:
         inst = SymTriInstance(np.array([[4.0]]), 1)
         problem = stf.as_block_problem(inst)
         x = stf.pack_factors(inst, np.array([[1.0]]), np.array([[0.0]]))
-        at_min = model_value(problem, 0.9, 0.0, 1, x, x, np.array([1.8]))
+        at_min = model_value(problem, 0.9, 0.0, 1, x, x, np.array([[1.8]]))
         assert at_min == pytest.approx(-3.6, rel=1e-12)
         for z in (1.7, 1.9):
-            assert model_value(problem, 0.9, 0.0, 1, x, x, np.array([z])) > at_min
+            assert model_value(problem, 0.9, 0.0, 1, x, x, np.array([[z]])) > at_min
 
     def test_infeasible_returns_inf(self):
-        p = BlockPartition((2,))
-        problem = linear_problem(p, np.zeros(2), g=nonnegative_indicator())
-        x = BlockVector(p, [1.0, 1.0])
+        problem = linear_problem(((2,),), np.zeros(2), g=nonnegative_indicator())
+        x = BlockVector(([1.0, 1.0],))
         assert model_value(problem, 1.0, 0.0, 0, x, x, np.array([-1.0, 0.0])) == math.inf
 
     def test_invalid_gamma(self):
-        p = BlockPartition((2,))
-        problem = linear_problem(p, np.zeros(2))
-        x = BlockVector(p, [0.0, 0.0])
+        problem = linear_problem(((2,),), np.zeros(2))
+        x = BlockVector(([0.0, 0.0],))
         with pytest.raises(ParameterError):
             model_value(problem, 0.0, 0.0, 0, x, x, np.zeros(2))

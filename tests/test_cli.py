@@ -70,6 +70,18 @@ class TestSynthSolvePipeline:
         x_path.write_text("0,1\n1,0\n")
         assert run_cli("solve", "--input", str(x_path), "--rank", "0") == 2
 
+    def test_nan_entry_exits_two(self, tmp_path, capsys):
+        x_path = tmp_path / "x.csv"
+        x_path.write_text("0,nan\nnan,0\n")
+        assert run_cli("solve", "--input", str(x_path), "--rank", "1") == 2
+        assert "NaN or infinite" in capsys.readouterr().err
+
+    def test_inf_entry_exits_two(self, tmp_path, capsys):
+        x_path = tmp_path / "x.mtx"
+        x_path.write_text("%%MatrixMarket matrix array real general\n2 2\n1\ninf\ninf\n1\n")
+        assert run_cli("solve", "--input", str(x_path), "--rank", "1") == 2
+        assert "NaN or infinite" in capsys.readouterr().err
+
     def test_missing_input_file_exits_one(self, tmp_path):
         assert run_cli("solve", "--input", str(tmp_path / "nope.mtx"), "--rank", "2") == 1
 

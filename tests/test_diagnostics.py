@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from bregblock import (
-    BlockPartition,
     BlockProblem,
     BlockVector,
     SymTriInstance,
@@ -24,18 +23,19 @@ from bregblock.diagnostics import (
 )
 from bregblock.io import synth_instance
 from bregblock.solver import IterationRecord
+from points import flat, point
 
 
 def quadratic_problem(A, b, dims, g=None):
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
-    p = BlockPartition(tuple(dims))
+    cuts = np.cumsum((0,) + tuple(dims))
     L = float(np.linalg.eigvalsh(A.T @ A)[-1])
     term = g if g is not None else zero_term()
     return BlockProblem(
-        partition=p,
-        f_value=lambda x: 0.5 * float(np.dot(A @ x.data - b, A @ x.data - b)),
-        f_block_grad=lambda i, x: A[:, p.block_slice(i)].T @ (A @ x.data - b),
+        shapes=tuple((d,) for d in dims),
+        f_value=lambda x: 0.5 * float(np.dot(A @ flat(x) - b, A @ flat(x) - b)),
+        f_block_grad=lambda i, x: A[:, cuts[i]:cuts[i + 1]].T @ (A @ flat(x) - b),
         kernels=tuple(squared_norm_kernel() for _ in dims),
         L=tuple(L for _ in dims),
         g=tuple(term for _ in dims),
@@ -44,21 +44,22 @@ def quadratic_problem(A, b, dims, g=None):
 
 class TestFiniteDifferences:
     def test_linear_function_exact(self):
-        p = BlockPartition((3, 2))
+        # the gradient comes back in the block's shape
+        shapes = ((3,), (1, 2))
         c = np.array([1.0, -2.0, 0.5, 4.0, 0.0])
-        x = BlockVector(p, np.zeros(5))
+        x = point(shapes, np.zeros(5))
         for i in range(2):
-            fd = finite_difference_block_grad(lambda v: float(np.dot(c, v.data)), i, x, step=1e-5)
-            assert np.allclose(fd, c[p.block_slice(i)], atol=1e-9)
+            fd = finite_difference_block_grad(lambda v: float(np.dot(c, flat(v))), i, x, step=1e-5)
+            assert fd.shape == shapes[i]
+            assert np.allclose(fd, point(shapes, c).block(i), atol=1e-9)
 
     def test_quadratic_at_three(self):
-        p = BlockPartition((1,))
-        x = BlockVector(p, [3.0])
-        fd = finite_difference_block_grad(lambda v: 0.5 * float(np.dot(v.data, v.data)), 0, x, step=1e-5)
+        x = BlockVector(([3.0],))
+        fd = finite_difference_block_grad(lambda v: 0.5 * float(np.dot(flat(v), flat(v))), 0, x, step=1e-5)
         assert fd[0] == pytest.approx(3.0, abs=1e-9)
 
     def test_rejects_bad_step(self):
-        x = BlockVector(BlockPartition((1,)), [0.0])
+        x = BlockVector(([0.0],))
         with pytest.raises(ValueError):
             finite_difference_block_grad(lambda v: 0.0, 0, x, step=0.0)
 
@@ -97,17 +98,16 @@ class TestVerifyRelativeSmoothness:
 class TestNumericOracle:
     def test_projection_clamps_to_zero(self):
         # 1-d model with unconstrained minimum at -2: nonnegativity clamps to 0
-        p = BlockPartition((1,))
         problem = BlockProblem(
-            partition=p,
-            f_value=lambda x: 2.0 * float(x.data[0]),
+            shapes=((1,),),
+            f_value=lambda x: 2.0 * float(x.block(0)[0]),
             f_block_grad=lambda i, x: np.array([2.0]),
             kernels=(squared_norm_kernel(),),
             L=(1.0,),
             g=(nonnegative_indicator(),),
         )
         schedule = derive_schedule((1.0,), (1.0,), kappa=0.0, rho=0.9)
-        x = BlockVector(p, [0.0])
+        x = BlockVector(([0.0],))
         z = numeric_subproblem_oracle(problem, schedule, 0, x, x)
         assert z[0] == pytest.approx(0.0, abs=1e-12)
 
@@ -120,14 +120,13 @@ class TestNumericOracle:
         )
         x = stf.pack_factors(inst, np.array([[1.0]]), np.array([[0.0]]))
         z = numeric_subproblem_oracle(problem, schedule, 1, x, x)
-        assert z[0] == pytest.approx(1.8, abs=1e-8)
+        assert z[0, 0] == pytest.approx(1.8, abs=1e-8)
 
     def test_unprojectable_block(self):
-        p = BlockPartition((1,))
         problem = quadratic_problem(np.eye(1), np.zeros(1), (1,),
                                     g=dataclasses.replace(zero_term(), project=None))
         schedule = derive_schedule(problem.L, problem.sigma)
-        x = BlockVector(p, [0.0])
+        x = BlockVector(([0.0],))
         with pytest.raises(ValueError):
             numeric_subproblem_oracle(problem, schedule, 0, x, x)
 

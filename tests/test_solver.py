@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from bregblock import (
-    BlockPartition,
     BlockProblem,
     BlockVector,
     ConfigurationError,
@@ -22,14 +21,15 @@ from bregblock import (
     solve_block_subproblem,
     squared_norm_kernel,
     stationarity_residual,
-    sweep,
     trace_to_json,
     validate_schedule,
     zero_term,
 )
 from bregblock import symtrinmf as stf
 from bregblock.blocks import full_gradient
+from bregblock.diagnostics import numeric_subproblem_oracle
 from bregblock.solver import sweep_with_partials
+from points import flat, point
 
 
 def euclidean_step_solver():
@@ -45,23 +45,22 @@ def euclidean_step_solver():
 
 
 def quadratic_problem(A, b, dims, exact=True):
-    """f(x) = ||A x - b||^2 / 2 split into the given blocks."""
+    """f(x) = ||A x - b||^2 / 2 split into vector blocks of the given sizes."""
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
-    p = BlockPartition(tuple(dims))
+    cuts = np.cumsum((0,) + tuple(dims))
     L = float(np.linalg.eigvalsh(A.T @ A)[-1])
 
     def fv(x):
-        r = A @ x.data - b
+        r = A @ flat(x) - b
         return 0.5 * float(np.dot(r, r))
 
     def fg(i, x):
-        sl = p.block_slice(i)
-        return A[:, sl].T @ (A @ x.data - b)
+        return A[:, cuts[i]:cuts[i + 1]].T @ (A @ flat(x) - b)
 
     term = dataclasses.replace(zero_term(), solver=euclidean_step_solver()) if exact else zero_term()
     return BlockProblem(
-        partition=p,
+        shapes=tuple((d,) for d in dims),
         f_value=fv,
         f_block_grad=fg,
         kernels=tuple(squared_norm_kernel() for _ in dims),
@@ -130,36 +129,39 @@ class TestSubproblem:
         rng = np.random.default_rng(0)
         problem = quadratic_problem(rng.standard_normal((5, 4)), rng.standard_normal(5), (4,), exact=False)
         schedule = derive_schedule(problem.L, problem.sigma, kappa=0.0, rho=0.9)
-        x = BlockVector(problem.partition, rng.standard_normal(4))
-        z = solve_block_subproblem(problem, schedule, 0, x, x)
-        expected = x.data - schedule.gamma[0] * problem.f_block_grad(0, x)
+        x = point(problem.shapes, rng.standard_normal(4))
+        z = numeric_subproblem_oracle(problem, schedule, 0, x, x)
+        expected = flat(x) - schedule.gamma[0] * problem.f_block_grad(0, x)
         assert np.allclose(z, expected, atol=1e-8)
 
     def test_exact_solver_dispatch(self):
         rng = np.random.default_rng(1)
         problem = quadratic_problem(rng.standard_normal((5, 4)), rng.standard_normal(5), (4,), exact=True)
         schedule = derive_schedule(problem.L, problem.sigma, kappa=0.3, rho=0.9)
-        x = BlockVector(problem.partition, rng.standard_normal(4))
-        xp = BlockVector(problem.partition, rng.standard_normal(4))
+        x = point(problem.shapes, rng.standard_normal(4))
+        xp = point(problem.shapes, rng.standard_normal(4))
         z = solve_block_subproblem(problem, schedule, 0, x, xp)
         ga, al = schedule.gamma[0], schedule.alpha[0]
-        expected = x.data - ga * problem.f_block_grad(0, x) + al * (x.data - xp.data)
+        expected = flat(x) - ga * problem.f_block_grad(0, x) + al * (flat(x) - flat(xp))
         assert np.array_equal(z, expected)
 
     def test_no_solver_no_projection(self):
-        p = BlockPartition((2,))
-        problem = BlockProblem(
-            partition=p,
-            f_value=lambda x: 0.0,
-            f_block_grad=lambda i, x: np.zeros(2),
-            kernels=(squared_norm_kernel(),),
-            L=(1.0,),
-            g=(NonsmoothBlock(value=lambda z: 0.0),),
-        )
-        schedule = derive_schedule((1.0,), (1.0,))
-        x = BlockVector(p, np.zeros(2))
-        with pytest.raises(ConfigurationError):
-            solve_block_subproblem(problem, schedule, 0, x, x)
+        # run() needs an exact solver on every block and says so before
+        # the first sweep; a projection alone is not enough
+        exact = dataclasses.replace(zero_term(), solver=euclidean_step_solver())
+        for bare in (NonsmoothBlock(value=lambda z: 0.0), zero_term()):
+            problem = BlockProblem(
+                shapes=((2,), (2, 2)),
+                f_value=lambda x: 0.0,
+                f_block_grad=lambda i, x: np.zeros_like(x.block(i)),
+                kernels=(squared_norm_kernel(), squared_norm_kernel()),
+                L=(1.0, 1.0),
+                g=(exact, bare),
+            )
+            schedule = derive_schedule((1.0, 1.0), (1.0, 1.0))
+            x = BlockVector((np.zeros(2), np.zeros((2, 2))))
+            with pytest.raises(ConfigurationError, match="block 1"):
+                run(problem, schedule, x)
 
     def test_never_increases_model(self):
         rng = np.random.default_rng(2)
@@ -183,12 +185,12 @@ class TestSweep:
         rng = np.random.default_rng(3)
         problem = quadratic_problem(rng.standard_normal((6, 4)), rng.standard_normal(6), (4,))
         schedule = derive_schedule(problem.L, problem.sigma, kappa=0.0, rho=0.9)
-        x = BlockVector(problem.partition, rng.standard_normal(4))
-        x_next, gaps = sweep(problem, schedule, x, x)
-        expected = x.data - schedule.gamma[0] * full_gradient(problem, x)
-        assert np.array_equal(x_next.data, expected)
+        x = point(problem.shapes, rng.standard_normal(4))
+        x_next, gaps, _ = sweep_with_partials(problem, schedule, x, x)
+        expected = flat(x) - schedule.gamma[0] * full_gradient(problem, x)
+        assert np.array_equal(flat(x_next), expected)
         assert gaps[0] == pytest.approx(
-            0.5 * float(np.dot(x_next.data - x.data, x_next.data - x.data)), rel=1e-12
+            0.5 * float(np.dot(flat(x_next) - flat(x), flat(x_next) - flat(x))), rel=1e-12
         )
 
     def test_fixed_point(self):
@@ -200,9 +202,9 @@ class TestSweep:
         xstar = np.linalg.lstsq(A, b, rcond=None)[0]
         problem = quadratic_problem(A, b, (3, 2))
         schedule = derive_schedule(problem.L, problem.sigma, kappa=0.5, rho=0.9)
-        x = BlockVector(problem.partition, xstar)
-        x_next, gaps = sweep(problem, schedule, x, x)
-        assert np.allclose(x_next.data, xstar, atol=1e-12)
+        x = point(problem.shapes, xstar)
+        x_next, gaps, _ = sweep_with_partials(problem, schedule, x, x)
+        assert np.allclose(flat(x_next), xstar, atol=1e-12)
         # the three-term Bregman formula carries an absolute cancellation
         # floor of about eps * |h|, so "zero" means 1e-14 here
         assert max(gaps) <= 1e-14
@@ -217,11 +219,11 @@ class TestSweep:
         U_p, V_p = rng.random((5, 2)), rng.random((2, 2))
         x = stf.pack_factors(inst, U_k, V_k)
         xp = stf.pack_factors(inst, U_p, V_p)
-        x_next, _ = sweep(problem, schedule, x, xp)
+        x_next, _, _ = sweep_with_partials(problem, schedule, x, xp)
         U_direct = stf.update_U(inst, schedule.gamma[0], schedule.alpha[0], U_k, U_p, V_k)
         V_direct = stf.update_V(inst, schedule.gamma[1], schedule.alpha[1], U_direct, V_k, V_p)
-        assert np.array_equal(x_next.block(0), U_direct.ravel())
-        assert np.array_equal(x_next.block(1), V_direct.ravel())
+        assert np.array_equal(x_next.block(0), U_direct)
+        assert np.array_equal(x_next.block(1), V_direct)
 
 
 class TestLyapunov:
@@ -229,7 +231,7 @@ class TestLyapunov:
         rng = np.random.default_rng(6)
         problem = quadratic_problem(rng.standard_normal((4, 3)), rng.standard_normal(4), (3,))
         schedule = StepSchedule((0.5,), (0.0,), (0.0,), (0.1,), (0.0,))
-        x = BlockVector(problem.partition, rng.standard_normal(3))
+        x = point(problem.shapes, rng.standard_normal(3))
         assert lyapunov_value(problem, schedule, x, [3.7]) == pytest.approx(
             phi_value(problem, x), rel=1e-15
         )
@@ -238,7 +240,7 @@ class TestLyapunov:
         rng = np.random.default_rng(7)
         problem = quadratic_problem(rng.standard_normal((4, 3)), rng.standard_normal(4), (3,))
         schedule = derive_schedule(problem.L, problem.sigma, kappa=0.5, rho=0.9)
-        x = BlockVector(problem.partition, rng.standard_normal(3))
+        x = point(problem.shapes, rng.standard_normal(3))
         assert lyapunov_value(problem, schedule, x, [0.0]) == phi_value(problem, x)
 
 
@@ -250,7 +252,7 @@ class TestStationarityResidual:
         xstar = np.linalg.lstsq(A, b, rcond=None)[0]
         problem = quadratic_problem(A, b, (4,))
         schedule = derive_schedule(problem.L, problem.sigma, kappa=0.0, rho=0.9)
-        x = BlockVector(problem.partition, xstar)
+        x = point(problem.shapes, xstar)
         x_next, gaps, partials = sweep_with_partials(problem, schedule, x, x)
         res = stationarity_residual(problem, schedule, partials, x, x, x_next)
         assert res <= 1e-10
@@ -261,7 +263,7 @@ class TestStationarityResidual:
         rng = np.random.default_rng(9)
         problem = quadratic_problem(rng.standard_normal((5, 4)), rng.standard_normal(5), (4,))
         schedule = derive_schedule(problem.L, problem.sigma, kappa=0.0, rho=0.9)
-        x = BlockVector(problem.partition, rng.standard_normal(4))
+        x = point(problem.shapes, rng.standard_normal(4))
         x_next, gaps, partials = sweep_with_partials(problem, schedule, x, x)
         res = stationarity_residual(problem, schedule, partials, x, x, x_next)
         assert res == pytest.approx(float(np.linalg.norm(full_gradient(problem, x_next))), rel=1e-9)
@@ -270,8 +272,8 @@ class TestStationarityResidual:
         rng = np.random.default_rng(10)
         problem = quadratic_problem(rng.standard_normal((7, 5)), rng.standard_normal(7), (3, 2))
         schedule = derive_schedule(problem.L, problem.sigma, kappa=0.4, rho=0.8)
-        x = BlockVector(problem.partition, rng.standard_normal(5))
-        xp = BlockVector(problem.partition, rng.standard_normal(5))
+        x = point(problem.shapes, rng.standard_normal(5))
+        xp = point(problem.shapes, rng.standard_normal(5))
         x_next, gaps, partials = sweep_with_partials(problem, schedule, x, xp)
         res = stationarity_residual(problem, schedule, partials, x, xp, x_next)
         pieces = []
@@ -289,7 +291,7 @@ class TestRun:
         rng = np.random.default_rng(11)
         problem = quadratic_problem(rng.standard_normal((4, 3)), rng.standard_normal(4), (3,))
         schedule = derive_schedule(problem.L, problem.sigma)
-        x0 = BlockVector(problem.partition, rng.standard_normal(3))
+        x0 = point(problem.shapes, rng.standard_normal(3))
         result = run(problem, schedule, x0, max_iters=0)
         assert result.termination == "max_iters"
         assert len(result.trace) == 1
@@ -305,16 +307,16 @@ class TestRun:
         xstar = np.linalg.lstsq(A, b, rcond=None)[0]  # independent oracle
         problem = quadratic_problem(A, b, (2, 3))
         schedule = derive_schedule(problem.L, problem.sigma, kappa=0.3, rho=0.9)
-        x0 = BlockVector(problem.partition, np.zeros(5))
+        x0 = point(problem.shapes, np.zeros(5))
         result = run(problem, schedule, x0, max_iters=20000, residual_tol=1e-9)
         assert result.termination == "residual_tol"
-        assert np.allclose(result.x_final.data, xstar, atol=1e-8)
+        assert np.allclose(flat(result.x_final), xstar, atol=1e-8)
 
     def test_lyapunov_nonincreasing(self):
         rng = np.random.default_rng(13)
         problem = quadratic_problem(rng.standard_normal((6, 4)), rng.standard_normal(6), (2, 2))
         schedule = derive_schedule(problem.L, problem.sigma, kappa=0.6, rho=0.9)
-        x0 = BlockVector(problem.partition, rng.standard_normal(4))
+        x0 = point(problem.shapes, rng.standard_normal(4))
         result = run(problem, schedule, x0, max_iters=200)
         lyap = [r.lyapunov for r in result.trace]
         for prev, nxt in zip(lyap, lyap[1:]):
@@ -328,7 +330,7 @@ class TestRun:
         for _ in range(2):
             problem = quadratic_problem(A, b, (2, 2))
             schedule = derive_schedule(problem.L, problem.sigma, kappa=0.5, rho=0.9)
-            x0 = BlockVector(problem.partition, x0_data)
+            x0 = point(problem.shapes, x0_data)
             result = run(problem, schedule, x0, max_iters=100)
             traces.append([(r.k, r.phi, r.lyapunov, r.residual_norm, r.gaps) for r in result.trace])
         assert traces[0] == traces[1]
@@ -339,10 +341,10 @@ class TestRun:
         problem = quadratic_problem(A, b, (2, 2))
         base = derive_schedule(problem.L, problem.sigma, kappa=0.0, rho=0.9)
         forced = dataclasses.replace(base, alpha=(0.0, 0.0))
-        x0 = BlockVector(problem.partition, rng.standard_normal(4))
+        x0 = point(problem.shapes, rng.standard_normal(4))
         r1 = run(problem, base, x0, max_iters=50)
         r2 = run(problem, forced, x0, max_iters=50)
-        assert np.array_equal(r1.x_final.data, r2.x_final.data)
+        assert np.array_equal(flat(r1.x_final), flat(r2.x_final))
         assert [(t.phi, t.lyapunov, t.gaps) for t in r1.trace] == [
             (t.phi, t.lyapunov, t.gaps) for t in r2.trace
         ]
@@ -351,7 +353,7 @@ class TestRun:
         rng = np.random.default_rng(19)
         problem = quadratic_problem(rng.standard_normal((6, 4)), rng.standard_normal(6), (2, 2))
         schedule = derive_schedule(problem.L, problem.sigma, kappa=0.0, rho=0.9)
-        x0 = BlockVector(problem.partition, rng.standard_normal(4))
+        x0 = point(problem.shapes, rng.standard_normal(4))
         result = run(problem, schedule, x0, max_iters=10000, residual_tol=0.0, stall_tol=1e-6)
         assert result.termination == "lyapunov_stall"
         last, prev = result.trace[-1].lyapunov, result.trace[-2].lyapunov
@@ -362,27 +364,23 @@ class TestRun:
         inst = SymTriInstance(np.eye(3), 2)
         problem = stf.as_block_problem(inst)
         schedule = derive_schedule(problem.L, problem.sigma)
-        x0 = BlockVector(problem.partition, -np.ones(problem.partition.n))
+        x0 = BlockVector(tuple(-np.ones(s) for s in problem.shapes))
         with pytest.raises(InfeasibleError):
             run(problem, schedule, x0)
 
-    def test_schedule_hook(self):
-        rng = np.random.default_rng(17)
-        problem = quadratic_problem(rng.standard_normal((5, 4)), rng.standard_normal(5), (2, 2))
-        base = derive_schedule(problem.L, problem.sigma, kappa=0.2, rho=0.9)
-        x0 = BlockVector(problem.partition, rng.standard_normal(4))
-        r_hook = run(problem, base, x0, max_iters=30, schedule_hook=lambda k: base)
-        r_plain = run(problem, base, x0, max_iters=30)
-        assert [t.phi for t in r_hook.trace] == [t.phi for t in r_plain.trace]
-        bad = dataclasses.replace(base, delta=tuple(d + 0.01 for d in base.delta))
-        with pytest.raises(ParameterError):
-            run(problem, base, x0, max_iters=5, schedule_hook=lambda k: bad)
+    def test_rejects_negative_limits(self):
+        # library callers get the same checks as the CLI, before any sweep
+        inst = SymTriInstance(np.eye(3), 2)
+        for limits in ({"max_iters": -3}, {"residual_tol": -1e-8}, {"stall_tol": -1.0},
+                       {"residual_tol": float("nan")}):
+            with pytest.raises(ParameterError):
+                stf.solve_instance(inst, **limits)
 
     def test_trace_json_schema(self):
         rng = np.random.default_rng(18)
         problem = quadratic_problem(rng.standard_normal((4, 3)), rng.standard_normal(4), (3,))
         schedule = derive_schedule(problem.L, problem.sigma)
-        x0 = BlockVector(problem.partition, rng.standard_normal(3))
+        x0 = point(problem.shapes, rng.standard_normal(3))
         result = run(problem, schedule, x0, max_iters=5)
         rows = json.loads(trace_to_json(result.trace))
         assert len(rows) == len(result.trace)
