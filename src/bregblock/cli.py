@@ -24,7 +24,14 @@ from .diagnostics import (
     numeric_subproblem_oracle,
     verify_relative_smoothness,
 )
-from .solver import ConfigurationError, InfeasibleError, derive_schedule, trace_to_json
+from .solver import (
+    ConfigurationError,
+    InfeasibleError,
+    check_run_limits,
+    check_schedule_parameters,
+    derive_schedule,
+    trace_to_json,
+)
 
 KAPPA_GRID = (0.0, 0.3, 0.6, 0.9)
 
@@ -187,6 +194,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 def cmd_solve(args: argparse.Namespace) -> int:
     cfg = _build_solve_config(args)
+    check_schedule_parameters(cfg.kappa, cfg.rho)
+    check_run_limits(cfg.max_iters, cfg.residual_tol, cfg.stall_tol)
     X = mio.read_matrix(cfg.input)
     inst = stf.SymTriInstance(
         X, cfg.rank, a1=cfg.a1, b1=cfg.b1, a2=cfg.a2, eps1=cfg.eps1, eps2=cfg.eps2,
@@ -219,6 +228,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 GRAD_CHECK_TOL = 1e-6
 ORACLE_GAP_TOL = 1e-8
+PRODUCT_FORM_TOL = 1e-10
 
 
 def cmd_check(args: argparse.Namespace) -> int:
@@ -235,17 +245,16 @@ def cmd_check(args: argparse.Namespace) -> int:
     report = verify_relative_smoothness(problem, samples=args.samples, seed=args.seed)
 
     grad_err = 0.0
+    form_gap = 0.0
     for _ in range(5):
         U = rng.random((inst.m, inst.r))
         V = rng.random((inst.r, inst.r))
         x = stf.pack_factors(inst, U, V)
-        for i, (analytic, func) in enumerate(
-            (
-                (stf.grad_U(inst, U, V), problem.f_value),
-                (stf.grad_V(inst, U, V), problem.f_value),
-            )
-        ):
-            fd = finite_difference_block_grad(func, i, x, step=1e-5)
+        f, gU, gV = stf.f_value(inst, U, V), stf.grad_U(inst, U, V), stf.grad_V(inst, U, V)
+        for got, ref in zip((f, gU, gV), stf.dense_fit(inst, U, V)):
+            form_gap = max(form_gap, _rel_err(got, ref))
+        for i, analytic in enumerate((gU, gV)):
+            fd = finite_difference_block_grad(problem.f_value, i, x, step=1e-5)
             grad_err = max(grad_err, _rel_err(analytic, fd))
         for i, kern in enumerate(problem.kernels):
             fd = finite_difference_block_grad(kern.value, i, x, step=1e-5)
@@ -268,10 +277,22 @@ def cmd_check(args: argparse.Namespace) -> int:
         "worst_slack": report["worst_slack"],
         "grad_max_rel_err": grad_err,
         "oracle_max_model_gap": oracle_gap,
+        "product_form_max_rel_gap": form_gap,
     }
     print(json.dumps(payload, indent=2))
-    ok = report["violations"] == 0 and grad_err <= GRAD_CHECK_TOL and oracle_gap <= ORACLE_GAP_TOL
-    return 0 if ok else 1
+    failed = [
+        name
+        for name, ok in (
+            ("violations", report["violations"] == 0),
+            ("grad_max_rel_err", grad_err <= GRAD_CHECK_TOL),
+            ("oracle_max_model_gap", oracle_gap <= ORACLE_GAP_TOL),
+            ("product_form_max_rel_gap", form_gap <= PRODUCT_FORM_TOL),
+        )
+        if not ok
+    ]
+    if failed:
+        print(f"error: failed checks: {', '.join(failed)}", file=sys.stderr)
+    return 1 if failed else 0
 
 
 def _rel_err(a: np.ndarray, b: np.ndarray) -> float:
@@ -280,6 +301,11 @@ def _rel_err(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
+    kappas = _parse_float_list(args.kappas, "kappa")
+    seeds = _parse_int_list(args.seeds, "seed")
+    for kappa in kappas:
+        check_schedule_parameters(kappa, args.rho)
+    check_run_limits(args.max_iters, args.residual_tol, 0.0)
     if args.input:
         X = mio.read_matrix(args.input)
     else:
@@ -287,11 +313,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
             args.m, args.rank, args.noise, args.density, args.instance_seed
         )
     inst = stf.SymTriInstance(X, args.rank)
-    kappas = _parse_float_list(args.kappas, "kappa")
-    seeds = _parse_int_list(args.seeds, "seed")
-    for kappa in kappas:
-        if not 0.0 <= kappa < 1.0:
-            raise ParameterError(f"kappa must lie in [0, 1), got {kappa}")
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["kappa", "seed", "iters_to_tol", "final_phi", "wall_seconds"])

@@ -72,6 +72,14 @@ class StepSchedule:
         return len(self.gamma)
 
 
+def check_schedule_parameters(kappa: float, rho: float) -> None:
+    """The checks derive_schedule makes on kappa and rho (ParameterError)."""
+    if not 0.0 <= kappa < 1.0:
+        raise ParameterError(f"kappa must lie in [0, 1), got {kappa}")
+    if not 0.0 < rho <= 1.0:
+        raise ParameterError(f"rho must lie in (0, 1], got {rho}")
+
+
 def derive_schedule(
     L: Sequence[float],
     sigma: Sequence[float],
@@ -86,10 +94,7 @@ def derive_schedule(
     min(a_i, b_i).  With rho < 1 both descent coefficients are strictly
     positive; rho = 1 is allowed but makes them vanish, so it is flagged.
     """
-    if not 0.0 <= kappa < 1.0:
-        raise ParameterError(f"kappa must lie in [0, 1), got {kappa}")
-    if not 0.0 < rho <= 1.0:
-        raise ParameterError(f"rho must lie in (0, 1], got {rho}")
+    check_schedule_parameters(kappa, rho)
     L = tuple(float(v) for v in L)
     sigma = tuple(float(v) for v in sigma)
     if len(L) != len(sigma):
@@ -203,16 +208,12 @@ def sweep_with_partials(
     return cur, gaps, partials
 
 
-def lyapunov_value(
-    problem: BlockProblem,
-    schedule: StepSchedule,
-    x_next: BlockVector,
-    gaps: Sequence[float],
-) -> float:
-    """Objective at x_next plus the delta-weighted Bregman gaps of its sweep."""
+def lyapunov_value(schedule: StepSchedule, phi: float, gaps: Sequence[float]) -> float:
+    """The objective value ``phi`` at a sweep's result plus the
+    delta-weighted Bregman gaps of that sweep."""
     if len(gaps) != schedule.N:
         raise ParameterError(f"expected {schedule.N} gaps, got {len(gaps)}")
-    return phi_value(problem, x_next) + sum(d * g for d, g in zip(schedule.delta, gaps))
+    return phi + sum(d * g for d, g in zip(schedule.delta, gaps))
 
 
 def stationarity_residual(
@@ -247,6 +248,17 @@ def stationarity_residual(
     return float(np.linalg.norm(np.concatenate(parts)))
 
 
+def check_run_limits(max_iters: int, residual_tol: float, stall_tol: float) -> None:
+    """The checks run makes on its limits (ParameterError)."""
+    if max_iters < 0:
+        raise ParameterError(f"max_iters must be nonnegative, got {max_iters}")
+    if not (residual_tol >= 0 and stall_tol >= 0):
+        raise ParameterError(
+            f"tolerances must be nonnegative, got residual_tol={residual_tol}, "
+            f"stall_tol={stall_tol}"
+        )
+
+
 def run(
     problem: BlockProblem,
     schedule: StepSchedule,
@@ -271,13 +283,7 @@ def run(
     solver on every block (ConfigurationError) and the feasibility of x0
     (InfeasibleError); the sweeps then check no shapes.
     """
-    if max_iters < 0:
-        raise ParameterError(f"max_iters must be nonnegative, got {max_iters}")
-    if not (residual_tol >= 0 and stall_tol >= 0):
-        raise ParameterError(
-            f"tolerances must be nonnegative, got residual_tol={residual_tol}, "
-            f"stall_tol={stall_tol}"
-        )
+    check_run_limits(max_iters, residual_tol, stall_tol)
     validate_schedule(schedule, problem.L, problem.sigma)
     shapes = tuple(b.shape for b in x0.blocks)
     if shapes != problem.shapes:
@@ -308,13 +314,14 @@ def run(
     for k in range(int(max_iters)):
         x_next, gaps, partials = sweep_with_partials(problem, schedule, x, x_prev)
         residual = stationarity_residual(problem, schedule, partials, x, x_prev, x_next)
-        lyap = lyapunov_value(problem, schedule, x_next, gaps)
+        phi = phi_value(problem, x_next)
+        lyap = lyapunov_value(schedule, phi, gaps)
         if not math.isfinite(lyap):
             raise ArithmeticError(f"Lyapunov value is not finite at iteration {k + 1}")
         trace.append(
             IterationRecord(
                 k=k + 1,
-                phi=phi_value(problem, x_next),
+                phi=phi,
                 lyapunov=lyap,
                 residual_norm=residual,
                 gaps=tuple(gaps),

@@ -9,6 +9,22 @@ a monotone (in the Lyapunov sense) scheme for community-detection style
 factorizations.  Factor shapes are checked where factors enter
 (pack_factors, relative_error, and run through the problem's block
 shapes); the objective, gradients, kernels and updates trust them.
+
+Every m^2 r product lives in :func:`products`: the objective and both
+block gradients are cheap functions of XU, X^T U, U^T X U and G = U^T U
+(X^T U is XU itself when X is exactly symmetric).  ``products`` remembers
+its results on the instance for the last two read-only U arrays it
+computed, keyed by identity; a solver sweep makes one new U, so it pays
+one X-product, and the residual and Lyapunov evaluations reuse it.  A
+writable U, or a read-only view of a writable array, is never remembered,
+so changing such an array in place always gives fresh products.  A
+read-only array is taken to be immutable, as BlockVector takes it.
+
+The objective uses the trace identity
+f = (||X||^2 - 2 <U^T X U, V> + <G V G, V>) / 2.  Its rounding error is a
+few eps ||X||^2, so below FIT_CANCELLATION ||X||^2 f_value forms the dense
+residual instead; :func:`dense_fit` is the direct reference for all three
+formulas.
 """
 
 from __future__ import annotations
@@ -31,6 +47,13 @@ from .solver import SolveResult, StepSchedule, derive_schedule, run
 
 UNASSIGNED = -1
 
+# f_value trusts the trace identity only for f >= FIT_CANCELLATION ||X||^2,
+# that is for a relative fit error ||X - U V U^T|| / ||X|| above ~4.5%.
+# The identity's rounding error is about 1e-14 ||X||^2 at m = 1000, so its
+# relative error there stays near 1e-11, inside the 1e-10 slack of
+# audit_trace; closer fits pay one dense m x m residual per evaluation.
+FIT_CANCELLATION = 1e-3
+
 
 def _sq_norm(A: Array) -> float:
     return float(np.vdot(A, A))
@@ -42,10 +65,10 @@ class SymTriInstance:
 
     Derived constants (set in __post_init__): the smallest admissible
     relative-smoothness bounds L1 = max(6/a1, 2/b1) and L2 = 1/a2, the
-    strong-convexity moduli sigma1 = b1*eps1 and sigma2 = a2*eps2, and the
-    cached Frobenius norm of X.  Entries must be finite.  Asymmetric input
-    is accepted with a warning; pass symmetrize=True to replace X by
-    (X + X^T)/2.
+    strong-convexity moduli sigma1 = b1*eps1 and sigma2 = a2*eps2, the
+    cached Frobenius norm of X, and ``symmetric``, whether X equals X^T
+    exactly.  Entries must be finite.  Asymmetric input is accepted with a
+    warning; pass symmetrize=True to replace X by (X + X^T)/2.
     """
 
     X: Array
@@ -61,6 +84,8 @@ class SymTriInstance:
     sigma1: float = field(init=False)
     sigma2: float = field(init=False)
     norm_X: float = field(init=False)
+    symmetric: bool = field(init=False)
+    _memo = ()  # not a field: products() replaces it on the instance
 
     def __post_init__(self, symmetrize: bool) -> None:
         X = np.array(self.X, dtype=float, copy=True)
@@ -74,8 +99,9 @@ class SymTriInstance:
         for name in ("a1", "b1", "a2", "eps1", "eps2"):
             if not float(getattr(self, name)) > 0:
                 raise ParameterError(f"{name} must be positive, got {getattr(self, name)}")
+        norm = float(np.linalg.norm(X))
         gap = float(np.linalg.norm(X - X.T))
-        if gap > 1e-12 * max(float(np.linalg.norm(X)), 1e-30):
+        if gap > 1e-12 * max(norm, 1e-30):
             warnings.warn(
                 "input matrix is not symmetric; gradients remain exact, but "
                 "pass symmetrize=True to work with (X + X^T)/2",
@@ -83,6 +109,8 @@ class SymTriInstance:
             )
             if symmetrize:
                 X = 0.5 * (X + X.T)
+                norm = float(np.linalg.norm(X))
+                gap = 0.0
         X.setflags(write=False)
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "r", int(self.r))
@@ -90,7 +118,8 @@ class SymTriInstance:
         object.__setattr__(self, "L2", 1.0 / self.a2)
         object.__setattr__(self, "sigma1", self.b1 * self.eps1)
         object.__setattr__(self, "sigma2", self.a2 * self.eps2)
-        object.__setattr__(self, "norm_X", float(np.linalg.norm(X)))
+        object.__setattr__(self, "norm_X", norm)
+        object.__setattr__(self, "symmetric", gap == 0.0)
 
     @property
     def m(self) -> int:
@@ -127,25 +156,70 @@ def _check_shapes(inst: SymTriInstance, U: Array, V: Array) -> tuple[Array, Arra
     return U, V
 
 
+def compute_products(inst: SymTriInstance, U: Array) -> tuple[Array, Array, Array, Array]:
+    """(XU, X^T U, U^T X U, U^T U), read-only and never remembered; X^T U
+    is the XU array itself when X is exactly symmetric."""
+    XU = inst.X @ U
+    XtU = XU if inst.symmetric else inst.X.T @ U
+    out = (XU, XtU, U.T @ XU, U.T @ U)
+    for a in out:
+        a.setflags(write=False)
+    return out
+
+
+def _memoizable(U: Array) -> bool:
+    base = U.base
+    return not U.flags.writeable and not (isinstance(base, np.ndarray) and base.flags.writeable)
+
+
+def products(inst: SymTriInstance, U: Array) -> tuple[Array, Array, Array, Array]:
+    """compute_products, remembered on the instance for the last two
+    read-only U arrays it computed (matched by identity)."""
+    if not _memoizable(U):
+        return compute_products(inst, U)
+    for held, out in inst._memo:
+        if held is U:
+            return out
+    out = compute_products(inst, U)
+    object.__setattr__(inst, "_memo", ((U, out),) + inst._memo[:1])
+    return out
+
+
+def _residual(inst: SymTriInstance, U: Array, V: Array) -> Array:
+    return inst.X - U @ V @ U.T
+
+
 def f_value(inst: SymTriInstance, U: Array, V: Array) -> float:
-    """Fit term ||X - U V U^T||_F^2 / 2."""
-    R = inst.X - U @ V @ U.T
-    return 0.5 * _sq_norm(R)
+    """Fit term ||X - U V U^T||_F^2 / 2, by the trace identity
+    (||X||^2 - 2 <U^T X U, V> + <G V G, V>) / 2 with G = U^T U, or from the
+    dense residual where the identity cancels (below FIT_CANCELLATION ||X||^2)."""
+    _, _, UtXU, G = products(inst, U)
+    x2 = inst.norm_X**2
+    f = 0.5 * (x2 - 2.0 * float(np.vdot(UtXU, V)) + float(np.vdot(G @ V @ G, V)))
+    if f >= FIT_CANCELLATION * x2:
+        return f
+    return 0.5 * _sq_norm(_residual(inst, U, V))
 
 
 def grad_U(inst: SymTriInstance, U: Array, V: Array) -> Array:
     """Gradient of the fit term in U; exact for asymmetric X as well:
-    -X U V^T - X^T U V + U V U^T U V^T + U V^T U^T U V."""
-    X = inst.X
-    UV = U @ V
-    UVt = U @ V.T
-    return -X @ UVt - X.T @ UV + UV @ (U.T @ UVt) + UVt @ (U.T @ UV)
+    -X U V^T - X^T U V + U (V G V^T + V^T G V) with G = U^T U."""
+    XU, XtU, _, G = products(inst, U)
+    return U @ (V @ G @ V.T + V.T @ G @ V) - XU @ V.T - XtU @ V
 
 
 def grad_V(inst: SymTriInstance, U: Array, V: Array) -> Array:
-    """Gradient of the fit term in V: U^T (U V U^T - X) U."""
-    UtU = U.T @ U
-    return UtU @ V @ UtU - U.T @ inst.X @ U
+    """Gradient of the fit term in V: G V G - U^T X U with G = U^T U."""
+    _, _, UtXU, G = products(inst, U)
+    return G @ V @ G - UtXU
+
+
+def dense_fit(inst: SymTriInstance, U: Array, V: Array) -> tuple[float, Array, Array]:
+    """Direct reference for f_value, grad_U and grad_V through the dense
+    residual R = X - U V U^T: (||R||^2 / 2, -(R U V^T + R^T U V), -U^T R U).
+    Costs an m x m temporary and several m^2 r products; only checks call it."""
+    R = _residual(inst, U, V)
+    return 0.5 * _sq_norm(R), -(R @ (U @ V.T) + R.T @ (U @ V)), -(U.T @ R @ U)
 
 
 def kernel_h1_value(inst: SymTriInstance, U: Array, V: Array) -> float:
@@ -326,7 +400,7 @@ def unpack_factors(x: BlockVector) -> FactorPair:
 def relative_error(inst: SymTriInstance, U: Array, V: Array) -> float:
     """||X - U V U^T|| / ||X|| (absolute residual norm when ||X|| = 0)."""
     U, V = _check_shapes(inst, U, V)
-    num = float(np.linalg.norm(inst.X - U @ V @ U.T))
+    num = float(np.linalg.norm(_residual(inst, U, V)))
     return num / inst.norm_X if inst.norm_X > 0 else num
 
 

@@ -5,7 +5,10 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
+from bregblock import cli
+from bregblock import symtrinmf as stf
 from bregblock.cli import main
 from bregblock.io import read_labels, read_matrix
 
@@ -96,6 +99,23 @@ class TestSynthSolvePipeline:
     def test_unknown_subcommand_exits_two(self):
         assert run_cli("frobnicate") == 2
 
+    @pytest.mark.parametrize("args", [
+        ("solve", "--rank", "3", "--kappa", "1.5"),
+        ("solve", "--rank", "3", "--rho", "0"),
+        ("solve", "--rank", "3", "--max-iters", "-1"),
+        ("solve", "--rank", "3", "--residual-tol", "-1e-8"),
+        ("solve", "--rank", "3", "--stall-tol", "nan"),
+        ("bench", "--kappas", "0,1.5", "--out", "unused.csv"),
+        ("bench", "--rho", "2", "--out", "unused.csv"),
+        ("bench", "--max-iters", "-1", "--out", "unused.csv"),
+    ])
+    def test_bad_solver_parameters_exit_two_before_reading(self, monkeypatch, args):
+        def unreachable(*a, **k):
+            raise AssertionError("the matrix was read before the parameters were checked")
+
+        monkeypatch.setattr(cli.mio, "read_matrix", unreachable)
+        assert run_cli(*args, "--input", "x.mtx") == 2
+
 
 class TestConfigFile:
     def test_config_supplies_values_and_flags_win(self, tmp_path, capsys):
@@ -134,6 +154,15 @@ class TestCheck:
         assert payload["violations"] == 0
         assert payload["grad_max_rel_err"] <= 1e-6
         assert payload["oracle_max_model_gap"] <= 1e-8
+        assert payload["product_form_max_rel_gap"] <= 1e-10
+
+    def test_failed_check_is_named(self, monkeypatch, capsys):
+        dense = stf.dense_fit
+        monkeypatch.setattr(stf, "dense_fit", lambda *a: (1.01 * dense(*a)[0],) + dense(*a)[1:])
+        assert run_cli("check") == 1
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["product_form_max_rel_gap"] > 1e-3
+        assert "failed checks: product_form_max_rel_gap" in captured.err
 
     def test_explicit_instance(self, tmp_path, capsys):
         x_path = tmp_path / "x.mtx"

@@ -232,16 +232,16 @@ class TestLyapunov:
         problem = quadratic_problem(rng.standard_normal((4, 3)), rng.standard_normal(4), (3,))
         schedule = StepSchedule((0.5,), (0.0,), (0.0,), (0.1,), (0.0,))
         x = point(problem.shapes, rng.standard_normal(3))
-        assert lyapunov_value(problem, schedule, x, [3.7]) == pytest.approx(
-            phi_value(problem, x), rel=1e-15
-        )
+        phi = phi_value(problem, x)
+        assert lyapunov_value(schedule, phi, [3.7]) == pytest.approx(phi, rel=1e-15)
 
     def test_zero_gaps_is_phi(self):
         rng = np.random.default_rng(7)
         problem = quadratic_problem(rng.standard_normal((4, 3)), rng.standard_normal(4), (3,))
         schedule = derive_schedule(problem.L, problem.sigma, kappa=0.5, rho=0.9)
         x = point(problem.shapes, rng.standard_normal(3))
-        assert lyapunov_value(problem, schedule, x, [0.0]) == phi_value(problem, x)
+        phi = phi_value(problem, x)
+        assert lyapunov_value(schedule, phi, [0.0]) == phi
 
 
 class TestStationarityResidual:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -415,3 +417,143 @@ class TestInitialFactors:
         inst = SymTriInstance(np.array([[4.0]]), 1)
         assert relative_error(inst, np.array([[1.0]]), np.array([[4.0]])) == 0.0
         assert relative_error(inst, np.array([[1.0]]), np.array([[0.0]])) == 1.0
+
+
+def scaled_rel_err(a, b):
+    """rel_err on both arrays divided by max|b|, so that norms of entries
+    near the float64 limits neither overflow nor underflow."""
+    s = float(np.abs(b).max()) or 1.0
+    return rel_err(np.asarray(a) / s, np.asarray(b) / s)
+
+
+def frozen(a):
+    a = np.array(a, dtype=float)
+    a.setflags(write=False)
+    return a
+
+
+class TestProductForm:
+    """f_value, grad_U and grad_V run on the memoized products; dense_fit is
+    the direct reference.  At points without cancellation the two agree to
+    a few eps; the tolerances below are fixed from float64, not fitted."""
+
+    @staticmethod
+    def assert_matches_dense(inst, U, V, tol=1e-12):
+        f, gU, gV = stf.dense_fit(inst, U, V)
+        assert f_value(inst, U, V) == pytest.approx(f, rel=tol)
+        assert scaled_rel_err(grad_U(inst, U, V), gU) <= tol
+        assert scaled_rel_err(grad_V(inst, U, V), gV) <= tol
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_symmetric_random_points(self, seed):
+        inst, rng = random_instance(seed, m=15, r=3)
+        assert inst.symmetric
+        for _ in range(3):
+            self.assert_matches_dense(inst, rng.random((15, 3)), rng.random((3, 3)))
+
+    def test_asymmetric_data(self):
+        rng = np.random.default_rng(21)
+        with pytest.warns(UserWarning):
+            inst = SymTriInstance(rng.random((15, 15)), 3)
+        assert not inst.symmetric
+        XU, XtU, _, _ = stf.products(inst, rng.random((15, 3)))
+        assert XtU is not XU
+        for _ in range(3):
+            self.assert_matches_dense(inst, rng.random((15, 3)), rng.random((3, 3)))
+
+    def test_symmetrize_makes_x_exactly_symmetric(self):
+        rng = np.random.default_rng(22)
+        with pytest.warns(UserWarning):
+            inst = SymTriInstance(rng.random((6, 6)), 2, symmetrize=True)
+        assert inst.symmetric and np.array_equal(inst.X, inst.X.T)
+        XU, XtU, _, _ = stf.products(inst, rng.random((6, 2)))
+        assert XtU is XU
+
+    @pytest.mark.parametrize("scale", [1e150, 1e-150])
+    def test_extreme_scales(self, scale):
+        # f(sX, U, sV) = s^2 f(X, U, V), grad_U scales by s^2 and grad_V by s
+        inst, rng = random_instance(23, m=15, r=3)
+        big = SymTriInstance(scale * inst.X, 3)
+        U, V = rng.random((15, 3)), rng.random((3, 3))
+        self.assert_matches_dense(big, U, scale * V)
+        f = f_value(big, U, scale * V)
+        assert math.isfinite(f) and f == pytest.approx(scale**2 * f_value(inst, U, V), rel=1e-12)
+        assert scaled_rel_err(grad_U(big, U, scale * V), scale**2 * grad_U(inst, U, V)) <= 1e-12
+        assert scaled_rel_err(grad_V(big, U, scale * V), scale * grad_V(inst, U, V)) <= 1e-12
+
+    @pytest.mark.parametrize("t, dense", [(0.1, False), (0.01, True), (0.0, True)])
+    def test_fallback_threshold(self, monkeypatch, t, dense):
+        # at (U*, (1 + t) V*) the fit is f = t^2 ||X||^2 / 2: 5e-3 ||X||^2
+        # lies above FIT_CANCELLATION ||X||^2, 5e-5 ||X||^2 and 0 below it
+        X, U, V = synth_instance(12, 2, noise_level=0.0, density=1.0, seed=4)
+        inst = SymTriInstance(X, 2)
+        V = (1.0 + t) * V
+        f_ref = stf.dense_fit(inst, U, V)[0]
+        assert (f_ref < stf.FIT_CANCELLATION * inst.norm_X**2) == dense
+        formed = []
+        residual = stf._residual
+        monkeypatch.setattr(stf, "_residual", lambda *a: formed.append(1) or residual(*a))
+        f = f_value(inst, U, V)
+        assert bool(formed) == dense
+        if dense:
+            assert f == f_ref  # the same dense formula; exactly 0 at t = 0
+        else:
+            assert f == pytest.approx(f_ref, rel=1e-12)
+
+    def test_memo_serves_read_only_arrays_only(self):
+        inst, rng = random_instance(24, m=8, r=2)
+        U = frozen(rng.random((8, 2)))
+        first = stf.products(inst, U)
+        assert all(a is b for a, b in zip(stf.products(inst, U), first))
+        assert not any(a.flags.writeable for a in first)
+        W = np.array(U)
+        assert stf.products(inst, W)[0] is not stf.products(inst, W)[0]
+
+    def test_writable_array_changed_in_place_gets_fresh_products(self):
+        inst, rng = random_instance(25, m=8, r=2)
+        U, V = rng.random((8, 2)), rng.random((2, 2))
+        before = f_value(inst, U, V)
+        U *= 2.0
+        self.assert_matches_dense(inst, U, V)
+        assert f_value(inst, U, V) != before
+
+    def test_read_only_view_of_writable_array_is_not_remembered(self):
+        inst, rng = random_instance(26, m=8, r=2)
+        base, V = rng.random((8, 2)), rng.random((2, 2))
+        view = base.view()
+        view.setflags(write=False)
+        f_value(inst, view, V)
+        base += 1.0
+        self.assert_matches_dense(inst, view, V)
+
+    def test_instances_never_share_entries(self):
+        a, rng = random_instance(27, m=8, r=2)
+        b, _ = random_instance(28, m=8, r=2)
+        U = frozen(rng.random((8, 2)))
+        for _ in range(2):
+            for inst in (a, b, a):
+                assert np.array_equal(stf.products(inst, U)[0], inst.X @ U)
+
+    def test_memo_keeps_the_last_two(self, monkeypatch):
+        inst, rng = random_instance(29, m=8, r=2)
+        made = []
+        compute = stf.compute_products
+        monkeypatch.setattr(stf, "compute_products", lambda i, U: made.append(1) or compute(i, U))
+        U1, U2, U3 = (frozen(rng.random((8, 2))) for _ in range(3))
+        for U in (U1, U2, U1, U2, U3, U2, U1):
+            stf.products(inst, U)
+        assert len(made) == 4  # U1, U2, U3, then U1 again after U3 evicted it
+
+    @pytest.mark.parametrize("kappa", [0.0, 0.6])
+    def test_one_x_product_per_sweep(self, monkeypatch, kappa):
+        X, _, _ = synth_instance(20, 3, noise_level=0.2, density=1.0, seed=5)
+        inst = SymTriInstance(X, 3)
+        made = []
+        compute = stf.compute_products
+        monkeypatch.setattr(stf, "compute_products", lambda i, U: made.append(1) or compute(i, U))
+        for sweeps in (7, 19):
+            made.clear()
+            result, _ = stf.solve_instance(inst, kappa=kappa, max_iters=sweeps, residual_tol=0.0)
+            assert result.trace[-1].k == sweeps
+            # one at start-up (the gradient at x0), then one per sweep
+            assert len(made) == sweeps + 1
