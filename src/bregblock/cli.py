@@ -11,7 +11,6 @@ import csv
 import json
 import sys
 import time
-from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -34,55 +33,19 @@ from .solver import (
 )
 
 KAPPA_GRID = (0.0, 0.3, 0.6, 0.9)
+_BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
+             "0": False, "false": False, "no": False, "off": False}
 
 
-@dataclass
-class SolveConfig:
-    """Bundle of everything a solve needs; SymTriInstance, derive_schedule
-    and run check the values."""
+def _read_config_file(path, solve: argparse.ArgumentParser) -> list[str]:
+    """Flat key=value file; '#' starts a comment, dashes equal underscores.
 
-    input: str
-    rank: int
-    a1: float = 6.0
-    b1: float = 2.0
-    a2: float = 1.0
-    eps1: float = 1.0
-    eps2: float = 1.0
-    kappa: float = 0.0
-    rho: float = 0.9
-    max_iters: int = 5000
-    residual_tol: float = 1e-8
-    stall_tol: float = 0.0
-    seed: int = 0
-    symmetrize: bool = False
-    trace_out: str | None = None
-    factors_out: str | None = None
-    labels_out: str | None = None
-    timing: bool = True
-
-
-_CONFIG_TYPES = {f.name: f.type for f in fields(SolveConfig)}
-
-
-def _coerce(name: str, raw: str):
-    raw = raw.strip()
-    kind = _CONFIG_TYPES.get(name)
-    if kind in ("int",):
-        return int(raw)
-    if kind in ("float",):
-        return float(raw)
-    if kind in ("bool",):
-        if raw.lower() in ("1", "true", "yes", "on"):
-            return True
-        if raw.lower() in ("0", "false", "no", "off"):
-            return False
-        raise ParameterError(f"config key {name}: expected a boolean, got {raw!r}")
-    return raw
-
-
-def _read_config_file(path) -> dict:
-    """Flat key=value file; '#' starts a comment, dashes equal underscores."""
-    values = {}
+    Each key is the dest of a solve option and becomes that option's flag,
+    so the solve parser alone types, checks and defaults the values.  A
+    boolean emits its flag only when the value equals the flag's const.
+    """
+    actions = {a.dest: a for a in solve._actions if a.dest not in ("help", "config")}
+    flags = []
     with open(path, "r") as fh:
         for no, line in enumerate(fh, start=1):
             text = line.split("#", 1)[0].strip()
@@ -91,41 +54,30 @@ def _read_config_file(path) -> dict:
             if "=" not in text:
                 raise ParameterError(f"{path}:{no}: expected key=value, got {text!r}")
             key, raw = text.split("=", 1)
-            key = key.strip().replace("-", "_")
-            if key not in _CONFIG_TYPES:
+            key, raw = key.strip().replace("-", "_"), raw.strip()
+            action = actions.get(key)
+            if action is None:
                 raise ParameterError(f"{path}:{no}: unknown config key {key!r}")
-            values[key] = _coerce(key, raw)
-    return values
+            if action.nargs != 0:
+                flags.append(f"{action.option_strings[0]}={raw}")
+            elif raw.lower() not in _BOOLEANS:
+                raise ParameterError(f"{path}:{no}: config key {key}: expected a boolean, got {raw!r}")
+            elif _BOOLEANS[raw.lower()] == action.const:
+                flags.append(action.option_strings[0])
+    return flags
 
 
-def _build_solve_config(args: argparse.Namespace) -> SolveConfig:
-    values: dict = {}
-    if args.config:
-        values.update(_read_config_file(args.config))
-    for f in fields(SolveConfig):
-        flag = getattr(args, f.name, None)
-        if flag is not None:
-            values[f.name] = flag
-    if "input" not in values or values.get("rank") is None:
-        raise ParameterError("solve requires --input and --rank (flags or config file)")
-    return SolveConfig(**values)
+def _comma_list(kind):
+    """argparse type: a comma-separated list of ``kind`` values."""
+    def parse(raw: str) -> list:
+        return [kind(tok) for tok in raw.split(",") if tok.strip()]
+    parse.__name__ = f"{kind.__name__} list"  # argparse: "invalid float list value"
+    return parse
 
 
-def _parse_float_list(raw: str, what: str) -> list[float]:
-    try:
-        return [float(tok) for tok in raw.split(",") if tok.strip()]
-    except ValueError:
-        raise ParameterError(f"bad {what} list: {raw!r}") from None
-
-
-def _parse_int_list(raw: str, what: str) -> list[int]:
-    try:
-        return [int(tok) for tok in raw.split(",") if tok.strip()]
-    except ValueError:
-        raise ParameterError(f"bad {what} list: {raw!r}") from None
-
-
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
+    """The bregblock parser and its solve subparser, whose actions are the
+    one table of solve option names, types and defaults."""
     parser = argparse.ArgumentParser(
         prog="bregblock",
         description="Inertial block Bregman proximal solver for symmetric "
@@ -144,15 +96,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve = sub.add_parser("solve", help="factor a matrix from file")
     p_solve.add_argument("--input", help="square matrix (MatrixMarket or CSV)")
     p_solve.add_argument("--rank", type=int, help="factorization rank")
-    for name in ("a1", "b1", "a2", "eps1", "eps2", "kappa", "rho", "residual-tol", "stall-tol"):
-        p_solve.add_argument(f"--{name}", dest=name.replace("-", "_"), type=float)
-    p_solve.add_argument("--max-iters", dest="max_iters", type=int)
-    p_solve.add_argument("--seed", type=int)
-    p_solve.add_argument("--symmetrize", action="store_const", const=True, dest="symmetrize")
-    p_solve.add_argument("--trace-out", dest="trace_out")
-    p_solve.add_argument("--factors-out", dest="factors_out", help="path prefix; writes <prefix>_U.mtx and <prefix>_V.mtx")
-    p_solve.add_argument("--labels-out", dest="labels_out")
-    p_solve.add_argument("--no-timing", action="store_const", const=False, dest="timing",
+    for name, default in (("a1", 6.0), ("b1", 2.0), ("a2", 1.0), ("eps1", 1.0), ("eps2", 1.0),
+                          ("kappa", 0.0), ("rho", 0.9), ("residual-tol", 1e-8), ("stall-tol", 0.0)):
+        p_solve.add_argument(f"--{name}", type=float, default=default)
+    p_solve.add_argument("--max-iters", type=int, default=5000)
+    p_solve.add_argument("--seed", type=int, default=0)
+    p_solve.add_argument("--symmetrize", action="store_true")
+    p_solve.add_argument("--trace-out")
+    p_solve.add_argument("--factors-out", help="path prefix; writes <prefix>_U.mtx and <prefix>_V.mtx")
+    p_solve.add_argument("--labels-out")
+    p_solve.add_argument("--no-timing", action="store_false", dest="timing",
                          help="zero the seconds field in the trace for byte-reproducible output")
     p_solve.add_argument("--config", help="flat key=value config file; flags win")
 
@@ -169,18 +122,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--noise", type=float, default=0.0)
     p_bench.add_argument("--density", type=float, default=1.0)
     p_bench.add_argument("--instance-seed", dest="instance_seed", type=int, default=7)
-    p_bench.add_argument("--seeds", default="1,2,3", help="comma-separated init seeds")
-    p_bench.add_argument("--kappas", default=",".join(str(k) for k in KAPPA_GRID))
+    p_bench.add_argument("--seeds", type=_comma_list(int), default="1,2,3", help="comma-separated init seeds")
+    p_bench.add_argument("--kappas", type=_comma_list(float), default=",".join(str(k) for k in KAPPA_GRID))
     p_bench.add_argument("--max-iters", dest="max_iters", type=int, default=5000)
     p_bench.add_argument("--residual-tol", dest="residual_tol", type=float, default=1e-8)
     p_bench.add_argument("--rho", type=float, default=0.9)
     p_bench.add_argument("--out", required=True, help="output CSV path")
-    return parser
+    return parser, p_solve
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    if args.m < 1 or not 1 <= args.r <= args.m:
-        raise ParameterError(f"need 1 <= r <= m, got m={args.m}, r={args.r}")
     X, U, V = mio.synth_instance(args.m, args.r, args.noise, args.density, args.seed)
     out = Path(args.out)
     mio.write_matrix_market(out, X)
@@ -193,22 +144,23 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
-    cfg = _build_solve_config(args)
-    check_schedule_parameters(cfg.kappa, cfg.rho)
-    check_run_limits(cfg.max_iters, cfg.residual_tol, cfg.stall_tol)
-    X = mio.read_matrix(cfg.input)
+    if args.input is None or args.rank is None:
+        raise ParameterError("solve requires --input and --rank (flags or config file)")
+    check_schedule_parameters(args.kappa, args.rho)
+    check_run_limits(args.max_iters, args.residual_tol, args.stall_tol)
+    X = mio.read_matrix(args.input)
     inst = stf.SymTriInstance(
-        X, cfg.rank, a1=cfg.a1, b1=cfg.b1, a2=cfg.a2, eps1=cfg.eps1, eps2=cfg.eps2,
-        symmetrize=cfg.symmetrize,
+        X, args.rank, a1=args.a1, b1=args.b1, a2=args.a2, eps1=args.eps1, eps2=args.eps2,
+        symmetrize=args.symmetrize,
     )
     result, factors = stf.solve_instance(
         inst,
-        kappa=cfg.kappa,
-        rho=cfg.rho,
-        seed=cfg.seed,
-        max_iters=cfg.max_iters,
-        residual_tol=cfg.residual_tol,
-        stall_tol=cfg.stall_tol,
+        kappa=args.kappa,
+        rho=args.rho,
+        seed=args.seed,
+        max_iters=args.max_iters,
+        residual_tol=args.residual_tol,
+        stall_tol=args.stall_tol,
     )
     final = result.trace[-1]
     print(f"iterations: {final.k}")
@@ -216,13 +168,13 @@ def cmd_solve(args: argparse.Namespace) -> int:
     print(f"phi: {final.phi:.17g}")
     print(f"residual: {final.residual_norm:.17g}")
     print(f"relative_error: {stf.relative_error(inst, factors.U, factors.V):.17g}")
-    if cfg.trace_out:
-        Path(cfg.trace_out).write_text(trace_to_json(result.trace, with_timing=cfg.timing))
-    if cfg.factors_out:
-        mio.write_matrix_market(f"{cfg.factors_out}_U.mtx", factors.U)
-        mio.write_matrix_market(f"{cfg.factors_out}_V.mtx", factors.V)
-    if cfg.labels_out:
-        mio.write_labels(cfg.labels_out, stf.community_assignment(factors.U))
+    if args.trace_out:
+        Path(args.trace_out).write_text(trace_to_json(result.trace, with_timing=args.timing))
+    if args.factors_out:
+        mio.write_matrix_market(f"{args.factors_out}_U.mtx", factors.U)
+        mio.write_matrix_market(f"{args.factors_out}_V.mtx", factors.V)
+    if args.labels_out:
+        mio.write_labels(args.labels_out, stf.community_assignment(factors.U))
     return 0
 
 
@@ -301,9 +253,7 @@ def _rel_err(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    kappas = _parse_float_list(args.kappas, "kappa")
-    seeds = _parse_int_list(args.seeds, "seed")
-    for kappa in kappas:
+    for kappa in args.kappas:
         check_schedule_parameters(kappa, args.rho)
     check_run_limits(args.max_iters, args.residual_tol, 0.0)
     if args.input:
@@ -316,8 +266,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["kappa", "seed", "iters_to_tol", "final_phi", "wall_seconds"])
-        for kappa in kappas:
-            for seed in seeds:
+        for kappa in args.kappas:
+            for seed in args.seeds:
                 start = time.perf_counter()
                 result, _ = stf.solve_instance(
                     inst,
@@ -330,19 +280,23 @@ def cmd_bench(args: argparse.Namespace) -> int:
                 wall = time.perf_counter() - start
                 final = result.trace[-1]
                 writer.writerow([kappa, seed, final.k, f"{final.phi:.17g}", f"{wall:.6f}"])
-    print(f"wrote: {args.out} ({len(kappas) * len(seeds)} rows)")
+    print(f"wrote: {args.out} ({len(args.kappas) * len(args.seeds)} rows)")
     return 0
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser, solve = build_parser()
     handlers = {"synth": cmd_synth, "solve": cmd_solve, "check": cmd_check, "bench": cmd_bench}
     try:
+        args = parser.parse_args(argv)
+        if args.command == "solve" and args.config:
+            # the file's flags go first, so the command line's flags win
+            config = _read_config_file(args.config, solve)
+            args = parser.parse_args(["solve", *config, *argv[argv.index("solve") + 1:]])
         return handlers[args.command](args)
+    except SystemExit as exc:
+        return int(exc.code or 0)
     except ParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -80,6 +80,16 @@ def check_schedule_parameters(kappa: float, rho: float) -> None:
         raise ParameterError(f"rho must lie in (0, 1], got {rho}")
 
 
+def _admissible(Li: float, si: float, al: float, rho: float, ga: float | None = None):
+    """(gmax, lo, hi) of one block: gmax = rho (sigma - 2|alpha|) / (sigma L),
+    rho times the largest admissible step, and the admissible delta interval
+    [lo, hi] at step ``ga`` (gmax when omitted)."""
+    gmax = rho * (si - 2.0 * abs(al)) / (si * Li)
+    ga = gmax if ga is None else ga
+    lo = abs(al) / (si * ga)
+    return gmax, lo, (1.0 - ga * Li) / ga - lo
+
+
 def derive_schedule(
     L: Sequence[float],
     sigma: Sequence[float],
@@ -111,9 +121,7 @@ def derive_schedule(
     gamma, alpha, delta, a, b = [], [], [], [], []
     for Li, si in zip(L, sigma):
         al = kappa * si / 2.0
-        ga = rho * (si - 2.0 * al) / (si * Li)
-        lo = al / (si * ga)
-        hi = (1.0 - ga * Li) / ga - lo
+        ga, lo, hi = _admissible(Li, si, al, rho)
         de = 0.5 * (lo + hi)
         alpha.append(al)
         gamma.append(ga)
@@ -136,11 +144,9 @@ def validate_schedule(
     ):
         if not abs(al) < si / 2.0:
             raise ParameterError(f"block {i}: |alpha|={abs(al)} must be < sigma/2={si / 2.0}")
-        gmax = (si - 2.0 * abs(al)) / (si * Li)
+        gmax, lo, hi = _admissible(Li, si, al, 1.0, ga)
         if not 0.0 < ga <= gmax * (1.0 + 1e-12):
             raise ParameterError(f"block {i}: gamma={ga} outside (0, {gmax}]")
-        lo = abs(al) / (si * ga)
-        hi = (1.0 - ga * Li) / ga - lo
         tol = 1e-12 * (1.0 + abs(hi))
         if not lo - tol <= de <= hi + tol:
             raise ParameterError(f"block {i}: delta={de} outside [{lo}, {hi}]")

@@ -99,6 +99,12 @@ class TestSynthSolvePipeline:
     def test_unknown_subcommand_exits_two(self):
         assert run_cli("frobnicate") == 2
 
+    @pytest.mark.parametrize("m, r", [(3, 5), (0, 1)])
+    def test_synth_bad_sizes_exit_two(self, tmp_path, capsys, m, r):
+        assert run_cli("synth", "--m", str(m), "--r", str(r), "--out", str(tmp_path / "x.mtx")) == 2
+        assert "need 1 <= r <= m" in capsys.readouterr().err
+        assert not (tmp_path / "x.mtx").exists()
+
     @pytest.mark.parametrize("args", [
         ("solve", "--rank", "3", "--kappa", "1.5"),
         ("solve", "--rank", "3", "--rho", "0"),
@@ -145,6 +151,50 @@ class TestConfigFile:
         cfg = tmp_path / "run.cfg"
         cfg.write_text("rank = 2\nwibble = 3\n")
         assert run_cli("solve", "--config", str(cfg)) == 2
+
+    @pytest.mark.parametrize("line, named", [
+        ("rank = abc", "--rank"),
+        ("kappa = x", "--kappa"),
+        ("timing = maybe", "timing"),
+        ("config = other.cfg", "'config'"),
+    ])
+    def test_bad_config_line_exits_two(self, tmp_path, capsys, line, named):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"input = x.mtx\n{line}\n")
+        assert run_cli("solve", "--config", str(cfg)) == 2
+        err = capsys.readouterr().err
+        assert named in err and "Traceback" not in err
+
+    @staticmethod
+    def parsed(monkeypatch, *argv):
+        seen = []
+        monkeypatch.setattr(cli, "cmd_solve", lambda args: seen.append(args) or 0)
+        assert run_cli("solve", *argv) == 0
+        ns = vars(seen[0])
+        del ns["config"]
+        return ns
+
+    @pytest.mark.parametrize("action", [
+        a for a in cli.build_parser()[1]._actions if a.dest not in ("help", "config")
+    ], ids=lambda a: a.dest)
+    def test_config_key_parses_like_its_flag(self, tmp_path, monkeypatch, action):
+        # the solve parser is the one option table: a config key gives the
+        # namespace its flag gives, for every solve option
+        flag = action.option_strings[0]
+        cfg = tmp_path / "run.cfg"
+        if action.nargs == 0:
+            flag_args = [flag]
+            word = {True: "yes", False: "false"}[action.const]
+        else:
+            word = {int: "3", float: "0.25", None: "some/path"}[action.type]
+            flag_args = [flag, word]
+        cfg.write_text(f"{action.dest.replace('_', '-')} = {word}\n")
+        via_flag = self.parsed(monkeypatch, *flag_args)
+        assert via_flag[action.dest] != action.default
+        assert self.parsed(monkeypatch, "--config", str(cfg)) == via_flag
+        if action.nargs == 0:  # the other boolean word leaves the default
+            cfg.write_text(f"{action.dest} = {'no' if action.const else 'on'}\n")
+            assert self.parsed(monkeypatch, "--config", str(cfg)) == self.parsed(monkeypatch)
 
 
 class TestCheck:

@@ -123,6 +123,19 @@ class TestDeriveSchedule:
         with pytest.raises(ParameterError):
             StepSchedule((1.0,), (0.0, 0.0), (0.0,), (0.0,), (0.0,))
 
+    def test_closed_form_bitwise(self):
+        # the docstring's formulas, evaluated in the same order, give the
+        # schedule bit for bit
+        L, sigma, kappa, rho = [3.7, 0.013], [0.21, 41.0], 0.55, 0.83
+        s = derive_schedule(L, sigma, kappa=kappa, rho=rho)
+        for i, (Li, si) in enumerate(zip(L, sigma)):
+            al = kappa * si / 2.0
+            ga = rho * (si - 2.0 * al) / (si * Li)
+            lo = al / (si * ga)
+            hi = (1.0 - ga * Li) / ga - lo
+            de = 0.5 * (lo + hi)
+            assert (s.gamma[i], s.alpha[i], s.delta[i], s.a[i], s.b[i]) == (ga, al, de, hi - de, de - lo)
+
 
 class TestSubproblem:
     def test_euclidean_gradient_step_via_oracle(self):

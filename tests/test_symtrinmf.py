@@ -500,6 +500,18 @@ class TestProductForm:
         else:
             assert f == pytest.approx(f_ref, rel=1e-12)
 
+    def test_trace_phi_near_zero_is_the_dense_fit(self):
+        # a noiseless planted run ends at f ~ 1e-16 ||X||^2, where the trace
+        # identity has no correct digits and audit_trace's absolute slack
+        # cannot see the error; the trace must carry the dense fit
+        X, _, _ = synth_instance(10, 2, noise_level=0.0, density=1.0, seed=1)
+        inst = SymTriInstance(X, 2)
+        result, factors = stf.solve_instance(inst, max_iters=20000)
+        assert result.termination == "residual_tol"
+        f_ref = stf.dense_fit(inst, factors.U, factors.V)[0]
+        assert 0.0 < f_ref < stf.FIT_CANCELLATION * inst.norm_X**2
+        assert result.trace[-1].phi == pytest.approx(f_ref, rel=1e-12, abs=0.0)
+
     def test_memo_serves_read_only_arrays_only(self):
         inst, rng = random_instance(24, m=8, r=2)
         U = frozen(rng.random((8, 2)))
