@@ -3,11 +3,14 @@
 Readers cover MatrixMarket (coordinate and array, real, general and
 symmetric storage) and headerless CSV of floats; the writer emits dense
 MatrixMarket array files with 17 significant digits so every double
-round-trips bitwise.
+round-trips bitwise.  Readers and writer handle a file's entries in bulk,
+never one Python step per entry; a reader rescans the body line by line
+only after a bulk conversion or count check failed, to name the line.
 """
 
 from __future__ import annotations
 
+import re
 from typing import Sequence
 
 import numpy as np
@@ -36,20 +39,56 @@ def read_matrix(path, require_square: bool = True) -> Array:
     data raises ShapeError.
     """
     with open(path, "r") as fh:
-        lines = fh.read().splitlines()
-    if lines and lines[0].lstrip().startswith("%%MatrixMarket"):
-        matrix = _read_matrix_market(lines, path)
+        text = fh.read()
+    eol = _EOL.search(text)
+    if text[:eol.start() if eol else None].lstrip().startswith("%%MatrixMarket"):
+        matrix = _read_matrix_market(text, path)
     else:
-        matrix = _read_csv(lines, path)
+        matrix = _read_csv(text, path)
     if require_square and matrix.shape[0] != matrix.shape[1]:
         raise ShapeError(f"{path}: expected a square matrix, got {matrix.shape}")
     return matrix
 
 
-def _read_matrix_market(lines: list[str], path) -> Array:
-    header = lines[0].split()
+# The line boundaries of str.splitlines, so that line numbers in errors
+# count lines the way the rest of the reader does.
+_EOL = re.compile(r"\r\n|[\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]")
+
+
+def _lines(text: str):
+    """(number, line, offset just past its end) for each line of ``text``."""
+    no = start = 0
+    for eol in _EOL.finditer(text):
+        no += 1
+        yield no, text[start:eol.start()], eol.end()
+        start = eol.end()
+    if start < len(text):
+        yield no + 1, text[start:], len(text)
+
+
+def _entry_lines(body: str, no: int):
+    """(number, tokens) for each non-blank, non-comment line of ``body``,
+    whose first line is line ``no`` of the file.  Only error paths rescan
+    the body this way, to name the line at fault."""
+    for no, line in enumerate(body.splitlines(), start=no):
+        tokens = line.split()
+        if tokens and not tokens[0].startswith("%"):
+            yield no, tokens
+
+
+def _convert(kind, token: str, path, no: int, what: str):
+    try:
+        return kind(token)
+    except ValueError:
+        raise ParseError(path, no, f"bad {what}: {token!r}") from None
+
+
+def _read_matrix_market(text: str, path) -> Array:
+    lines = _lines(text)
+    _, first, _ = next(lines)
+    header = first.split()
     if len(header) != 5 or header[0] != "%%MatrixMarket" or header[1].lower() != "matrix":
-        raise ParseError(path, 1, f"bad MatrixMarket header: {lines[0]!r}")
+        raise ParseError(path, 1, f"bad MatrixMarket header: {first!r}")
     fmt, field, symmetry = (tok.lower() for tok in header[2:5])
     if fmt not in ("coordinate", "array"):
         raise ParseError(path, 1, f"unsupported format {fmt!r}")
@@ -58,95 +97,118 @@ def _read_matrix_market(lines: list[str], path) -> Array:
     if symmetry not in ("general", "symmetric"):
         raise ParseError(path, 1, f"unsupported symmetry {symmetry!r}")
 
-    # (line_number, tokens) for every non-comment, non-blank line after the header
-    body = [
-        (no, line.split())
-        for no, line in enumerate(lines[1:], start=2)
-        if line.strip() and not line.lstrip().startswith("%")
-    ]
-    if not body:
-        raise ParseError(path, len(lines) or 1, "missing size line")
-    size_no, size_tok = body[0]
-    entries = body[1:]
-
-    def parse_int(tok: str, no: int, what: str) -> int:
-        try:
-            return int(tok)
-        except ValueError:
-            raise ParseError(path, no, f"bad {what}: {tok!r}") from None
-
-    def parse_float(tok: str, no: int) -> float:
-        try:
-            return float(tok)
-        except ValueError:
-            raise ParseError(path, no, f"bad value: {tok!r}") from None
-
-    if fmt == "coordinate":
-        if len(size_tok) != 3:
-            raise ParseError(path, size_no, "coordinate size line must be 'rows cols nnz'")
-        rows, cols, nnz = (parse_int(t, size_no, "size") for t in size_tok)
-        if len(entries) != nnz:
-            raise ParseError(
-                path, size_no, f"expected {nnz} entries, found {len(entries)}"
-            )
-        matrix = np.zeros((rows, cols))
-        for no, tok in entries:
-            if len(tok) != 3:
-                raise ParseError(path, no, "coordinate entry must be 'i j value'")
-            i = parse_int(tok[0], no, "row index")
-            j = parse_int(tok[1], no, "column index")
-            if not (1 <= i <= rows and 1 <= j <= cols):
-                raise ParseError(path, no, f"index ({i}, {j}) out of range")
-            v = parse_float(tok[2], no)
-            matrix[i - 1, j - 1] = v
-            if symmetry == "symmetric" and i != j:
-                matrix[j - 1, i - 1] = v
-        return matrix
-
-    if len(size_tok) != 2:
-        raise ParseError(path, size_no, "array size line must be 'rows cols'")
-    rows, cols = (parse_int(t, size_no, "size") for t in size_tok)
-    values = [(no, t) for no, tok in entries for t in tok]
-    if symmetry == "symmetric":
-        if rows != cols:
-            raise ParseError(path, size_no, "symmetric storage requires a square matrix")
-        slots = [(i, j) for j in range(cols) for i in range(j, rows)]
+    size_no = 1
+    for size_no, line, offset in lines:
+        size_tok = line.split()
+        if size_tok and not size_tok[0].startswith("%"):
+            break
     else:
-        slots = [(i, j) for j in range(cols) for i in range(rows)]
-    if len(values) != len(slots):
-        raise ParseError(
-            path,
-            entries[-1][0] if entries else size_no,
-            f"expected {len(slots)} values, found {len(values)}",
-        )
-    matrix = np.zeros((rows, cols))
-    for (i, j), (no, tok) in zip(slots, values):
-        v = parse_float(tok, no)
-        matrix[i, j] = v
-        if symmetry == "symmetric":
-            matrix[j, i] = v
+        raise ParseError(path, size_no, "missing size line")
+    if len(size_tok) != (3 if fmt == "coordinate" else 2):
+        shape = "'rows cols nnz'" if fmt == "coordinate" else "'rows cols'"
+        raise ParseError(path, size_no, f"{fmt} size line must be {shape}")
+    sizes = [_convert(int, tok, path, size_no, "size") for tok in size_tok]
+    if min(sizes) < 0:
+        raise ParseError(path, size_no, f"negative size in {line.strip()!r}")
+    symmetric = symmetry == "symmetric"
+    if symmetric and sizes[0] != sizes[1]:
+        raise ParseError(path, size_no, "symmetric storage requires a square matrix")
+
+    body = text[offset:]
+    data = body
+    if "%" in body:
+        data = "\n".join(line for line in body.splitlines() if not line.lstrip().startswith("%"))
+    if fmt == "coordinate":
+        return _coordinate(data, body, size_no, *sizes, symmetric, path)
+
+    rows, cols = sizes
+    n = rows * (rows + 1) // 2 if symmetric else rows * cols
+    tokens = data.split()
+    if len(tokens) != n:
+        last = size_no
+        for last, _ in _entry_lines(body, size_no + 1):
+            pass
+        raise ParseError(path, last, f"expected {n} values, found {len(tokens)}")
+    try:
+        values = np.fromiter(map(float, tokens), float, count=n)
+    except ValueError:
+        for no, line_tokens in _entry_lines(body, size_no + 1):
+            for tok in line_tokens:
+                _convert(float, tok, path, no, "value")
+        raise
+    if not symmetric:
+        return np.ascontiguousarray(values.reshape(rows, cols, order="F"))
+    # the values run down the lower triangle column by column, which is the
+    # upper triangle's row-major order with the indices swapped
+    upper = np.triu_indices(rows)
+    matrix = np.empty((rows, cols))
+    matrix[upper[::-1]] = values
+    matrix[upper] = values
     return matrix
 
 
-def _read_csv(lines: list[str], path) -> Array:
-    rows: list[list[float]] = []
-    width = None
-    for no, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        cells = line.split(",")
-        try:
-            row = [float(c) for c in cells]
-        except ValueError as exc:
-            raise ParseError(path, no, f"not a number: {exc}") from None
-        if width is None:
-            width = len(row)
-        elif len(row) != width:
-            raise ParseError(path, no, f"expected {width} columns, found {len(row)}")
-        rows.append(row)
+def _coordinate(data: str, body: str, size_no: int, rows: int, cols: int, nnz: int,
+                symmetric: bool, path) -> Array:
+    """Fill a matrix from the ``i j value`` lines of a coordinate body, which
+    ``data`` holds without its comment lines."""
+    counts = np.fromiter(map(len, map(str.split, data.splitlines())), int)
+    counts = counts[counts > 0]
+    if len(counts) != nnz:
+        raise ParseError(path, size_no, f"expected {nnz} entries, found {len(counts)}")
+    tokens = data.split()
+    try:
+        if (counts != 3).any():
+            raise ValueError("an entry line without three tokens")
+        i = np.fromiter(map(int, tokens[0::3]), np.int64, count=nnz) - 1
+        j = np.fromiter(map(int, tokens[1::3]), np.int64, count=nnz) - 1
+        if ((i < 0) | (i >= rows) | (j < 0) | (j >= cols)).any():
+            raise ValueError("an index out of range")
+        v = np.fromiter(map(float, tokens[2::3]), float, count=nnz)
+    except (ValueError, OverflowError):
+        for no, tok in _entry_lines(body, size_no + 1):
+            if len(tok) != 3:
+                raise ParseError(path, no, "coordinate entry must be 'i j value'") from None
+            r = _convert(int, tok[0], path, no, "row index")
+            c = _convert(int, tok[1], path, no, "column index")
+            if not (1 <= r <= rows and 1 <= c <= cols):
+                raise ParseError(path, no, f"index ({r}, {c}) out of range") from None
+            _convert(float, tok[2], path, no, "value")
+        raise
+    if symmetric:  # each entry writes (i, j), then its mirror (j, i)
+        i, j, v = np.stack((i, j), 1).ravel(), np.stack((j, i), 1).ravel(), np.repeat(v, 2)
+    # the last write to a position wins, as in an entry-by-entry fill;
+    # fancy assignment leaves the order of repeated writes unspecified
+    flat = i * cols + j
+    _, first = np.unique(flat[::-1], return_index=True)
+    last = flat.size - 1 - first
+    matrix = np.zeros(rows * cols)
+    matrix[flat[last]] = v[last]
+    return matrix.reshape(rows, cols)
+
+
+def _read_csv(text: str, path) -> Array:
+    rows = list(filter(str.strip, text.splitlines()))
     if not rows:
         raise ParseError(path, 1, "no data found")
-    return np.array(rows)
+    width = rows[0].count(",") + 1
+    try:
+        if any(row.count(",") != width - 1 for row in rows):
+            raise ValueError("ragged rows")
+        values = np.fromiter(map(float, ",".join(rows).split(",")), float, count=len(rows) * width)
+    except ValueError:
+        # name the first line with a bad cell or a different width
+        for no, line in enumerate(text.splitlines(), start=1):
+            if not line.strip():
+                continue
+            cells = line.split(",")
+            try:
+                list(map(float, cells))
+            except ValueError as exc:
+                raise ParseError(path, no, f"not a number: {exc}") from None
+            if len(cells) != width:
+                raise ParseError(path, no, f"expected {width} columns, found {len(cells)}")
+        raise
+    return values.reshape(len(rows), width)
 
 
 def write_matrix_market(path, matrix: Array, comment: str | None = None) -> None:
@@ -155,6 +217,7 @@ def write_matrix_market(path, matrix: Array, comment: str | None = None) -> None
     if matrix.ndim != 2:
         raise ShapeError(f"can only write matrices, got shape {matrix.shape}")
     rows, cols = matrix.shape
+    column = "%.17g\n" * rows
     with open(path, "w") as fh:
         fh.write("%%MatrixMarket matrix array real general\n")
         if comment:
@@ -162,8 +225,7 @@ def write_matrix_market(path, matrix: Array, comment: str | None = None) -> None
                 fh.write(f"% {part}\n")
         fh.write(f"{rows} {cols}\n")
         for j in range(cols):
-            for i in range(rows):
-                fh.write(f"{matrix[i, j]:.17g}\n")
+            fh.write(column % tuple(matrix[:, j].tolist()))
 
 
 def write_labels(path, labels: Sequence[int]) -> None:

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +12,8 @@ from bregblock import cli
 from bregblock import symtrinmf as stf
 from bregblock.cli import main
 from bregblock.io import read_labels, read_matrix
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def run_cli(*args):
@@ -248,7 +251,10 @@ class TestBench:
 
 class TestDeterminism:
     def test_trace_byte_identical_without_timing(self, tmp_path):
-        env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1")
+        # the child imports the package from this checkout, installed or not
+        pythonpath = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1",
+                   PYTHONPATH=pythonpath)
         x_path = tmp_path / "x.mtx"
         subprocess.run(
             [sys.executable, "-m", "bregblock", "synth", "--m", "10", "--r", "2",

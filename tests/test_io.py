@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from bregblock import ParameterError, SymTriInstance, f_value
 from bregblock import symtrinmf as stf
@@ -189,3 +192,262 @@ class TestFactorPersistence:
         before = f_value(inst, factors.U, factors.V)
         after = f_value(inst, U, V)
         assert after == pytest.approx(before, rel=1e-12)
+
+
+ARRAY_HEADER = "%%MatrixMarket matrix array real general\n"
+COORD_HEADER = "%%MatrixMarket matrix coordinate real general\n"
+
+
+def write_bytes(tmp_path, text, name="m.mtx"):
+    # bytes, so that CR and CRLF line endings reach the reader unchanged
+    path = tmp_path / name
+    path.write_bytes(text.encode())
+    return path
+
+
+def parse_error(path, **kwargs):
+    with pytest.raises(ParseError) as err:
+        read_matrix(path, **kwargs)
+    return err.value
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(
+        np.ascontiguousarray(a).view(np.uint64), np.ascontiguousarray(b).view(np.uint64)
+    )
+
+
+class TestMatrixMarketLayout:
+    def test_comment_lines_between_array_values(self, tmp_path):
+        path = write_bytes(
+            tmp_path,
+            ARRAY_HEADER + "% before the size line\n2 2\n1.0\n% between values\n"
+            "   % indented comment\n2.0\n\n3.0\n%\n4.0\n% after the last value\n",
+        )
+        assert np.array_equal(read_matrix(path), np.array([[1.0, 3.0], [2.0, 4.0]]))
+
+    def test_several_values_on_one_line(self, tmp_path):
+        path = write_bytes(tmp_path, ARRAY_HEADER + "2 3\n1 2 3\n4\n  5\t6  \n")
+        matrix = read_matrix(path, require_square=False)
+        assert np.array_equal(matrix, np.array([[1.0, 3.0, 5.0], [2.0, 4.0, 6.0]]))
+
+    @pytest.mark.parametrize("eol", ["\n", "\r\n", "\r"])
+    @pytest.mark.parametrize("tail", ["", "EOL", "EOL EOL EOL", "EOL  EOL"])
+    def test_line_endings_and_trailing_lines(self, tmp_path, eol, tail):
+        lines = ["%%MatrixMarket matrix array real symmetric", "% c", "2 2", "1.5", "-2", "3e2"]
+        path = write_bytes(tmp_path, eol.join(lines) + tail.replace("EOL", eol))
+        assert np.array_equal(read_matrix(path), np.array([[1.5, -2.0], [-2.0, 300.0]]))
+        coord = ["%%MatrixMarket matrix coordinate real general", "2 2 2", "1 2 4", "2 2 5"]
+        path = write_bytes(tmp_path, eol.join(coord) + tail.replace("EOL", eol))
+        assert np.array_equal(read_matrix(path), np.array([[0.0, 4.0], [0.0, 5.0]]))
+        path = write_bytes(tmp_path, eol.join(["1,2", "3,4"]) + tail.replace("EOL", eol), "m.csv")
+        assert np.array_equal(read_matrix(path), np.array([[1.0, 2.0], [3.0, 4.0]]))
+
+    def test_bad_token_deep_in_a_large_file(self, tmp_path):
+        n, bad = 100_000, 73_421
+        tokens = [repr(float(k)) for k in range(n)]
+        tokens[bad] = "1.0e"
+        lines = [ARRAY_HEADER.strip(), "% comment", f"{n} 1", *tokens[:bad], "% comment",
+                 *tokens[bad:]]
+        path = write_bytes(tmp_path, "\n".join(lines) + "\n")
+        err = parse_error(path, require_square=False)
+        assert err.line == lines.index("1.0e") + 1 == bad + 5
+        assert str(err) == f"{path}:{bad + 5}: bad value: '1.0e'"
+
+    def test_first_bad_token_is_reported(self, tmp_path):
+        path = write_bytes(tmp_path, ARRAY_HEADER + "4 1\n1 x\n% c\ny 2\n")
+        err = parse_error(path, require_square=False)
+        assert err.line == 3 and "'x'" in str(err)
+
+    @pytest.mark.parametrize(
+        "body, line, found",
+        [
+            ("2 2\n1\n2\n3\n", 5, 3),
+            ("2 2\n1 2\n3 4 5\n% trailing comment\n\n", 4, 5),
+            ("2 2\n", 2, 0),
+            ("2 2\n% only a comment\n", 2, 0),
+            ("2 2\n1 2 3 zap zap\n", 3, 5),
+        ],
+    )
+    def test_too_many_and_too_few_values(self, tmp_path, body, line, found):
+        err = parse_error(write_bytes(tmp_path, ARRAY_HEADER + body))
+        assert err.line == line
+        assert str(err).endswith(f"expected 4 values, found {found}")
+
+    def test_symmetric_value_count(self, tmp_path):
+        text = "%%MatrixMarket matrix array real symmetric\n3 3\n1\n2\n3\n4\n5\n6\n7\n"
+        err = parse_error(write_bytes(tmp_path, text))
+        assert err.line == 9 and str(err).endswith("expected 6 values, found 7")
+
+    def test_symmetric_array_must_be_square(self, tmp_path):
+        text = "%%MatrixMarket matrix array real symmetric\n2 3\n1\n2\n3\n"
+        assert parse_error(write_bytes(tmp_path, text)).line == 2
+
+    def test_missing_size_line(self, tmp_path):
+        path = write_bytes(tmp_path, ARRAY_HEADER + "% c\n\n% d\n")
+        err = parse_error(path)
+        assert err.line == 4 and str(err).endswith("missing size line")
+
+    @pytest.mark.parametrize("size", ["2", "2 2 2", "2 x"])
+    def test_bad_array_size_line(self, tmp_path, size):
+        err = parse_error(write_bytes(tmp_path, ARRAY_HEADER + f"% c\n{size}\n1\n2\n"))
+        assert err.line == 3
+
+    def test_integer_field(self, tmp_path):
+        text = "%%MatrixMarket matrix array integer general\n2 1\n3\n-4\n"
+        matrix = read_matrix(write_bytes(tmp_path, text), require_square=False)
+        assert matrix.dtype == np.float64
+        assert np.array_equal(matrix, np.array([[3.0], [-4.0]]))
+        text = "%%MatrixMarket matrix coordinate integer symmetric\n2 2 2\n1 1 7\n2 1 -1\n"
+        assert np.array_equal(read_matrix(write_bytes(tmp_path, text)), [[7.0, -1.0], [-1.0, 0.0]])
+
+    def test_one_by_one_and_column(self, tmp_path):
+        path = write_bytes(tmp_path, ARRAY_HEADER + "1 1\n2.5\n")
+        matrix = read_matrix(path)
+        assert matrix.shape == (1, 1) and matrix[0, 0] == 2.5
+        column = np.array([[0.5], [-1.0], [3.0], [1e-300], [-0.0]])
+        write_matrix_market(tmp_path / "col.mtx", column)
+        again = read_matrix(tmp_path / "col.mtx", require_square=False)
+        assert same_bits(again, column)
+        with pytest.raises(ShapeError):
+            read_matrix(tmp_path / "col.mtx")
+
+    def test_returns_a_writable_c_contiguous_array(self, tmp_path):
+        write_matrix_market(tmp_path / "r.mtx", np.arange(6.0).reshape(2, 3))
+        text = "%%MatrixMarket matrix array real symmetric\n2 2\n1\n2\n3\n"
+        write_bytes(tmp_path, text, "s.mtx")
+        write_bytes(tmp_path, COORD_HEADER + "2 2 1\n1 2 1\n", "c.mtx")
+        write_bytes(tmp_path, "1,2\n3,4\n", "c.csv")
+        for name in ("r.mtx", "s.mtx", "c.mtx", "c.csv"):
+            matrix = read_matrix(tmp_path / name, require_square=False)
+            assert matrix.dtype == np.float64
+            assert matrix.flags.c_contiguous and matrix.flags.writeable
+
+
+class TestCsvLayout:
+    @pytest.mark.parametrize(
+        "text, line", [("0,1\n1\n2,3,4\n", 2), ("0,1\n\n1,2,3\n4\n", 3), ("1,2\n3,x\n4\n", 2)]
+    )
+    def test_ragged_rows_with_the_right_cell_count(self, tmp_path, text, line):
+        err = parse_error(write_bytes(tmp_path, text, "r.csv"), require_square=False)
+        assert err.line == line
+
+    def test_blank_lines_and_spaces_around_cells(self, tmp_path):
+        path = write_bytes(tmp_path, "\n 1, 2\n  \n3 ,4e0\n\n", "s.csv")
+        assert np.array_equal(read_matrix(path), np.array([[1.0, 2.0], [3.0, 4.0]]))
+
+
+class TestCoordinateEntries:
+    def test_duplicate_entries_last_wins(self, tmp_path):
+        text = COORD_HEADER + "2 2 4\n1 1 1.0\n2 1 2.0\n1 1 3.0\n2 1 -0.0\n"
+        matrix = read_matrix(write_bytes(tmp_path, text))
+        assert same_bits(matrix, np.array([[3.0, 0.0], [-0.0, 0.0]]))
+
+    @pytest.mark.parametrize(
+        "entries, value",
+        [("2 1 5.0\n1 2 7.0\n", 7.0), ("1 2 7.0\n2 1 5.0\n", 5.0), ("2 1 5.0\n2 1 6.0\n", 6.0)],
+    )
+    def test_symmetric_duplicates_through_the_mirror(self, tmp_path, entries, value):
+        text = "%%MatrixMarket matrix coordinate real symmetric\n2 2 2\n" + entries
+        matrix = read_matrix(write_bytes(tmp_path, text))
+        assert np.array_equal(matrix, np.array([[0.0, value], [value, 0.0]]))
+
+    def test_empty_coordinate_matrix(self, tmp_path):
+        matrix = read_matrix(write_bytes(tmp_path, COORD_HEADER + "3 3 0\n"))
+        assert np.array_equal(matrix, np.zeros((3, 3)))
+
+    @pytest.mark.parametrize(
+        "entries, line, message",
+        [
+            ("1 1 1.0\n2 1\n", 5, "coordinate entry must be 'i j value'"),
+            ("1 1 1.0 9\n2 1 1\n", 4, "coordinate entry must be 'i j value'"),
+            ("1 1\n2 2 2 2\n", 4, "coordinate entry must be 'i j value'"),
+            ("1 1 1.0\n1.5 1 1\n", 5, "bad row index: '1.5'"),
+            ("1 1 1.0\n1 j 1\n", 5, "bad column index: 'j'"),
+            ("1 1 abc\n1 1 1\n", 4, "bad value: 'abc'"),
+            ("1 1 1.0\n0 1 1\n", 5, "index (0, 1) out of range"),
+            ("1 1 1.0\n1 3 1\n", 5, "index (1, 3) out of range"),
+            ("1 -1 1.0\n1 1 1\n", 4, "index (1, -1) out of range"),
+            ("1 1 1.0\n99999999999999999999 1 1\n", 5, "index (99999999999999999999, 1) out of range"),
+            ("3 1 x\n1 1 1\n", 4, "index (3, 1) out of range"),
+            ("% c\n\n2 2 nan\n% c\n1 1 zz\n", 8, "bad value: 'zz'"),
+        ],
+    )
+    def test_entry_errors_name_their_line(self, tmp_path, entries, line, message):
+        err = parse_error(write_bytes(tmp_path, COORD_HEADER + "% c\n2 2 2\n" + entries))
+        assert err.line == line
+        assert str(err).endswith(message)
+
+    @pytest.mark.parametrize("entries", ["1 1 1\n", "1 1 1\n2 2 2\n% c\n1 2 3\n"])
+    def test_wrong_entry_count_names_the_size_line(self, tmp_path, entries):
+        err = parse_error(write_bytes(tmp_path, COORD_HEADER + "% c\n2 2 2\n" + entries))
+        assert err.line == 3 and "expected 2 entries" in str(err)
+
+    @given(
+        n=st.integers(1, 5),
+        symmetric=st.booleans(),
+        entries=st.lists(
+            st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(-3, 3)), max_size=30
+        ),
+    )
+    def test_matches_the_entry_by_entry_fill(self, tmp_path_factory, n, symmetric, entries):
+        entries = [(i % n, j % n, float(v)) for i, j, v in entries]
+        expected = np.zeros((n, n))
+        for i, j, v in entries:
+            expected[i, j] = v
+            if symmetric:
+                expected[j, i] = v
+        lines = [f"{i + 1} {j + 1} {v!r}" for i, j, v in entries]
+        storage = "symmetric" if symmetric else "general"
+        text = f"%%MatrixMarket matrix coordinate real {storage}\n{n} {n} {len(lines)}\n"
+        path = tmp_path_factory.mktemp("coord") / "m.mtx"
+        path.write_text(text + "\n".join(lines) + "\n")
+        assert same_bits(read_matrix(path), expected)
+
+
+finite_doubles = st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True)
+
+
+class TestRoundTripProperty:
+    @settings(max_examples=300, deadline=None)
+    @given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, max_side=8),
+                      elements=finite_doubles))
+    @example(np.array([[-0.0, 0.0], [5e-324, -5e-324]]))
+    @example(np.array([[1e308, -1e308, 1.7976931348623157e308, -2.2250738585072014e-308]]))
+    @example(np.array([[0.1], [1 / 3], [2.0 ** -1074 * 3]]))
+    def test_write_then_read_is_bitwise(self, tmp_path_factory, matrix):
+        path = tmp_path_factory.mktemp("rt") / "m.mtx"
+        write_matrix_market(path, matrix, comment="c")
+        assert same_bits(read_matrix(path, require_square=False), matrix)
+        # the bytes of an entry-by-entry writer
+        rows, cols = matrix.shape
+        entries = "".join(f"{matrix[i, j]:.17g}\n" for j in range(cols) for i in range(rows))
+        expected = f"%%MatrixMarket matrix array real general\n% c\n{rows} {cols}\n{entries}"
+        assert path.read_text() == expected
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.booleans(), st.data())
+    def test_any_layout_reads_the_same(self, tmp_path_factory, symmetric, data):
+        # the same values spread over lines of any width, with comment and blank lines
+        rows, cols = data.draw(hnp.array_shapes(min_dims=2, max_dims=2, max_side=6))
+        cols = rows if symmetric else cols
+        matrix = data.draw(hnp.arrays(np.float64, (rows, cols), elements=finite_doubles))
+        if symmetric:
+            lower = np.tril_indices(rows)
+            matrix[lower[::-1]] = matrix[lower]
+            stored = [matrix[i, j] for j in range(cols) for i in range(j, rows)]
+        else:
+            stored = matrix.ravel(order="F")
+        tokens = [repr(float(v)) for v in stored]
+        lines = []
+        while tokens:
+            width = data.draw(st.integers(1, 4))
+            lines.append(" ".join(tokens[:width]))
+            del tokens[:width]
+            lines.append(data.draw(st.sampled_from(["", "", "% note", "  ", " %x 1"])))
+        eol = data.draw(st.sampled_from(["\n", "\r\n"]))
+        path = tmp_path_factory.mktemp("layout") / "m.mtx"
+        header = f"%%MatrixMarket matrix array real {'symmetric' if symmetric else 'general'}"
+        text = eol.join([header, f"{rows} {cols}", *lines])
+        path.write_bytes(text.encode())
+        assert same_bits(read_matrix(path, require_square=False), matrix)
