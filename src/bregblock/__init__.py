@@ -17,8 +17,6 @@ from .blocks import (
     model_value,
     nonnegative_indicator,
     phi_value,
-    squared_norm_kernel,
-    zero_term,
 )
 from .diagnostics import (
     RateFit,

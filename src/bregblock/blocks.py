@@ -81,9 +81,13 @@ class NonsmoothBlock:
 
     ``value`` returns an extended real (math.inf outside the domain).
     ``solver`` returns the exact minimizer of the block model and is called
-    as ``solver(problem, schedule, i, x_current, x_prev)``; ``run`` needs
-    one on every block.  ``project``, a Euclidean projection onto dom g_i,
-    serves only the projected-gradient reference oracle in diagnostics.
+    as ``solver(problem, schedule, i, x_current, x_prev, f_grad=..., h_grad=...)``;
+    ``run`` needs one on every block.  A sweep passes the keyword arguments
+    f_grad = grad_i f(x_current) and h_grad = grad_i h_i(x_current), which it
+    also uses for the gap and the residual, as read-only arrays; a solver
+    called without them (None) evaluates them itself.  ``project``, a
+    Euclidean projection onto dom g_i, serves only the projected-gradient
+    reference oracle in diagnostics.
     """
 
     value: Callable[[Array], float]
@@ -91,16 +95,12 @@ class NonsmoothBlock:
     project: Callable[[Array], Array] | None = None
 
 
-def zero_term() -> NonsmoothBlock:
-    """g == 0 with the identity projection."""
-    return NonsmoothBlock(value=lambda z: 0.0, project=lambda z: np.asarray(z, dtype=float))
-
-
 def nonnegative_indicator() -> NonsmoothBlock:
     """Indicator of the nonnegative orthant with its exact projection."""
 
     def value(z: Array) -> float:
-        return 0.0 if np.all(np.asarray(z) >= 0.0) else math.inf
+        # a NaN minimum compares false, so NaN entries are infeasible
+        return 0.0 if np.asarray(z).min(initial=0.0) >= 0.0 else math.inf
 
     def project(z: Array) -> Array:
         return np.maximum(np.asarray(z, dtype=float), 0.0)
@@ -147,10 +147,13 @@ class BlockProblem:
         return tuple(k.sigma for k in self.kernels)
 
 
-def block_bregman_distance(kernel: BlockKernel, i: int, x: BlockVector, y_i: Array) -> float:
+def block_bregman_distance(
+    kernel: BlockKernel, i: int, x: BlockVector, y_i: Array, grad: Array | None = None
+) -> float:
     """Bregman distance from x to (x with block i replaced by y_i).
 
-    Returns h(x | x_i <- y_i) - h(x) - <grad_i h(x), y_i - x_i>.  For
+    Returns h(x | x_i <- y_i) - h(x) - <grad_i h(x), y_i - x_i>, with
+    ``grad`` as grad_i h(x) when given (it is evaluated otherwise).  For
     block-convex kernels the result is nonnegative; cancellation-level
     negative roundoff is clamped to zero, anything larger is returned as is.
     """
@@ -158,7 +161,9 @@ def block_bregman_distance(kernel: BlockKernel, i: int, x: BlockVector, y_i: Arr
     hy = float(kernel.value(x.with_block(i, y_i)))
     if not (math.isfinite(hx) and math.isfinite(hy)):
         raise DomainError("kernel value is not finite: a point lies outside its domain")
-    inner = float(np.vdot(kernel.block_grad(i, x), y_i - x.block(i)))
+    if grad is None:
+        grad = kernel.block_grad(i, x)
+    inner = float(np.vdot(grad, y_i - x.block(i)))
     d = hy - hx - inner
     if d < 0.0:
         slack = 1e-12 * (abs(hx) + abs(hy) + abs(inner) + 1.0)
@@ -207,12 +212,3 @@ def model_value(
 def full_gradient(problem: BlockProblem, x: BlockVector) -> Array:
     """The block gradients of f at x, flattened and concatenated."""
     return np.concatenate([np.ravel(problem.f_block_grad(i, x)) for i in range(problem.N)])
-
-
-def squared_norm_kernel() -> BlockKernel:
-    """The Euclidean kernel h(x) = ||x||^2 / 2 (modulus 1 on every block)."""
-    return BlockKernel(
-        value=lambda x: 0.5 * sum(float(np.vdot(b, b)) for b in x.blocks),
-        block_grad=lambda i, x: np.array(x.block(i)),
-        sigma=1.0,
-    )

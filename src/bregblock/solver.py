@@ -181,10 +181,14 @@ def solve_block_subproblem(
     i: int,
     x_current: BlockVector,
     x_prev: BlockVector,
+    f_grad: Array | None = None,
+    h_grad: Array | None = None,
 ) -> Array:
-    """Minimize the block-i model with the block's exact solver."""
+    """Minimize the block-i model with the block's exact solver, handing it
+    grad_i f and grad_i h_i at x_current (None: the solver evaluates them)."""
     term = problem.g[i]
-    z = np.asarray(term.solver(problem, schedule, i, x_current, x_prev), dtype=float)
+    z = term.solver(problem, schedule, i, x_current, x_prev, f_grad=f_grad, h_grad=h_grad)
+    z = np.asarray(z, dtype=float)
     if math.isinf(float(term.value(z))):
         raise ConfigurationError(f"block {i}: subproblem solver returned an infeasible point")
     return z
@@ -195,23 +199,38 @@ def sweep_with_partials(
     schedule: StepSchedule,
     x_k: BlockVector,
     x_prev: BlockVector,
-) -> tuple[BlockVector, list[float], list[BlockVector]]:
+    f_grad0: Array,
+) -> tuple[BlockVector, list[float], list[BlockVector], list[tuple[Array, Array]]]:
     """Cyclic pass over all blocks, keeping every partial iterate.
 
     Block i sees the freshest partial iterate for its gradient and model,
     but the inertial difference is always taken against the lagged full
-    iterate x_prev.  Returns (x_next, gaps, partials) where partials has
-    N+1 entries from x_k through x_next.
+    iterate x_prev.  Block i's first-order data, grad_i f and grad_i h_i at
+    its partial iterate, are evaluated once (``f_grad0`` is grad_0 f(x_k),
+    which the caller already has) and serve its subproblem, its gap and
+    (returned) the residual; they are made read-only before the solver
+    sees them.  Returns (x_next, gaps, partials, first_order) where
+    partials has N+1 entries from x_k through x_next and first_order[i] is
+    the pair (grad_i f, grad_i h_i) at partials[i].
     """
     cur = x_k
     partials = [x_k]
     gaps: list[float] = []
+    first_order: list[tuple[Array, Array]] = []
     for i in range(problem.N):
-        z = solve_block_subproblem(problem, schedule, i, cur, x_prev)
-        gaps.append(block_bregman_distance(problem.kernels[i], i, cur, z))
-        cur = cur.with_block(i, z)
+        kern = problem.kernels[i]
+        gf = f_grad0 if i == 0 else problem.f_block_grad(i, cur)
+        gh = kern.block_grad(i, cur)
+        gf.setflags(write=False)
+        gh.setflags(write=False)
+        z = solve_block_subproblem(problem, schedule, i, cur, x_prev, f_grad=gf, h_grad=gh)
+        nxt = cur.with_block(i, z)
+        # the read-only block of nxt, so the gap's trial point shares it
+        gaps.append(block_bregman_distance(kern, i, cur, nxt.block(i), grad=gh))
+        first_order.append((gf, gh))
+        cur = nxt
         partials.append(cur)
-    return cur, gaps, partials
+    return cur, gaps, partials, first_order
 
 
 def lyapunov_value(schedule: StepSchedule, phi: float, gaps: Sequence[float]) -> float:
@@ -229,29 +248,32 @@ def stationarity_residual(
     x_k: BlockVector,
     x_prev: BlockVector,
     x_next: BlockVector,
-) -> float:
-    """Norm of an explicit element of the composite subdifferential at x_next.
+    first_order: Sequence[tuple[Array, Array]],
+) -> tuple[float, list[Array]]:
+    """Norm of an explicit element of the composite subdifferential at
+    x_next, and the block gradients grad_j f(x_next) it is built from.
 
     The first-order condition of the block-i subproblem exhibits
     eta_i = (grad_i h_i(pre) - grad_i h_i(post)) / gamma_i
             + (alpha_i/gamma_i)(x_k_i - x_prev_i) - grad_i f(pre)
     as a subgradient of g_i at the new block, so stacking
     grad_i f(x_next) + eta_i over blocks gives a certified residual vector.
+    ``first_order`` holds the sweep's (grad_i f(pre), grad_i h_i(pre))
+    pairs, as ``sweep_with_partials`` returns them.
     """
     if len(partials) != problem.N + 1:
         raise ParameterError("partials must contain N+1 iterates from one sweep")
     parts = []
+    grads = []
     for j in range(problem.N):
-        pre, post = partials[j], partials[j + 1]
-        kern = problem.kernels[j]
-        gh_pre = kern.block_grad(j, pre)
-        gh_post = kern.block_grad(j, post)
+        gf_pre, gh_pre = first_order[j]
         ga, al = schedule.gamma[j], schedule.alpha[j]
-        eta = (gh_pre - gh_post) / ga
+        eta = (gh_pre - problem.kernels[j].block_grad(j, partials[j + 1])) / ga
         eta += (al / ga) * (x_k.block(j) - x_prev.block(j))
-        eta -= problem.f_block_grad(j, pre)
-        parts.append(np.ravel(problem.f_block_grad(j, x_next) + eta))
-    return float(np.linalg.norm(np.concatenate(parts)))
+        eta -= gf_pre
+        grads.append(problem.f_block_grad(j, x_next))
+        parts.append(np.ravel(grads[j] + eta))
+    return float(np.linalg.norm(np.concatenate(parts))), grads
 
 
 def check_run_limits(max_iters: int, residual_tol: float, stall_tol: float) -> None:
@@ -283,6 +305,8 @@ def run(
     is initialized to x0, so the first sweep has no inertial pull.
     The k=0 record carries ||grad f(x0)|| as its residual (the certified
     residual needs a completed sweep); stopping only consults k >= 1.
+    grad_0 f at each sweep's start is the one the residual evaluated at
+    the end of the previous sweep (at x0, the one in ||grad f(x0)||).
 
     Before the first sweep it checks the limits, the schedule and x0's
     block shapes against ``problem.shapes`` (ParameterError), an exact
@@ -301,7 +325,9 @@ def run(
             raise InfeasibleError(f"x0 is infeasible for nonsmooth block {i}")
 
     start = time.perf_counter()
-    scale = 1.0 + float(np.linalg.norm(full_gradient(problem, x0)))
+    grad0 = full_gradient(problem, x0)
+    scale = 1.0 + float(np.linalg.norm(grad0))
+    f_grad0 = grad0[: math.prod(problem.shapes[0])].reshape(problem.shapes[0])
     phi0 = phi_value(problem, x0)
     zeros = tuple(0.0 for _ in range(problem.N))
     trace = [
@@ -318,8 +344,13 @@ def run(
     x_prev, x = x0, x0
     termination = TERMINATION_MAX_ITERS
     for k in range(int(max_iters)):
-        x_next, gaps, partials = sweep_with_partials(problem, schedule, x, x_prev)
-        residual = stationarity_residual(problem, schedule, partials, x, x_prev, x_next)
+        x_next, gaps, partials, first_order = sweep_with_partials(
+            problem, schedule, x, x_prev, f_grad0
+        )
+        residual, grads = stationarity_residual(
+            problem, schedule, partials, x, x_prev, x_next, first_order
+        )
+        f_grad0 = grads[0]
         phi = phi_value(problem, x_next)
         lyap = lyapunov_value(schedule, phi, gaps)
         if not math.isfinite(lyap):

@@ -15,7 +15,9 @@ block gradients are cheap functions of XU, X^T U, U^T X U and G = U^T U
 (X^T U is XU itself when X is exactly symmetric).  ``products`` remembers
 its results on the instance for the last two read-only U arrays it
 computed, keyed by identity; a solver sweep makes one new U, so it pays
-one X-product, and the residual and Lyapunov evaluations reuse it.  A
+one X-product, and the residual and Lyapunov evaluations reuse it.  The
+generic sweep hands the updates the block gradients it has already
+evaluated, so a sweep computes grad_U once and grad_V twice.  A
 writable U, or a read-only view of a writable array, is never remembered,
 so changing such an array in place always gives fresh products.  A
 read-only array is taken to be immutable, as BlockVector takes it.
@@ -283,6 +285,9 @@ def update_U(
     U_k: Array,
     U_prev: Array,
     V_k: Array,
+    *,
+    f_grad: Array | None = None,
+    h_grad: Array | None = None,
 ) -> Array:
     """Closed-form minimizer of the block-U model.
 
@@ -291,9 +296,15 @@ def update_U(
     to P = max(G, 0); the stationarity condition forces
     t = a1 ||U+||^2 ||V_k||^2 + b1 (||X|| ||V_k|| + eps1), which makes t the
     positive root of t^3 - tau1 t^2 - tau2 with tau1 = b1(||X|| ||V_k|| + eps1)
-    and tau2 = a1 ||V_k||^2 ||P||^2, and U+ = P / t.
+    and tau2 = a1 ||V_k||^2 ||P||^2, and U+ = P / t.  ``f_grad`` and
+    ``h_grad`` are grad_U f and grad_U h1 at (U_k, V_k) when the caller has
+    them; they are evaluated otherwise.
     """
-    G = kernel_h1_grad(inst, U_k, V_k) - gamma1 * grad_U(inst, U_k, V_k)
+    if h_grad is None:
+        h_grad = kernel_h1_grad(inst, U_k, V_k)
+    if f_grad is None:
+        f_grad = grad_U(inst, U_k, V_k)
+    G = h_grad - gamma1 * f_grad
     G += alpha1 * (U_k - U_prev)
     P = np.maximum(G, 0.0)
     v2 = _sq_norm(V_k)
@@ -310,16 +321,21 @@ def update_V(
     U_next: Array,
     V_k: Array,
     V_prev: Array,
+    *,
+    f_grad: Array | None = None,
 ) -> Array:
     """Closed-form minimizer of the block-V model.
 
     The V kernel is quadratic with curvature eta = a2(||U_next||^4 + eps2),
     so the model minimizer is the clamped step
     max(V_k + (alpha2 (V_k - V_prev) - gamma2 grad_V f(U_next, V_k)) / eta, 0).
+    ``f_grad`` is grad_V f(U_next, V_k) when the caller has it.
     """
     u2 = _sq_norm(U_next)
     eta = inst.a2 * (u2 * u2 + inst.eps2)
-    step = alpha2 * (V_k - V_prev) - gamma2 * grad_V(inst, U_next, V_k)
+    if f_grad is None:
+        f_grad = grad_V(inst, U_next, V_k)
+    step = alpha2 * (V_k - V_prev) - gamma2 * f_grad
     return np.maximum(V_k + step / eta, 0.0)
 
 
@@ -356,13 +372,15 @@ def as_block_problem(inst: SymTriInstance) -> BlockProblem:
         sigma=inst.sigma2,
     )
 
-    def u_solver(problem, schedule, i, x_cur, x_prev):
+    def u_solver(problem, schedule, i, x_cur, x_prev, f_grad=None, h_grad=None):
         U_k, V_k = x_cur.blocks
-        return update_U(inst, schedule.gamma[0], schedule.alpha[0], U_k, x_prev.block(0), V_k)
+        return update_U(inst, schedule.gamma[0], schedule.alpha[0], U_k, x_prev.block(0), V_k,
+                        f_grad=f_grad, h_grad=h_grad)
 
-    def v_solver(problem, schedule, i, x_cur, x_prev):
+    def v_solver(problem, schedule, i, x_cur, x_prev, f_grad=None, h_grad=None):
         U_next, V_k = x_cur.blocks
-        return update_V(inst, schedule.gamma[1], schedule.alpha[1], U_next, V_k, x_prev.block(1))
+        return update_V(inst, schedule.gamma[1], schedule.alpha[1], U_next, V_k, x_prev.block(1),
+                        f_grad=f_grad)
 
     g = (
         replace(nonnegative_indicator(), solver=u_solver),

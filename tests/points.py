@@ -1,8 +1,9 @@
-"""Build block points from flat data and back, for tests over vector blocks."""
+"""Build block points from flat data and back, and the Euclidean kernel and
+zero nonsmooth term, for tests over vector blocks."""
 
 import numpy as np
 
-from bregblock import BlockVector
+from bregblock import BlockKernel, BlockVector, NonsmoothBlock
 
 
 def point(shapes, data):
@@ -15,3 +16,17 @@ def point(shapes, data):
 def flat(x):
     """The blocks of x, flattened and concatenated."""
     return np.concatenate([b.ravel() for b in x.blocks])
+
+
+def zero_term():
+    """g == 0 with the identity projection."""
+    return NonsmoothBlock(value=lambda z: 0.0, project=lambda z: np.asarray(z, dtype=float))
+
+
+def squared_norm_kernel():
+    """The Euclidean kernel h(x) = ||x||^2 / 2 (modulus 1 on every block)."""
+    return BlockKernel(
+        value=lambda x: 0.5 * sum(float(np.vdot(b, b)) for b in x.blocks),
+        block_grad=lambda i, x: np.array(x.block(i)),
+        sigma=1.0,
+    )

@@ -16,11 +16,9 @@ from bregblock import (
     nonnegative_indicator,
     phi_value,
     run,
-    squared_norm_kernel,
-    zero_term,
 )
 from bregblock import symtrinmf as stf
-from points import flat, point
+from points import flat, point, squared_norm_kernel, zero_term
 
 
 def linear_problem(shapes, c, g=None):
@@ -58,6 +56,16 @@ class TestBlockVector:
         with pytest.raises(IndexError):
             x.with_block(2, values)
 
+    def test_with_block_shares_a_read_only_block(self):
+        # the sweep hands the gap the new point's block, which must not be
+        # copied a second time; a writable block is still copied
+        x = BlockVector((np.zeros(3), np.zeros((2, 2)), np.zeros(1)))
+        y = x.with_block(1, np.ones((2, 2)))
+        assert not y.block(1).flags.writeable
+        z = x.with_block(1, y.block(1))
+        assert z.block(1) is y.block(1)
+        assert z.block(0) is x.block(0) and z.block(2) is x.block(2)
+
     def test_immutable(self):
         source = np.zeros((2, 2))
         x = BlockVector((source,))
@@ -85,6 +93,19 @@ class TestBregmanDistance:
         x = BlockVector(([1.0],))
         d = block_bregman_distance(squared_norm_kernel(), 0, x, np.array([3.0]))
         assert d == pytest.approx(2.0, abs=0.0)
+
+    def test_given_gradient_is_used(self):
+        rng = np.random.default_rng(3)
+        raw = rng.random((4, 4))
+        inst = SymTriInstance(0.5 * (raw + raw.T), 2)
+        problem = stf.as_block_problem(inst)
+        x = BlockVector(tuple(rng.random(s) for s in problem.shapes))
+        for i in range(problem.N):
+            kern, y_i = problem.kernels[i], rng.random(problem.shapes[i])
+            fresh = block_bregman_distance(kern, i, x, y_i)
+            assert block_bregman_distance(kern, i, x, y_i, grad=kern.block_grad(i, x)) == fresh
+            shifted = block_bregman_distance(kern, i, x, y_i, grad=kern.block_grad(i, x) + 1.0)
+            assert shifted != fresh
 
     def test_identity_case(self):
         x = BlockVector((np.arange(2.0), np.arange(6.0).reshape(2, 3)))
@@ -152,6 +173,21 @@ class TestPhiValue:
         shapes = ((2,), (1, 2))
         problem = linear_problem(shapes, np.zeros(4), g=nonnegative_indicator())
         assert phi_value(problem, point(shapes, [0.0, 1.0, -0.5, 3.0])) == math.inf
+
+    @pytest.mark.parametrize(
+        "z, value",
+        [
+            ([0.0, 1.0], 0.0),
+            ([-0.0, math.inf], 0.0),
+            ([], 0.0),
+            ([1.0, math.nan], math.inf),
+            ([math.nan, 1.0], math.inf),
+            ([2.0, -1e-300], math.inf),
+            ([-math.inf], math.inf),
+        ],
+    )
+    def test_indicator_values(self, z, value):
+        assert nonnegative_indicator().value(np.array(z)) == value
 
     def test_tri_factorization_scalar(self):
         inst = SymTriInstance(np.array([[4.0]]), 1)

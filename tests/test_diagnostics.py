@@ -12,8 +12,6 @@ from bregblock import (
     fit_rate,
     nonnegative_indicator,
     run,
-    squared_norm_kernel,
-    zero_term,
 )
 from bregblock import symtrinmf as stf
 from bregblock.diagnostics import (
@@ -23,7 +21,7 @@ from bregblock.diagnostics import (
 )
 from bregblock.io import synth_instance
 from bregblock.solver import IterationRecord
-from points import flat, point
+from points import flat, point, squared_norm_kernel, zero_term
 
 
 def quadratic_problem(A, b, dims, g=None):

@@ -13,35 +13,85 @@ from bregblock import (
     ParameterError,
     StepSchedule,
     SymTriInstance,
+    block_bregman_distance,
     derive_schedule,
     lyapunov_value,
     model_value,
     phi_value,
     run,
     solve_block_subproblem,
-    squared_norm_kernel,
     stationarity_residual,
     trace_to_json,
     validate_schedule,
-    zero_term,
 )
 from bregblock import symtrinmf as stf
 from bregblock.blocks import full_gradient
 from bregblock.diagnostics import numeric_subproblem_oracle
+from bregblock.io import synth_instance
 from bregblock.solver import sweep_with_partials
-from points import flat, point
+from points import flat, point, squared_norm_kernel, zero_term
 
 
 def euclidean_step_solver():
     """Exact minimizer of the block model for a Euclidean kernel:
-    z = x_i - gamma * grad_i f(x) + alpha * (x_i - x_prev_i)."""
+    z = x_i - gamma * grad_i f(x) + alpha * (x_i - x_prev_i), with the
+    sweep's grad_i f(x) when it passes one (h_grad is x_i here, unused)."""
 
-    def solver(problem, schedule, i, x_cur, x_prev):
+    def solver(problem, schedule, i, x_cur, x_prev, f_grad=None, h_grad=None):
         ga, al = schedule.gamma[i], schedule.alpha[i]
         xi = x_cur.block(i)
-        return xi - ga * problem.f_block_grad(i, x_cur) + al * (xi - x_prev.block(i))
+        if f_grad is None:
+            f_grad = problem.f_block_grad(i, x_cur)
+        return xi - ga * f_grad + al * (xi - x_prev.block(i))
 
     return solver
+
+
+def sweep(problem, schedule, x, x_prev):
+    """One ``sweep_with_partials`` from x, with grad_0 f(x) evaluated here."""
+    return sweep_with_partials(problem, schedule, x, x_prev, problem.f_block_grad(0, x))
+
+
+def recompute_everything_run(problem, schedule, x0, sweeps):
+    """Reference for ``run``: the same sweeps with every gradient evaluated
+    afresh at each use.  The block solvers get no first-order data, each
+    gap and each residual term evaluates its own.  Returns (x_prev,
+    x_final, rows) with one (phi, lyapunov, residual, gaps) row per sweep,
+    the k=0 row holding phi(x0) and ||grad f(x0)||."""
+    phi0 = phi_value(problem, x0)
+    rows = [(phi0, phi0, float(np.linalg.norm(full_gradient(problem, x0))), (0.0,) * problem.N)]
+    x_prev, x = x0, x0
+    for _ in range(sweeps):
+        cur, partials, gaps = x, [x], []
+        for i in range(problem.N):
+            z = np.asarray(problem.g[i].solver(problem, schedule, i, cur, x_prev), dtype=float)
+            gaps.append(block_bregman_distance(problem.kernels[i], i, cur, z))
+            cur = cur.with_block(i, z)
+            partials.append(cur)
+        parts = []
+        for j in range(problem.N):
+            pre, post, kern = partials[j], partials[j + 1], problem.kernels[j]
+            ga, al = schedule.gamma[j], schedule.alpha[j]
+            eta = (kern.block_grad(j, pre) - kern.block_grad(j, post)) / ga
+            eta += (al / ga) * (x.block(j) - x_prev.block(j))
+            eta -= problem.f_block_grad(j, pre)
+            parts.append(np.ravel(problem.f_block_grad(j, cur) + eta))
+        phi = phi_value(problem, cur)
+        residual = float(np.linalg.norm(np.concatenate(parts)))
+        rows.append((phi, lyapunov_value(schedule, phi, gaps), residual, tuple(gaps)))
+        x_prev, x = x, cur
+    return x_prev, x, rows
+
+
+def assert_run_matches_reference(problem, schedule, x0, sweeps):
+    result = run(problem, schedule, x0, max_iters=sweeps, residual_tol=0.0)
+    x_prev, x_final, rows = recompute_everything_run(problem, schedule, x0, sweeps)
+    got = [(r.phi, r.lyapunov, r.residual_norm, r.gaps) for r in result.trace]
+    assert len(got) == sweeps + 1
+    for k, (a, b) in enumerate(zip(got, rows)):
+        assert a == b, f"sweep {k}: {a} != {b}"  # bitwise: == on floats
+    for a, b in zip(result.x_final.blocks + result.x_prev.blocks, x_final.blocks + x_prev.blocks):
+        assert a.tobytes() == b.tobytes()
 
 
 def quadratic_problem(A, b, dims, exact=True):
@@ -199,7 +249,7 @@ class TestSweep:
         problem = quadratic_problem(rng.standard_normal((6, 4)), rng.standard_normal(6), (4,))
         schedule = derive_schedule(problem.L, problem.sigma, kappa=0.0, rho=0.9)
         x = point(problem.shapes, rng.standard_normal(4))
-        x_next, gaps, _ = sweep_with_partials(problem, schedule, x, x)
+        x_next, gaps, _, _ = sweep(problem, schedule, x, x)
         expected = flat(x) - schedule.gamma[0] * full_gradient(problem, x)
         assert np.array_equal(flat(x_next), expected)
         assert gaps[0] == pytest.approx(
@@ -216,7 +266,7 @@ class TestSweep:
         problem = quadratic_problem(A, b, (3, 2))
         schedule = derive_schedule(problem.L, problem.sigma, kappa=0.5, rho=0.9)
         x = point(problem.shapes, xstar)
-        x_next, gaps, _ = sweep_with_partials(problem, schedule, x, x)
+        x_next, gaps, _, _ = sweep(problem, schedule, x, x)
         assert np.allclose(flat(x_next), xstar, atol=1e-12)
         # the three-term Bregman formula carries an absolute cancellation
         # floor of about eps * |h|, so "zero" means 1e-14 here
@@ -232,7 +282,7 @@ class TestSweep:
         U_p, V_p = rng.random((5, 2)), rng.random((2, 2))
         x = stf.pack_factors(inst, U_k, V_k)
         xp = stf.pack_factors(inst, U_p, V_p)
-        x_next, _, _ = sweep_with_partials(problem, schedule, x, xp)
+        x_next, _, _, _ = sweep(problem, schedule, x, xp)
         U_direct = stf.update_U(inst, schedule.gamma[0], schedule.alpha[0], U_k, U_p, V_k)
         V_direct = stf.update_V(inst, schedule.gamma[1], schedule.alpha[1], U_direct, V_k, V_p)
         assert np.array_equal(x_next.block(0), U_direct)
@@ -266,8 +316,8 @@ class TestStationarityResidual:
         problem = quadratic_problem(A, b, (4,))
         schedule = derive_schedule(problem.L, problem.sigma, kappa=0.0, rho=0.9)
         x = point(problem.shapes, xstar)
-        x_next, gaps, partials = sweep_with_partials(problem, schedule, x, x)
-        res = stationarity_residual(problem, schedule, partials, x, x, x_next)
+        x_next, gaps, partials, first_order = sweep(problem, schedule, x, x)
+        res, _ = stationarity_residual(problem, schedule, partials, x, x, x_next, first_order)
         assert res <= 1e-10
 
     def test_euclidean_gradient_step_value(self):
@@ -277,8 +327,8 @@ class TestStationarityResidual:
         problem = quadratic_problem(rng.standard_normal((5, 4)), rng.standard_normal(5), (4,))
         schedule = derive_schedule(problem.L, problem.sigma, kappa=0.0, rho=0.9)
         x = point(problem.shapes, rng.standard_normal(4))
-        x_next, gaps, partials = sweep_with_partials(problem, schedule, x, x)
-        res = stationarity_residual(problem, schedule, partials, x, x, x_next)
+        x_next, gaps, partials, first_order = sweep(problem, schedule, x, x)
+        res, _ = stationarity_residual(problem, schedule, partials, x, x, x_next, first_order)
         assert res == pytest.approx(float(np.linalg.norm(full_gradient(problem, x_next))), rel=1e-9)
 
     def test_matches_independent_assembly(self):
@@ -287,8 +337,8 @@ class TestStationarityResidual:
         schedule = derive_schedule(problem.L, problem.sigma, kappa=0.4, rho=0.8)
         x = point(problem.shapes, rng.standard_normal(5))
         xp = point(problem.shapes, rng.standard_normal(5))
-        x_next, gaps, partials = sweep_with_partials(problem, schedule, x, xp)
-        res = stationarity_residual(problem, schedule, partials, x, xp, x_next)
+        x_next, gaps, partials, first_order = sweep(problem, schedule, x, xp)
+        res, _ = stationarity_residual(problem, schedule, partials, x, xp, x_next, first_order)
         pieces = []
         for j in range(2):
             pre, post = partials[j], partials[j + 1]
@@ -297,6 +347,61 @@ class TestStationarityResidual:
             eta = eta - problem.f_block_grad(j, pre)
             pieces.append(problem.f_block_grad(j, x_next) + eta)
         assert res == pytest.approx(float(np.linalg.norm(np.concatenate(pieces))), rel=1e-12)
+
+
+class TestCarriedFirstOrderData:
+    """run evaluates each block gradient once per sweep and carries it to
+    every use; it must reproduce the recompute-everything loop bit for bit."""
+
+    @pytest.mark.parametrize("kappa", [0.0, 0.6])
+    @pytest.mark.parametrize("m", [10, 30])
+    def test_symtrinmf_matches_recompute_everything(self, m, kappa):
+        X, _, _ = synth_instance(m, 3, noise_level=0.0 if m == 30 else 0.1, seed=7)
+        inst = SymTriInstance(X, 3)
+        problem = stf.as_block_problem(inst)
+        schedule = derive_schedule(problem.L, problem.sigma, kappa=kappa, rho=0.9)
+        x0 = stf.pack_factors(inst, *stf.initial_factors(inst, seed=0))
+        assert_run_matches_reference(problem, schedule, x0, 300)
+
+    def test_generic_problem_matches_recompute_everything(self):
+        rng = np.random.default_rng(30)
+        problem = quadratic_problem(rng.standard_normal((9, 6)), rng.standard_normal(9), (2, 3, 1))
+        schedule = derive_schedule(problem.L, problem.sigma, kappa=0.4, rho=0.9)
+        x0 = point(problem.shapes, rng.standard_normal(6))
+        assert_run_matches_reference(problem, schedule, x0, 60)
+
+    def test_carried_gradient_reaches_block_zero(self):
+        # a stale f_grad0 must change the first block's update
+        rng = np.random.default_rng(32)
+        problem = quadratic_problem(rng.standard_normal((6, 4)), rng.standard_normal(6), (2, 2))
+        schedule = derive_schedule(problem.L, problem.sigma, kappa=0.0, rho=0.9)
+        x = point(problem.shapes, rng.standard_normal(4))
+        g0 = problem.f_block_grad(0, x)
+        same, _, _, first_order = sweep_with_partials(problem, schedule, x, x, g0)
+        assert first_order[0][0] is g0
+        other, _, _, _ = sweep_with_partials(problem, schedule, x, x, g0 + 1.0)
+        assert not np.array_equal(other.block(0), same.block(0))
+
+    @pytest.mark.parametrize("name", ["f_grad", "h_grad"])
+    def test_solver_cannot_write_into_the_carried_gradients(self, name):
+        # the sweep reuses f_grad and h_grad for the gap and the residual,
+        # so a solver that scales them in place must fail, not corrupt them
+        rng = np.random.default_rng(33)
+        raw = rng.random((6, 6))
+        inst = SymTriInstance(0.5 * (raw + raw.T), 2)
+        problem = stf.as_block_problem(inst)
+        exact = problem.g[0].solver
+
+        def scaling_solver(problem, schedule, i, x_cur, x_prev, **first_order):
+            first_order[name] *= 2.0
+            return exact(problem, schedule, i, x_cur, x_prev, **first_order)
+
+        term = dataclasses.replace(problem.g[0], solver=scaling_solver)
+        problem = dataclasses.replace(problem, g=(term, problem.g[1]))
+        schedule = derive_schedule(problem.L, problem.sigma, kappa=0.4, rho=0.9)
+        x0 = stf.pack_factors(inst, rng.random((6, 2)), rng.random((2, 2)))
+        with pytest.raises(ValueError, match="read-only"):
+            run(problem, schedule, x0, max_iters=2)
 
 
 class TestRun:

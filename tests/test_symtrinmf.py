@@ -569,3 +569,36 @@ class TestProductForm:
             assert result.trace[-1].k == sweeps
             # one at start-up (the gradient at x0), then one per sweep
             assert len(made) == sweeps + 1
+
+    @pytest.mark.parametrize("kappa", [0.0, 0.6])
+    def test_each_block_gradient_once_per_sweep(self, monkeypatch, kappa):
+        X, _, _ = synth_instance(20, 3, noise_level=0.2, density=1.0, seed=5)
+        inst = SymTriInstance(X, 3)
+        counted = ("grad_U", "grad_V", "kernel_h1_grad", "kernel_h2_grad",
+                   "kernel_h1_value", "kernel_h2_value", "compute_products")
+        calls = dict.fromkeys(counted, 0)
+
+        def counting(name, fn):
+            def wrapped(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        for name in counted:
+            monkeypatch.setattr(stf, name, counting(name, getattr(stf, name)))
+        totals = []
+        for sweeps in (7, 19):
+            calls.update(dict.fromkeys(counted, 0))
+            result, _ = stf.solve_instance(inst, kappa=kappa, max_iters=sweeps, residual_tol=0.0)
+            assert result.trace[-1].k == sweeps
+            totals.append(dict(calls))
+        per_sweep = {name: (totals[1][name] - totals[0][name]) / 12 for name in counted}
+        assert per_sweep == {
+            "grad_U": 1, "grad_V": 2, "kernel_h1_grad": 2, "kernel_h2_grad": 2,
+            "kernel_h1_value": 2, "kernel_h2_value": 2, "compute_products": 1,
+        }
+        # start-up: grad f(x0) for the stopping scale, whose U part the
+        # first sweep reuses
+        startup = {name: totals[0][name] - 7 * per_sweep[name] for name in counted}
+        assert startup == dict.fromkeys(counted, 0) | {
+            "grad_U": 1, "grad_V": 1, "compute_products": 1}
