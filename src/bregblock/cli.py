@@ -67,10 +67,27 @@ def _read_config_file(path, solve: argparse.ArgumentParser) -> list[str]:
     return flags
 
 
+def _int_at_least(low: int):
+    """argparse type: an integer no smaller than ``low``."""
+    def parse(raw: str) -> int:
+        value = int(raw)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    parse.__name__ = "int"  # argparse: "invalid int value"
+    return parse
+
+
+_SEED = _int_at_least(0)
+
+
 def _comma_list(kind):
-    """argparse type: a comma-separated list of ``kind`` values."""
+    """argparse type: a nonempty comma-separated list of ``kind`` values."""
     def parse(raw: str) -> list:
-        return [kind(tok) for tok in raw.split(",") if tok.strip()]
+        values = [kind(tok) for tok in raw.split(",") if tok.strip()]
+        if not values:
+            raise argparse.ArgumentTypeError("expected at least one value")
+        return values
     parse.__name__ = f"{kind.__name__} list"  # argparse: "invalid float list value"
     return parse
 
@@ -90,7 +107,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
     p_synth.add_argument("--r", type=int, required=True, help="number of planted communities")
     p_synth.add_argument("--noise", type=float, default=0.0, help="relative noise level")
     p_synth.add_argument("--density", type=float, default=1.0, help="off-community fill-in probability")
-    p_synth.add_argument("--seed", type=int, default=0)
+    p_synth.add_argument("--seed", type=_SEED, default=0)
     p_synth.add_argument("--out", required=True, help="output path for X (MatrixMarket)")
 
     p_solve = sub.add_parser("solve", help="factor a matrix from file")
@@ -100,7 +117,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
                           ("kappa", 0.0), ("rho", 0.9), ("residual-tol", 1e-8), ("stall-tol", 0.0)):
         p_solve.add_argument(f"--{name}", type=float, default=default)
     p_solve.add_argument("--max-iters", type=int, default=5000)
-    p_solve.add_argument("--seed", type=int, default=0)
+    p_solve.add_argument("--seed", type=_SEED, default=0)
     p_solve.add_argument("--symmetrize", action="store_true")
     p_solve.add_argument("--trace-out")
     p_solve.add_argument("--factors-out", help="path prefix; writes <prefix>_U.mtx and <prefix>_V.mtx")
@@ -112,8 +129,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
     p_check = sub.add_parser("check", help="run the verification suite on an instance")
     p_check.add_argument("--input", help="matrix file; omit for a built-in synthetic instance")
     p_check.add_argument("--rank", type=int, default=2)
-    p_check.add_argument("--samples", type=int, default=200)
-    p_check.add_argument("--seed", type=int, default=1)
+    p_check.add_argument("--samples", type=_int_at_least(1), default=200)
+    p_check.add_argument("--seed", type=_SEED, default=1)
 
     p_bench = sub.add_parser("bench", help="kappa x seed grid on one instance")
     p_bench.add_argument("--input", help="matrix file; omit to synthesize")
@@ -121,8 +138,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
     p_bench.add_argument("--m", type=int, default=30)
     p_bench.add_argument("--noise", type=float, default=0.0)
     p_bench.add_argument("--density", type=float, default=1.0)
-    p_bench.add_argument("--instance-seed", dest="instance_seed", type=int, default=7)
-    p_bench.add_argument("--seeds", type=_comma_list(int), default="1,2,3", help="comma-separated init seeds")
+    p_bench.add_argument("--instance-seed", dest="instance_seed", type=_SEED, default=7)
+    p_bench.add_argument("--seeds", type=_comma_list(_SEED), default="1,2,3", help="comma-separated init seeds")
     p_bench.add_argument("--kappas", type=_comma_list(float), default=",".join(str(k) for k in KAPPA_GRID))
     p_bench.add_argument("--max-iters", dest="max_iters", type=int, default=5000)
     p_bench.add_argument("--residual-tol", dest="residual_tol", type=float, default=1e-8)

@@ -200,25 +200,27 @@ def sweep_with_partials(
     x_k: BlockVector,
     x_prev: BlockVector,
     f_grad0: Array,
-) -> tuple[BlockVector, list[float], list[BlockVector], list[tuple[Array, Array]]]:
-    """Cyclic pass over all blocks, keeping every partial iterate.
+) -> tuple[BlockVector, list[float], list[Array]]:
+    """Cyclic pass over all blocks: the new iterate, the gaps and, per
+    block, the subgradient of g_i that its first-order condition exhibits.
 
-    Block i sees the freshest partial iterate for its gradient and model,
-    but the inertial difference is always taken against the lagged full
-    iterate x_prev.  Block i's first-order data, grad_i f and grad_i h_i at
-    its partial iterate, are evaluated once (``f_grad0`` is grad_0 f(x_k),
-    which the caller already has) and serve its subproblem, its gap and
-    (returned) the residual; they are made read-only before the solver
-    sees them.  Returns (x_next, gaps, partials, first_order) where
-    partials has N+1 entries from x_k through x_next and first_order[i] is
-    the pair (grad_i f, grad_i h_i) at partials[i].
+    Block i sees the freshest partial iterate (pre) for its gradient and
+    model, but the inertial difference is always taken against the lagged
+    full iterate x_prev.  grad_i f(pre) and grad_i h_i(pre) are evaluated
+    once (``f_grad0`` is grad_0 f(x_k), which the caller already has) and
+    made read-only before the solver sees them; they serve the subproblem,
+    the gap and, with grad_i h_i at the new partial iterate (post),
+    eta_i = (grad_i h_i(pre) - grad_i h_i(post)) / gamma_i
+            + (alpha_i/gamma_i)(x_k_i - x_prev_i) - grad_i f(pre),
+    an element of the subdifferential of g_i at the new block.  Returns
+    (x_next, gaps, etas).
     """
     cur = x_k
-    partials = [x_k]
     gaps: list[float] = []
-    first_order: list[tuple[Array, Array]] = []
+    etas: list[Array] = []
     for i in range(problem.N):
         kern = problem.kernels[i]
+        ga, al = schedule.gamma[i], schedule.alpha[i]
         gf = f_grad0 if i == 0 else problem.f_block_grad(i, cur)
         gh = kern.block_grad(i, cur)
         gf.setflags(write=False)
@@ -227,10 +229,12 @@ def sweep_with_partials(
         nxt = cur.with_block(i, z)
         # the read-only block of nxt, so the gap's trial point shares it
         gaps.append(block_bregman_distance(kern, i, cur, nxt.block(i), grad=gh))
-        first_order.append((gf, gh))
+        eta = (gh - kern.block_grad(i, nxt)) / ga
+        eta += (al / ga) * (x_k.block(i) - x_prev.block(i))
+        eta -= gf
+        etas.append(eta)
         cur = nxt
-        partials.append(cur)
-    return cur, gaps, partials, first_order
+    return cur, gaps, etas
 
 
 def lyapunov_value(schedule: StepSchedule, phi: float, gaps: Sequence[float]) -> float:
@@ -242,37 +246,17 @@ def lyapunov_value(schedule: StepSchedule, phi: float, gaps: Sequence[float]) ->
 
 
 def stationarity_residual(
-    problem: BlockProblem,
-    schedule: StepSchedule,
-    partials: Sequence[BlockVector],
-    x_k: BlockVector,
-    x_prev: BlockVector,
-    x_next: BlockVector,
-    first_order: Sequence[tuple[Array, Array]],
+    problem: BlockProblem, x_next: BlockVector, etas: Sequence[Array]
 ) -> tuple[float, list[Array]]:
     """Norm of an explicit element of the composite subdifferential at
     x_next, and the block gradients grad_j f(x_next) it is built from.
 
-    The first-order condition of the block-i subproblem exhibits
-    eta_i = (grad_i h_i(pre) - grad_i h_i(post)) / gamma_i
-            + (alpha_i/gamma_i)(x_k_i - x_prev_i) - grad_i f(pre)
-    as a subgradient of g_i at the new block, so stacking
-    grad_i f(x_next) + eta_i over blocks gives a certified residual vector.
-    ``first_order`` holds the sweep's (grad_i f(pre), grad_i h_i(pre))
-    pairs, as ``sweep_with_partials`` returns them.
+    ``etas`` are the subgradients of the g_j at the new blocks that
+    ``sweep_with_partials`` returns, so stacking grad_j f(x_next) + eta_j
+    over blocks gives a certified residual vector.
     """
-    if len(partials) != problem.N + 1:
-        raise ParameterError("partials must contain N+1 iterates from one sweep")
-    parts = []
-    grads = []
-    for j in range(problem.N):
-        gf_pre, gh_pre = first_order[j]
-        ga, al = schedule.gamma[j], schedule.alpha[j]
-        eta = (gh_pre - problem.kernels[j].block_grad(j, partials[j + 1])) / ga
-        eta += (al / ga) * (x_k.block(j) - x_prev.block(j))
-        eta -= gf_pre
-        grads.append(problem.f_block_grad(j, x_next))
-        parts.append(np.ravel(grads[j] + eta))
+    grads = [problem.f_block_grad(j, x_next) for j in range(problem.N)]
+    parts = [np.ravel(gj + eta) for gj, eta in zip(grads, etas, strict=True)]
     return float(np.linalg.norm(np.concatenate(parts))), grads
 
 
@@ -344,12 +328,8 @@ def run(
     x_prev, x = x0, x0
     termination = TERMINATION_MAX_ITERS
     for k in range(int(max_iters)):
-        x_next, gaps, partials, first_order = sweep_with_partials(
-            problem, schedule, x, x_prev, f_grad0
-        )
-        residual, grads = stationarity_residual(
-            problem, schedule, partials, x, x_prev, x_next, first_order
-        )
+        x_next, gaps, etas = sweep_with_partials(problem, schedule, x, x_prev, f_grad0)
+        residual, grads = stationarity_residual(problem, x_next, etas)
         f_grad0 = grads[0]
         phi = phi_value(problem, x_next)
         lyap = lyapunov_value(schedule, phi, gaps)

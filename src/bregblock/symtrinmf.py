@@ -13,14 +13,15 @@ shapes); the objective, gradients, kernels and updates trust them.
 Every m^2 r product lives in :func:`products`: the objective and both
 block gradients are cheap functions of XU, X^T U, U^T X U and G = U^T U
 (X^T U is XU itself when X is exactly symmetric).  ``products`` remembers
-its results on the instance for the last two read-only U arrays it
-computed, keyed by identity; a solver sweep makes one new U, so it pays
-one X-product, and the residual and Lyapunov evaluations reuse it.  The
-generic sweep hands the updates the block gradients it has already
-evaluated, so a sweep computes grad_U once and grad_V twice.  A
-writable U, or a read-only view of a writable array, is never remembered,
-so changing such an array in place always gives fresh products.  A
-read-only array is taken to be immutable, as BlockVector takes it.
+its results on the instance for the last read-only U array it computed,
+keyed by identity; a solver sweep makes one new U, so it pays one
+X-product, and every later evaluation in the sweep, the residual and the
+Lyapunov value reuse it.  The generic sweep hands the updates the block
+gradients it has already evaluated, so a sweep computes grad_U once and
+grad_V twice.  A writable U, or a read-only view of a writable array, is
+never remembered, so changing such an array in place always gives fresh
+products.  A read-only array is taken to be immutable, as BlockVector
+takes it.
 
 The objective uses the trace identity
 f = (||X||^2 - 2 <U^T X U, V> + <G V G, V>) / 2.  Its rounding error is a
@@ -87,7 +88,7 @@ class SymTriInstance:
     sigma2: float = field(init=False)
     norm_X: float = field(init=False)
     symmetric: bool = field(init=False)
-    _memo = ()  # not a field: products() replaces it on the instance
+    _memo = (None, None)  # not a field: products() replaces it on the instance
 
     def __post_init__(self, symmetrize: bool) -> None:
         X = np.array(self.X, dtype=float, copy=True)
@@ -175,15 +176,14 @@ def _memoizable(U: Array) -> bool:
 
 
 def products(inst: SymTriInstance, U: Array) -> tuple[Array, Array, Array, Array]:
-    """compute_products, remembered on the instance for the last two
-    read-only U arrays it computed (matched by identity)."""
+    """compute_products, remembered on the instance for the last read-only
+    U array it computed (matched by identity)."""
     if not _memoizable(U):
         return compute_products(inst, U)
-    for held, out in inst._memo:
-        if held is U:
-            return out
-    out = compute_products(inst, U)
-    object.__setattr__(inst, "_memo", ((U, out),) + inst._memo[:1])
+    held, out = inst._memo
+    if held is not U:
+        out = compute_products(inst, U)
+        object.__setattr__(inst, "_memo", (U, out))
     return out
 
 

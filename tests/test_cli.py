@@ -108,6 +108,13 @@ class TestSynthSolvePipeline:
         assert "need 1 <= r <= m" in capsys.readouterr().err
         assert not (tmp_path / "x.mtx").exists()
 
+    def test_synth_negative_seed_exits_two(self, tmp_path, capsys):
+        assert run_cli("synth", "--m", "5", "--r", "2", "--seed", "-1",
+                       "--out", str(tmp_path / "x.mtx")) == 2
+        err = capsys.readouterr().err
+        assert "argument --seed: must be >= 0" in err and "Traceback" not in err
+        assert not (tmp_path / "x.mtx").exists()
+
     @pytest.mark.parametrize("args", [
         ("solve", "--rank", "3", "--kappa", "1.5"),
         ("solve", "--rank", "3", "--rho", "0"),
@@ -117,6 +124,13 @@ class TestSynthSolvePipeline:
         ("bench", "--kappas", "0,1.5", "--out", "unused.csv"),
         ("bench", "--rho", "2", "--out", "unused.csv"),
         ("bench", "--max-iters", "-1", "--out", "unused.csv"),
+        ("solve", "--rank", "3", "--seed", "-1"),
+        ("bench", "--seeds=-1", "--out", "unused.csv"),
+        ("bench", "--instance-seed", "-1", "--out", "unused.csv"),
+        ("bench", "--seeds", "", "--out", "unused.csv"),
+        ("bench", "--kappas", "", "--out", "unused.csv"),
+        ("check", "--seed", "-1"),
+        ("check", "--samples", "0"),
     ])
     def test_bad_solver_parameters_exit_two_before_reading(self, monkeypatch, args):
         def unreachable(*a, **k):
@@ -160,6 +174,7 @@ class TestConfigFile:
         ("kappa = x", "--kappa"),
         ("timing = maybe", "timing"),
         ("config = other.cfg", "'config'"),
+        ("seed = -1", "--seed"),
     ])
     def test_bad_config_line_exits_two(self, tmp_path, capsys, line, named):
         cfg = tmp_path / "run.cfg"
@@ -189,7 +204,8 @@ class TestConfigFile:
             flag_args = [flag]
             word = {True: "yes", False: "false"}[action.const]
         else:
-            word = {int: "3", float: "0.25", None: "some/path"}[action.type]
+            kind = getattr(action.type, "__name__", None)  # bounded ints are "int" too
+            word = {"int": "3", "float": "0.25", None: "some/path"}[kind]
             flag_args = [flag, word]
         cfg.write_text(f"{action.dest.replace('_', '-')} = {word}\n")
         via_flag = self.parsed(monkeypatch, *flag_args)

@@ -249,7 +249,7 @@ class TestSweep:
         problem = quadratic_problem(rng.standard_normal((6, 4)), rng.standard_normal(6), (4,))
         schedule = derive_schedule(problem.L, problem.sigma, kappa=0.0, rho=0.9)
         x = point(problem.shapes, rng.standard_normal(4))
-        x_next, gaps, _, _ = sweep(problem, schedule, x, x)
+        x_next, gaps, _ = sweep(problem, schedule, x, x)
         expected = flat(x) - schedule.gamma[0] * full_gradient(problem, x)
         assert np.array_equal(flat(x_next), expected)
         assert gaps[0] == pytest.approx(
@@ -266,7 +266,7 @@ class TestSweep:
         problem = quadratic_problem(A, b, (3, 2))
         schedule = derive_schedule(problem.L, problem.sigma, kappa=0.5, rho=0.9)
         x = point(problem.shapes, xstar)
-        x_next, gaps, _, _ = sweep(problem, schedule, x, x)
+        x_next, gaps, _ = sweep(problem, schedule, x, x)
         assert np.allclose(flat(x_next), xstar, atol=1e-12)
         # the three-term Bregman formula carries an absolute cancellation
         # floor of about eps * |h|, so "zero" means 1e-14 here
@@ -282,7 +282,7 @@ class TestSweep:
         U_p, V_p = rng.random((5, 2)), rng.random((2, 2))
         x = stf.pack_factors(inst, U_k, V_k)
         xp = stf.pack_factors(inst, U_p, V_p)
-        x_next, _, _, _ = sweep(problem, schedule, x, xp)
+        x_next, _, _ = sweep(problem, schedule, x, xp)
         U_direct = stf.update_U(inst, schedule.gamma[0], schedule.alpha[0], U_k, U_p, V_k)
         V_direct = stf.update_V(inst, schedule.gamma[1], schedule.alpha[1], U_direct, V_k, V_p)
         assert np.array_equal(x_next.block(0), U_direct)
@@ -316,8 +316,8 @@ class TestStationarityResidual:
         problem = quadratic_problem(A, b, (4,))
         schedule = derive_schedule(problem.L, problem.sigma, kappa=0.0, rho=0.9)
         x = point(problem.shapes, xstar)
-        x_next, gaps, partials, first_order = sweep(problem, schedule, x, x)
-        res, _ = stationarity_residual(problem, schedule, partials, x, x, x_next, first_order)
+        x_next, _, etas = sweep(problem, schedule, x, x)
+        res, _ = stationarity_residual(problem, x_next, etas)
         assert res <= 1e-10
 
     def test_euclidean_gradient_step_value(self):
@@ -327,8 +327,8 @@ class TestStationarityResidual:
         problem = quadratic_problem(rng.standard_normal((5, 4)), rng.standard_normal(5), (4,))
         schedule = derive_schedule(problem.L, problem.sigma, kappa=0.0, rho=0.9)
         x = point(problem.shapes, rng.standard_normal(4))
-        x_next, gaps, partials, first_order = sweep(problem, schedule, x, x)
-        res, _ = stationarity_residual(problem, schedule, partials, x, x, x_next, first_order)
+        x_next, _, etas = sweep(problem, schedule, x, x)
+        res, _ = stationarity_residual(problem, x_next, etas)
         assert res == pytest.approx(float(np.linalg.norm(full_gradient(problem, x_next))), rel=1e-9)
 
     def test_matches_independent_assembly(self):
@@ -337,8 +337,9 @@ class TestStationarityResidual:
         schedule = derive_schedule(problem.L, problem.sigma, kappa=0.4, rho=0.8)
         x = point(problem.shapes, rng.standard_normal(5))
         xp = point(problem.shapes, rng.standard_normal(5))
-        x_next, gaps, partials, first_order = sweep(problem, schedule, x, xp)
-        res, _ = stationarity_residual(problem, schedule, partials, x, xp, x_next, first_order)
+        x_next, _, etas = sweep(problem, schedule, x, xp)
+        res, _ = stationarity_residual(problem, x_next, etas)
+        partials = [x, x.with_block(0, x_next.block(0)), x_next]
         pieces = []
         for j in range(2):
             pre, post = partials[j], partials[j + 1]
@@ -377,9 +378,10 @@ class TestCarriedFirstOrderData:
         schedule = derive_schedule(problem.L, problem.sigma, kappa=0.0, rho=0.9)
         x = point(problem.shapes, rng.standard_normal(4))
         g0 = problem.f_block_grad(0, x)
-        same, _, _, first_order = sweep_with_partials(problem, schedule, x, x, g0)
-        assert first_order[0][0] is g0
-        other, _, _, _ = sweep_with_partials(problem, schedule, x, x, g0 + 1.0)
+        assert g0.flags.writeable
+        same, _, _ = sweep_with_partials(problem, schedule, x, x, g0)
+        assert not g0.flags.writeable  # the sweep used g0 itself, not a copy
+        other, _, _ = sweep_with_partials(problem, schedule, x, x, g0 + 1.0)
         assert not np.array_equal(other.block(0), same.block(0))
 
     @pytest.mark.parametrize("name", ["f_grad", "h_grad"])
