@@ -57,17 +57,22 @@ class BlockVector:
 
 @dataclass(frozen=True)
 class BlockKernel:
-    """One kernel h with its per-block gradient.
+    """One kernel h with its per-block gradient and Bregman distance.
 
     ``sigma`` is the block strong-convexity modulus supplied by the
     application layer.  ``block_grad(i, x)`` returns the gradient of h with
     respect to block i, in the block's shape; kernels may support only
-    their own block.  ``value`` is +inf (or any non-finite value) outside
-    the kernel's domain.
+    their own block.  ``distance(i, x, y_i)`` returns the exact Bregman
+    distance D_h(x | x_i <- y_i, x) along block i, in a form that does not
+    cancel as the two points approach each other; it is not finite (NaN or
+    inf) when a point lies outside the kernel's domain.  ``value`` is +inf
+    (or any non-finite value) outside the domain; only checks and
+    references evaluate it.
     """
 
     value: Callable[[BlockVector], float]
     block_grad: Callable[[int, BlockVector], Array]
+    distance: Callable[[int, BlockVector, Array], float]
     sigma: float
 
     def __post_init__(self) -> None:
@@ -80,12 +85,16 @@ class NonsmoothBlock:
     """Nonsmooth term g_i on one block.
 
     ``value`` returns an extended real (math.inf outside the domain).
-    ``solver`` returns the exact minimizer of the block model and is called
-    as ``solver(problem, schedule, i, x_current, x_prev, f_grad=..., h_grad=...)``;
-    ``run`` needs one on every block.  A sweep passes the keyword arguments
-    f_grad = grad_i f(x_current) and h_grad = grad_i h_i(x_current), which it
-    also uses for the gap and the residual, as read-only arrays; a solver
-    called without them (None) evaluates them itself.  ``project``, a
+    ``solver`` returns the exact minimizer z of the block model and is
+    called as ``solver(problem, schedule, i, x_current, x_prev, f_grad=...,
+    subgradient=...)``; ``run`` needs one on every block.  A sweep passes
+    f_grad = grad_i f(x_current) as a read-only array (a solver called
+    without it, None, evaluates it itself) and subgradient=True, which asks
+    for (z, eta): eta is the element of the subdifferential of g_i at z that
+    the model's first-order condition exhibits,
+        eta = (grad_i h_i(x_current) - grad_i h_i(z)) / gamma_i
+              + (alpha_i/gamma_i)(x_current_i - x_prev_i) - grad_i f(x_current).
+    With subgradient=False (the default) it returns z alone.  ``project``, a
     Euclidean projection onto dom g_i, serves only the projected-gradient
     reference oracle in diagnostics.
     """
@@ -147,28 +156,13 @@ class BlockProblem:
         return tuple(k.sigma for k in self.kernels)
 
 
-def block_bregman_distance(
-    kernel: BlockKernel, i: int, x: BlockVector, y_i: Array, grad: Array | None = None
-) -> float:
-    """Bregman distance from x to (x with block i replaced by y_i).
-
-    Returns h(x | x_i <- y_i) - h(x) - <grad_i h(x), y_i - x_i>, with
-    ``grad`` as grad_i h(x) when given (it is evaluated otherwise).  For
-    block-convex kernels the result is nonnegative; cancellation-level
-    negative roundoff is clamped to zero, anything larger is returned as is.
-    """
-    hx = float(kernel.value(x))
-    hy = float(kernel.value(x.with_block(i, y_i)))
-    if not (math.isfinite(hx) and math.isfinite(hy)):
-        raise DomainError("kernel value is not finite: a point lies outside its domain")
-    if grad is None:
-        grad = kernel.block_grad(i, x)
-    inner = float(np.vdot(grad, y_i - x.block(i)))
-    d = hy - hx - inner
-    if d < 0.0:
-        slack = 1e-12 * (abs(hx) + abs(hy) + abs(inner) + 1.0)
-        if d >= -slack:
-            return 0.0
+def block_bregman_distance(kernel: BlockKernel, i: int, x: BlockVector, y_i: Array) -> float:
+    """Bregman distance from x to (x with block i replaced by y_i):
+    h(x | x_i <- y_i) - h(x) - <grad_i h(x), y_i - x_i>, as the kernel's
+    exact ``distance``.  Raises DomainError when it is not finite."""
+    d = float(kernel.distance(i, x, y_i))
+    if not math.isfinite(d):
+        raise DomainError("Bregman distance is not finite: a point lies outside the kernel's domain")
     return d
 
 

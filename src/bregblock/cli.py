@@ -79,6 +79,7 @@ def _int_at_least(low: int):
 
 
 _SEED = _int_at_least(0)
+_RANK = _int_at_least(1)
 
 
 def _comma_list(kind):
@@ -112,7 +113,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
 
     p_solve = sub.add_parser("solve", help="factor a matrix from file")
     p_solve.add_argument("--input", help="square matrix (MatrixMarket or CSV)")
-    p_solve.add_argument("--rank", type=int, help="factorization rank")
+    p_solve.add_argument("--rank", type=_RANK, help="factorization rank")
     for name, default in (("a1", 6.0), ("b1", 2.0), ("a2", 1.0), ("eps1", 1.0), ("eps2", 1.0),
                           ("kappa", 0.0), ("rho", 0.9), ("residual-tol", 1e-8), ("stall-tol", 0.0)):
         p_solve.add_argument(f"--{name}", type=float, default=default)
@@ -128,13 +129,13 @@ def build_parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
 
     p_check = sub.add_parser("check", help="run the verification suite on an instance")
     p_check.add_argument("--input", help="matrix file; omit for a built-in synthetic instance")
-    p_check.add_argument("--rank", type=int, default=2)
+    p_check.add_argument("--rank", type=_RANK, default=2)
     p_check.add_argument("--samples", type=_int_at_least(1), default=200)
     p_check.add_argument("--seed", type=_SEED, default=1)
 
     p_bench = sub.add_parser("bench", help="kappa x seed grid on one instance")
     p_bench.add_argument("--input", help="matrix file; omit to synthesize")
-    p_bench.add_argument("--rank", type=int, default=3)
+    p_bench.add_argument("--rank", type=_RANK, default=3)
     p_bench.add_argument("--m", type=int, default=30)
     p_bench.add_argument("--noise", type=float, default=0.0)
     p_bench.add_argument("--density", type=float, default=1.0)
@@ -165,6 +166,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         raise ParameterError("solve requires --input and --rank (flags or config file)")
     check_schedule_parameters(args.kappa, args.rho)
     check_run_limits(args.max_iters, args.residual_tol, args.stall_tol)
+    stf.check_kernel_parameters(args.a1, args.b1, args.a2, args.eps1, args.eps2)
     X = mio.read_matrix(args.input)
     inst = stf.SymTriInstance(
         X, args.rank, a1=args.a1, b1=args.b1, a2=args.a2, eps1=args.eps1, eps2=args.eps2,
@@ -198,6 +200,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
 GRAD_CHECK_TOL = 1e-6
 ORACLE_GAP_TOL = 1e-8
 PRODUCT_FORM_TOL = 1e-10
+CLOSED_FORM_TOL = 1e-10
 
 
 def cmd_check(args: argparse.Namespace) -> int:
@@ -231,15 +234,29 @@ def cmd_check(args: argparse.Namespace) -> int:
 
     schedule = derive_schedule((inst.L1, inst.L2), (inst.sigma1, inst.sigma2), kappa=0.5)
     oracle_gap = 0.0
+    eta_gap = 0.0
     for _ in range(3):
-        x = stf.pack_factors(inst, rng.random((inst.m, inst.r)), rng.random((inst.r, inst.r)))
+        # about half the entries of x are 0, so the clamps act and eta_i has
+        # nonzero entries off the support
+        U, V = (rng.random(s) * (rng.random(s) < 0.5) for s in ((inst.m, inst.r), (inst.r, inst.r)))
+        x = stf.pack_factors(inst, U, V)
         x_prev = stf.pack_factors(inst, rng.random((inst.m, inst.r)), rng.random((inst.r, inst.r)))
         for i in (0, 1):
-            closed = problem.g[i].solver(problem, schedule, i, x, x_prev)
+            ga, al = schedule.gamma[i], schedule.alpha[i]
+            closed, eta = problem.g[i].solver(problem, schedule, i, x, x_prev, subgradient=True)
             loose = numeric_subproblem_oracle(problem, schedule, i, x, x_prev)
-            mc = model_value(problem, schedule.gamma[i], schedule.alpha[i], i, x, x_prev, closed)
-            mo = model_value(problem, schedule.gamma[i], schedule.alpha[i], i, x, x_prev, loose)
+            mc = model_value(problem, ga, al, i, x, x_prev, closed)
+            mo = model_value(problem, ga, al, i, x, x_prev, loose)
             oracle_gap = max(oracle_gap, abs(mc - mo))
+            # the first-order condition's subgradient, from kernel gradients
+            terms = (
+                problem.kernels[i].block_grad(i, x) / ga,
+                -problem.kernels[i].block_grad(i, x.with_block(i, closed)) / ga,
+                (al / ga) * (x.block(i) - x_prev.block(i)),
+                -problem.f_block_grad(i, x),
+            )
+            scale = sum(float(np.abs(t).max()) for t in terms) or 1.0
+            eta_gap = max(eta_gap, float(np.abs(eta - sum(terms)).max()) / scale)
 
     payload = {
         "violations": report["violations"],
@@ -247,6 +264,8 @@ def cmd_check(args: argparse.Namespace) -> int:
         "grad_max_rel_err": grad_err,
         "oracle_max_model_gap": oracle_gap,
         "product_form_max_rel_gap": form_gap,
+        "bregman_closed_form_max_rel_gap": report["bregman_max_rel_gap"],
+        "subgradient_max_gap": eta_gap,
     }
     print(json.dumps(payload, indent=2))
     failed = [
@@ -256,6 +275,8 @@ def cmd_check(args: argparse.Namespace) -> int:
             ("grad_max_rel_err", grad_err <= GRAD_CHECK_TOL),
             ("oracle_max_model_gap", oracle_gap <= ORACLE_GAP_TOL),
             ("product_form_max_rel_gap", form_gap <= PRODUCT_FORM_TOL),
+            ("bregman_closed_form_max_rel_gap", report["bregman_max_rel_gap"] <= CLOSED_FORM_TOL),
+            ("subgradient_max_gap", eta_gap <= CLOSED_FORM_TOL),
         )
         if not ok
     ]

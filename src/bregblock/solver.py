@@ -182,16 +182,16 @@ def solve_block_subproblem(
     x_current: BlockVector,
     x_prev: BlockVector,
     f_grad: Array | None = None,
-    h_grad: Array | None = None,
-) -> Array:
+) -> tuple[Array, Array]:
     """Minimize the block-i model with the block's exact solver, handing it
-    grad_i f and grad_i h_i at x_current (None: the solver evaluates them)."""
+    grad_i f at x_current (None: the solver evaluates it).  Returns the
+    minimizer z and the subgradient of g_i at z that the solver exhibits."""
     term = problem.g[i]
-    z = term.solver(problem, schedule, i, x_current, x_prev, f_grad=f_grad, h_grad=h_grad)
+    z, eta = term.solver(problem, schedule, i, x_current, x_prev, f_grad=f_grad, subgradient=True)
     z = np.asarray(z, dtype=float)
     if math.isinf(float(term.value(z))):
         raise ConfigurationError(f"block {i}: subproblem solver returned an infeasible point")
-    return z
+    return z, np.asarray(eta, dtype=float)
 
 
 def sweep_with_partials(
@@ -206,34 +206,23 @@ def sweep_with_partials(
 
     Block i sees the freshest partial iterate (pre) for its gradient and
     model, but the inertial difference is always taken against the lagged
-    full iterate x_prev.  grad_i f(pre) and grad_i h_i(pre) are evaluated
-    once (``f_grad0`` is grad_0 f(x_k), which the caller already has) and
-    made read-only before the solver sees them; they serve the subproblem,
-    the gap and, with grad_i h_i at the new partial iterate (post),
-    eta_i = (grad_i h_i(pre) - grad_i h_i(post)) / gamma_i
-            + (alpha_i/gamma_i)(x_k_i - x_prev_i) - grad_i f(pre),
-    an element of the subdifferential of g_i at the new block.  Returns
+    full iterate x_prev.  grad_i f(pre) is evaluated once (``f_grad0`` is
+    grad_0 f(x_k), which the caller already has) and made read-only before
+    the block solver sees it.  The solver returns the new block with eta_i,
+    and the gap is the kernel's exact distance D_{h_i}(post, pre); the
+    sweep evaluates no kernel value or gradient itself.  Returns
     (x_next, gaps, etas).
     """
     cur = x_k
     gaps: list[float] = []
     etas: list[Array] = []
     for i in range(problem.N):
-        kern = problem.kernels[i]
-        ga, al = schedule.gamma[i], schedule.alpha[i]
         gf = f_grad0 if i == 0 else problem.f_block_grad(i, cur)
-        gh = kern.block_grad(i, cur)
         gf.setflags(write=False)
-        gh.setflags(write=False)
-        z = solve_block_subproblem(problem, schedule, i, cur, x_prev, f_grad=gf, h_grad=gh)
-        nxt = cur.with_block(i, z)
-        # the read-only block of nxt, so the gap's trial point shares it
-        gaps.append(block_bregman_distance(kern, i, cur, nxt.block(i), grad=gh))
-        eta = (gh - kern.block_grad(i, nxt)) / ga
-        eta += (al / ga) * (x_k.block(i) - x_prev.block(i))
-        eta -= gf
+        z, eta = solve_block_subproblem(problem, schedule, i, cur, x_prev, f_grad=gf)
+        gaps.append(block_bregman_distance(problem.kernels[i], i, cur, z))
         etas.append(eta)
-        cur = nxt
+        cur = cur.with_block(i, z)
     return cur, gaps, etas
 
 
@@ -252,12 +241,16 @@ def stationarity_residual(
     x_next, and the block gradients grad_j f(x_next) it is built from.
 
     ``etas`` are the subgradients of the g_j at the new blocks that
-    ``sweep_with_partials`` returns, so stacking grad_j f(x_next) + eta_j
-    over blocks gives a certified residual vector.
+    ``sweep_with_partials`` returns, so the blocks grad_j f(x_next) + eta_j
+    form a certified residual vector; its norm is taken from the per-block
+    squared norms.
     """
     grads = [problem.f_block_grad(j, x_next) for j in range(problem.N)]
-    parts = [np.ravel(gj + eta) for gj, eta in zip(grads, etas, strict=True)]
-    return float(np.linalg.norm(np.concatenate(parts))), grads
+    total = 0.0
+    for gj, eta in zip(grads, etas, strict=True):
+        part = gj + eta
+        total += float(np.vdot(part, part))
+    return math.sqrt(total), grads
 
 
 def check_run_limits(max_iters: int, residual_tol: float, stall_tol: float) -> None:

@@ -23,6 +23,14 @@ never remembered, so changing such an array in place always gives fresh
 products.  A read-only array is taken to be immutable, as BlockVector
 takes it.
 
+The closed forms also certify the sweep.  Each update returns, on
+request, the subgradient its first-order condition exhibits: min(G, 0) /
+gamma1 from the score G the U update clamps, and (eta / gamma2) min(W, 0)
+from the step W the V update clamps.  Each kernel supplies its exact
+Bregman distance as a sum of nonnegative terms (:func:`kernel_h1_distance`,
+:func:`kernel_h2_distance`), so a gap never cancels to rounding noise.  A
+sweep then evaluates one kernel function, the grad_U h1 inside update_U.
+
 The objective uses the trace identity
 f = (||X||^2 - 2 <U^T X U, V> + <G V G, V>) / 2.  Its rounding error is a
 few eps ||X||^2, so below FIT_CANCELLATION ||X||^2 f_value forms the dense
@@ -62,6 +70,14 @@ def _sq_norm(A: Array) -> float:
     return float(np.vdot(A, A))
 
 
+def check_kernel_parameters(a1: float, b1: float, a2: float, eps1: float, eps2: float) -> None:
+    """The checks SymTriInstance makes on its kernel parameters
+    (ParameterError): each must be positive (NaN is not)."""
+    for name, value in (("a1", a1), ("b1", b1), ("a2", a2), ("eps1", eps1), ("eps2", eps2)):
+        if not float(value) > 0:
+            raise ParameterError(f"{name} must be positive, got {value}")
+
+
 @dataclass(frozen=True, eq=False)
 class SymTriInstance:
     """Data matrix with factorization rank and kernel parameters.
@@ -99,9 +115,7 @@ class SymTriInstance:
         m = X.shape[0]
         if not 1 <= int(self.r) <= m:
             raise ParameterError(f"rank must lie in [1, {m}], got {self.r}")
-        for name in ("a1", "b1", "a2", "eps1", "eps2"):
-            if not float(getattr(self, name)) > 0:
-                raise ParameterError(f"{name} must be positive, got {getattr(self, name)}")
+        check_kernel_parameters(self.a1, self.b1, self.a2, self.eps1, self.eps2)
         norm = float(np.linalg.norm(X))
         gap = float(np.linalg.norm(X - X.T))
         if gap > 1e-12 * max(norm, 1e-30):
@@ -239,6 +253,19 @@ def kernel_h1_grad(inst: SymTriInstance, U: Array, V: Array) -> Array:
     return (inst.a1 * u2 * v2 + inst.b1 * (inst.norm_X * math.sqrt(v2) + inst.eps1)) * U
 
 
+def kernel_h1_distance(inst: SymTriInstance, U: Array, V: Array, Y: Array) -> float:
+    """Bregman distance of h1 from (U, V) to (Y, V):
+    A <D, Y + U>^2 + (2 A ||U||^2 + B) ||D||^2 with D = Y - U,
+    A = a1 ||V||^2 / 4 and B = b1 (||X|| ||V|| + eps1) / 2, a sum of
+    nonnegative terms (h1 is A ||U||^4 + B ||U||^2 along U)."""
+    v2 = _sq_norm(V)
+    A = 0.25 * inst.a1 * v2
+    B = 0.5 * inst.b1 * (inst.norm_X * math.sqrt(v2) + inst.eps1)
+    D = Y - U
+    s = float(np.vdot(D, Y + U))
+    return A * s * s + (2.0 * A * _sq_norm(U) + B) * _sq_norm(D)
+
+
 def kernel_h2_value(inst: SymTriInstance, U: Array, V: Array) -> float:
     """(a2/2)(||U||^4 + eps2) ||V||^2."""
     u2 = _sq_norm(U)
@@ -248,6 +275,13 @@ def kernel_h2_value(inst: SymTriInstance, U: Array, V: Array) -> float:
 def kernel_h2_grad(inst: SymTriInstance, U: Array, V: Array) -> Array:
     u2 = _sq_norm(U)
     return inst.a2 * (u2 * u2 + inst.eps2) * V
+
+
+def kernel_h2_distance(inst: SymTriInstance, U: Array, V: Array, W: Array) -> float:
+    """Bregman distance of h2 from (U, V) to (U, W): h2 is quadratic in V,
+    so it is (a2/2)(||U||^4 + eps2) ||W - V||^2."""
+    u2 = _sq_norm(U)
+    return 0.5 * inst.a2 * (u2 * u2 + inst.eps2) * _sq_norm(W - V)
 
 
 def cubic_positive_root(tau1: float, tau2: float) -> float:
@@ -287,8 +321,8 @@ def update_U(
     V_k: Array,
     *,
     f_grad: Array | None = None,
-    h_grad: Array | None = None,
-) -> Array:
+    subgradient: bool = False,
+) -> Array | tuple[Array, Array]:
     """Closed-form minimizer of the block-U model.
 
     Clamp G = grad_U h1(U_k, V_k) - gamma1 grad_U f(U_k, V_k)
@@ -296,21 +330,23 @@ def update_U(
     to P = max(G, 0); the stationarity condition forces
     t = a1 ||U+||^2 ||V_k||^2 + b1 (||X|| ||V_k|| + eps1), which makes t the
     positive root of t^3 - tau1 t^2 - tau2 with tau1 = b1(||X|| ||V_k|| + eps1)
-    and tau2 = a1 ||V_k||^2 ||P||^2, and U+ = P / t.  ``f_grad`` and
-    ``h_grad`` are grad_U f and grad_U h1 at (U_k, V_k) when the caller has
-    them; they are evaluated otherwise.
+    and tau2 = a1 ||V_k||^2 ||P||^2, and U+ = P / t.  ``f_grad`` is
+    grad_U f(U_k, V_k) when the caller has it; it is evaluated otherwise.
+    With ``subgradient`` it returns (U+, eta): since grad_U h1(U+, V_k) = P,
+    the first-order condition exhibits eta = (G - P) / gamma1
+    = min(G, 0) / gamma1 in the normal cone of the orthant at U+.
     """
-    if h_grad is None:
-        h_grad = kernel_h1_grad(inst, U_k, V_k)
     if f_grad is None:
         f_grad = grad_U(inst, U_k, V_k)
-    G = h_grad - gamma1 * f_grad
+    G = kernel_h1_grad(inst, U_k, V_k) - gamma1 * f_grad
     G += alpha1 * (U_k - U_prev)
     P = np.maximum(G, 0.0)
     v2 = _sq_norm(V_k)
     tau1 = inst.b1 * (inst.norm_X * math.sqrt(v2) + inst.eps1)
     tau2 = inst.a1 * v2 * _sq_norm(P)
     t = cubic_positive_root(tau1, tau2)
+    if subgradient:
+        return P / t, np.minimum(G, 0.0) / gamma1
     return P / t
 
 
@@ -323,27 +359,33 @@ def update_V(
     V_prev: Array,
     *,
     f_grad: Array | None = None,
-) -> Array:
+    subgradient: bool = False,
+) -> Array | tuple[Array, Array]:
     """Closed-form minimizer of the block-V model.
 
     The V kernel is quadratic with curvature eta = a2(||U_next||^4 + eps2),
-    so the model minimizer is the clamped step
-    max(V_k + (alpha2 (V_k - V_prev) - gamma2 grad_V f(U_next, V_k)) / eta, 0).
-    ``f_grad`` is grad_V f(U_next, V_k) when the caller has it.
+    so the model minimizer is the clamped step V+ = max(W, 0) with
+    W = V_k + (alpha2 (V_k - V_prev) - gamma2 grad_V f(U_next, V_k)) / eta.
+    ``f_grad`` is grad_V f(U_next, V_k) when the caller has it.  With
+    ``subgradient`` it returns (V+, (eta/gamma2) min(W, 0)), the element of
+    the orthant's normal cone at V+ that the first-order condition exhibits.
     """
     u2 = _sq_norm(U_next)
     eta = inst.a2 * (u2 * u2 + inst.eps2)
     if f_grad is None:
         f_grad = grad_V(inst, U_next, V_k)
     step = alpha2 * (V_k - V_prev) - gamma2 * f_grad
-    return np.maximum(V_k + step / eta, 0.0)
+    W = V_k + step / eta
+    if subgradient:
+        return np.maximum(W, 0.0), (eta / gamma2) * np.minimum(W, 0.0)
+    return np.maximum(W, 0.0)
 
 
 def _own_block_only(i_expected: int, fn):
-    def wrapped(i: int, x: BlockVector):
+    def wrapped(i: int, x: BlockVector, *rest):
         if i != i_expected:
             raise ParameterError(f"kernel exposes only block {i_expected}, asked for {i}")
-        return fn(x)
+        return fn(x, *rest)
 
     return wrapped
 
@@ -364,23 +406,25 @@ def as_block_problem(inst: SymTriInstance) -> BlockProblem:
     kernel1 = BlockKernel(
         value=lambda x: kernel_h1_value(inst, *x.blocks),
         block_grad=_own_block_only(0, lambda x: kernel_h1_grad(inst, *x.blocks)),
+        distance=_own_block_only(0, lambda x, Y: kernel_h1_distance(inst, *x.blocks, Y)),
         sigma=inst.sigma1,
     )
     kernel2 = BlockKernel(
         value=lambda x: kernel_h2_value(inst, *x.blocks),
         block_grad=_own_block_only(1, lambda x: kernel_h2_grad(inst, *x.blocks)),
+        distance=_own_block_only(1, lambda x, W: kernel_h2_distance(inst, *x.blocks, W)),
         sigma=inst.sigma2,
     )
 
-    def u_solver(problem, schedule, i, x_cur, x_prev, f_grad=None, h_grad=None):
+    def u_solver(problem, schedule, i, x_cur, x_prev, f_grad=None, subgradient=False):
         U_k, V_k = x_cur.blocks
         return update_U(inst, schedule.gamma[0], schedule.alpha[0], U_k, x_prev.block(0), V_k,
-                        f_grad=f_grad, h_grad=h_grad)
+                        f_grad=f_grad, subgradient=subgradient)
 
-    def v_solver(problem, schedule, i, x_cur, x_prev, f_grad=None, h_grad=None):
+    def v_solver(problem, schedule, i, x_cur, x_prev, f_grad=None, subgradient=False):
         U_next, V_k = x_cur.blocks
         return update_V(inst, schedule.gamma[1], schedule.alpha[1], U_next, V_k, x_prev.block(1),
-                        f_grad=f_grad)
+                        f_grad=f_grad, subgradient=subgradient)
 
     g = (
         replace(nonnegative_indicator(), solver=u_solver),

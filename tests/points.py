@@ -28,5 +28,6 @@ def squared_norm_kernel():
     return BlockKernel(
         value=lambda x: 0.5 * sum(float(np.vdot(b, b)) for b in x.blocks),
         block_grad=lambda i, x: np.array(x.block(i)),
+        distance=lambda i, x, y_i: 0.5 * float(np.vdot(y_i - x.block(i), y_i - x.block(i))),
         sigma=1.0,
     )

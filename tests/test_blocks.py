@@ -57,8 +57,8 @@ class TestBlockVector:
             x.with_block(2, values)
 
     def test_with_block_shares_a_read_only_block(self):
-        # the sweep hands the gap the new point's block, which must not be
-        # copied a second time; a writable block is still copied
+        # a read-only block is shared, not copied a second time (the
+        # products memo matches U by identity); a writable block is copied
         x = BlockVector((np.zeros(3), np.zeros((2, 2)), np.zeros(1)))
         y = x.with_block(1, np.ones((2, 2)))
         assert not y.block(1).flags.writeable
@@ -94,18 +94,19 @@ class TestBregmanDistance:
         d = block_bregman_distance(squared_norm_kernel(), 0, x, np.array([3.0]))
         assert d == pytest.approx(2.0, abs=0.0)
 
-    def test_given_gradient_is_used(self):
+    def test_kernel_distance_is_used(self):
+        # the distance is the kernel's closed form, with no kernel value or
+        # gradient evaluated
         rng = np.random.default_rng(3)
-        raw = rng.random((4, 4))
-        inst = SymTriInstance(0.5 * (raw + raw.T), 2)
-        problem = stf.as_block_problem(inst)
-        x = BlockVector(tuple(rng.random(s) for s in problem.shapes))
-        for i in range(problem.N):
-            kern, y_i = problem.kernels[i], rng.random(problem.shapes[i])
-            fresh = block_bregman_distance(kern, i, x, y_i)
-            assert block_bregman_distance(kern, i, x, y_i, grad=kern.block_grad(i, x)) == fresh
-            shifted = block_bregman_distance(kern, i, x, y_i, grad=kern.block_grad(i, x) + 1.0)
-            assert shifted != fresh
+        x = BlockVector((rng.random(2), rng.random(3)))
+
+        def unused(*args):
+            raise AssertionError("block_bregman_distance evaluated the kernel")
+
+        kern = BlockKernel(value=unused, block_grad=unused,
+                           distance=lambda i, x, y_i: 0.25 + i, sigma=1.0)
+        for i in range(2):
+            assert block_bregman_distance(kern, i, x, rng.random(x.block(i).shape)) == 0.25 + i
 
     def test_identity_case(self):
         x = BlockVector((np.arange(2.0), np.arange(6.0).reshape(2, 3)))
@@ -155,7 +156,12 @@ class TestBregmanDistance:
             t = float(x.block(0)[0])
             return -math.log(t) if t > 0 else math.inf
 
-        kern = BlockKernel(value=value, block_grad=lambda i, x: -1.0 / x.block(0), sigma=1.0)
+        def distance(i, x, y_i):
+            s, t = float(x.block(0)[0]), float(y_i[0])
+            return t / s - math.log(t / s) - 1.0 if s > 0 and t > 0 else math.inf
+
+        kern = BlockKernel(value=value, block_grad=lambda i, x: -1.0 / x.block(0),
+                           distance=distance, sigma=1.0)
         inside = BlockVector(([1.0],))
         with pytest.raises(DomainError):
             block_bregman_distance(kern, 0, inside, np.array([-1.0]))

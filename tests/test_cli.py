@@ -131,6 +131,12 @@ class TestSynthSolvePipeline:
         ("bench", "--kappas", "", "--out", "unused.csv"),
         ("check", "--seed", "-1"),
         ("check", "--samples", "0"),
+        ("solve", "--rank", "2", "--a1", "0"),
+        ("solve", "--rank", "2", "--b1", "nan"),
+        ("solve", "--rank", "2", "--eps2", "-1"),
+        ("solve", "--rank", "0"),
+        ("check", "--rank", "0"),
+        ("bench", "--rank", "0", "--out", "unused.csv"),
     ])
     def test_bad_solver_parameters_exit_two_before_reading(self, monkeypatch, args):
         def unreachable(*a, **k):
@@ -224,6 +230,8 @@ class TestCheck:
         assert payload["grad_max_rel_err"] <= 1e-6
         assert payload["oracle_max_model_gap"] <= 1e-8
         assert payload["product_form_max_rel_gap"] <= 1e-10
+        assert payload["bregman_closed_form_max_rel_gap"] <= 1e-10
+        assert payload["subgradient_max_gap"] <= 1e-10
 
     def test_failed_check_is_named(self, monkeypatch, capsys):
         dense = stf.dense_fit
@@ -232,6 +240,25 @@ class TestCheck:
         captured = capsys.readouterr()
         assert json.loads(captured.out)["product_form_max_rel_gap"] > 1e-3
         assert "failed checks: product_form_max_rel_gap" in captured.err
+
+    @pytest.mark.parametrize("row", ["bregman_closed_form_max_rel_gap", "subgradient_max_gap"])
+    def test_failed_closed_form_row_is_named(self, monkeypatch, capsys, row):
+        if row == "bregman_closed_form_max_rel_gap":
+            distance = stf.kernel_h1_distance
+            monkeypatch.setattr(stf, "kernel_h1_distance", lambda *a: 1.01 * distance(*a))
+        else:
+            update = stf.update_V
+
+            def shifted(*args, **kwargs):
+                V, eta = update(*args, **kwargs)
+                return V, eta - 1e-3
+
+            monkeypatch.setattr(stf, "update_V", shifted)
+        assert run_cli("check") == 1
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)[row] > 1e-6
+        # a wrong distance also moves the model values the oracle row compares
+        assert row in captured.err.partition("failed checks: ")[2].strip().split(", ")
 
     def test_explicit_instance(self, tmp_path, capsys):
         x_path = tmp_path / "x.mtx"

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -9,10 +10,12 @@ from bregblock import (
     BlockVector,
     ConfigurationError,
     InfeasibleError,
+    IterationRecord,
     NonsmoothBlock,
     ParameterError,
     StepSchedule,
     SymTriInstance,
+    audit_trace,
     block_bregman_distance,
     derive_schedule,
     lyapunov_value,
@@ -35,14 +38,15 @@ from points import flat, point, squared_norm_kernel, zero_term
 def euclidean_step_solver():
     """Exact minimizer of the block model for a Euclidean kernel:
     z = x_i - gamma * grad_i f(x) + alpha * (x_i - x_prev_i), with the
-    sweep's grad_i f(x) when it passes one (h_grad is x_i here, unused)."""
+    sweep's grad_i f(x) when it passes one.  g == 0, so its subgradient is 0."""
 
-    def solver(problem, schedule, i, x_cur, x_prev, f_grad=None, h_grad=None):
+    def solver(problem, schedule, i, x_cur, x_prev, f_grad=None, subgradient=False):
         ga, al = schedule.gamma[i], schedule.alpha[i]
         xi = x_cur.block(i)
         if f_grad is None:
             f_grad = problem.f_block_grad(i, x_cur)
-        return xi - ga * f_grad + al * (xi - x_prev.block(i))
+        z = xi - ga * f_grad + al * (xi - x_prev.block(i))
+        return (z, np.zeros_like(z)) if subgradient else z
 
     return solver
 
@@ -54,31 +58,27 @@ def sweep(problem, schedule, x, x_prev):
 
 def recompute_everything_run(problem, schedule, x0, sweeps):
     """Reference for ``run``: the same sweeps with every gradient evaluated
-    afresh at each use.  The block solvers get no first-order data, each
-    gap and each residual term evaluates its own.  Returns (x_prev,
-    x_final, rows) with one (phi, lyapunov, residual, gaps) row per sweep,
-    the k=0 row holding phi(x0) and ||grad f(x0)||."""
+    afresh at each use.  The block solvers get no first-order data and
+    return their subgradients; each residual term evaluates its own
+    gradient.  Returns (x_prev, x_final, rows) with one (phi, lyapunov,
+    residual, gaps) row per sweep, the k=0 row holding phi(x0) and
+    ||grad f(x0)||."""
     phi0 = phi_value(problem, x0)
     rows = [(phi0, phi0, float(np.linalg.norm(full_gradient(problem, x0))), (0.0,) * problem.N)]
     x_prev, x = x0, x0
     for _ in range(sweeps):
-        cur, partials, gaps = x, [x], []
+        cur, gaps, etas = x, [], []
         for i in range(problem.N):
-            z = np.asarray(problem.g[i].solver(problem, schedule, i, cur, x_prev), dtype=float)
+            z, eta = problem.g[i].solver(problem, schedule, i, cur, x_prev, subgradient=True)
             gaps.append(block_bregman_distance(problem.kernels[i], i, cur, z))
+            etas.append(eta)
             cur = cur.with_block(i, z)
-            partials.append(cur)
-        parts = []
-        for j in range(problem.N):
-            pre, post, kern = partials[j], partials[j + 1], problem.kernels[j]
-            ga, al = schedule.gamma[j], schedule.alpha[j]
-            eta = (kern.block_grad(j, pre) - kern.block_grad(j, post)) / ga
-            eta += (al / ga) * (x.block(j) - x_prev.block(j))
-            eta -= problem.f_block_grad(j, pre)
-            parts.append(np.ravel(problem.f_block_grad(j, cur) + eta))
+        total = 0.0
+        for j, eta in enumerate(etas):
+            part = problem.f_block_grad(j, cur) + eta
+            total += float(np.vdot(part, part))
         phi = phi_value(problem, cur)
-        residual = float(np.linalg.norm(np.concatenate(parts)))
-        rows.append((phi, lyapunov_value(schedule, phi, gaps), residual, tuple(gaps)))
+        rows.append((phi, lyapunov_value(schedule, phi, gaps), math.sqrt(total), tuple(gaps)))
         x_prev, x = x, cur
     return x_prev, x, rows
 
@@ -92,6 +92,55 @@ def assert_run_matches_reference(problem, schedule, x0, sweeps):
         assert a == b, f"sweep {k}: {a} != {b}"  # bitwise: == on floats
     for a, b in zip(result.x_final.blocks + result.x_prev.blocks, x_final.blocks + x_prev.blocks):
         assert a.tobytes() == b.tobytes()
+
+
+def kernel_difference_gap(kern, i, x, y_i):
+    """The gap as a difference of kernel values, h(y) - h(x) - <grad_i h(x),
+    y_i - x_i>, with negative roundoff down to 1e-12 times the terms
+    clamped to 0."""
+    hx = float(kern.value(x))
+    hy = float(kern.value(x.with_block(i, y_i)))
+    inner = float(np.vdot(kern.block_grad(i, x), y_i - x.block(i)))
+    d = hy - hx - inner
+    if -1e-12 * (abs(hx) + abs(hy) + abs(inner) + 1.0) <= d < 0.0:
+        return 0.0
+    return d
+
+
+def kernel_formula_run(problem, schedule, x0, max_iters, residual_tol):
+    """Reference for ``run`` that forms the certificates from kernel
+    evaluations instead of the solvers' subgradients and the kernels'
+    closed-form distances: each gap by ``kernel_difference_gap``, each
+    eta_i = (grad_i h_i(pre) - grad_i h_i(post)) / gamma_i
+            + (alpha_i/gamma_i)(x_k_i - x_prev_i) - grad_i f(pre),
+    the residual as the norm of the concatenated blocks.  It stops by run's
+    residual rule.  Returns (x_final, termination, records)."""
+    norm0 = float(np.linalg.norm(full_gradient(problem, x0)))
+    phi0 = phi_value(problem, x0)
+    rows = [IterationRecord(0, phi0, phi0, norm0, (0.0,) * problem.N, 0.0)]
+    x_prev, x = x0, x0
+    termination = "max_iters"
+    for k in range(1, max_iters + 1):
+        cur, gaps, etas = x, [], []
+        for i in range(problem.N):
+            kern, ga, al = problem.kernels[i], schedule.gamma[i], schedule.alpha[i]
+            z = np.asarray(problem.g[i].solver(problem, schedule, i, cur, x_prev), dtype=float)
+            nxt = cur.with_block(i, z)
+            gaps.append(kernel_difference_gap(kern, i, cur, z))
+            eta = (kern.block_grad(i, cur) - kern.block_grad(i, nxt)) / ga
+            eta += (al / ga) * (x.block(i) - x_prev.block(i))
+            etas.append(eta - problem.f_block_grad(i, cur))
+            cur = nxt
+        parts = [np.ravel(problem.f_block_grad(j, cur) + eta) for j, eta in enumerate(etas)]
+        residual = float(np.linalg.norm(np.concatenate(parts)))
+        phi = phi_value(problem, cur)
+        rows.append(IterationRecord(k, phi, lyapunov_value(schedule, phi, gaps), residual,
+                                    tuple(gaps), 0.0))
+        x_prev, x = x, cur
+        if residual <= residual_tol * (1.0 + norm0):
+            termination = "residual_tol"
+            break
+    return x, termination, rows
 
 
 def quadratic_problem(A, b, dims, exact=True):
@@ -203,10 +252,11 @@ class TestSubproblem:
         schedule = derive_schedule(problem.L, problem.sigma, kappa=0.3, rho=0.9)
         x = point(problem.shapes, rng.standard_normal(4))
         xp = point(problem.shapes, rng.standard_normal(4))
-        z = solve_block_subproblem(problem, schedule, 0, x, xp)
+        z, eta = solve_block_subproblem(problem, schedule, 0, x, xp)
         ga, al = schedule.gamma[0], schedule.alpha[0]
         expected = flat(x) - ga * problem.f_block_grad(0, x) + al * (flat(x) - flat(xp))
         assert np.array_equal(z, expected)
+        assert np.array_equal(eta, np.zeros(4))
 
     def test_no_solver_no_projection(self):
         # run() needs an exact solver on every block and says so before
@@ -236,7 +286,7 @@ class TestSubproblem:
             x = stf.pack_factors(inst, rng.random((4, 2)), rng.random((2, 2)))
             xp = stf.pack_factors(inst, rng.random((4, 2)), rng.random((2, 2)))
             for i in (0, 1):
-                z = solve_block_subproblem(problem, schedule, i, x, xp)
+                z, _ = solve_block_subproblem(problem, schedule, i, x, xp)
                 ga, al = schedule.gamma[i], schedule.alpha[i]
                 m_new = model_value(problem, ga, al, i, x, xp, z)
                 m_old = model_value(problem, ga, al, i, x, xp, x.block(i))
@@ -268,9 +318,9 @@ class TestSweep:
         x = point(problem.shapes, xstar)
         x_next, gaps, _ = sweep(problem, schedule, x, x)
         assert np.allclose(flat(x_next), xstar, atol=1e-12)
-        # the three-term Bregman formula carries an absolute cancellation
-        # floor of about eps * |h|, so "zero" means 1e-14 here
-        assert max(gaps) <= 1e-14
+        # the kernel's closed-form distance does not cancel: the gaps are
+        # of the order of the squared step, not eps * |h|
+        assert max(gaps) <= 1e-26
 
     def test_matches_direct_factor_updates(self):
         rng = np.random.default_rng(5)
@@ -384,10 +434,10 @@ class TestCarriedFirstOrderData:
         other, _, _ = sweep_with_partials(problem, schedule, x, x, g0 + 1.0)
         assert not np.array_equal(other.block(0), same.block(0))
 
-    @pytest.mark.parametrize("name", ["f_grad", "h_grad"])
+    @pytest.mark.parametrize("name", ["f_grad"])
     def test_solver_cannot_write_into_the_carried_gradients(self, name):
-        # the sweep reuses f_grad and h_grad for the gap and the residual,
-        # so a solver that scales them in place must fail, not corrupt them
+        # grad_0 f is carried from the residual into the next sweep, so a
+        # solver that scales it in place must fail, not corrupt it
         rng = np.random.default_rng(33)
         raw = rng.random((6, 6))
         inst = SymTriInstance(0.5 * (raw + raw.T), 2)
@@ -404,6 +454,34 @@ class TestCarriedFirstOrderData:
         x0 = stf.pack_factors(inst, rng.random((6, 2)), rng.random((2, 2)))
         with pytest.raises(ValueError, match="read-only"):
             run(problem, schedule, x0, max_iters=2)
+
+
+class TestClosedFormCertificates:
+    """The solvers' subgradients and the kernels' closed-form distances
+    leave the iterates alone and agree with the certificates formed from
+    kernel evaluations, up to the latter's cancellation."""
+
+    @pytest.mark.parametrize("kappa", [0.0, 0.6])
+    @pytest.mark.parametrize("m, r", [(30, 3), (300, 8)])
+    def test_trace_matches_kernel_formulas(self, m, r, kappa):
+        X, _, _ = synth_instance(m, r, noise_level=0.0, seed=7)
+        inst = SymTriInstance(X, r)
+        problem = stf.as_block_problem(inst)
+        schedule = derive_schedule(problem.L, problem.sigma, kappa=kappa, rho=0.9)
+        x0 = stf.pack_factors(inst, *stf.initial_factors(inst, seed=0))
+        # 1e-2 fires at sweep 827, 2,040 and 1,777 on three of the cases
+        result = run(problem, schedule, x0, max_iters=2100, residual_tol=1e-2)
+        x_final, termination, rows = kernel_formula_run(problem, schedule, x0, 2100, 1e-2)
+        assert result.termination == termination and len(result.trace) == len(rows)
+        for a, b in zip(result.x_final.blocks, x_final.blocks):
+            assert a.tobytes() == b.tobytes()
+        for got, ref in zip(result.trace, rows):
+            assert got.phi == ref.phi
+            assert abs(got.residual_norm - ref.residual_norm) <= 1e-6 * ref.residual_norm
+            for g, h in zip(got.gaps, ref.gaps):
+                assert abs(g - h) <= 1e-9 * (1.0 + abs(ref.lyapunov))
+        assert audit_trace(result.trace, schedule)["passed"]
+        assert audit_trace(rows, schedule)["passed"]
 
 
 class TestRun:
