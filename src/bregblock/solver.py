@@ -16,6 +16,7 @@ import math
 import time
 import warnings
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Sequence
 
 import numpy as np
@@ -349,19 +350,37 @@ def run(
     return SolveResult(x_final=x, x_prev=x_prev, trace=trace, termination=termination)
 
 
+# rows per chunk of the trace JSON, which bounds the lists of numbers and
+# their encodings
+_TRACE_ROWS = 1024
+
+
 def trace_to_json(trace: Sequence[IterationRecord], with_timing: bool = True) -> str:
     """Serialize a trace as a JSON array with keys k, phi, lyapunov,
     residual, gaps, seconds.  ``with_timing=False`` zeroes the seconds field
-    so identical runs serialize byte-identically."""
-    rows = [
-        {
-            "k": r.k,
-            "phi": r.phi,
-            "lyapunov": r.lyapunov,
-            "residual": r.residual_norm,
-            "gaps": list(r.gaps),
-            "seconds": r.elapsed_seconds if with_timing else 0.0,
-        }
-        for r in trace
-    ]
-    return json.dumps(rows, indent=2)
+    so identical runs serialize byte-identically.
+
+    The text is that of ``json.dumps(rows, indent=2)`` with one dict per
+    row, which runs json's pure-Python encoder.  Here the numbers of a run
+    of rows with equally many gaps go through one unindented ``json.dumps``
+    (the C encoder, with the same number formats) and fill a template of
+    that run's layout."""
+    parts = []
+    for start in range(0, len(trace), _TRACE_ROWS):
+        for n_gaps, group in groupby(trace[start:start + _TRACE_ROWS], key=lambda r: len(r.gaps)):
+            group = list(group)
+            numbers = [
+                x
+                for r in group
+                for x in (r.k, r.phi, r.lyapunov, r.residual_norm, *r.gaps,
+                          r.elapsed_seconds if with_timing else 0.0)
+            ]
+            template = ",\n".join([_row_template(n_gaps)] * len(group))
+            parts.append(template % tuple(json.dumps(numbers)[1:-1].split(", ")))
+    return "[\n" + ",\n".join(parts) + "\n]" if parts else "[]"
+
+
+def _row_template(n_gaps: int) -> str:
+    gaps = "[\n" + ",\n".join(["      %s"] * n_gaps) + "\n    ]" if n_gaps else "[]"
+    return ('  {\n    "k": %s,\n    "phi": %s,\n    "lyapunov": %s,\n    "residual": %s,\n'
+            '    "gaps": ' + gaps + ',\n    "seconds": %s\n  }')

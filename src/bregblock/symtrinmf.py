@@ -86,8 +86,9 @@ class SymTriInstance:
     relative-smoothness bounds L1 = max(6/a1, 2/b1) and L2 = 1/a2, the
     strong-convexity moduli sigma1 = b1*eps1 and sigma2 = a2*eps2, the
     cached Frobenius norm of X, and ``symmetric``, whether X equals X^T
-    exactly.  Entries must be finite.  Asymmetric input is accepted with a
-    warning; pass symmetrize=True to replace X by (X + X^T)/2.
+    exactly.  Entries and the norm of X must be finite.  Asymmetric input
+    is accepted with a warning; pass symmetrize=True to replace X by
+    (X + X^T)/2.
     """
 
     X: Array
@@ -117,6 +118,12 @@ class SymTriInstance:
             raise ParameterError(f"rank must lie in [1, {m}], got {self.r}")
         check_kernel_parameters(self.a1, self.b1, self.a2, self.eps1, self.eps2)
         norm = float(np.linalg.norm(X))
+        if not math.isfinite(norm):
+            # then f = ||X - U V U^T||^2 / 2 overflows at every point
+            raise ParameterError(
+                "the Frobenius norm of X overflows; X must be rescaled (for example "
+                "divided by its largest absolute entry) before solving"
+            )
         gap = float(np.linalg.norm(X - X.T))
         if gap > 1e-12 * max(norm, 1e-30):
             warnings.warn(

@@ -11,7 +11,7 @@ import pytest
 from bregblock import cli
 from bregblock import symtrinmf as stf
 from bregblock.cli import main
-from bregblock.io import read_labels, read_matrix
+from bregblock.io import read_labels, read_matrix, synth_instance, write_matrix_market
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -87,6 +87,14 @@ class TestSynthSolvePipeline:
         x_path.write_text("%%MatrixMarket matrix array real general\n2 2\n1\ninf\ninf\n1\n")
         assert run_cli("solve", "--input", str(x_path), "--rank", "1") == 2
         assert "NaN or infinite" in capsys.readouterr().err
+
+    def test_overflowing_norm_exits_two(self, tmp_path, capsys):
+        x_path = tmp_path / "x.mtx"
+        X, _, _ = synth_instance(30, 3, seed=7)
+        write_matrix_market(x_path, X * 1e200)
+        with np.errstate(over="ignore"):
+            assert run_cli("solve", "--input", str(x_path), "--rank", "3") == 2
+        assert "X must be rescaled" in capsys.readouterr().err
 
     def test_missing_input_file_exits_one(self, tmp_path):
         assert run_cli("solve", "--input", str(tmp_path / "nope.mtx"), "--rank", "2") == 1

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from bregblock import ParameterError, SymTriInstance, f_value
+from bregblock import io as mio
 from bregblock import symtrinmf as stf
 from bregblock.io import (
     ParseError,
@@ -451,3 +454,156 @@ class TestRoundTripProperty:
         text = eol.join([header, f"{rows} {cols}", *lines])
         path.write_bytes(text.encode())
         assert same_bits(read_matrix(path, require_square=False), matrix)
+
+
+def read_in_slices(path, chars, **kwargs):
+    """read_matrix with bodies converted ``chars`` characters at a time."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mio, "_CHUNK_CHARS", chars)
+        return read_matrix(path, **kwargs)
+
+
+class TestSlicedBody:
+    """A body converted a few lines at a time reads, and fails, as one read
+    in one piece: the slice boundaries fall on every line in turn."""
+
+    @pytest.mark.parametrize(
+        "text, line, message",
+        [
+            (ARRAY_HEADER + "2 3\n1\n2\n% c\n3\n4\n5\n6x\n", 9, "bad value: '6x'"),
+            (ARRAY_HEADER + "2 3\n1\n2\n3\n% c\n4\n5\n6\n7\n", 10, "expected 6 values, found 7"),
+            (ARRAY_HEADER + "2 3\n1\n2\n3\n4\n% c\n5\n% d\n", 8, "expected 6 values, found 5"),
+            (ARRAY_HEADER + "2 3\n1\nzap\n3\n4\n5\n6\n7\n", 9, "expected 6 values, found 7"),
+            (COORD_HEADER + "% c\n3 3 4\n1 1 1\n2 2 2\n% c\n3 3 3\n1 2 x\n", 8, "bad value: 'x'"),
+            (COORD_HEADER + "% c\n3 3 4\n1 1 1\n2 2 2\n3 3 3\n1 2 3\n% c\n2 1 4\n", 3,
+             "expected 4 entries, found 5"),
+            (COORD_HEADER + "% c\n3 3 4\n1 1 1\n2 2 2\n% c\n3 3 3\n", 3,
+             "expected 4 entries, found 3"),
+            (COORD_HEADER + "% c\n3 3 4\n1 1 1\n2 2 2\n3 3 3\n% c\n3 4 1\n", 8,
+             "index (3, 4) out of range"),
+            (COORD_HEADER + "% c\n3 3 4\n1 1 1\n2 2 2\n3 3 3\n3 1\n", 7,
+             "coordinate entry must be 'i j value'"),
+            ("%%MatrixMarket matrix array real symmetric\n2 2\n1\n2\n% c\n3\n4\n", 7,
+             "expected 3 values, found 4"),
+            ("1,2\n3,4\n5,6\n7,x\n", 4, "not a number: could not convert string to float: 'x'"),
+            ("1,2\n3,4\n\n5,6\n7\n", 5, "expected 2 columns, found 1"),
+        ],
+    )
+    def test_errors_in_a_later_slice(self, tmp_path, text, line, message):
+        path = write_bytes(tmp_path, text, "m.mtx" if text.startswith("%%") else "m.csv")
+        for chars in range(1, len(text) + 2):
+            with pytest.raises(ParseError) as err:
+                read_in_slices(path, chars, require_square=False)
+            assert err.value.line == line
+            assert str(err.value) == f"{path}:{line}: {message}"
+
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            (ARRAY_HEADER + "2 2\n% a\n1\n% b\n  % c\n2\n\n3\n%\n4\n% e\n", [[1, 3], [2, 4]]),
+            ("%%MatrixMarket matrix array real symmetric\n2 2\n% a\n1\n% b\n  % c\n2\n\n%\n3\n%\n",
+             [[1, 2], [2, 3]]),
+            (COORD_HEADER + "% s\n2 2 3\n% a\n1 1 1\n% b\n% c\n2 1 2\n%\n2 2 3\n% d\n",
+             [[1, 0], [2, 3]]),
+        ],
+    )
+    def test_comment_lines_on_both_sides_of_a_boundary(self, tmp_path, text, expected):
+        path = write_bytes(tmp_path, text)
+        for chars in range(1, len(text) + 2):
+            assert same_bits(read_in_slices(path, chars), np.array(expected, dtype=float))
+
+    def test_several_values_on_one_line(self, tmp_path):
+        body = "2 3\n1 2 3 4 5\n6\n"
+        path = write_bytes(tmp_path, ARRAY_HEADER + body)
+        expected = np.array([[1.0, 3.0, 5.0], [2.0, 4.0, 6.0]])
+        for chars in range(1, len(body) + 2):
+            assert same_bits(read_in_slices(path, chars, require_square=False), expected)
+        path = write_bytes(tmp_path, "1, 2,3\n4,5 ,6\n", "m.csv")
+        for chars in range(1, 16):
+            matrix = read_in_slices(path, chars, require_square=False)
+            assert same_bits(matrix, np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(["array", "coordinate", "csv"]), st.booleans(), st.integers(1, 40),
+           st.data())
+    def test_tiny_slices_read_the_default_bits(self, tmp_path_factory, layout, symmetric, chars,
+                                               data):
+        symmetric = symmetric and layout != "csv"
+        rows, cols = data.draw(hnp.array_shapes(min_dims=2, max_dims=2, max_side=6))
+        cols = rows if symmetric else cols
+        matrix = data.draw(hnp.arrays(np.float64, (rows, cols), elements=finite_doubles))
+        gap = st.sampled_from(["", "", "% note", "  "] if layout != "csv" else ["", " "])
+        lines = []
+        if layout == "csv":
+            for row in matrix.tolist():
+                lines += [",".join(map(repr, row)), data.draw(gap)]
+        elif layout == "coordinate":
+            entries = [(i, j) for i in range(rows) for j in range(cols)]
+            picked = data.draw(st.lists(st.sampled_from(entries), max_size=40)) if entries else []
+            for i, j in picked:
+                lines += [f"{i + 1} {j + 1} {float(matrix[i, j])!r}", data.draw(gap)]
+            lines.insert(0, f"{rows} {cols} {len(picked)}")
+        else:
+            if symmetric:
+                stored = [float(matrix[i, j]) for j in range(cols) for i in range(j, rows)]
+            else:
+                stored = matrix.ravel(order="F").tolist()
+            tokens = list(map(repr, stored))
+            while tokens:
+                width = data.draw(st.integers(1, 4))
+                lines += [" ".join(tokens[:width]), data.draw(gap)]
+                del tokens[:width]
+            lines.insert(0, f"{rows} {cols}")
+        if layout != "csv":
+            storage = "symmetric" if symmetric else "general"
+            lines.insert(0, f"%%MatrixMarket matrix {layout} real {storage}")
+        path = tmp_path_factory.mktemp("slices") / ("m.csv" if layout == "csv" else "m.mtx")
+        path.write_text("\n".join(lines) + data.draw(st.sampled_from(["", "\n"])))
+        if layout == "csv" and matrix.size == 0:
+            return
+        whole = read_matrix(path, require_square=False)
+        sliced = read_in_slices(path, chars, require_square=False)
+        assert same_bits(sliced, whole)
+        assert sliced.flags.c_contiguous and sliced.flags.writeable
+
+
+def peak_traced_bytes(fn, *args, **kwargs):
+    tracemalloc.start()
+    try:
+        result = fn(*args, **kwargs)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestReaderMemory:
+    """Reading holds the file's text and the matrix, plus for coordinate
+    files the nnz index and value arrays its fill sorts, and one slice's
+    tokens at a time: never a token object per value of the whole file."""
+
+    @pytest.mark.parametrize("fmt", ["array", "symmetric", "coordinate", "csv"])
+    def test_peak_allocation(self, tmp_path, monkeypatch, fmt):
+        monkeypatch.setattr(mio, "_CHUNK_CHARS", 1 << 14)
+        m = 200
+        X = np.random.default_rng(5).standard_normal((m, m))
+        X += X.T
+        if fmt == "array":
+            write_matrix_market(tmp_path / fmt, X)
+        else:
+            if fmt == "symmetric":
+                body = [f"{m} {m}"] + [repr(float(X[i, j])) for j in range(m) for i in range(j, m)]
+            elif fmt == "coordinate":
+                body = [f"{m} {m} {m * m}"] + [
+                    f"{i + 1} {j + 1} {float(X[i, j])!r}" for i in range(m) for j in range(m)
+                ]
+            else:
+                body = [",".join(map(repr, row)) for row in X.tolist()]
+            header = {"symmetric": "%%MatrixMarket matrix array real symmetric",
+                      "coordinate": COORD_HEADER.strip()}.get(fmt)
+            (tmp_path / fmt).write_text("\n".join(([header] if header else []) + body) + "\n")
+        size = (tmp_path / fmt).stat().st_size
+        matrix, peak = peak_traced_bytes(read_matrix, tmp_path / fmt)
+        assert same_bits(matrix, X)
+        # decoding holds the file's bytes and its text at once: twice the size
+        bound = 2.5 * size + X.nbytes + (96 * X.size if fmt == "coordinate" else 0)
+        assert peak < bound, (peak, bound)

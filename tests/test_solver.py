@@ -593,3 +593,63 @@ class TestRun:
         assert trace_to_json(result.trace, with_timing=False) == trace_to_json(
             result.trace, with_timing=False
         )
+
+
+def indented_trace_json(trace, with_timing=True):
+    """The reference writer: one dict per row through json's indented dump."""
+    rows = [
+        {
+            "k": r.k,
+            "phi": r.phi,
+            "lyapunov": r.lyapunov,
+            "residual": r.residual_norm,
+            "gaps": list(r.gaps),
+            "seconds": r.elapsed_seconds if with_timing else 0.0,
+        }
+        for r in trace
+    ]
+    return json.dumps(rows, indent=2)
+
+
+def trace_rows(gap_counts, seed=0):
+    rng = np.random.default_rng(seed)
+    odd = [math.inf, -math.inf, math.nan, -0.0, 5e-324, 1e300, np.float64(0.1), np.float64(-7.0)]
+    return [
+        IterationRecord(
+            k=k,
+            phi=float(rng.standard_normal()),
+            lyapunov=odd[k % len(odd)],
+            residual_norm=np.float64(rng.random()) if k % 2 else float(rng.random()),
+            gaps=tuple(float(g) for g in rng.random(n)) + ((np.float64(1e-17),) if n > 2 else ()),
+            elapsed_seconds=float(rng.random()),
+        )
+        for k, n in enumerate(gap_counts)
+    ]
+
+
+class TestTraceJson:
+    @pytest.mark.parametrize(
+        "gap_counts",
+        [[], [0], [1], [2], [0, 2, 2, 2], [0, 3, 3], [2, 2, 1, 1, 2], [0, 1, 2, 3, 0, 3]],
+    )
+    @pytest.mark.parametrize("with_timing", [True, False])
+    def test_bytes_of_the_indented_dump(self, gap_counts, with_timing):
+        trace = trace_rows(gap_counts)
+        assert trace_to_json(trace, with_timing) == indented_trace_json(trace, with_timing)
+
+    def test_runs_across_row_chunks(self, monkeypatch):
+        # a change of gap count and the end of a chunk of rows, apart and together
+        from bregblock import solver
+
+        trace = trace_rows([0] + [2] * 10 + [3] * 7 + [2] * 4)
+        for rows in (1, 3, 10, 11, 1024):
+            monkeypatch.setattr(solver, "_TRACE_ROWS", rows)
+            assert trace_to_json(trace) == indented_trace_json(trace)
+        assert json.loads(trace_to_json(trace))[12]["gaps"][3] == 1e-17
+
+    def test_a_solver_trace(self):
+        inst = SymTriInstance(synth_instance(12, 2, seed=3)[0], 2)
+        result, _ = stf.solve_instance(inst, max_iters=1500)
+        for with_timing in (True, False):
+            text = trace_to_json(result.trace, with_timing)
+            assert text == indented_trace_json(result.trace, with_timing)

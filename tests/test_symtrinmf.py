@@ -85,11 +85,16 @@ class TestInstance:
         with pytest.raises(ParameterError, match="NaN or infinite"):
             SymTriInstance(X, 2)
 
-    def test_accepts_huge_finite(self):
-        # ||X|| overflows to inf here, but every entry is finite
+    def test_huge_x_accepted_until_its_norm_overflows(self):
+        inst = SymTriInstance(np.eye(3) * 1e150, 2)
+        assert np.isfinite(inst.X).all() and inst.norm_X == pytest.approx(np.sqrt(3.0) * 1e150)
+        # every entry is finite, but ||X|| overflows to inf, and with it the
+        # objective and initial_factors' V0 = (||X|| / ||U0 U0^T||) I
+        X, _, _ = synth_instance(30, 3, seed=7)
         with np.errstate(over="ignore"):
-            inst = SymTriInstance(np.eye(3) * 1e200, 2)
-        assert np.isfinite(inst.X).all()
+            for huge in (np.eye(3) * 1e200, X * 1e200):
+                with pytest.raises(ParameterError, match="X must be rescaled"):
+                    SymTriInstance(huge, 2)
 
     def test_validation(self):
         with pytest.raises(ParameterError):
