@@ -57,13 +57,13 @@ class BlockVector:
 
 @dataclass(frozen=True)
 class BlockKernel:
-    """One kernel h with its per-block gradient and Bregman distance.
+    """The kernel h_i of one block i, fixed by its place in
+    ``BlockProblem.kernels``.
 
-    ``sigma`` is the block strong-convexity modulus supplied by the
-    application layer.  ``block_grad(i, x)`` returns the gradient of h with
-    respect to block i, in the block's shape; kernels may support only
-    their own block.  ``distance(i, x, y_i)`` returns the exact Bregman
-    distance D_h(x | x_i <- y_i, x) along block i, in a form that does not
+    ``sigma`` is its strong-convexity modulus along block i, supplied by
+    the application layer.  ``block_grad(x)`` returns grad_i h_i(x), in the
+    block's shape.  ``distance(x, y_i)`` returns the exact Bregman distance
+    D_{h_i}(x | x_i <- y_i, x) along block i, in a form that does not
     cancel as the two points approach each other; it is not finite (NaN or
     inf) when a point lies outside the kernel's domain.  ``value`` is +inf
     (or any non-finite value) outside the domain; only checks and
@@ -71,8 +71,8 @@ class BlockKernel:
     """
 
     value: Callable[[BlockVector], float]
-    block_grad: Callable[[int, BlockVector], Array]
-    distance: Callable[[int, BlockVector, Array], float]
+    block_grad: Callable[[BlockVector], Array]
+    distance: Callable[[BlockVector, Array], float]
     sigma: float
 
     def __post_init__(self) -> None:
@@ -85,18 +85,16 @@ class NonsmoothBlock:
     """Nonsmooth term g_i on one block.
 
     ``value`` returns an extended real (math.inf outside the domain).
-    ``solver`` returns the exact minimizer z of the block model and is
-    called as ``solver(problem, schedule, i, x_current, x_prev, f_grad=...,
-    subgradient=...)``; ``run`` needs one on every block.  A sweep passes
-    f_grad = grad_i f(x_current) as a read-only array (a solver called
-    without it, None, evaluates it itself) and subgradient=True, which asks
-    for (z, eta): eta is the element of the subdifferential of g_i at z that
+    ``solver`` is the block's exact subproblem solver; ``run`` needs one on
+    every block.  It is called as ``solver(problem, schedule, i, x_current,
+    x_prev, f_grad=...)`` with f_grad = grad_i f(x_current), which a sweep
+    passes read-only, and returns (z, eta): the exact minimizer z of the
+    block model and the element of the subdifferential of g_i at z that
     the model's first-order condition exhibits,
         eta = (grad_i h_i(x_current) - grad_i h_i(z)) / gamma_i
               + (alpha_i/gamma_i)(x_current_i - x_prev_i) - grad_i f(x_current).
-    With subgradient=False (the default) it returns z alone.  ``project``, a
-    Euclidean projection onto dom g_i, serves only the projected-gradient
-    reference oracle in diagnostics.
+    ``project``, a Euclidean projection onto dom g_i, serves only the
+    projected-gradient reference oracle in diagnostics.
     """
 
     value: Callable[[Array], float]
@@ -156,11 +154,12 @@ class BlockProblem:
         return tuple(k.sigma for k in self.kernels)
 
 
-def block_bregman_distance(kernel: BlockKernel, i: int, x: BlockVector, y_i: Array) -> float:
-    """Bregman distance from x to (x with block i replaced by y_i):
-    h(x | x_i <- y_i) - h(x) - <grad_i h(x), y_i - x_i>, as the kernel's
-    exact ``distance``.  Raises DomainError when it is not finite."""
-    d = float(kernel.distance(i, x, y_i))
+def block_bregman_distance(kernel: BlockKernel, x: BlockVector, y_i: Array) -> float:
+    """Bregman distance of the kernel of block i from x to (x with block i
+    replaced by y_i): h_i(x | x_i <- y_i) - h_i(x) - <grad_i h_i(x), y_i - x_i>,
+    as the kernel's exact ``distance``.  Raises DomainError when it is not
+    finite."""
+    d = float(kernel.distance(x, y_i))
     if not math.isfinite(d):
         raise DomainError("Bregman distance is not finite: a point lies outside the kernel's domain")
     return d
@@ -199,7 +198,7 @@ def model_value(
     xi = x_k.block(i)
     step = problem.f_block_grad(i, x_k) - (alpha / gamma) * (xi - x_prev.block(i))
     lin = float(np.vdot(step, z - xi))
-    breg = block_bregman_distance(problem.kernels[i], i, x_k, z)
+    breg = block_bregman_distance(problem.kernels[i], x_k, z)
     return lin + breg / gamma + gz
 
 

@@ -206,11 +206,9 @@ CLOSED_FORM_TOL = 1e-10
 def cmd_check(args: argparse.Namespace) -> int:
     if args.input:
         X = mio.read_matrix(args.input)
-        rank = args.rank
     else:
         X, _, _ = mio.synth_instance(m=8, r=2, noise_level=0.25, density=1.0, seed=args.seed)
-        rank = args.rank
-    inst = stf.SymTriInstance(X, rank)
+    inst = stf.SymTriInstance(X, args.rank)
     problem = stf.as_block_problem(inst)
     rng = np.random.default_rng(args.seed)
 
@@ -230,7 +228,7 @@ def cmd_check(args: argparse.Namespace) -> int:
             grad_err = max(grad_err, _rel_err(analytic, fd))
         for i, kern in enumerate(problem.kernels):
             fd = finite_difference_block_grad(kern.value, i, x, step=1e-5)
-            grad_err = max(grad_err, _rel_err(kern.block_grad(i, x), fd))
+            grad_err = max(grad_err, _rel_err(kern.block_grad(x), fd))
 
     schedule = derive_schedule((inst.L1, inst.L2), (inst.sigma1, inst.sigma2), kappa=0.5)
     oracle_gap = 0.0
@@ -243,17 +241,20 @@ def cmd_check(args: argparse.Namespace) -> int:
         x_prev = stf.pack_factors(inst, rng.random((inst.m, inst.r)), rng.random((inst.r, inst.r)))
         for i in (0, 1):
             ga, al = schedule.gamma[i], schedule.alpha[i]
-            closed, eta = problem.g[i].solver(problem, schedule, i, x, x_prev, subgradient=True)
+            # read-only, as a sweep passes it, since the reference reuses it
+            gf = problem.f_block_grad(i, x)
+            gf.setflags(write=False)
+            closed, eta = problem.g[i].solver(problem, schedule, i, x, x_prev, f_grad=gf)
             loose = numeric_subproblem_oracle(problem, schedule, i, x, x_prev)
             mc = model_value(problem, ga, al, i, x, x_prev, closed)
             mo = model_value(problem, ga, al, i, x, x_prev, loose)
             oracle_gap = max(oracle_gap, abs(mc - mo))
             # the first-order condition's subgradient, from kernel gradients
             terms = (
-                problem.kernels[i].block_grad(i, x) / ga,
-                -problem.kernels[i].block_grad(i, x.with_block(i, closed)) / ga,
+                problem.kernels[i].block_grad(x) / ga,
+                -problem.kernels[i].block_grad(x.with_block(i, closed)) / ga,
                 (al / ga) * (x.block(i) - x_prev.block(i)),
-                -problem.f_block_grad(i, x),
+                -gf,
             )
             scale = sum(float(np.abs(t).max()) for t in terms) or 1.0
             eta_gap = max(eta_gap, float(np.abs(eta - sum(terms)).max()) / scale)

@@ -107,14 +107,14 @@ def verify_relative_smoothness(
         kern = problem.kernels[i]
 
         gx = problem.f_block_grad(i, x)
-        breg = block_bregman_distance(kern, i, x, y_i)
+        breg = block_bregman_distance(kern, x, y_i)
         descent_gap = float(problem.f_value(y)) - (
             float(problem.f_value(x)) + float(np.vdot(gx, diff)) + Li * breg
         )
 
         gy = problem.f_block_grad(i, y)
-        hx = kern.block_grad(i, x)
-        hy = kern.block_grad(i, y)
+        hx = kern.block_grad(x)
+        hy = kern.block_grad(y)
         mono_gap = float(np.vdot(gx - gy, -diff)) - Li * float(np.vdot(hx - hy, -diff))
 
         terms = (float(kern.value(y)), -float(kern.value(x)), -float(np.vdot(hx, diff)))
@@ -152,10 +152,10 @@ def numeric_subproblem_oracle(
     kern = problem.kernels[i]
     xi = np.array(x.block(i))
     drift = problem.f_block_grad(i, x) - (alpha / gamma) * (xi - x_prev.block(i))
-    gh_at_x = kern.block_grad(i, x)
+    gh_at_x = kern.block_grad(x)
 
     def smooth_grad(z: Array) -> Array:
-        return drift + (kern.block_grad(i, x.with_block(i, z)) - gh_at_x) / gamma
+        return drift + (kern.block_grad(x.with_block(i, z)) - gh_at_x) / gamma
 
     def value(z: Array) -> float:
         # projected iterates are feasible, so g contributes exactly zero

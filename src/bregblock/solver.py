@@ -33,8 +33,8 @@ from .blocks import (
 
 
 class ConfigurationError(RuntimeError):
-    """A block has no exact subproblem solver, or its solver returned an
-    infeasible point."""
+    """A block has no exact subproblem solver, or its solver returned
+    something other than a feasible (z, eta) pair in the block's shape."""
 
 
 class InfeasibleError(ValueError):
@@ -182,17 +182,27 @@ def solve_block_subproblem(
     i: int,
     x_current: BlockVector,
     x_prev: BlockVector,
-    f_grad: Array | None = None,
+    *,
+    f_grad: Array,
 ) -> tuple[Array, Array]:
     """Minimize the block-i model with the block's exact solver, handing it
-    grad_i f at x_current (None: the solver evaluates it).  Returns the
-    minimizer z and the subgradient of g_i at z that the solver exhibits."""
+    f_grad = grad_i f(x_current).  Returns the minimizer z and the
+    subgradient of g_i at z that the solver exhibits, after checking that
+    the solver returned a pair of arrays in the block's shape and a
+    feasible z (ConfigurationError)."""
     term = problem.g[i]
-    z, eta = term.solver(problem, schedule, i, x_current, x_prev, f_grad=f_grad, subgradient=True)
-    z = np.asarray(z, dtype=float)
+    out = term.solver(problem, schedule, i, x_current, x_prev, f_grad=f_grad)
+    if not (isinstance(out, tuple) and len(out) == 2):
+        raise ConfigurationError(f"block {i}: subproblem solver must return a (z, eta) pair")
+    z, eta = (np.asarray(a, dtype=float) for a in out)
+    if z.shape != problem.shapes[i] or eta.shape != problem.shapes[i]:
+        raise ConfigurationError(
+            f"block {i}: subproblem solver returned z of shape {z.shape} and eta of shape "
+            f"{eta.shape}, expected {problem.shapes[i]}"
+        )
     if math.isinf(float(term.value(z))):
         raise ConfigurationError(f"block {i}: subproblem solver returned an infeasible point")
-    return z, np.asarray(eta, dtype=float)
+    return z, eta
 
 
 def sweep_with_partials(
@@ -221,7 +231,7 @@ def sweep_with_partials(
         gf = f_grad0 if i == 0 else problem.f_block_grad(i, cur)
         gf.setflags(write=False)
         z, eta = solve_block_subproblem(problem, schedule, i, cur, x_prev, f_grad=gf)
-        gaps.append(block_bregman_distance(problem.kernels[i], i, cur, z))
+        gaps.append(block_bregman_distance(problem.kernels[i], cur, z))
         etas.append(eta)
         cur = cur.with_block(i, z)
     return cur, gaps, etas

@@ -23,13 +23,14 @@ never remembered, so changing such an array in place always gives fresh
 products.  A read-only array is taken to be immutable, as BlockVector
 takes it.
 
-The closed forms also certify the sweep.  Each update returns, on
-request, the subgradient its first-order condition exhibits: min(G, 0) /
-gamma1 from the score G the U update clamps, and (eta / gamma2) min(W, 0)
-from the step W the V update clamps.  Each kernel supplies its exact
-Bregman distance as a sum of nonnegative terms (:func:`kernel_h1_distance`,
-:func:`kernel_h2_distance`), so a gap never cancels to rounding noise.  A
-sweep then evaluates one kernel function, the grad_U h1 inside update_U.
+The closed forms also certify the sweep.  Each update takes its block
+gradient of f and returns, with the new block, the subgradient its
+first-order condition exhibits: min(G, 0) / gamma1 from the score G the U
+update clamps, and (eta / gamma2) min(W, 0) from the step W the V update
+clamps.  Each kernel supplies its exact Bregman distance as a sum of
+nonnegative terms (:func:`kernel_h1_distance`, :func:`kernel_h2_distance`),
+so a gap never cancels to rounding noise.  A sweep then evaluates one
+kernel function, the grad_U h1 inside update_U.
 
 The objective uses the trace identity
 f = (||X||^2 - 2 <U^T X U, V> + <G V G, V>) / 2.  Its rounding error is a
@@ -327,24 +328,19 @@ def update_U(
     U_prev: Array,
     V_k: Array,
     *,
-    f_grad: Array | None = None,
-    subgradient: bool = False,
-) -> Array | tuple[Array, Array]:
-    """Closed-form minimizer of the block-U model.
+    f_grad: Array,
+) -> tuple[Array, Array]:
+    """Closed-form minimizer of the block-U model, with its subgradient.
 
-    Clamp G = grad_U h1(U_k, V_k) - gamma1 grad_U f(U_k, V_k)
-              + alpha1 (U_k - U_prev)
-    to P = max(G, 0); the stationarity condition forces
-    t = a1 ||U+||^2 ||V_k||^2 + b1 (||X|| ||V_k|| + eps1), which makes t the
-    positive root of t^3 - tau1 t^2 - tau2 with tau1 = b1(||X|| ||V_k|| + eps1)
-    and tau2 = a1 ||V_k||^2 ||P||^2, and U+ = P / t.  ``f_grad`` is
-    grad_U f(U_k, V_k) when the caller has it; it is evaluated otherwise.
-    With ``subgradient`` it returns (U+, eta): since grad_U h1(U+, V_k) = P,
-    the first-order condition exhibits eta = (G - P) / gamma1
-    = min(G, 0) / gamma1 in the normal cone of the orthant at U+.
+    Clamp G = grad_U h1(U_k, V_k) - gamma1 f_grad + alpha1 (U_k - U_prev),
+    f_grad = grad_U f(U_k, V_k), to P = max(G, 0); the stationarity
+    condition forces t = a1 ||U+||^2 ||V_k||^2 + b1 (||X|| ||V_k|| + eps1),
+    which makes t the positive root of t^3 - tau1 t^2 - tau2 with
+    tau1 = b1(||X|| ||V_k|| + eps1) and tau2 = a1 ||V_k||^2 ||P||^2, and
+    U+ = P / t.  Returns (U+, eta): since grad_U h1(U+, V_k) = P, the
+    first-order condition exhibits eta = (G - P) / gamma1 = min(G, 0) / gamma1
+    in the normal cone of the orthant at U+.
     """
-    if f_grad is None:
-        f_grad = grad_U(inst, U_k, V_k)
     G = kernel_h1_grad(inst, U_k, V_k) - gamma1 * f_grad
     G += alpha1 * (U_k - U_prev)
     P = np.maximum(G, 0.0)
@@ -352,9 +348,7 @@ def update_U(
     tau1 = inst.b1 * (inst.norm_X * math.sqrt(v2) + inst.eps1)
     tau2 = inst.a1 * v2 * _sq_norm(P)
     t = cubic_positive_root(tau1, tau2)
-    if subgradient:
-        return P / t, np.minimum(G, 0.0) / gamma1
-    return P / t
+    return P / t, np.minimum(G, 0.0) / gamma1
 
 
 def update_V(
@@ -365,36 +359,22 @@ def update_V(
     V_k: Array,
     V_prev: Array,
     *,
-    f_grad: Array | None = None,
-    subgradient: bool = False,
-) -> Array | tuple[Array, Array]:
-    """Closed-form minimizer of the block-V model.
+    f_grad: Array,
+) -> tuple[Array, Array]:
+    """Closed-form minimizer of the block-V model, with its subgradient.
 
     The V kernel is quadratic with curvature eta = a2(||U_next||^4 + eps2),
     so the model minimizer is the clamped step V+ = max(W, 0) with
-    W = V_k + (alpha2 (V_k - V_prev) - gamma2 grad_V f(U_next, V_k)) / eta.
-    ``f_grad`` is grad_V f(U_next, V_k) when the caller has it.  With
-    ``subgradient`` it returns (V+, (eta/gamma2) min(W, 0)), the element of
-    the orthant's normal cone at V+ that the first-order condition exhibits.
+    W = V_k + (alpha2 (V_k - V_prev) - gamma2 f_grad) / eta,
+    f_grad = grad_V f(U_next, V_k).  Returns (V+, (eta/gamma2) min(W, 0)),
+    the element of the orthant's normal cone at V+ that the first-order
+    condition exhibits.
     """
     u2 = _sq_norm(U_next)
     eta = inst.a2 * (u2 * u2 + inst.eps2)
-    if f_grad is None:
-        f_grad = grad_V(inst, U_next, V_k)
     step = alpha2 * (V_k - V_prev) - gamma2 * f_grad
     W = V_k + step / eta
-    if subgradient:
-        return np.maximum(W, 0.0), (eta / gamma2) * np.minimum(W, 0.0)
-    return np.maximum(W, 0.0)
-
-
-def _own_block_only(i_expected: int, fn):
-    def wrapped(i: int, x: BlockVector, *rest):
-        if i != i_expected:
-            raise ParameterError(f"kernel exposes only block {i_expected}, asked for {i}")
-        return fn(x, *rest)
-
-    return wrapped
+    return np.maximum(W, 0.0), (eta / gamma2) * np.minimum(W, 0.0)
 
 
 def as_block_problem(inst: SymTriInstance) -> BlockProblem:
@@ -412,26 +392,26 @@ def as_block_problem(inst: SymTriInstance) -> BlockProblem:
 
     kernel1 = BlockKernel(
         value=lambda x: kernel_h1_value(inst, *x.blocks),
-        block_grad=_own_block_only(0, lambda x: kernel_h1_grad(inst, *x.blocks)),
-        distance=_own_block_only(0, lambda x, Y: kernel_h1_distance(inst, *x.blocks, Y)),
+        block_grad=lambda x: kernel_h1_grad(inst, *x.blocks),
+        distance=lambda x, Y: kernel_h1_distance(inst, *x.blocks, Y),
         sigma=inst.sigma1,
     )
     kernel2 = BlockKernel(
         value=lambda x: kernel_h2_value(inst, *x.blocks),
-        block_grad=_own_block_only(1, lambda x: kernel_h2_grad(inst, *x.blocks)),
-        distance=_own_block_only(1, lambda x, W: kernel_h2_distance(inst, *x.blocks, W)),
+        block_grad=lambda x: kernel_h2_grad(inst, *x.blocks),
+        distance=lambda x, W: kernel_h2_distance(inst, *x.blocks, W),
         sigma=inst.sigma2,
     )
 
-    def u_solver(problem, schedule, i, x_cur, x_prev, f_grad=None, subgradient=False):
+    def u_solver(problem, schedule, i, x_cur, x_prev, f_grad):
         U_k, V_k = x_cur.blocks
         return update_U(inst, schedule.gamma[0], schedule.alpha[0], U_k, x_prev.block(0), V_k,
-                        f_grad=f_grad, subgradient=subgradient)
+                        f_grad=f_grad)
 
-    def v_solver(problem, schedule, i, x_cur, x_prev, f_grad=None, subgradient=False):
+    def v_solver(problem, schedule, i, x_cur, x_prev, f_grad):
         U_next, V_k = x_cur.blocks
         return update_V(inst, schedule.gamma[1], schedule.alpha[1], U_next, V_k, x_prev.block(1),
-                        f_grad=f_grad, subgradient=subgradient)
+                        f_grad=f_grad)
 
     g = (
         replace(nonnegative_indicator(), solver=u_solver),

@@ -23,11 +23,11 @@ def zero_term():
     return NonsmoothBlock(value=lambda z: 0.0, project=lambda z: np.asarray(z, dtype=float))
 
 
-def squared_norm_kernel():
-    """The Euclidean kernel h(x) = ||x||^2 / 2 (modulus 1 on every block)."""
+def squared_norm_kernel(i):
+    """The Euclidean kernel h_i(x) = ||x_i||^2 / 2 of block i (modulus 1)."""
     return BlockKernel(
-        value=lambda x: 0.5 * sum(float(np.vdot(b, b)) for b in x.blocks),
-        block_grad=lambda i, x: np.array(x.block(i)),
-        distance=lambda i, x, y_i: 0.5 * float(np.vdot(y_i - x.block(i), y_i - x.block(i))),
+        value=lambda x: 0.5 * float(np.vdot(x.block(i), x.block(i))),
+        block_grad=lambda x: np.array(x.block(i)),
+        distance=lambda x, y_i: 0.5 * float(np.vdot(y_i - x.block(i), y_i - x.block(i))),
         sigma=1.0,
     )

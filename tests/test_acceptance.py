@@ -65,7 +65,8 @@ def test_criterion_1_closed_form_matches_oracle():
             x = stf.pack_factors(inst, rng.random((5, 2)), rng.random((2, 2)))
             xp = stf.pack_factors(inst, rng.random((5, 2)), rng.random((2, 2)))
             for i in (0, 1):
-                closed = problem.g[i].solver(problem, sched, i, x, xp)
+                closed, _ = problem.g[i].solver(problem, sched, i, x, xp,
+                                                f_grad=problem.f_block_grad(i, x))
                 oracle = numeric_subproblem_oracle(problem, sched, i, x, xp)
                 ga, al = sched.gamma[i], sched.alpha[i]
                 gap = abs(
@@ -151,8 +152,8 @@ def test_criterion_4_gradient_correctness():
         checks = [
             (stf.grad_U(inst, U, V), problem.f_value, 0),
             (stf.grad_V(inst, U, V), problem.f_value, 1),
-            (np.asarray(problem.kernels[0].block_grad(0, x)), problem.kernels[0].value, 0),
-            (np.asarray(problem.kernels[1].block_grad(1, x)), problem.kernels[1].value, 1),
+            (np.asarray(problem.kernels[0].block_grad(x)), problem.kernels[0].value, 0),
+            (np.asarray(problem.kernels[1].block_grad(x)), problem.kernels[1].value, 1),
         ]
         for analytic, func, i in checks:
             fd = finite_difference_block_grad(func, i, x, step=1e-5)
@@ -270,8 +271,10 @@ def test_criterion_7_inertia_reduction_and_engine_equivalence():
     U_prev, V_prev = U0, V0
     phis = [stf.f_value(inst, U, V)]
     for _ in range(80):
-        U_next = update_U(inst, sched.gamma[0], sched.alpha[0], U, U_prev, V)
-        V_next = update_V(inst, sched.gamma[1], sched.alpha[1], U_next, V, V_prev)
+        U_next, _ = update_U(inst, sched.gamma[0], sched.alpha[0], U, U_prev, V,
+                             f_grad=stf.grad_U(inst, U, V))
+        V_next, _ = update_V(inst, sched.gamma[1], sched.alpha[1], U_next, V, V_prev,
+                             f_grad=stf.grad_V(inst, U_next, V))
         U_prev, V_prev = U, V
         U, V = U_next, V_next
         phis.append(stf.f_value(inst, U, V))

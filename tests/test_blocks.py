@@ -29,7 +29,7 @@ def linear_problem(shapes, c, g=None):
         shapes=shapes,
         f_value=lambda x: float(np.dot(c, flat(x))),
         f_block_grad=lambda i, x: point(shapes, c).block(i).copy(),
-        kernels=tuple(squared_norm_kernel() for _ in range(N)),
+        kernels=tuple(squared_norm_kernel(i) for i in range(N)),
         L=tuple(1.0 for _ in range(N)),
         g=tuple(g if g is not None else zero_term() for _ in range(N)),
     )
@@ -91,7 +91,7 @@ class TestBlockVector:
 class TestBregmanDistance:
     def test_quadratic_kernel(self):
         x = BlockVector(([1.0],))
-        d = block_bregman_distance(squared_norm_kernel(), 0, x, np.array([3.0]))
+        d = block_bregman_distance(squared_norm_kernel(0), x, np.array([3.0]))
         assert d == pytest.approx(2.0, abs=0.0)
 
     def test_kernel_distance_is_used(self):
@@ -103,16 +103,15 @@ class TestBregmanDistance:
         def unused(*args):
             raise AssertionError("block_bregman_distance evaluated the kernel")
 
-        kern = BlockKernel(value=unused, block_grad=unused,
-                           distance=lambda i, x, y_i: 0.25 + i, sigma=1.0)
         for i in range(2):
-            assert block_bregman_distance(kern, i, x, rng.random(x.block(i).shape)) == 0.25 + i
+            kern = BlockKernel(value=unused, block_grad=unused,
+                               distance=lambda x, y_i: 0.25 + i, sigma=1.0)
+            assert block_bregman_distance(kern, x, rng.random(x.block(i).shape)) == 0.25 + i
 
     def test_identity_case(self):
         x = BlockVector((np.arange(2.0), np.arange(6.0).reshape(2, 3)))
-        for kern in (squared_norm_kernel(),):
-            for i in range(2):
-                assert block_bregman_distance(kern, i, x, x.block(i)) == 0.0
+        for i in range(2):
+            assert block_bregman_distance(squared_norm_kernel(i), x, x.block(i)) == 0.0
 
     def test_tri_factorization_kernel_value(self):
         # h1 with a1=6, b1=2, eps1=1, X=0, scalar factors: distance from
@@ -120,7 +119,7 @@ class TestBregmanDistance:
         inst = SymTriInstance(np.zeros((1, 1)), 1)
         problem = stf.as_block_problem(inst)
         x = stf.pack_factors(inst, np.array([[0.0]]), np.array([[1.0]]))
-        d = block_bregman_distance(problem.kernels[0], 0, x, np.array([[1.0]]))
+        d = block_bregman_distance(problem.kernels[0], x, np.array([[1.0]]))
         assert d == pytest.approx(2.5, rel=1e-15)
 
     def test_nonnegative_on_samples(self):
@@ -133,7 +132,7 @@ class TestBregmanDistance:
             x = BlockVector(tuple(rng.random(s) * scale for s in problem.shapes))
             for i in range(problem.N):
                 y_i = rng.random(problem.shapes[i])
-                assert block_bregman_distance(problem.kernels[i], i, x, y_i) >= 0.0
+                assert block_bregman_distance(problem.kernels[i], x, y_i) >= 0.0
 
     def test_strong_convexity_lower_bound(self):
         # strictly (indeed strongly) convex kernels separate distinct points
@@ -146,7 +145,7 @@ class TestBregmanDistance:
             for i in range(problem.N):
                 y_i = rng.random(problem.shapes[i])
                 diff = float(np.linalg.norm(y_i - x.block(i)))
-                d = block_bregman_distance(problem.kernels[i], i, x, y_i)
+                d = block_bregman_distance(problem.kernels[i], x, y_i)
                 sigma = problem.kernels[i].sigma
                 assert d >= 0.5 * sigma * diff**2 * (1.0 - 1e-9) - 1e-15
 
@@ -156,17 +155,17 @@ class TestBregmanDistance:
             t = float(x.block(0)[0])
             return -math.log(t) if t > 0 else math.inf
 
-        def distance(i, x, y_i):
+        def distance(x, y_i):
             s, t = float(x.block(0)[0]), float(y_i[0])
             return t / s - math.log(t / s) - 1.0 if s > 0 and t > 0 else math.inf
 
-        kern = BlockKernel(value=value, block_grad=lambda i, x: -1.0 / x.block(0),
+        kern = BlockKernel(value=value, block_grad=lambda x: -1.0 / x.block(0),
                            distance=distance, sigma=1.0)
         inside = BlockVector(([1.0],))
         with pytest.raises(DomainError):
-            block_bregman_distance(kern, 0, inside, np.array([-1.0]))
+            block_bregman_distance(kern, inside, np.array([-1.0]))
         with pytest.raises(DomainError):
-            block_bregman_distance(kern, 0, BlockVector(([-1.0],)), np.array([1.0]))
+            block_bregman_distance(kern, BlockVector(([-1.0],)), np.array([1.0]))
 
 
 class TestPhiValue:

@@ -34,7 +34,7 @@ def quadratic_problem(A, b, dims, g=None):
         shapes=tuple((d,) for d in dims),
         f_value=lambda x: 0.5 * float(np.dot(A @ flat(x) - b, A @ flat(x) - b)),
         f_block_grad=lambda i, x: A[:, cuts[i]:cuts[i + 1]].T @ (A @ flat(x) - b),
-        kernels=tuple(squared_norm_kernel() for _ in dims),
+        kernels=tuple(squared_norm_kernel(i) for i in range(len(dims))),
         L=tuple(L for _ in dims),
         g=tuple(term for _ in dims),
     )
@@ -100,7 +100,7 @@ class TestNumericOracle:
             shapes=((1,),),
             f_value=lambda x: 2.0 * float(x.block(0)[0]),
             f_block_grad=lambda i, x: np.array([2.0]),
-            kernels=(squared_norm_kernel(),),
+            kernels=(squared_norm_kernel(0),),
             L=(1.0,),
             g=(nonnegative_indicator(),),
         )

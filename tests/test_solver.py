@@ -20,6 +20,7 @@ from bregblock import (
     derive_schedule,
     lyapunov_value,
     model_value,
+    nonnegative_indicator,
     phi_value,
     run,
     solve_block_subproblem,
@@ -37,16 +38,14 @@ from points import flat, point, squared_norm_kernel, zero_term
 
 def euclidean_step_solver():
     """Exact minimizer of the block model for a Euclidean kernel:
-    z = x_i - gamma * grad_i f(x) + alpha * (x_i - x_prev_i), with the
-    sweep's grad_i f(x) when it passes one.  g == 0, so its subgradient is 0."""
+    z = x_i - gamma * grad_i f(x) + alpha * (x_i - x_prev_i).  g == 0, so
+    its subgradient is 0."""
 
-    def solver(problem, schedule, i, x_cur, x_prev, f_grad=None, subgradient=False):
+    def solver(problem, schedule, i, x_cur, x_prev, f_grad):
         ga, al = schedule.gamma[i], schedule.alpha[i]
         xi = x_cur.block(i)
-        if f_grad is None:
-            f_grad = problem.f_block_grad(i, x_cur)
         z = xi - ga * f_grad + al * (xi - x_prev.block(i))
-        return (z, np.zeros_like(z)) if subgradient else z
+        return z, np.zeros_like(z)
 
     return solver
 
@@ -58,9 +57,9 @@ def sweep(problem, schedule, x, x_prev):
 
 def recompute_everything_run(problem, schedule, x0, sweeps):
     """Reference for ``run``: the same sweeps with every gradient evaluated
-    afresh at each use.  The block solvers get no first-order data and
-    return their subgradients; each residual term evaluates its own
-    gradient.  Returns (x_prev, x_final, rows) with one (phi, lyapunov,
+    afresh at each use.  Each block solver gets a gradient evaluated for
+    it alone and returns its subgradient; each residual term evaluates its
+    own gradient.  Returns (x_prev, x_final, rows) with one (phi, lyapunov,
     residual, gaps) row per sweep, the k=0 row holding phi(x0) and
     ||grad f(x0)||."""
     phi0 = phi_value(problem, x0)
@@ -69,8 +68,9 @@ def recompute_everything_run(problem, schedule, x0, sweeps):
     for _ in range(sweeps):
         cur, gaps, etas = x, [], []
         for i in range(problem.N):
-            z, eta = problem.g[i].solver(problem, schedule, i, cur, x_prev, subgradient=True)
-            gaps.append(block_bregman_distance(problem.kernels[i], i, cur, z))
+            gf = problem.f_block_grad(i, cur)
+            z, eta = problem.g[i].solver(problem, schedule, i, cur, x_prev, f_grad=gf)
+            gaps.append(block_bregman_distance(problem.kernels[i], cur, z))
             etas.append(eta)
             cur = cur.with_block(i, z)
         total = 0.0
@@ -100,7 +100,7 @@ def kernel_difference_gap(kern, i, x, y_i):
     clamped to 0."""
     hx = float(kern.value(x))
     hy = float(kern.value(x.with_block(i, y_i)))
-    inner = float(np.vdot(kern.block_grad(i, x), y_i - x.block(i)))
+    inner = float(np.vdot(kern.block_grad(x), y_i - x.block(i)))
     d = hy - hx - inner
     if -1e-12 * (abs(hx) + abs(hy) + abs(inner) + 1.0) <= d < 0.0:
         return 0.0
@@ -124,12 +124,13 @@ def kernel_formula_run(problem, schedule, x0, max_iters, residual_tol):
         cur, gaps, etas = x, [], []
         for i in range(problem.N):
             kern, ga, al = problem.kernels[i], schedule.gamma[i], schedule.alpha[i]
-            z = np.asarray(problem.g[i].solver(problem, schedule, i, cur, x_prev), dtype=float)
+            gf = problem.f_block_grad(i, cur)
+            z, _ = problem.g[i].solver(problem, schedule, i, cur, x_prev, f_grad=gf)
             nxt = cur.with_block(i, z)
             gaps.append(kernel_difference_gap(kern, i, cur, z))
-            eta = (kern.block_grad(i, cur) - kern.block_grad(i, nxt)) / ga
+            eta = (kern.block_grad(cur) - kern.block_grad(nxt)) / ga
             eta += (al / ga) * (x.block(i) - x_prev.block(i))
-            etas.append(eta - problem.f_block_grad(i, cur))
+            etas.append(eta - gf)
             cur = nxt
         parts = [np.ravel(problem.f_block_grad(j, cur) + eta) for j, eta in enumerate(etas)]
         residual = float(np.linalg.norm(np.concatenate(parts)))
@@ -162,7 +163,7 @@ def quadratic_problem(A, b, dims, exact=True):
         shapes=tuple((d,) for d in dims),
         f_value=fv,
         f_block_grad=fg,
-        kernels=tuple(squared_norm_kernel() for _ in dims),
+        kernels=tuple(squared_norm_kernel(i) for i in range(len(dims))),
         L=tuple(L for _ in dims),
         g=tuple(term for _ in dims),
     )
@@ -252,7 +253,8 @@ class TestSubproblem:
         schedule = derive_schedule(problem.L, problem.sigma, kappa=0.3, rho=0.9)
         x = point(problem.shapes, rng.standard_normal(4))
         xp = point(problem.shapes, rng.standard_normal(4))
-        z, eta = solve_block_subproblem(problem, schedule, 0, x, xp)
+        z, eta = solve_block_subproblem(problem, schedule, 0, x, xp,
+                                        f_grad=problem.f_block_grad(0, x))
         ga, al = schedule.gamma[0], schedule.alpha[0]
         expected = flat(x) - ga * problem.f_block_grad(0, x) + al * (flat(x) - flat(xp))
         assert np.array_equal(z, expected)
@@ -267,7 +269,7 @@ class TestSubproblem:
                 shapes=((2,), (2, 2)),
                 f_value=lambda x: 0.0,
                 f_block_grad=lambda i, x: np.zeros_like(x.block(i)),
-                kernels=(squared_norm_kernel(), squared_norm_kernel()),
+                kernels=(squared_norm_kernel(0), squared_norm_kernel(1)),
                 L=(1.0, 1.0),
                 g=(exact, bare),
             )
@@ -275,6 +277,45 @@ class TestSubproblem:
             x = BlockVector((np.zeros(2), np.zeros((2, 2))))
             with pytest.raises(ConfigurationError, match="block 1"):
                 run(problem, schedule, x)
+
+    @staticmethod
+    def with_block_one_solver(solver, g=None):
+        """The (2,)+(2,) quadratic problem with block 1's solver (and, when
+        given, its nonsmooth term) replaced."""
+        rng = np.random.default_rng(12)
+        problem = quadratic_problem(rng.standard_normal((3, 4)), rng.standard_normal(3), (2, 2))
+        term = dataclasses.replace(g or problem.g[1], solver=solver)
+        return dataclasses.replace(problem, g=(problem.g[0], term))
+
+    @pytest.mark.parametrize("result, message", [
+        (lambda z: z, "must return a \\(z, eta\\) pair"),
+        (lambda z: (z, np.zeros(1)), "eta of shape \\(1,\\), expected \\(2,\\)"),
+        (lambda z: (z[:1], np.zeros(2)), "z of shape \\(1,\\)"),
+    ])
+    def test_malformed_solver_result(self, result, message):
+        # z alone would unpack into two scalars, and an eta of shape (1,)
+        # would broadcast into the residual: both are refused, naming the block
+        exact = euclidean_step_solver()
+
+        def solver(*args, **kwargs):
+            return result(exact(*args, **kwargs)[0])
+
+        problem = self.with_block_one_solver(solver)
+        schedule = derive_schedule(problem.L, problem.sigma)
+        x0 = point(problem.shapes, np.ones(4))
+        with pytest.raises(ConfigurationError, match=f"block 1: .*{message}"):
+            run(problem, schedule, x0, max_iters=3)
+
+    def test_infeasible_solver_result(self):
+        def solver(problem, schedule, i, x_cur, x_prev, f_grad):
+            return -np.ones(2), np.zeros(2)
+
+        problem = self.with_block_one_solver(solver, g=nonnegative_indicator())
+        schedule = derive_schedule(problem.L, problem.sigma)
+        x0 = point(problem.shapes, np.ones(4))
+        with pytest.raises(ConfigurationError,
+                           match="block 1: subproblem solver returned an infeasible point"):
+            run(problem, schedule, x0, max_iters=3)
 
     def test_never_increases_model(self):
         rng = np.random.default_rng(2)
@@ -286,7 +327,8 @@ class TestSubproblem:
             x = stf.pack_factors(inst, rng.random((4, 2)), rng.random((2, 2)))
             xp = stf.pack_factors(inst, rng.random((4, 2)), rng.random((2, 2)))
             for i in (0, 1):
-                z, _ = solve_block_subproblem(problem, schedule, i, x, xp)
+                z, _ = solve_block_subproblem(problem, schedule, i, x, xp,
+                                              f_grad=problem.f_block_grad(i, x))
                 ga, al = schedule.gamma[i], schedule.alpha[i]
                 m_new = model_value(problem, ga, al, i, x, xp, z)
                 m_old = model_value(problem, ga, al, i, x, xp, x.block(i))
@@ -333,8 +375,10 @@ class TestSweep:
         x = stf.pack_factors(inst, U_k, V_k)
         xp = stf.pack_factors(inst, U_p, V_p)
         x_next, _, _ = sweep(problem, schedule, x, xp)
-        U_direct = stf.update_U(inst, schedule.gamma[0], schedule.alpha[0], U_k, U_p, V_k)
-        V_direct = stf.update_V(inst, schedule.gamma[1], schedule.alpha[1], U_direct, V_k, V_p)
+        U_direct, _ = stf.update_U(inst, schedule.gamma[0], schedule.alpha[0], U_k, U_p, V_k,
+                                   f_grad=stf.grad_U(inst, U_k, V_k))
+        V_direct, _ = stf.update_V(inst, schedule.gamma[1], schedule.alpha[1], U_direct, V_k, V_p,
+                                   f_grad=stf.grad_V(inst, U_direct, V_k))
         assert np.array_equal(x_next.block(0), U_direct)
         assert np.array_equal(x_next.block(1), V_direct)
 

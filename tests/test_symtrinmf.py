@@ -223,7 +223,7 @@ class TestKernels:
         x = stf.pack_factors(inst, rng.random((3, 2)), rng.random((2, 2)))
         for i, kern in enumerate(problem.kernels):
             fd = finite_difference_block_grad(kern.value, i, x, step=1e-5)
-            assert rel_err(np.asarray(kern.block_grad(i, x)), fd) <= 1e-6
+            assert rel_err(np.asarray(kern.block_grad(x)), fd) <= 1e-6
 
     def test_block_strong_convexity_moduli(self):
         inst, rng = random_instance(11, m=3, r=2)
@@ -269,13 +269,15 @@ class TestUpdateU:
         # X=0 and V=0 reduce the model to the Bregman term, minimized at U_k
         inst = SymTriInstance(np.zeros((1, 1)), 1)
         U = np.array([[1.0]])
-        out = update_U(inst, 0.45, 0.0, U, U, np.zeros((1, 1)))
+        V = np.zeros((1, 1))
+        out, _ = update_U(inst, 0.45, 0.0, U, U, V, f_grad=grad_U(inst, U, V))
         assert np.array_equal(out, U)
 
     def test_clamp_kills_nonpositive_scores(self):
         # U_k = 0 with inertia pulling negative makes the clamped score zero
         inst = SymTriInstance(np.zeros((2, 2)), 1)
-        out = update_U(inst, 0.4, 0.3, np.zeros((2, 1)), np.ones((2, 1)), np.ones((1, 1)))
+        U, V = np.zeros((2, 1)), np.ones((1, 1))
+        out, _ = update_U(inst, 0.4, 0.3, U, np.ones((2, 1)), V, f_grad=grad_U(inst, U, V))
         assert np.array_equal(out, np.zeros((2, 1)))
 
     def test_scale_consistency_identity(self):
@@ -283,7 +285,7 @@ class TestUpdateU:
             inst, r = random_instance(seed, m=5, r=2)
             U_k, U_p = r.random((5, 2)), r.random((5, 2))
             V_k = r.random((2, 2))
-            out = update_U(inst, 0.45, 0.2, U_k, U_p, V_k)
+            out, _ = update_U(inst, 0.45, 0.2, U_k, U_p, V_k, f_grad=grad_U(inst, U_k, V_k))
             score = kernel_h1_grad(inst, U_k, V_k) - 0.45 * grad_U(inst, U_k, V_k)
             score += 0.2 * (U_k - U_p)
             clamped = np.maximum(score, 0.0)
@@ -300,7 +302,8 @@ class TestUpdateU:
             sched = derive_schedule(problem.L, problem.sigma, kappa=0.5, rho=0.9)
             x = stf.pack_factors(inst, rng.random((5, 2)), rng.random((2, 2)))
             xp = stf.pack_factors(inst, rng.random((5, 2)), rng.random((2, 2)))
-            closed = problem.g[0].solver(problem, sched, 0, x, xp)
+            closed, _ = problem.g[0].solver(problem, sched, 0, x, xp,
+                                            f_grad=problem.f_block_grad(0, x))
             oracle = numeric_subproblem_oracle(problem, sched, 0, x, xp)
             mc = model_value(problem, sched.gamma[0], sched.alpha[0], 0, x, xp, closed)
             mo = model_value(problem, sched.gamma[0], sched.alpha[0], 0, x, xp, oracle)
@@ -312,12 +315,14 @@ class TestUpdateV:
     def test_fixed_point_without_gradient(self):
         inst = SymTriInstance(np.zeros((2, 2)), 1)
         V = np.array([[0.7]])
-        out = update_V(inst, 0.45, 0.0, np.zeros((2, 1)), V, V)
+        U = np.zeros((2, 1))
+        out, _ = update_V(inst, 0.45, 0.0, U, V, V, f_grad=grad_V(inst, U, V))
         assert np.array_equal(out, V)
 
     def test_scalar_model_minimizer(self):
         inst = SymTriInstance(np.array([[4.0]]), 1)
-        out = update_V(inst, 0.9, 0.0, np.array([[1.0]]), np.zeros((1, 1)), np.zeros((1, 1)))
+        U, V = np.array([[1.0]]), np.zeros((1, 1))
+        out, _ = update_V(inst, 0.9, 0.0, U, V, V, f_grad=grad_V(inst, U, V))
         assert out[0, 0] == pytest.approx(1.8, rel=1e-15)
 
     def test_matches_numeric_oracle(self):
@@ -327,7 +332,8 @@ class TestUpdateV:
             sched = derive_schedule(problem.L, problem.sigma, kappa=0.5, rho=0.9)
             x = stf.pack_factors(inst, rng.random((5, 2)), rng.random((2, 2)))
             xp = stf.pack_factors(inst, rng.random((5, 2)), rng.random((2, 2)))
-            closed = problem.g[1].solver(problem, sched, 1, x, xp)
+            closed, _ = problem.g[1].solver(problem, sched, 1, x, xp,
+                                            f_grad=problem.f_block_grad(1, x))
             oracle = numeric_subproblem_oracle(problem, sched, 1, x, xp)
             mc = model_value(problem, sched.gamma[1], sched.alpha[1], 1, x, xp, closed)
             mo = model_value(problem, sched.gamma[1], sched.alpha[1], 1, x, xp, oracle)
@@ -356,8 +362,10 @@ class TestBlockProblemBinding:
         U_prev, V_prev = U0, V0
         phis = [f_value(inst, U, V)]
         for _ in range(10):
-            U_next = update_U(inst, sched.gamma[0], sched.alpha[0], U, U_prev, V)
-            V_next = update_V(inst, sched.gamma[1], sched.alpha[1], U_next, V, V_prev)
+            U_next, _ = update_U(inst, sched.gamma[0], sched.alpha[0], U, U_prev, V,
+                                 f_grad=grad_U(inst, U, V))
+            V_next, _ = update_V(inst, sched.gamma[1], sched.alpha[1], U_next, V, V_prev,
+                                 f_grad=grad_V(inst, U_next, V))
             U_prev, V_prev = U, V
             U, V = U_next, V_next
             phis.append(f_value(inst, U, V))
