@@ -38,7 +38,6 @@ from .solver import (
     solve_block_subproblem,
     stationarity_residual,
     trace_to_json,
-    validate_schedule,
 )
 from .symtrinmf import (
     FactorPair,

@@ -20,7 +20,6 @@ from .blocks import (
     BlockProblem,
     BlockVector,
     block_bregman_distance,
-    model_value,
 )
 
 if TYPE_CHECKING:
@@ -158,8 +157,9 @@ def numeric_subproblem_oracle(
         return drift + (kern.block_grad(x.with_block(i, z)) - gh_at_x) / gamma
 
     def value(z: Array) -> float:
-        # projected iterates are feasible, so g contributes exactly zero
-        return model_value(problem, gamma, alpha, i, x, x_prev, z)
+        # model_value with grad_i f(x) taken from drift; projected iterates
+        # are feasible, so g contributes exactly zero
+        return float(np.vdot(drift, z - xi)) + block_bregman_distance(kern, x, z) / gamma
 
     z = term.project(xi)
     fz = value(z)

@@ -7,17 +7,19 @@ round-trips bitwise.  Readers and writer handle a file's entries in bulk,
 never one Python step per entry; a reader rescans the body line by line
 only after a bulk conversion or count check failed, to name the line.
 
-A reader holds the file's text and converts its body in line-aligned
-slices of at most _CHUNK_CHARS characters straight into the result.
-Reading needs twice the file's size while the file is decoded, then the
-text plus the matrix (for a coordinate file, also its nnz row, column and
-value arrays and the sort that keeps each position's last entry), and one
-slice's tokens at a time, never a Python object per value of the file.
+A reader converts the file in line-aligned slices of about _CHUNK_CHARS
+characters straight into the result, so it holds the matrix (for a
+coordinate file, also its nnz row, column and value arrays and the sort
+that keeps each position's last entry) and one slice's text and tokens at
+a time: never the file's whole text, nor a Python object per value of it.
 """
 
 from __future__ import annotations
 
+import itertools
+import os
 import re
+from io import StringIO
 from typing import Sequence
 
 import numpy as np
@@ -46,12 +48,16 @@ def read_matrix(path, require_square: bool = True) -> Array:
     data raises ShapeError.
     """
     with open(path, "r") as fh:  # universal newlines: no "\r" is left
-        text = fh.read()
-    eol = _EOL.search(text)
-    if text[:eol.start() if eol else None].lstrip().startswith("%%MatrixMarket"):
-        matrix = _read_matrix_market(text, path)
-    else:
-        matrix = _read_csv(text, path)
+        max_chars = os.fstat(fh.fileno()).st_size  # a character takes a byte or more
+        if not fh.seekable():  # a pipe: a reader may read the file again
+            fh = StringIO(fh.read())
+            max_chars = len(fh.getvalue())
+        first = next(_chunks(fh), "")
+        eol = _EOL.search(first)
+        if first[:eol.start() if eol else None].lstrip().startswith("%%MatrixMarket"):
+            matrix = _read_matrix_market(fh, max_chars, path)
+        else:
+            matrix = _read_csv(fh, path)
     if require_square and matrix.shape[0] != matrix.shape[1]:
         raise ShapeError(f"{path}: expected a square matrix, got {matrix.shape}")
     return matrix
@@ -62,24 +68,28 @@ def read_matrix(path, require_square: bool = True) -> Array:
 _EOL = re.compile(r"\r\n|[\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]")
 
 
-def _lines(text: str):
-    """(number, line, offset just past its end) for each line of ``text``."""
-    no = start = 0
-    for eol in _EOL.finditer(text):
-        no += 1
-        yield no, text[start:eol.start()], eol.end()
-        start = eol.end()
-    if start < len(text):
-        yield no + 1, text[start:], len(text)
+def _lines(chunks):
+    """(number, line, its chunk, offset just past it in the chunk) for each
+    line of the text that the line-aligned ``chunks`` make up."""
+    no = 0
+    for chunk in chunks:
+        start = 0
+        for eol in _EOL.finditer(chunk):
+            no += 1
+            yield no, chunk[start:eol.start()], chunk, eol.end()
+            start = eol.end()
+        if start < len(chunk):
+            no += 1
+            yield no, chunk[start:], chunk, len(chunk)
 
 
-def _entry_lines(body: str, no: int):
-    """(number, tokens) for each non-blank, non-comment line of ``body``,
-    whose first line is line ``no`` of the file.  Only error paths rescan
-    the body this way, to name the line at fault."""
-    for no, line in enumerate(body.splitlines(), start=no):
+def _entry_lines(fh, after: int):
+    """(number, tokens) for each non-blank, non-comment line of ``fh`` after
+    line ``after``, read in one piece.  Only error paths rescan the body
+    this way, to name the line at fault."""
+    for no, line in enumerate("".join(_chunks(fh)).splitlines(), start=1):
         tokens = line.split()
-        if tokens and not tokens[0].startswith("%"):
+        if no > after and tokens and not tokens[0].startswith("%"):
             yield no, tokens
 
 
@@ -90,9 +100,10 @@ def _convert(kind, token: str, path, no: int, what: str):
         raise ParseError(path, no, f"bad {what}: {token!r}") from None
 
 
-def _read_matrix_market(text: str, path) -> Array:
-    lines = _lines(text)
-    _, first, _ = next(lines)
+def _read_matrix_market(fh, max_chars: int, path) -> Array:
+    chunks = _chunks(fh)
+    lines = _lines(chunks)
+    _, first, _, _ = next(lines)
     header = first.split()
     if len(header) != 5 or header[0] != "%%MatrixMarket" or header[1].lower() != "matrix":
         raise ParseError(path, 1, f"bad MatrixMarket header: {first!r}")
@@ -105,7 +116,7 @@ def _read_matrix_market(text: str, path) -> Array:
         raise ParseError(path, 1, f"unsupported symmetry {symmetry!r}")
 
     size_no = 1
-    for size_no, line, offset in lines:
+    for size_no, line, chunk, offset in lines:
         size_tok = line.split()
         if size_tok and not size_tok[0].startswith("%"):
             break
@@ -121,31 +132,26 @@ def _read_matrix_market(text: str, path) -> Array:
     if symmetric and sizes[0] != sizes[1]:
         raise ParseError(path, size_no, "symmetric storage requires a square matrix")
 
+    body = itertools.chain((chunk[offset:],), chunks)
     if fmt == "coordinate":
-        return _coordinate(text, offset, size_no, *sizes, symmetric, path)
-    return _array(text, offset, size_no, *sizes, symmetric, path)
+        return _coordinate(body, fh, max_chars, size_no, *sizes, symmetric, path)
+    return _array(body, fh, max_chars, size_no, *sizes, symmetric, path)
 
 
-# A slice's tokens and index arrays take about ten times its characters.
-# Larger slices read no faster and leave more of the heap fragmented: a
-# file-roundtrip iteration at m=1000 peaked at 110 MB RSS with 1 MiB
-# slices and at 86 MB with these.
+# A slice's tokens and index arrays take about ten times its characters;
+# larger slices read no faster.
 _CHUNK_CHARS = 1 << 16
 
 
-def _chunks(text: str, start: int):
-    """Slices of ``text[start:]`` of at most _CHUNK_CHARS characters, or one
-    line when a line is longer; each but the last ends just after a newline.
-    The file is read in universal-newline mode, so such a cut falls between
-    two lines and between two tokens."""
-    while start < len(text):
-        stop = start + _CHUNK_CHARS
-        if stop >= len(text):
-            end = len(text)
-        else:
-            end = text.rfind("\n", start, stop) + 1 or text.find("\n", stop) + 1 or len(text)
-        yield text[start:end]
-        start = end
+def _chunks(fh):
+    """``fh`` from its start in slices of _CHUNK_CHARS characters, each carried
+    on to the end of its line: in universal-newline mode, every cut but the
+    last falls just after a newline, between two lines and two tokens."""
+    fh.seek(0)
+    while chunk := fh.read(_CHUNK_CHARS):
+        if not chunk.endswith("\n"):
+            chunk += fh.readline()
+        yield chunk
 
 
 def _uncommented(chunk: str) -> str:
@@ -154,21 +160,22 @@ def _uncommented(chunk: str) -> str:
     return "\n".join(line for line in chunk.splitlines() if not line.lstrip().startswith("%"))
 
 
-def _array(text: str, offset: int, size_no: int, rows: int, cols: int, symmetric: bool,
+def _array(body, fh, max_chars: int, size_no: int, rows: int, cols: int, symmetric: bool,
            path) -> Array:
-    """Fill a matrix from the values of an array body, which runs down the
-    columns (of the lower triangle, for symmetric storage)."""
+    """Fill a matrix from the values of the array body in the slices ``body``
+    of the file ``fh``, of at most ``max_chars`` characters; the values run
+    down the columns (of the lower triangle, for symmetric storage)."""
     n = rows * (rows + 1) // 2 if symmetric else rows * cols
     pos = 0
     try:
         # each value takes a character and all but the last a separator
-        if 2 * n - 1 > len(text) - offset:
+        if 2 * n - 1 > max_chars:
             raise ValueError("more values than characters")
         matrix = np.empty((rows, cols))
         if symmetric:  # value number start[c] is the diagonal entry of column c
             c = np.arange(rows)
             start = c * rows - c * (c - 1) // 2
-        for data in map(_uncommented, _chunks(text, offset)):
+        for data in map(_uncommented, body):
             tokens = data.split()
             if pos + len(tokens) > n:
                 raise ValueError("more values than the size line gives")
@@ -184,29 +191,28 @@ def _array(text: str, offset: int, size_no: int, rows: int, cols: int, symmetric
         if pos != n:
             raise ValueError("fewer values than the size line gives")
     except ValueError:
-        body = text[offset:]
         found, last = 0, size_no
-        for last, tokens in _entry_lines(body, size_no + 1):
+        for last, tokens in _entry_lines(fh, size_no):
             found += len(tokens)
         if found != n:
             raise ParseError(path, last, f"expected {n} values, found {found}") from None
-        for no, tokens in _entry_lines(body, size_no + 1):
+        for no, tokens in _entry_lines(fh, size_no):
             for tok in tokens:
                 _convert(float, tok, path, no, "value")
         raise
     return matrix
 
 
-def _coordinate(text: str, offset: int, size_no: int, rows: int, cols: int, nnz: int,
+def _coordinate(body, fh, max_chars: int, size_no: int, rows: int, cols: int, nnz: int,
                 symmetric: bool, path) -> Array:
-    """Fill a matrix from the ``i j value`` lines of a coordinate body."""
+    """Fill a matrix from the ``i j value`` lines of a coordinate body, as _array."""
     pos = 0
     try:
         # each entry takes three characters and all but the last three separators
-        if 6 * nnz - 1 > len(text) - offset:
+        if 6 * nnz - 1 > max_chars:
             raise ValueError("more entries than characters")
         i, j, v = np.empty(nnz, np.int64), np.empty(nnz, np.int64), np.empty(nnz)
-        for data in map(_uncommented, _chunks(text, offset)):
+        for data in map(_uncommented, body):
             counts = np.fromiter(map(len, map(str.split, data.splitlines())), int)
             counts = counts[counts > 0]
             end = pos + len(counts)
@@ -224,11 +230,10 @@ def _coordinate(text: str, offset: int, size_no: int, rows: int, cols: int, nnz:
         if ((i < 0) | (i >= rows) | (j < 0) | (j >= cols)).any():
             raise ValueError("an index out of range")
     except (ValueError, OverflowError):
-        body = text[offset:]
-        found = sum(1 for _ in _entry_lines(body, size_no + 1))
+        found = sum(1 for _ in _entry_lines(fh, size_no))
         if found != nnz:
             raise ParseError(path, size_no, f"expected {nnz} entries, found {found}") from None
-        for no, tok in _entry_lines(body, size_no + 1):
+        for no, tok in _entry_lines(fh, size_no):
             if len(tok) != 3:
                 raise ParseError(path, no, "coordinate entry must be 'i j value'") from None
             r = _convert(int, tok[0], path, no, "row index")
@@ -249,25 +254,25 @@ def _coordinate(text: str, offset: int, size_no: int, rows: int, cols: int, nnz:
     return matrix.reshape(rows, cols)
 
 
-def _read_csv(text: str, path) -> Array:
-    # a first pass checks each row's width and counts the rows, so that the
-    # second converts the values straight into the matrix
+def _read_csv(fh, path) -> Array:
+    # a first pass over the file checks each row's width and counts the
+    # rows, so that a second converts the values straight into the matrix
     rows = width = 0
     try:
-        for lines in _csv_rows(text):
+        for lines in _csv_rows(fh):
             width = width or (lines[0].count(",") + 1 if lines else 0)
             if any(line.count(",") != width - 1 for line in lines):
                 raise ValueError("ragged rows")
             rows += len(lines)
         matrix = np.empty((rows, width))
         flat, pos = matrix.reshape(-1), 0
-        for lines in filter(None, _csv_rows(text)):
+        for lines in filter(None, _csv_rows(fh)):
             cells = ",".join(lines).split(",")
             flat[pos:pos + len(cells)] = np.fromiter(map(float, cells), float, count=len(cells))
             pos += len(cells)
     except ValueError:
         # name the first line with a bad cell or a different width
-        for no, line in enumerate(text.splitlines(), start=1):
+        for no, line in enumerate("".join(_chunks(fh)).splitlines(), start=1):
             if not line.strip():
                 continue
             cells = line.split(",")
@@ -283,9 +288,9 @@ def _read_csv(text: str, path) -> Array:
     return matrix
 
 
-def _csv_rows(text: str):
-    """The non-blank lines of each slice of ``text``."""
-    for chunk in _chunks(text, 0):
+def _csv_rows(fh):
+    """The non-blank lines of each slice of ``fh``."""
+    for chunk in _chunks(fh):
         yield list(filter(str.strip, chunk.splitlines()))
 
 
@@ -344,8 +349,8 @@ def synth_instance(
     """
     if m < 1 or not 1 <= r <= m:
         raise ParameterError(f"need 1 <= r <= m, got m={m}, r={r}")
-    if noise_level < 0:
-        raise ParameterError(f"noise_level must be nonnegative, got {noise_level}")
+    if not 0.0 <= noise_level < np.inf:
+        raise ParameterError(f"noise_level must be finite and nonnegative, got {noise_level}")
     if not 0.0 < density <= 1.0:
         raise ParameterError(f"density must lie in (0, 1], got {density}")
     rng = np.random.default_rng(seed)

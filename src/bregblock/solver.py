@@ -5,8 +5,8 @@ minimizing a linearized model built at the freshest partial iterate, plus a
 Bregman proximity term and the block's nonsmooth term, with an inertial
 pull towards the previous full iterate.  Progress is monitored through a
 Lyapunov function (objective plus delta-weighted Bregman gaps) which is
-provably nonincreasing under the step-size conditions encoded in
-:func:`derive_schedule`.
+provably nonincreasing under the step-size conditions that every
+:class:`StepSchedule` checks when it is built.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import json
 import math
 import time
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import groupby
 from typing import Sequence
 
@@ -48,25 +48,45 @@ TERMINATION_MAX_ITERS = "max_iters"
 
 @dataclass(frozen=True)
 class StepSchedule:
-    """Per-block step sizes gamma_i, inertia weights alpha_i, and the
-    Lyapunov weights delta_i with their descent coefficients a_i, b_i."""
+    """Per-block step sizes gamma_i, inertia weights alpha_i and Lyapunov
+    weights delta_i, admissible for the constants L_i, sigma_i they are
+    made for, and the descent coefficients a_i, b_i they give.  Every
+    construction, ``dataclasses.replace`` included, checks admissibility
+    (ParameterError) and derives a and b."""
 
     gamma: tuple[float, ...]
     alpha: tuple[float, ...]
     delta: tuple[float, ...]
-    a: tuple[float, ...]
-    b: tuple[float, ...]
+    L: tuple[float, ...]
+    sigma: tuple[float, ...]
+    a: tuple[float, ...] = field(init=False)
+    b: tuple[float, ...] = field(init=False)
 
     def __post_init__(self) -> None:
-        for name in ("gamma", "alpha", "delta", "a", "b"):
+        for name in ("gamma", "alpha", "delta", "L", "sigma"):
             object.__setattr__(self, name, tuple(float(v) for v in getattr(self, name)))
-        N = len(self.gamma)
-        if not (len(self.alpha) == len(self.delta) == len(self.a) == len(self.b) == N):
+        if not len(self.gamma) == len(self.alpha) == len(self.delta) == len(self.L) == len(self.sigma):
             raise ParameterError("schedule fields must all have the same length")
         if any(not g > 0 for g in self.gamma):
             raise ParameterError(f"all gamma_i must be positive, got {self.gamma}")
-        if any(v < 0 for v in self.delta + self.a + self.b):
-            raise ParameterError("delta, a, b must be nonnegative")
+        if any(not v > 0 for v in self.L + self.sigma):
+            raise ParameterError("all L_i and sigma_i must be positive")
+        a, b = [], []
+        rows = zip(self.gamma, self.alpha, self.delta, self.L, self.sigma)
+        for i, (ga, al, de, Li, si) in enumerate(rows):
+            if not abs(al) < si / 2.0:
+                raise ParameterError(f"block {i}: |alpha|={abs(al)} must be < sigma/2={si / 2.0}")
+            gmax = (si - 2.0 * abs(al)) / (si * Li)
+            if not ga <= gmax * (1.0 + 1e-12):
+                raise ParameterError(f"block {i}: gamma={ga} outside (0, {gmax}]")
+            lo, hi = _delta_interval(Li, si, al, ga)
+            tol = 1e-12 * (1.0 + abs(hi))
+            if not max(lo - tol, 0.0) <= de <= hi + tol:
+                raise ParameterError(f"block {i}: delta={de} outside [{lo}, {hi}]")
+            a.append(max(hi - de, 0.0))
+            b.append(max(de - lo, 0.0))
+        object.__setattr__(self, "a", tuple(a))
+        object.__setattr__(self, "b", tuple(b))
 
     @property
     def N(self) -> int:
@@ -81,14 +101,10 @@ def check_schedule_parameters(kappa: float, rho: float) -> None:
         raise ParameterError(f"rho must lie in (0, 1], got {rho}")
 
 
-def _admissible(Li: float, si: float, al: float, rho: float, ga: float | None = None):
-    """(gmax, lo, hi) of one block: gmax = rho (sigma - 2|alpha|) / (sigma L),
-    rho times the largest admissible step, and the admissible delta interval
-    [lo, hi] at step ``ga`` (gmax when omitted)."""
-    gmax = rho * (si - 2.0 * abs(al)) / (si * Li)
-    ga = gmax if ga is None else ga
+def _delta_interval(Li: float, si: float, al: float, ga: float) -> tuple[float, float]:
+    """The admissible delta interval [lo, hi] of one block at step ga."""
     lo = abs(al) / (si * ga)
-    return gmax, lo, (1.0 - ga * Li) / ga - lo
+    return lo, (1.0 - ga * Li) / ga - lo
 
 
 def derive_schedule(
@@ -119,40 +135,15 @@ def derive_schedule(
             "bound becomes vacuous",
             stacklevel=2,
         )
-    gamma, alpha, delta, a, b = [], [], [], [], []
+    gamma, alpha, delta = [], [], []
     for Li, si in zip(L, sigma):
         al = kappa * si / 2.0
-        ga, lo, hi = _admissible(Li, si, al, rho)
-        de = 0.5 * (lo + hi)
+        ga = rho * (si - 2.0 * abs(al)) / (si * Li)
+        lo, hi = _delta_interval(Li, si, al, ga)
         alpha.append(al)
         gamma.append(ga)
-        delta.append(de)
-        a.append(max(hi - de, 0.0))
-        b.append(max(de - lo, 0.0))
-    return StepSchedule(tuple(gamma), tuple(alpha), tuple(delta), tuple(a), tuple(b))
-
-
-def validate_schedule(
-    schedule: StepSchedule, L: Sequence[float], sigma: Sequence[float]
-) -> None:
-    """Check the admissibility conditions; raise ParameterError on violation."""
-    L = tuple(float(v) for v in L)
-    sigma = tuple(float(v) for v in sigma)
-    if schedule.N != len(L) or schedule.N != len(sigma):
-        raise ParameterError("schedule length does not match the problem")
-    for i, (ga, al, de, ai, bi, Li, si) in enumerate(
-        zip(schedule.gamma, schedule.alpha, schedule.delta, schedule.a, schedule.b, L, sigma)
-    ):
-        if not abs(al) < si / 2.0:
-            raise ParameterError(f"block {i}: |alpha|={abs(al)} must be < sigma/2={si / 2.0}")
-        gmax, lo, hi = _admissible(Li, si, al, 1.0, ga)
-        if not 0.0 < ga <= gmax * (1.0 + 1e-12):
-            raise ParameterError(f"block {i}: gamma={ga} outside (0, {gmax}]")
-        tol = 1e-12 * (1.0 + abs(hi))
-        if not lo - tol <= de <= hi + tol:
-            raise ParameterError(f"block {i}: delta={de} outside [{lo}, {hi}]")
-        if abs(ai - (hi - de)) > 1e-9 * (1.0 + abs(hi)) or abs(bi - (de - lo)) > 1e-9 * (1.0 + abs(hi)):
-            raise ParameterError(f"block {i}: a/b inconsistent with gamma, alpha, delta")
+        delta.append(0.5 * (lo + hi))
+    return StepSchedule(tuple(gamma), tuple(alpha), tuple(delta), L, sigma)
 
 
 @dataclass(frozen=True)
@@ -296,13 +287,16 @@ def run(
     grad_0 f at each sweep's start is the one the residual evaluated at
     the end of the previous sweep (at x0, the one in ||grad f(x0)||).
 
-    Before the first sweep it checks the limits, the schedule and x0's
-    block shapes against ``problem.shapes`` (ParameterError), an exact
+    Before the first sweep it checks the limits, that the schedule was made
+    for the problem's L and sigma (a StepSchedule is admissible for its own),
+    and x0's block shapes against ``problem.shapes`` (ParameterError), an exact
     solver on every block (ConfigurationError) and the feasibility of x0
     (InfeasibleError); the sweeps then check no shapes.
     """
     check_run_limits(max_iters, residual_tol, stall_tol)
-    validate_schedule(schedule, problem.L, problem.sigma)
+    if (schedule.L, schedule.sigma) != (problem.L, problem.sigma):
+        raise ParameterError(f"schedule made for L={schedule.L}, sigma={schedule.sigma}, not "
+                             f"the problem's L={problem.L}, sigma={problem.sigma}")
     shapes = tuple(b.shape for b in x0.blocks)
     if shapes != problem.shapes:
         raise ParameterError(f"x0 has block shapes {shapes}, expected {problem.shapes}")

@@ -55,7 +55,7 @@ from .blocks import (
     ParameterError,
     nonnegative_indicator,
 )
-from .solver import SolveResult, StepSchedule, derive_schedule, run
+from .solver import SolveResult, derive_schedule, run
 
 UNASSIGNED = -1
 
@@ -71,12 +71,22 @@ def _sq_norm(A: Array) -> float:
     return float(np.vdot(A, A))
 
 
-def check_kernel_parameters(a1: float, b1: float, a2: float, eps1: float, eps2: float) -> None:
+def check_kernel_parameters(
+    a1: float, b1: float, a2: float, eps1: float, eps2: float
+) -> tuple[float, float, float, float]:
     """The checks SymTriInstance makes on its kernel parameters
-    (ParameterError): each must be positive (NaN is not)."""
+    (ParameterError): each must be positive (NaN is not) and finite, and so
+    must the constants they give, which it returns:
+    (L1, L2, sigma1, sigma2) = (max(6/a1, 2/b1), 1/a2, b1 eps1, a2 eps2)."""
     for name, value in (("a1", a1), ("b1", b1), ("a2", a2), ("eps1", eps1), ("eps2", eps2)):
-        if not float(value) > 0:
-            raise ParameterError(f"{name} must be positive, got {value}")
+        if not 0.0 < float(value) < math.inf:
+            raise ParameterError(f"{name} must be {'finite' if value > 0 else 'positive'}, got {value}")
+    L1a, L1b, L2, sigma1, sigma2 = 6.0 / a1, 2.0 / b1, 1.0 / a2, b1 * eps1, a2 * eps2
+    for name, value in (("6/a1", L1a), ("2/b1", L1b), ("1/a2", L2),
+                        ("b1*eps1", sigma1), ("a2*eps2", sigma2)):
+        if not 0.0 < value < math.inf:
+            raise ParameterError(f"{name} must be finite and positive, got {value}")
+    return max(L1a, L1b), L2, sigma1, sigma2
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,7 +127,7 @@ class SymTriInstance:
         m = X.shape[0]
         if not 1 <= int(self.r) <= m:
             raise ParameterError(f"rank must lie in [1, {m}], got {self.r}")
-        check_kernel_parameters(self.a1, self.b1, self.a2, self.eps1, self.eps2)
+        L1, L2, sigma1, sigma2 = check_kernel_parameters(self.a1, self.b1, self.a2, self.eps1, self.eps2)
         norm = float(np.linalg.norm(X))
         if not math.isfinite(norm):
             # then f = ||X - U V U^T||^2 / 2 overflows at every point
@@ -139,10 +149,10 @@ class SymTriInstance:
         X.setflags(write=False)
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "r", int(self.r))
-        object.__setattr__(self, "L1", max(6.0 / self.a1, 2.0 / self.b1))
-        object.__setattr__(self, "L2", 1.0 / self.a2)
-        object.__setattr__(self, "sigma1", self.b1 * self.eps1)
-        object.__setattr__(self, "sigma2", self.a2 * self.eps2)
+        object.__setattr__(self, "L1", L1)
+        object.__setattr__(self, "L2", L2)
+        object.__setattr__(self, "sigma1", sigma1)
+        object.__setattr__(self, "sigma2", sigma2)
         object.__setattr__(self, "norm_X", norm)
         object.__setattr__(self, "symmetric", gap == 0.0)
 
@@ -475,14 +485,10 @@ def solve_instance(
     residual_tol: float = 1e-8,
     stall_tol: float = 0.0,
     x0: BlockVector | None = None,
-    schedule: StepSchedule | None = None,
 ) -> tuple[SolveResult, FactorPair]:
     """Run the generic solver on the instance with its closed-form updates."""
     problem = as_block_problem(inst)
-    if schedule is None:
-        schedule = derive_schedule(
-            (inst.L1, inst.L2), (inst.sigma1, inst.sigma2), kappa=kappa, rho=rho
-        )
+    schedule = derive_schedule(problem.L, problem.sigma, kappa=kappa, rho=rho)
     if x0 is None:
         U0, V0 = initial_factors(inst, seed)
         x0 = pack_factors(inst, U0, V0)

@@ -116,6 +116,18 @@ class TestSynthSolvePipeline:
         assert "need 1 <= r <= m" in capsys.readouterr().err
         assert not (tmp_path / "x.mtx").exists()
 
+    @pytest.mark.parametrize("noise", ["nan", "inf", "-inf"])
+    def test_non_finite_noise_exits_two_without_writing(self, tmp_path, capsys, noise):
+        out = tmp_path / "n.mtx"
+        assert run_cli("synth", "--m", "5", "--r", "2", f"--noise={noise}", "--out", str(out)) == 2
+        assert "noise_level must be finite and nonnegative" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+        csv_out = tmp_path / "b.csv"
+        assert run_cli("bench", "--m", "12", "--rank", "2", f"--noise={noise}", "--kappas", "0",
+                       "--seeds", "1", "--max-iters", "5", "--out", str(csv_out)) == 2
+        assert "noise_level must be finite and nonnegative" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_synth_negative_seed_exits_two(self, tmp_path, capsys):
         assert run_cli("synth", "--m", "5", "--r", "2", "--seed", "-1",
                        "--out", str(tmp_path / "x.mtx")) == 2
@@ -142,6 +154,14 @@ class TestSynthSolvePipeline:
         ("solve", "--rank", "2", "--a1", "0"),
         ("solve", "--rank", "2", "--b1", "nan"),
         ("solve", "--rank", "2", "--eps2", "-1"),
+        ("solve", "--rank", "3", "--a1", "inf"),
+        ("solve", "--rank", "3", "--b1", "inf"),
+        ("solve", "--rank", "3", "--eps1", "inf"),
+        ("solve", "--rank", "3", "--eps2", "inf"),
+        ("solve", "--rank", "3", "--a2", "inf"),
+        ("solve", "--rank", "3", "--a1", "1e-320"),
+        ("solve", "--rank", "3", "--b1", "1e-320"),
+        ("solve", "--rank", "3", "--a2", "1e-320"),
         ("solve", "--rank", "0"),
         ("check", "--rank", "0"),
         ("bench", "--rank", "0", "--out", "unused.csv"),

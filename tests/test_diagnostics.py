@@ -120,6 +120,27 @@ class TestNumericOracle:
         z = numeric_subproblem_oracle(problem, schedule, 1, x, x)
         assert z[0, 0] == pytest.approx(1.8, abs=1e-8)
 
+    @pytest.mark.parametrize("i", [0, 1])
+    def test_one_block_gradient_per_run(self, i):
+        # the oracle's model holds grad_i f at its fixed point; its hundreds
+        # of model evaluations do not evaluate it again
+        inst = SymTriInstance(synth_instance(6, 2, noise_level=0.3, seed=2)[0], 2)
+        problem = stf.as_block_problem(inst)
+        calls = []
+
+        def counted(j, x):
+            calls.append(j)
+            return problem.f_block_grad(j, x)
+
+        counting = dataclasses.replace(problem, f_block_grad=counted)
+        schedule = derive_schedule(problem.L, problem.sigma, kappa=0.5)
+        rng = np.random.default_rng(3)
+        x = stf.pack_factors(inst, rng.random((6, 2)), rng.random((2, 2)))
+        x_prev = stf.pack_factors(inst, rng.random((6, 2)), rng.random((2, 2)))
+        z = numeric_subproblem_oracle(counting, schedule, i, x, x_prev)
+        assert calls == [i]
+        assert np.array_equal(z, numeric_subproblem_oracle(problem, schedule, i, x, x_prev))
+
     def test_unprojectable_block(self):
         problem = quadratic_problem(np.eye(1), np.zeros(1), (1,),
                                     g=dataclasses.replace(zero_term(), project=None))

@@ -1,3 +1,5 @@
+import os
+import threading
 import tracemalloc
 
 import numpy as np
@@ -174,6 +176,8 @@ class TestSynthInstance:
             dict(m=3, r=0),
             dict(m=3, r=4),
             dict(m=3, r=1, noise_level=-0.1),
+            dict(m=3, r=1, noise_level=float("nan")),
+            dict(m=3, r=1, noise_level=float("inf")),
             dict(m=3, r=1, density=0.0),
             dict(m=3, r=1, density=1.5),
         ],
@@ -577,9 +581,9 @@ def peak_traced_bytes(fn, *args, **kwargs):
 
 
 class TestReaderMemory:
-    """Reading holds the file's text and the matrix, plus for coordinate
-    files the nnz index and value arrays its fill sorts, and one slice's
-    tokens at a time: never a token object per value of the whole file."""
+    """Reading holds the matrix, plus for coordinate files the nnz index and
+    value arrays its fill sorts, and one slice's text and tokens at a time:
+    never the file's whole text, nor a token object per value of it."""
 
     @pytest.mark.parametrize("fmt", ["array", "symmetric", "coordinate", "csv"])
     def test_peak_allocation(self, tmp_path, monkeypatch, fmt):
@@ -604,6 +608,36 @@ class TestReaderMemory:
         size = (tmp_path / fmt).stat().st_size
         matrix, peak = peak_traced_bytes(read_matrix, tmp_path / fmt)
         assert same_bits(matrix, X)
-        # decoding holds the file's bytes and its text at once: twice the size
-        bound = 2.5 * size + X.nbytes + (96 * X.size if fmt == "coordinate" else 0)
+        # no term grows with the file: a slice's tokens take about ten
+        # times its characters, and the file is over 20 slices long
+        assert size > 20 * (1 << 14)
+        bound = X.nbytes + (96 * X.size if fmt == "coordinate" else 0) + 32 * (1 << 14)
         assert peak < bound, (peak, bound)
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            (ARRAY_HEADER + "2 2\n1\n2\n% c\n3\n4\n", [[1.0, 3.0], [2.0, 4.0]]),
+            (ARRAY_HEADER + "2 2\n1\n2\n% c\n3\n4x\n", "7: bad value: '4x'"),
+            ("1,2\n3,4\n", [[1.0, 2.0], [3.0, 4.0]]),
+            ("1,2\n3,x\n", "2: not a number: could not convert string to float: 'x'"),
+        ],
+    )
+    def test_reads_a_pipe(self, tmp_path, monkeypatch, text, expected):
+        # a pipe cannot be read twice, as the error paths and the CSV
+        # reader's second pass read a file, so it is read in one piece
+        monkeypatch.setattr(mio, "_CHUNK_CHARS", 2)
+        pipe = tmp_path / "in"
+        os.mkfifo(pipe)
+        writer = threading.Thread(target=pipe.write_text, args=(text,))
+        writer.start()
+        try:
+            if isinstance(expected, str):
+                with pytest.raises(ParseError) as err:
+                    read_matrix(pipe)
+                assert str(err.value) == f"{pipe}:{expected}"
+            else:
+                assert same_bits(read_matrix(pipe), np.array(expected))
+        finally:
+            writer.join()

@@ -26,7 +26,6 @@ from bregblock import (
     solve_block_subproblem,
     stationarity_residual,
     trace_to_json,
-    validate_schedule,
 )
 from bregblock import symtrinmf as stf
 from bregblock.blocks import full_gradient
@@ -175,7 +174,7 @@ class TestDeriveSchedule:
         assert s.alpha[0] == pytest.approx(0.5, abs=0.0)
         assert s.gamma[0] == pytest.approx(0.9 * (2.0 - 1.0) / 2.0, abs=0.0)  # 0.45
         assert s.a[0] > 0 and s.b[0] > 0
-        validate_schedule(s, [1.0], [2.0])
+        assert (s.L, s.sigma) == ((1.0,), (2.0,))
 
     def test_no_inertia_boundary(self):
         with pytest.warns(UserWarning):
@@ -190,13 +189,12 @@ class TestDeriveSchedule:
         s = derive_schedule([1.0, 1.0], [2.0, 1.0], kappa=0.5, rho=0.9)
         assert s.alpha[1] == pytest.approx(0.25, abs=0.0)
         assert s.gamma[1] == pytest.approx(0.9 * (1.0 - 0.5) / 1.0, abs=0.0)  # 0.45
-        validate_schedule(s, [1.0, 1.0], [2.0, 1.0])
+        assert (s.L, s.sigma) == ((1.0, 1.0), (2.0, 1.0))
 
     def test_midpoint_balances_coefficients(self):
         for kappa in (0.0, 0.3, 0.7):
             for rho in (0.5, 0.9):
                 s = derive_schedule([2.0, 0.5], [1.0, 3.0], kappa=kappa, rho=rho)
-                validate_schedule(s, [2.0, 0.5], [1.0, 3.0])
                 for ai, bi in zip(s.a, s.b):
                     assert ai == pytest.approx(bi, rel=1e-12)
                     assert ai > 0
@@ -212,10 +210,11 @@ class TestDeriveSchedule:
             {"alpha": (1.5,)},               # |alpha| >= sigma/2
             {"gamma": (0.6,)},               # above (sigma - 2|alpha|)/(sigma L)
             {"delta": (5.0,)},               # outside the admissible interval
-            {"a": (good.a[0] + 0.1,)},       # inconsistent with the definition
+            {"L": (2.0,)},                   # gamma too long for a larger L
+            {"sigma": (2.0, 2.0)},           # two moduli for one block
         ):
             with pytest.raises(ParameterError):
-                validate_schedule(dataclasses.replace(good, **patch), [1.0], [2.0])
+                dataclasses.replace(good, **patch)
 
     def test_schedule_field_validation(self):
         with pytest.raises(ParameterError):
@@ -235,6 +234,24 @@ class TestDeriveSchedule:
             hi = (1.0 - ga * Li) / ga - lo
             de = 0.5 * (lo + hi)
             assert (s.gamma[i], s.alpha[i], s.delta[i], s.a[i], s.b[i]) == (ga, al, de, hi - de, de - lo)
+
+    def test_replace_derives_fresh_descent_coefficients(self):
+        base = derive_schedule([2.0, 0.5], [1.0, 3.0], kappa=0.4, rho=0.9)
+        for patch in ({"alpha": (0.1, -0.3)}, {"gamma": (0.25, 1.0)}, {"delta": (0.8, 0.2)},
+                      {"gamma": (0.3, 0.9), "alpha": (0.0, 0.0), "delta": (0.1, 0.2)}):
+            s = dataclasses.replace(base, **patch)
+            for Li, si, ga, al, de, ai, bi in zip(s.L, s.sigma, s.gamma, s.alpha, s.delta, s.a, s.b):
+                lo = abs(al) / (si * ga)
+                hi = (1.0 - ga * Li) / ga - lo
+                assert (ai, bi) == (max(hi - de, 0.0), max(de - lo, 0.0))
+            assert (s.a, s.b) != (base.a, base.b)
+
+    def test_descent_coefficients_are_not_arguments(self):
+        base = derive_schedule([1.0], [2.0], kappa=0.5, rho=0.9)
+        with pytest.raises(TypeError):
+            StepSchedule((0.45,), (0.5,), (0.5,), (1.0,), (2.0,), (0.1,), (0.1,))
+        with pytest.raises(ValueError):
+            dataclasses.replace(base, a=(0.1,))
 
 
 class TestSubproblem:
@@ -387,7 +404,7 @@ class TestLyapunov:
     def test_zero_delta_is_phi(self):
         rng = np.random.default_rng(6)
         problem = quadratic_problem(rng.standard_normal((4, 3)), rng.standard_normal(4), (3,))
-        schedule = StepSchedule((0.5,), (0.0,), (0.0,), (0.1,), (0.0,))
+        schedule = StepSchedule((0.5,), (0.0,), (0.0,), (1.0,), (1.0,))
         x = point(problem.shapes, rng.standard_normal(3))
         phi = phi_value(problem, x)
         assert lyapunov_value(schedule, phi, [3.7]) == pytest.approx(phi, rel=1e-15)
@@ -609,6 +626,17 @@ class TestRun:
         x0 = BlockVector(tuple(-np.ones(s) for s in problem.shapes))
         with pytest.raises(InfeasibleError):
             run(problem, schedule, x0)
+
+    def test_rejects_a_schedule_made_for_other_constants(self):
+        rng = np.random.default_rng(17)
+        problem = quadratic_problem(rng.standard_normal((4, 3)), rng.standard_normal(4), (3,))
+        x0 = point(problem.shapes, rng.standard_normal(3))
+        (L,), (sigma,) = problem.L, problem.sigma
+        for other_L, other_sigma in (([2.0 * L], [sigma]), ([L], [0.5 * sigma]),
+                                     ([L * (1.0 + 1e-12)], [sigma]), ([L, L], [sigma, sigma])):
+            with pytest.raises(ParameterError, match="schedule made for"):
+                run(problem, derive_schedule(other_L, other_sigma), x0, max_iters=1)
+        run(problem, derive_schedule([L], [sigma]), x0, max_iters=1)
 
     def test_rejects_negative_limits(self):
         # library callers get the same checks as the CLI, before any sweep

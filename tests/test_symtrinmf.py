@@ -106,6 +106,32 @@ class TestInstance:
         with pytest.raises(ParameterError):
             SymTriInstance(np.eye(2), 1, a1=-1.0)
 
+    @pytest.mark.parametrize("params,named", [
+        (dict(a1=np.inf), "a1 must be finite"),
+        (dict(b1=np.inf), "b1 must be finite"),
+        (dict(a2=np.inf), "a2 must be finite"),
+        (dict(eps1=np.inf), "eps1 must be finite"),
+        (dict(eps2=np.inf), "eps2 must be finite"),
+        (dict(eps1=np.nan), "eps1 must be positive"),
+        (dict(a1=1e-320), "6/a1 must be finite and positive"),
+        (dict(b1=1e-320), "2/b1 must be finite and positive"),
+        (dict(a2=1e-320), "1/a2 must be finite and positive"),
+        (dict(b1=1e-200, eps1=1e-200), "b1\\*eps1 must be finite and positive"),
+        (dict(a2=1e200, eps2=1e200), "a2\\*eps2 must be finite and positive"),
+    ])
+    def test_rejects_kernel_parameters_with_non_finite_constants(self, params, named):
+        with pytest.raises(ParameterError, match=named):
+            SymTriInstance(np.eye(2), 1, **params)
+        with pytest.raises(ParameterError, match=named):
+            stf.check_kernel_parameters(**{**dict(a1=6.0, b1=2.0, a2=1.0, eps1=1.0, eps2=1.0), **params})
+
+    def test_kernel_constants_come_from_the_parameter_check(self):
+        params = dict(a1=0.3, b1=7.1, a2=2.9, eps1=0.013, eps2=41.0)
+        inst = SymTriInstance(np.eye(2), 1, **params)
+        assert (inst.L1, inst.L2, inst.sigma1, inst.sigma2) == stf.check_kernel_parameters(**params)
+        assert (inst.L1, inst.L2, inst.sigma1, inst.sigma2) == (
+            max(6.0 / 0.3, 2.0 / 7.1), 1.0 / 2.9, 7.1 * 0.013, 2.9 * 41.0)
+
     def test_asymmetric_warns_and_symmetrizes(self):
         X = np.array([[1.0, 2.0], [0.0, 1.0]])
         with pytest.warns(UserWarning):
