@@ -184,19 +184,20 @@ def model_value(
     x_k: BlockVector,
     x_prev: BlockVector,
     z: Array,
+    *,
+    f_grad: Array,
 ) -> float:
-    """Value of the inertial linearized block model at trial point z.
-
-    <grad_i f(x_k) - (alpha/gamma)(x_k_i - x_prev_i), z - x_k_i>
-      + (1/gamma) * D_{h_i}(x_k | block i <- z, x_k) + g_i(z)
-    """
+    """Value of the inertial linearized block model at trial point z, with
+    f_grad = grad_i f(x_k):
+    <f_grad - (alpha/gamma)(x_k_i - x_prev_i), z - x_k_i>
+      + (1/gamma) * D_{h_i}(x_k | block i <- z, x_k) + g_i(z)."""
     if not gamma > 0:
         raise ParameterError(f"gamma must be positive, got {gamma}")
     gz = float(problem.g[i].value(z))
     if math.isinf(gz):
         return math.inf
     xi = x_k.block(i)
-    step = problem.f_block_grad(i, x_k) - (alpha / gamma) * (xi - x_prev.block(i))
+    step = f_grad - (alpha / gamma) * (xi - x_prev.block(i))
     lin = float(np.vdot(step, z - xi))
     breg = block_bregman_distance(problem.kernels[i], x_k, z)
     return lin + breg / gamma + gz

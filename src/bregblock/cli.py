@@ -11,6 +11,7 @@ import csv
 import json
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -164,9 +165,11 @@ def cmd_synth(args: argparse.Namespace) -> int:
 def cmd_solve(args: argparse.Namespace) -> int:
     if args.input is None or args.rank is None:
         raise ParameterError("solve requires --input and --rank (flags or config file)")
-    check_schedule_parameters(args.kappa, args.rho)
+    L1, L2, s1, s2 = stf.check_kernel_parameters(args.a1, args.b1, args.a2, args.eps1, args.eps2)
+    with warnings.catch_warnings():  # solve_instance gives derive_schedule's warnings
+        warnings.simplefilter("ignore")
+        derive_schedule((L1, L2), (s1, s2), kappa=args.kappa, rho=args.rho)
     check_run_limits(args.max_iters, args.residual_tol, args.stall_tol)
-    stf.check_kernel_parameters(args.a1, args.b1, args.a2, args.eps1, args.eps2)
     X = mio.read_matrix(args.input)
     inst = stf.SymTriInstance(
         X, args.rank, a1=args.a1, b1=args.b1, a2=args.a2, eps1=args.eps1, eps2=args.eps2,
@@ -246,8 +249,8 @@ def cmd_check(args: argparse.Namespace) -> int:
             gf.setflags(write=False)
             closed, eta = problem.g[i].solver(problem, schedule, i, x, x_prev, f_grad=gf)
             loose = numeric_subproblem_oracle(problem, schedule, i, x, x_prev)
-            mc = model_value(problem, ga, al, i, x, x_prev, closed)
-            mo = model_value(problem, ga, al, i, x, x_prev, loose)
+            mc = model_value(problem, ga, al, i, x, x_prev, closed, f_grad=gf)
+            mo = model_value(problem, ga, al, i, x, x_prev, loose, f_grad=gf)
             oracle_gap = max(oracle_gap, abs(mc - mo))
             # the first-order condition's subgradient, from kernel gradients
             terms = (
@@ -304,7 +307,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     inst = stf.SymTriInstance(X, args.rank)
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["kappa", "seed", "iters_to_tol", "final_phi", "wall_seconds"])
+        writer.writerow(["kappa", "seed", "iters_to_tol", "final_phi", "wall_seconds", "termination"])
         for kappa in args.kappas:
             for seed in args.seeds:
                 start = time.perf_counter()
@@ -318,7 +321,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
                 )
                 wall = time.perf_counter() - start
                 final = result.trace[-1]
-                writer.writerow([kappa, seed, final.k, f"{final.phi:.17g}", f"{wall:.6f}"])
+                writer.writerow([kappa, seed, final.k, f"{final.phi:.17g}", f"{wall:.6f}",
+                                 result.termination])
     print(f"wrote: {args.out} ({len(args.kappas) * len(args.seeds)} rows)")
     return 0
 

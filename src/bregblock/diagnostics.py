@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
@@ -20,6 +21,7 @@ from .blocks import (
     BlockProblem,
     BlockVector,
     block_bregman_distance,
+    model_value,
 )
 
 if TYPE_CHECKING:
@@ -48,6 +50,9 @@ def finite_difference_block_grad(
 
 
 SAMPLE_SCALES = (1.0, 10.0, 0.1)
+SMOOTHNESS_SLACK = 1e-9
+ORACLE_ITERS = 20000
+ORACLE_TOL = 1e-11
 
 
 def _sampled_pair(
@@ -73,7 +78,6 @@ def verify_relative_smoothness(
     problem: BlockProblem,
     samples: int = 200,
     seed: int = 0,
-    slack: float = 1e-9,
 ) -> dict:
     """Certify the (L_i, h_i) pairs on sampled single-block perturbations.
 
@@ -83,8 +87,8 @@ def verify_relative_smoothness(
     and the gradient-monotonicity bound
         <grad_i f(x) - grad_i f(y), x_i - y_i>
             <= L_i <grad_i h_i(x) - grad_i h_i(y), x_i - y_i>.
-    Violations are excesses beyond ``slack`` (absolute).  The descent bound
-    takes D_{h_i} from the kernel's closed form, so each sample also
+    Violations are excesses beyond SMOOTHNESS_SLACK (absolute).  The descent
+    bound takes D_{h_i} from the kernel's closed form, so each sample also
     compares it with the direct formula h_i(y) - h_i(x) - <grad_i h_i(x),
     y_i - x_i>, relative to the sum of the magnitudes of those three terms
     (the scale at which the direct formula cancels).  Returns a dict with
@@ -121,7 +125,7 @@ def verify_relative_smoothness(
         breg_gap = max(breg_gap, abs(breg - sum(terms)) / scale)
 
         worst = max(worst, descent_gap, mono_gap)
-        if descent_gap > slack or mono_gap > slack:
+        if descent_gap > SMOOTHNESS_SLACK or mono_gap > SMOOTHNESS_SLACK:
             violations += 1
     return {"violations": violations, "worst_slack": worst, "bregman_max_rel_gap": breg_gap}
 
@@ -132,17 +136,14 @@ def numeric_subproblem_oracle(
     i: int,
     x: BlockVector,
     x_prev: BlockVector,
-    iters: int = 20000,
-    tol: float = 1e-11,
 ) -> Array:
-    """Projected gradient descent on the block-i model.
+    """Projected gradient descent on the block-i model, ``model_value``.
 
     Independent of any closed-form update: it only touches the block
     gradients of f and h_i plus the Euclidean projection of g_i (which must
     therefore be the indicator of a projectable convex set).  The step size
     is one over a local Lipschitz estimate maintained by backtracking; the
-    loop stops when an iterate moves less than ``tol``.
-    """
+    loop stops when an iterate moves at most ORACLE_TOL, or after ORACLE_ITERS."""
     term = problem.g[i]
     if term.project is None:
         raise ValueError(f"block {i} has no projection; the oracle cannot run")
@@ -150,21 +151,19 @@ def numeric_subproblem_oracle(
     alpha = schedule.alpha[i]
     kern = problem.kernels[i]
     xi = np.array(x.block(i))
-    drift = problem.f_block_grad(i, x) - (alpha / gamma) * (xi - x_prev.block(i))
+    gf = problem.f_block_grad(i, x)
+    drift = gf - (alpha / gamma) * (xi - x_prev.block(i))
     gh_at_x = kern.block_grad(x)
+
+    value = partial(model_value, problem, gamma, alpha, i, x, x_prev, f_grad=gf)
 
     def smooth_grad(z: Array) -> Array:
         return drift + (kern.block_grad(x.with_block(i, z)) - gh_at_x) / gamma
 
-    def value(z: Array) -> float:
-        # model_value with grad_i f(x) taken from drift; projected iterates
-        # are feasible, so g contributes exactly zero
-        return float(np.vdot(drift, z - xi)) + block_bregman_distance(kern, x, z) / gamma
-
     z = term.project(xi)
     fz = value(z)
     lip = 1.0
-    for _ in range(int(iters)):
+    for _ in range(ORACLE_ITERS):
         gz = smooth_grad(z)
         while True:
             cand = term.project(z - gz / lip)
@@ -176,7 +175,7 @@ def numeric_subproblem_oracle(
         move = float(np.linalg.norm(cand - z))
         z = cand
         fz = value(z)
-        if move <= tol:
+        if move <= ORACLE_TOL:
             break
         lip = max(lip * 0.9, 1e-12)
     return np.asarray(z, dtype=float)

@@ -294,7 +294,7 @@ def _csv_rows(fh):
         yield list(filter(str.strip, chunk.splitlines()))
 
 
-def write_matrix_market(path, matrix: Array, comment: str | None = None) -> None:
+def write_matrix_market(path, matrix: Array) -> None:
     """Write a dense MatrixMarket array file (real, general storage)."""
     matrix = np.asarray(matrix, dtype=float)
     if matrix.ndim != 2:
@@ -302,11 +302,7 @@ def write_matrix_market(path, matrix: Array, comment: str | None = None) -> None
     rows, cols = matrix.shape
     column = "%.17g\n" * rows
     with open(path, "w") as fh:
-        fh.write("%%MatrixMarket matrix array real general\n")
-        if comment:
-            for part in comment.splitlines():
-                fh.write(f"% {part}\n")
-        fh.write(f"{rows} {cols}\n")
+        fh.write(f"%%MatrixMarket matrix array real general\n{rows} {cols}\n")
         for j in range(cols):
             fh.write(column % tuple(matrix[:, j].tolist()))
 

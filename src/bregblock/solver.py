@@ -76,10 +76,10 @@ class StepSchedule:
         for i, (ga, al, de, Li, si) in enumerate(rows):
             if not abs(al) < si / 2.0:
                 raise ParameterError(f"block {i}: |alpha|={abs(al)} must be < sigma/2={si / 2.0}")
-            gmax = (si - 2.0 * abs(al)) / (si * Li)
+            gmax = (si - 2.0 * abs(al)) / _product(i, "sigma*L", si, Li)
             if not ga <= gmax * (1.0 + 1e-12):
                 raise ParameterError(f"block {i}: gamma={ga} outside (0, {gmax}]")
-            lo, hi = _delta_interval(Li, si, al, ga)
+            lo, hi = _delta_interval(i, Li, si, al, ga)
             tol = 1e-12 * (1.0 + abs(hi))
             if not max(lo - tol, 0.0) <= de <= hi + tol:
                 raise ParameterError(f"block {i}: delta={de} outside [{lo}, {hi}]")
@@ -101,9 +101,16 @@ def check_schedule_parameters(kappa: float, rho: float) -> None:
         raise ParameterError(f"rho must lie in (0, 1], got {rho}")
 
 
-def _delta_interval(Li: float, si: float, al: float, ga: float) -> tuple[float, float]:
-    """The admissible delta interval [lo, hi] of one block at step ga."""
-    lo = abs(al) / (si * ga)
+def _product(i: int, name: str, a: float, b: float) -> float:
+    """a * b, a divisor of block i's schedule: positive and finite, or ParameterError."""
+    if not 0.0 < a * b < math.inf:
+        raise ParameterError(f"block {i}: {name} = {a!r} * {b!r} = {a * b} is out of range")
+    return a * b
+
+
+def _delta_interval(i: int, Li: float, si: float, al: float, ga: float) -> tuple[float, float]:
+    """The admissible delta interval [lo, hi] of block i at step ga."""
+    lo = abs(al) / _product(i, "sigma*gamma", si, ga)
     return lo, (1.0 - ga * Li) / ga - lo
 
 
@@ -136,10 +143,10 @@ def derive_schedule(
             stacklevel=2,
         )
     gamma, alpha, delta = [], [], []
-    for Li, si in zip(L, sigma):
+    for i, (Li, si) in enumerate(zip(L, sigma)):
         al = kappa * si / 2.0
-        ga = rho * (si - 2.0 * abs(al)) / (si * Li)
-        lo, hi = _delta_interval(Li, si, al, ga)
+        ga = rho * (si - 2.0 * abs(al)) / _product(i, "sigma*L", si, Li)
+        lo, hi = _delta_interval(i, Li, si, al, ga)
         alpha.append(al)
         gamma.append(ga)
         delta.append(0.5 * (lo + hi))
@@ -162,7 +169,6 @@ class IterationRecord:
 @dataclass(frozen=True)
 class SolveResult:
     x_final: BlockVector
-    x_prev: BlockVector
     trace: list[IterationRecord]
     termination: str
 
@@ -351,7 +357,7 @@ def run(
         if stall_tol > 0.0 and abs(prev_lyap - lyap) <= stall_tol * (1.0 + abs(prev_lyap)):
             termination = TERMINATION_STALL
             break
-    return SolveResult(x_final=x, x_prev=x_prev, trace=trace, termination=termination)
+    return SolveResult(x_final=x, trace=trace, termination=termination)
 
 
 # rows per chunk of the trace JSON, which bounds the lists of numbers and

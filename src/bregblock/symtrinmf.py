@@ -44,6 +44,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import InitVar, dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -161,24 +162,11 @@ class SymTriInstance:
         return self.X.shape[0]
 
 
-@dataclass(frozen=True, eq=False)
-class FactorPair:
-    """Nonnegative factor matrices U (m x r) and V (r x r)."""
+class FactorPair(NamedTuple):
+    """The factors U (m x r) and V (r x r) of a solve: its final iterate's blocks."""
 
     U: Array
     V: Array
-
-    def __post_init__(self) -> None:
-        U = np.array(self.U, dtype=float, copy=True)
-        V = np.array(self.V, dtype=float, copy=True)
-        if U.ndim != 2 or V.ndim != 2 or V.shape[0] != V.shape[1] or U.shape[1] != V.shape[0]:
-            raise ParameterError(f"incompatible factor shapes {U.shape} and {V.shape}")
-        if (U < 0).any() or (V < 0).any():
-            raise ParameterError("factors must be entrywise nonnegative")
-        U.setflags(write=False)
-        V.setflags(write=False)
-        object.__setattr__(self, "U", U)
-        object.__setattr__(self, "V", V)
 
 
 def _check_shapes(inst: SymTriInstance, U: Array, V: Array) -> tuple[Array, Array]:
@@ -452,14 +440,11 @@ def pack_factors(inst: SymTriInstance, U: Array, V: Array) -> BlockVector:
     return BlockVector(_check_shapes(inst, U, V))
 
 
-def unpack_factors(x: BlockVector) -> FactorPair:
-    return FactorPair(*x.blocks)
-
-
 def relative_error(inst: SymTriInstance, U: Array, V: Array) -> float:
-    """||X - U V U^T|| / ||X|| (absolute residual norm when ||X|| = 0)."""
+    """||X - U V U^T|| / ||X|| (absolute residual norm when ||X|| = 0) as
+    sqrt(2 f_value), which on a solve's factors is its final phi's."""
     U, V = _check_shapes(inst, U, V)
-    num = float(np.linalg.norm(_residual(inst, U, V)))
+    num = math.sqrt(2.0 * f_value(inst, U, V))
     return num / inst.norm_X if inst.norm_X > 0 else num
 
 
@@ -500,4 +485,4 @@ def solve_instance(
         residual_tol=residual_tol,
         stall_tol=stall_tol,
     )
-    return result, unpack_factors(result.x_final)
+    return result, FactorPair(*result.x_final.blocks)

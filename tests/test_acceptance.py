@@ -65,13 +65,13 @@ def test_criterion_1_closed_form_matches_oracle():
             x = stf.pack_factors(inst, rng.random((5, 2)), rng.random((2, 2)))
             xp = stf.pack_factors(inst, rng.random((5, 2)), rng.random((2, 2)))
             for i in (0, 1):
-                closed, _ = problem.g[i].solver(problem, sched, i, x, xp,
-                                                f_grad=problem.f_block_grad(i, x))
+                gf = problem.f_block_grad(i, x)
+                closed, _ = problem.g[i].solver(problem, sched, i, x, xp, f_grad=gf)
                 oracle = numeric_subproblem_oracle(problem, sched, i, x, xp)
                 ga, al = sched.gamma[i], sched.alpha[i]
                 gap = abs(
-                    model_value(problem, ga, al, i, x, xp, closed)
-                    - model_value(problem, ga, al, i, x, xp, oracle)
+                    model_value(problem, ga, al, i, x, xp, closed, f_grad=gf)
+                    - model_value(problem, ga, al, i, x, xp, oracle, f_grad=gf)
                 )
                 worst = max(worst, gap)
     elapsed = time.perf_counter() - start

@@ -218,7 +218,8 @@ class TestModelValue:
         problem = linear_problem(shapes, rng.standard_normal(3))
         x = point(shapes, rng.standard_normal(3))
         xp = point(shapes, rng.standard_normal(3))
-        assert model_value(problem, 0.5, 0.2, 0, x, xp, x.block(0)) == 0.0
+        gf = problem.f_block_grad(0, x)
+        assert model_value(problem, 0.5, 0.2, 0, x, xp, x.block(0), f_grad=gf) == 0.0
 
     def test_euclidean_analytic_form(self):
         # alpha=0, h = ||.||^2/2, f linear with gradient c, gamma=1:
@@ -232,7 +233,8 @@ class TestModelValue:
             z = rng.standard_normal((2, 2))
             d = (z - x.block(0)).ravel()
             expected = float(np.dot(c, d)) + 0.5 * float(np.dot(d, d))
-            assert model_value(problem, 1.0, 0.0, 0, x, x, z) == pytest.approx(expected, rel=1e-12)
+            got = model_value(problem, 1.0, 0.0, 0, x, x, z, f_grad=problem.f_block_grad(0, x))
+            assert got == pytest.approx(expected, rel=1e-12)
 
     def test_tri_factorization_v_block_minimum(self):
         # scalar case X=4, U=1, V_k=0, alpha=0, gamma=0.9, a2=eps2=1:
@@ -240,18 +242,20 @@ class TestModelValue:
         inst = SymTriInstance(np.array([[4.0]]), 1)
         problem = stf.as_block_problem(inst)
         x = stf.pack_factors(inst, np.array([[1.0]]), np.array([[0.0]]))
-        at_min = model_value(problem, 0.9, 0.0, 1, x, x, np.array([[1.8]]))
+        gf = problem.f_block_grad(1, x)
+        at_min = model_value(problem, 0.9, 0.0, 1, x, x, np.array([[1.8]]), f_grad=gf)
         assert at_min == pytest.approx(-3.6, rel=1e-12)
         for z in (1.7, 1.9):
-            assert model_value(problem, 0.9, 0.0, 1, x, x, np.array([[z]])) > at_min
+            assert model_value(problem, 0.9, 0.0, 1, x, x, np.array([[z]]), f_grad=gf) > at_min
 
     def test_infeasible_returns_inf(self):
         problem = linear_problem(((2,),), np.zeros(2), g=nonnegative_indicator())
         x = BlockVector(([1.0, 1.0],))
-        assert model_value(problem, 1.0, 0.0, 0, x, x, np.array([-1.0, 0.0])) == math.inf
+        z = np.array([-1.0, 0.0])
+        assert model_value(problem, 1.0, 0.0, 0, x, x, z, f_grad=np.zeros(2)) == math.inf
 
     def test_invalid_gamma(self):
         problem = linear_problem(((2,),), np.zeros(2))
         x = BlockVector(([0.0, 0.0],))
         with pytest.raises(ParameterError):
-            model_value(problem, 0.0, 0.0, 0, x, x, np.zeros(2))
+            model_value(problem, 0.0, 0.0, 0, x, x, np.zeros(2), f_grad=np.zeros(2))

@@ -162,6 +162,8 @@ class TestSynthSolvePipeline:
         ("solve", "--rank", "3", "--a1", "1e-320"),
         ("solve", "--rank", "3", "--b1", "1e-320"),
         ("solve", "--rank", "3", "--a2", "1e-320"),
+        ("solve", "--rank", "3", "--a2", "1e-170"),  # sigma2 * gamma2 underflows
+        ("solve", "--rank", "3", "--a1", "1e-200", "--b1", "1e200"),  # sigma1 * L1 overflows
         ("solve", "--rank", "0"),
         ("check", "--rank", "0"),
         ("bench", "--rank", "0", "--out", "unused.csv"),
@@ -309,15 +311,33 @@ class TestBench:
         )
         assert code == 0
         lines = out.read_text().strip().splitlines()
-        assert lines[0] == "kappa,seed,iters_to_tol,final_phi,wall_seconds"
+        assert lines[0] == "kappa,seed,iters_to_tol,final_phi,wall_seconds,termination"
         assert len(lines) == 1 + 2 * 2
         for line in lines[1:]:
-            kappa, seed, iters, phi, wall = line.split(",")
+            kappa, seed, iters, phi, wall, termination = line.split(",")
             assert float(kappa) in (0.0, 0.5)
             assert int(seed) in (1, 2)
             assert int(iters) <= 40
             assert float(phi) >= 0.0
             assert float(wall) >= 0.0
+            assert termination in ("residual_tol", "max_iters")
+
+    def test_termination_tells_a_certified_last_sweep_from_max_iters(self, tmp_path):
+        def row(max_iters):
+            out = tmp_path / f"bench{max_iters}.csv"
+            assert run_cli("bench", "--m", "8", "--rank", "2", "--instance-seed", "1",
+                           "--kappas", "0", "--seeds", "1", "--residual-tol", "1e-4",
+                           "--max-iters", str(max_iters), "--out", str(out)) == 0
+            (line,) = out.read_text().splitlines()[1:]
+            return line.split(",")
+
+        k = int(row(5000)[2])
+        assert k < 5000
+        # the certifying sweep is the last one allowed: iters_to_tol equals
+        # max_iters in both rows, and only the termination column differs
+        certified, cut = row(k), row(k - 1)
+        assert (certified[2], certified[-1]) == (str(k), "residual_tol")
+        assert (cut[2], cut[-1]) == (str(k - 1), "max_iters")
 
 
 class TestDeterminism:

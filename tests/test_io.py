@@ -74,7 +74,7 @@ class TestMatrixMarket:
         rng = np.random.default_rng(0)
         original = rng.standard_normal((10, 10))
         path = tmp_path / "dense.mtx"
-        write_matrix_market(path, original, comment="round trip")
+        write_matrix_market(path, original)
         again = read_matrix(path)
         assert np.array_equal(again, original)
 
@@ -424,12 +424,12 @@ class TestRoundTripProperty:
     @example(np.array([[0.1], [1 / 3], [2.0 ** -1074 * 3]]))
     def test_write_then_read_is_bitwise(self, tmp_path_factory, matrix):
         path = tmp_path_factory.mktemp("rt") / "m.mtx"
-        write_matrix_market(path, matrix, comment="c")
+        write_matrix_market(path, matrix)
         assert same_bits(read_matrix(path, require_square=False), matrix)
         # the bytes of an entry-by-entry writer
         rows, cols = matrix.shape
         entries = "".join(f"{matrix[i, j]:.17g}\n" for j in range(cols) for i in range(rows))
-        expected = f"%%MatrixMarket matrix array real general\n% c\n{rows} {cols}\n{entries}"
+        expected = f"%%MatrixMarket matrix array real general\n{rows} {cols}\n{entries}"
         assert path.read_text() == expected
 
     @settings(max_examples=150, deadline=None)

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -58,7 +59,7 @@ def recompute_everything_run(problem, schedule, x0, sweeps):
     """Reference for ``run``: the same sweeps with every gradient evaluated
     afresh at each use.  Each block solver gets a gradient evaluated for
     it alone and returns its subgradient; each residual term evaluates its
-    own gradient.  Returns (x_prev, x_final, rows) with one (phi, lyapunov,
+    own gradient.  Returns (x_final, rows) with one (phi, lyapunov,
     residual, gaps) row per sweep, the k=0 row holding phi(x0) and
     ||grad f(x0)||."""
     phi0 = phi_value(problem, x0)
@@ -79,17 +80,17 @@ def recompute_everything_run(problem, schedule, x0, sweeps):
         phi = phi_value(problem, cur)
         rows.append((phi, lyapunov_value(schedule, phi, gaps), math.sqrt(total), tuple(gaps)))
         x_prev, x = x, cur
-    return x_prev, x, rows
+    return x, rows
 
 
 def assert_run_matches_reference(problem, schedule, x0, sweeps):
     result = run(problem, schedule, x0, max_iters=sweeps, residual_tol=0.0)
-    x_prev, x_final, rows = recompute_everything_run(problem, schedule, x0, sweeps)
+    x_final, rows = recompute_everything_run(problem, schedule, x0, sweeps)
     got = [(r.phi, r.lyapunov, r.residual_norm, r.gaps) for r in result.trace]
     assert len(got) == sweeps + 1
     for k, (a, b) in enumerate(zip(got, rows)):
         assert a == b, f"sweep {k}: {a} != {b}"  # bitwise: == on floats
-    for a, b in zip(result.x_final.blocks + result.x_prev.blocks, x_final.blocks + x_prev.blocks):
+    for a, b in zip(result.x_final.blocks, x_final.blocks):
         assert a.tobytes() == b.tobytes()
 
 
@@ -221,6 +222,8 @@ class TestDeriveSchedule:
             StepSchedule((0.0,), (0.0,), (0.0,), (0.0,), (0.0,))
         with pytest.raises(ParameterError):
             StepSchedule((1.0,), (0.0, 0.0), (0.0,), (0.0,), (0.0,))
+        with pytest.raises(ParameterError, match=r"block 0: sigma\*gamma = "):
+            StepSchedule((1e-200,), (0.0,), (0.0,), (1.0,), (1e-200,))  # sigma gamma underflows
 
     def test_closed_form_bitwise(self):
         # the docstring's formulas, evaluated in the same order, give the
@@ -245,6 +248,19 @@ class TestDeriveSchedule:
                 hi = (1.0 - ga * Li) / ga - lo
                 assert (ai, bi) == (max(hi - de, 0.0), max(de - lo, 0.0))
             assert (s.a, s.b) != (base.a, base.b)
+
+    @pytest.mark.parametrize("L, sigma, product", [
+        (1e-200, 1e-200, "sigma*L"),      # sigma L underflows to 0
+        (1e300, 1e300, "sigma*L"),        # sigma L overflows
+        (1e200, 1e-200, "sigma*gamma"),   # gamma ~ 1/L, so sigma gamma underflows
+    ])
+    def test_out_of_range_products_are_parameter_errors(self, L, sigma, product):
+        with pytest.raises(ParameterError, match=rf"block 1: {re.escape(product)} = "):
+            derive_schedule([1.0, L], [1.0, sigma])
+        # a schedule built by hand for those constants is refused too
+        good = derive_schedule([1.0, 1.0], [1.0, 1.0])
+        with pytest.raises(ParameterError):
+            dataclasses.replace(good, L=(1.0, L), sigma=(1.0, sigma))
 
     def test_descent_coefficients_are_not_arguments(self):
         base = derive_schedule([1.0], [2.0], kappa=0.5, rho=0.9)
@@ -344,11 +360,11 @@ class TestSubproblem:
             x = stf.pack_factors(inst, rng.random((4, 2)), rng.random((2, 2)))
             xp = stf.pack_factors(inst, rng.random((4, 2)), rng.random((2, 2)))
             for i in (0, 1):
-                z, _ = solve_block_subproblem(problem, schedule, i, x, xp,
-                                              f_grad=problem.f_block_grad(i, x))
+                gf = problem.f_block_grad(i, x)
+                z, _ = solve_block_subproblem(problem, schedule, i, x, xp, f_grad=gf)
                 ga, al = schedule.gamma[i], schedule.alpha[i]
-                m_new = model_value(problem, ga, al, i, x, xp, z)
-                m_old = model_value(problem, ga, al, i, x, xp, x.block(i))
+                m_new = model_value(problem, ga, al, i, x, xp, z, f_grad=gf)
+                m_old = model_value(problem, ga, al, i, x, xp, x.block(i), f_grad=gf)
                 assert m_new <= m_old + 1e-12
 
 

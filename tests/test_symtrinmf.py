@@ -31,7 +31,6 @@ from bregblock.diagnostics import (
 from bregblock.io import synth_instance
 from bregblock.solver import sweep_with_partials
 from bregblock.symtrinmf import (
-    FactorPair,
     kernel_h1_distance,
     kernel_h1_grad,
     kernel_h1_value,
@@ -141,13 +140,6 @@ class TestInstance:
             fixed = SymTriInstance(X, 1, symmetrize=True)
         assert np.array_equal(fixed.X, 0.5 * (X + X.T))
         assert np.linalg.norm(fixed.X - fixed.X.T) <= 1e-12 * np.linalg.norm(fixed.X)
-
-    def test_factor_pair_validation(self):
-        FactorPair(np.ones((3, 2)), np.ones((2, 2)))
-        with pytest.raises(ParameterError):
-            FactorPair(-np.ones((3, 2)), np.ones((2, 2)))
-        with pytest.raises(ParameterError):
-            FactorPair(np.ones((3, 2)), np.ones((3, 3)))
 
 
 class TestObjective:
@@ -328,11 +320,12 @@ class TestUpdateU:
             sched = derive_schedule(problem.L, problem.sigma, kappa=0.5, rho=0.9)
             x = stf.pack_factors(inst, rng.random((5, 2)), rng.random((2, 2)))
             xp = stf.pack_factors(inst, rng.random((5, 2)), rng.random((2, 2)))
-            closed, _ = problem.g[0].solver(problem, sched, 0, x, xp,
-                                            f_grad=problem.f_block_grad(0, x))
+            gf = problem.f_block_grad(0, x)
+            closed, _ = problem.g[0].solver(problem, sched, 0, x, xp, f_grad=gf)
             oracle = numeric_subproblem_oracle(problem, sched, 0, x, xp)
-            mc = model_value(problem, sched.gamma[0], sched.alpha[0], 0, x, xp, closed)
-            mo = model_value(problem, sched.gamma[0], sched.alpha[0], 0, x, xp, oracle)
+            ga, al = sched.gamma[0], sched.alpha[0]
+            mc = model_value(problem, ga, al, 0, x, xp, closed, f_grad=gf)
+            mo = model_value(problem, ga, al, 0, x, xp, oracle, f_grad=gf)
             assert mc <= mo + 1e-8
             assert abs(mc - mo) <= 1e-8
 
@@ -358,11 +351,12 @@ class TestUpdateV:
             sched = derive_schedule(problem.L, problem.sigma, kappa=0.5, rho=0.9)
             x = stf.pack_factors(inst, rng.random((5, 2)), rng.random((2, 2)))
             xp = stf.pack_factors(inst, rng.random((5, 2)), rng.random((2, 2)))
-            closed, _ = problem.g[1].solver(problem, sched, 1, x, xp,
-                                            f_grad=problem.f_block_grad(1, x))
+            gf = problem.f_block_grad(1, x)
+            closed, _ = problem.g[1].solver(problem, sched, 1, x, xp, f_grad=gf)
             oracle = numeric_subproblem_oracle(problem, sched, 1, x, xp)
-            mc = model_value(problem, sched.gamma[1], sched.alpha[1], 1, x, xp, closed)
-            mo = model_value(problem, sched.gamma[1], sched.alpha[1], 1, x, xp, oracle)
+            ga, al = sched.gamma[1], sched.alpha[1]
+            mc = model_value(problem, ga, al, 1, x, xp, closed, f_grad=gf)
+            mo = model_value(problem, ga, al, 1, x, xp, oracle, f_grad=gf)
             assert mc <= mo + 1e-8
             assert abs(mc - mo) <= 1e-8
 
@@ -724,3 +718,66 @@ class TestProductForm:
         startup = {name: totals[0][name] - 7 * per_sweep[name] for name in counted}
         assert startup == dict.fromkeys(counted, 0) | {
             "grad_U": 1, "grad_V": 1, "compute_products": 1}
+
+
+class TestSolveFactors:
+    """The factors of a solve are its final iterate, and their relative
+    error is the solve's own final phi."""
+
+    def test_factors_are_the_final_iterates_read_only_blocks(self):
+        X, _, _ = synth_instance(20, 3, noise_level=0.2, density=1.0, seed=5)
+        result, factors = stf.solve_instance(SymTriInstance(X, 3), max_iters=7)
+        assert factors.U is result.x_final.blocks[0]
+        assert factors.V is result.x_final.blocks[1]
+        for block in factors:
+            with pytest.raises(ValueError):
+                block[0, 0] = 1.0
+
+    @pytest.mark.parametrize("start", [None, 1.01])
+    def test_relative_error_of_the_factors_is_the_final_phi(self, monkeypatch, start):
+        # a noisy run far from the fit (the trace identity), and one started
+        # at (U*, 1.01 V*) that stays near it (the dense residual)
+        X, U_star, V_star = synth_instance(20, 3, noise_level=0.0 if start else 0.3,
+                                           density=1.0, seed=5)
+        inst = SymTriInstance(X, 3)
+        x0 = stf.pack_factors(inst, U_star, start * V_star) if start else None
+        result, factors = stf.solve_instance(inst, max_iters=19, residual_tol=0.0, x0=x0)
+        near = result.trace[-1].phi < stf.FIT_CANCELLATION * inst.norm_X**2
+        assert near == bool(start)
+        made, formed = [], []
+        compute, residual = stf.compute_products, stf._residual
+        monkeypatch.setattr(stf, "compute_products", lambda i, U: made.append(1) or compute(i, U))
+        monkeypatch.setattr(stf, "_residual", lambda *a: formed.append(1) or residual(*a))
+        rel = relative_error(inst, *factors)
+        assert made == [] and bool(formed) == near
+        assert rel == math.sqrt(2.0 * result.trace[-1].phi) / inst.norm_X
+
+    @pytest.mark.parametrize("t", [1.0, 0.1, 0.01])
+    def test_relative_error_matches_the_dense_fit(self, t):
+        # at (U*, (1 + t) V*) the relative error is t: the trace identity
+        # serves t = 1 and 0.1, the dense residual t = 0.01
+        X, U, V = synth_instance(12, 2, noise_level=0.0, density=1.0, seed=4)
+        inst = SymTriInstance(X, 2)
+        V = (1.0 + t) * V
+        f_ref = stf.dense_fit(inst, U, V)[0]
+        assert (f_ref < stf.FIT_CANCELLATION * inst.norm_X**2) == (t == 0.01)
+        ref = math.sqrt(2.0 * f_ref) / inst.norm_X
+        assert relative_error(inst, U, V) == pytest.approx(ref, rel=1e-12)
+        assert ref == pytest.approx(t, rel=1e-12)
+
+    def test_kernel_gauge_leaves_the_run_unchanged(self):
+        # a2 -> 2 a2 doubles h2 and sigma2 and halves L2, and (a1, b1) ->
+        # 2 (a1, b1) does the same for h1: gamma_i and alpha_i double and
+        # delta_i halves, so each update, gap and residual term changes by a
+        # power of two, and the run is the same bit for bit
+        X, _, _ = synth_instance(30, 3, noise_level=0.2, density=1.0, seed=7)
+
+        def solve(**kernel):
+            result, factors = stf.solve_instance(SymTriInstance(X, 3, **kernel), kappa=0.6,
+                                                 max_iters=300)
+            rows = [(r.phi, r.residual_norm, r.lyapunov) for r in result.trace]
+            return [b.tobytes() for b in factors], rows
+
+        default = solve()
+        assert solve(a2=2.0) == default
+        assert solve(a1=12.0, b1=4.0) == default
