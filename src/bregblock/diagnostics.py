@@ -28,24 +28,20 @@ if TYPE_CHECKING:
     from .solver import IterationRecord, StepSchedule
 
 
-def finite_difference_block_grad(
-    func: Callable[[BlockVector], float],
-    i: int,
-    x: BlockVector,
-    step: float = 1e-5,
-) -> Array:
-    """Central finite differences of ``func`` along the coordinates of block
-    i, in the block's shape."""
-    if not step > 0:
-        raise ValueError(f"step must be positive, got {step}")
+FD_STEP = 1e-5
+
+
+def finite_difference_block_grad(func: Callable[[BlockVector], float], i: int, x: BlockVector) -> Array:
+    """Central finite differences of ``func`` with step FD_STEP along the
+    coordinates of block i, in the block's shape."""
     base = np.array(x.block(i))
     grad = np.empty(base.shape)
     for j in np.ndindex(base.shape):
         plus = base.copy()
-        plus[j] += step
+        plus[j] += FD_STEP
         minus = base.copy()
-        minus[j] -= step
-        grad[j] = (func(x.with_block(i, plus)) - func(x.with_block(i, minus))) / (2.0 * step)
+        minus[j] -= FD_STEP
+        grad[j] = (func(x.with_block(i, plus)) - func(x.with_block(i, minus))) / (2.0 * FD_STEP)
     return grad
 
 
@@ -238,14 +234,6 @@ class RateFit:
     tau: float | None
     exponent: float | None
     r_squared: float
-
-    def to_dict(self) -> dict:
-        return {
-            "regime": self.regime,
-            "tau": self.tau,
-            "exponent": self.exponent,
-            "r_squared": self.r_squared,
-        }
 
 
 def _linear_fit(xs: Array, ys: Array) -> tuple[float, float]:

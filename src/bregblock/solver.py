@@ -314,7 +314,8 @@ def run(
 
     start = time.perf_counter()
     grad0 = full_gradient(problem, x0)
-    scale = 1.0 + float(np.linalg.norm(grad0))
+    norm0 = float(np.linalg.norm(grad0))
+    scale = 1.0 + norm0
     f_grad0 = grad0[: math.prod(problem.shapes[0])].reshape(problem.shapes[0])
     phi0 = phi_value(problem, x0)
     zeros = tuple(0.0 for _ in range(problem.N))
@@ -323,7 +324,7 @@ def run(
             k=0,
             phi=phi0,
             lyapunov=phi0,
-            residual_norm=scale - 1.0,
+            residual_norm=norm0,
             gaps=zeros,
             elapsed_seconds=time.perf_counter() - start,
         )

@@ -138,11 +138,9 @@ class SymTriInstance:
             )
         gap = float(np.linalg.norm(X - X.T))
         if gap > 1e-12 * max(norm, 1e-30):
-            warnings.warn(
-                "input matrix is not symmetric; gradients remain exact, but "
-                "pass symmetrize=True to work with (X + X^T)/2",
-                stacklevel=2,
-            )
+            how = ("X was replaced by (X + X^T)/2" if symmetrize else "gradients remain exact, "
+                   "but pass symmetrize=True to work with (X + X^T)/2")
+            warnings.warn(f"input matrix is not symmetric; {how}", stacklevel=2)
             if symmetrize:
                 X = 0.5 * (X + X.T)
                 norm = float(np.linalg.norm(X))
@@ -296,7 +294,9 @@ def cubic_positive_root(tau1: float, tau2: float) -> float:
     discriminant tau2^2 + (4/27) tau2 tau1^3, then Newton polish.
 
     The radical form cancels badly when tau1^3/27 dwarfs (or is dwarfed by)
-    tau2; two Newton steps restore the residual to rounding level.
+    tau2; two Newton steps restore the residual to rounding level.  Where
+    the formula overflows (from X scaled by 1e25, ||X|| ~ 1e27, on the m=30
+    acceptance instance) it raises OverflowError: X must then be rescaled.
     """
     tau1 = float(tau1)
     tau2 = float(tau2)
@@ -305,11 +305,20 @@ def cubic_positive_root(tau1: float, tau2: float) -> float:
     if tau1 == 0.0 and tau2 == 0.0:
         raise ParameterError("degenerate cubic: tau1 = tau2 = 0 has only the root t = 0")
     cube = tau1 * tau1 * tau1 / 27.0
-    disc = tau2 * tau2 + (4.0 / 27.0) * tau2 * tau1 ** 3
+    try:
+        disc = tau2 * tau2 + (4.0 / 27.0) * tau2 * tau1 ** 3
+    except OverflowError:  # float ** raises where * gives inf
+        disc = math.inf
     sq = math.sqrt(disc)
     t = tau1 / 3.0 + float(np.cbrt((tau2 + sq) / 2.0 + cube)) + float(
         np.cbrt((tau2 - sq) / 2.0 + cube)
     )
+    if not math.isfinite(t):  # an inf discriminant gives inf - inf
+        raise OverflowError(
+            f"the U update's cubic t^3 - tau1 t^2 - tau2 overflows (tau1 = {tau1:.3g}, tau2 = "
+            f"{tau2:.3g}); X must be rescaled (for example divided by its largest absolute "
+            "entry) before solving"
+        )
     for _ in range(2):
         slope = t * (3.0 * t - 2.0 * tau1)
         if not (slope > 0.0 and math.isfinite(slope)):

@@ -156,7 +156,7 @@ def test_criterion_4_gradient_correctness():
             (np.asarray(problem.kernels[1].block_grad(x)), problem.kernels[1].value, 1),
         ]
         for analytic, func, i in checks:
-            fd = finite_difference_block_grad(func, i, x, step=1e-5)
+            fd = finite_difference_block_grad(func, i, x)
             err = float(np.linalg.norm(analytic - fd)) / max(float(np.linalg.norm(fd)), 1e-12)
             worst = max(worst, err)
     elapsed = time.perf_counter() - start

@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -95,6 +96,17 @@ class TestSynthSolvePipeline:
         with np.errstate(over="ignore"):
             assert run_cli("solve", "--input", str(x_path), "--rank", "3") == 2
         assert "X must be rescaled" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("c", [1e25, 1e50, 1e100, 1e150])
+    def test_overflowing_cubic_exits_one(self, tmp_path, capsys, c):
+        # ||X|| stays finite, but the U update's cubic overflows
+        x_path = tmp_path / "x.mtx"
+        X, _, _ = synth_instance(30, 3, seed=7)
+        write_matrix_market(x_path, X * c)
+        with np.errstate(over="ignore"):
+            assert run_cli("solve", "--input", str(x_path), "--rank", "3") == 1
+        err = capsys.readouterr().err
+        assert "cubic" in err and "X must be rescaled" in err
 
     def test_missing_input_file_exits_one(self, tmp_path):
         assert run_cli("solve", "--input", str(tmp_path / "nope.mtx"), "--rank", "2") == 1
@@ -253,9 +265,23 @@ class TestConfigFile:
 
 
 class TestCheck:
+    ROWS = ["violations", "worst_slack", "grad_max_rel_err", "oracle_max_model_gap",
+            "product_form_max_rel_gap", "bregman_closed_form_max_rel_gap", "subgradient_max_gap"]
+
+    @staticmethod
+    def failed_rows(err):
+        return err.partition("failed checks: ")[2].strip().split(", ")
+
+    @staticmethod
+    def patch_report(monkeypatch, **rows):
+        report = cli.verify_relative_smoothness
+        monkeypatch.setattr(cli, "verify_relative_smoothness",
+                            lambda *a, **k: {**report(*a, **k), **rows})
+
     def test_defaults_pass(self, capsys):
         assert run_cli("check") == 0
         payload = json.loads(capsys.readouterr().out)
+        assert list(payload) == self.ROWS
         assert payload["violations"] == 0
         assert payload["grad_max_rel_err"] <= 1e-6
         assert payload["oracle_max_model_gap"] <= 1e-8
@@ -288,7 +314,43 @@ class TestCheck:
         captured = capsys.readouterr()
         assert json.loads(captured.out)[row] > 1e-6
         # a wrong distance also moves the model values the oracle row compares
-        assert row in captured.err.partition("failed checks: ")[2].strip().split(", ")
+        assert row in self.failed_rows(captured.err)
+
+    @pytest.mark.parametrize("row, bound, named", [
+        ("violations", None, ["violations"]),
+        ("grad_max_rel_err", "GRAD_CHECK_TOL", ["grad_max_rel_err"]),
+        ("oracle_max_model_gap", "ORACLE_GAP_TOL", ["oracle_max_model_gap"]),
+        ("product_form_max_rel_gap", "PRODUCT_FORM_TOL", ["product_form_max_rel_gap"]),
+        ("bregman_closed_form_max_rel_gap", "CLOSED_FORM_TOL",
+         ["bregman_closed_form_max_rel_gap", "subgradient_max_gap"]),
+        ("subgradient_max_gap", "CLOSED_FORM_TOL",
+         ["bregman_closed_form_max_rel_gap", "subgradient_max_gap"]),
+    ])
+    def test_each_bounded_row_fails_past_its_bound(self, monkeypatch, capsys, row, bound, named):
+        # every gap is >= 0, so a bound of -1 fails it; the two closed-form
+        # rows share CLOSED_FORM_TOL
+        if bound is None:
+            self.patch_report(monkeypatch, violations=1)
+        else:
+            monkeypatch.setattr(cli, bound, -1.0)
+        assert run_cli("check") == 1
+        captured = capsys.readouterr()
+        assert list(json.loads(captured.out)) == self.ROWS
+        assert self.failed_rows(captured.err) == named
+
+    def test_nan_value_fails(self, monkeypatch, capsys):
+        self.patch_report(monkeypatch, bregman_max_rel_gap=float("nan"))
+        assert run_cli("check") == 1
+        captured = capsys.readouterr()
+        assert math.isnan(json.loads(captured.out)["bregman_closed_form_max_rel_gap"])
+        assert self.failed_rows(captured.err) == ["bregman_closed_form_max_rel_gap"]
+
+    def test_worst_slack_is_only_reported(self, monkeypatch, capsys):
+        self.patch_report(monkeypatch, worst_slack=1.0)
+        assert run_cli("check") == 0
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["worst_slack"] == 1.0
+        assert captured.err == ""
 
     def test_explicit_instance(self, tmp_path, capsys):
         x_path = tmp_path / "x.mtx"

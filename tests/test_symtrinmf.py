@@ -29,7 +29,7 @@ from bregblock.diagnostics import (
     verify_relative_smoothness,
 )
 from bregblock.io import synth_instance
-from bregblock.solver import sweep_with_partials
+from bregblock.solver import full_gradient, sweep_with_partials
 from bregblock.symtrinmf import (
     kernel_h1_distance,
     kernel_h1_grad,
@@ -133,10 +133,10 @@ class TestInstance:
 
     def test_asymmetric_warns_and_symmetrizes(self):
         X = np.array([[1.0, 2.0], [0.0, 1.0]])
-        with pytest.warns(UserWarning):
+        with pytest.warns(UserWarning, match=r"not symmetric; .* pass symmetrize=True"):
             kept = SymTriInstance(X, 1)
         assert np.array_equal(kept.X, X)  # accepted as-is
-        with pytest.warns(UserWarning):
+        with pytest.warns(UserWarning, match=r"not symmetric; X was replaced by \(X \+ X\^T\)/2$"):
             fixed = SymTriInstance(X, 1, symmetrize=True)
         assert np.array_equal(fixed.X, 0.5 * (X + X.T))
         assert np.linalg.norm(fixed.X - fixed.X.T) <= 1e-12 * np.linalg.norm(fixed.X)
@@ -194,7 +194,7 @@ class TestGradients:
         problem = as_block_problem(inst)
         U, V = rng.random((4, 2)), rng.random((2, 2))
         x = stf.pack_factors(inst, U, V)
-        fd = finite_difference_block_grad(problem.f_value, 0, x, step=1e-5)
+        fd = finite_difference_block_grad(problem.f_value, 0, x)
         assert rel_err(grad_U(inst, U, V), fd) <= 1e-6
 
     @pytest.mark.parametrize("seed", [3, 4, 5])
@@ -203,7 +203,7 @@ class TestGradients:
         problem = as_block_problem(inst)
         U, V = rng.random((4, 2)), rng.random((2, 2))
         x = stf.pack_factors(inst, U, V)
-        fd = finite_difference_block_grad(problem.f_value, 1, x, step=1e-5)
+        fd = finite_difference_block_grad(problem.f_value, 1, x)
         assert rel_err(grad_V(inst, U, V), fd) <= 1e-6
 
     def test_gradients_exact_for_asymmetric_data(self):
@@ -214,7 +214,7 @@ class TestGradients:
         U, V = rng.random((4, 2)), rng.random((2, 2))
         x = stf.pack_factors(inst, U, V)
         for i, grad in enumerate((grad_U(inst, U, V), grad_V(inst, U, V))):
-            fd = finite_difference_block_grad(problem.f_value, i, x, step=1e-5)
+            fd = finite_difference_block_grad(problem.f_value, i, x)
             assert rel_err(grad, fd) <= 1e-6
 
 
@@ -240,7 +240,7 @@ class TestKernels:
         problem = as_block_problem(inst)
         x = stf.pack_factors(inst, rng.random((3, 2)), rng.random((2, 2)))
         for i, kern in enumerate(problem.kernels):
-            fd = finite_difference_block_grad(kern.value, i, x, step=1e-5)
+            fd = finite_difference_block_grad(kern.value, i, x)
             assert rel_err(np.asarray(kern.block_grad(x)), fd) <= 1e-6
 
     def test_block_strong_convexity_moduli(self):
@@ -274,6 +274,12 @@ class TestCubicRoot:
             t1, t2 = np.exp(rng.uniform(np.log(1e-6), np.log(1e6), size=2))
             t = cubic_positive_root(t1, t2)
             assert abs(t * t * (t - t1) - t2) <= 1e-10 * max(1.0, t1**3, t2)
+
+    @pytest.mark.parametrize("tau1, tau2", [(9.4e52, 2.6e161), (9.4e102, math.inf), (1e103, 1.0)])
+    def test_overflow_is_an_accurate_error(self, tau1, tau2):
+        # tau2^2 overflows to a NaN root; tau1 ** 3 raises; tau2 is already inf
+        with pytest.raises(OverflowError, match="cubic .* overflows .* X must be rescaled"):
+            cubic_positive_root(tau1, tau2)
 
     def test_degenerate_and_negative(self):
         with pytest.raises(ParameterError):
@@ -781,3 +787,31 @@ class TestSolveFactors:
         default = solve()
         assert solve(a2=2.0) == default
         assert solve(a1=12.0, b1=4.0) == default
+
+
+class TestScaledInput:
+    """The acceptance instance scaled by c: where the solve cannot be made
+    it says so, and the k=0 record holds ||grad f(x0)|| at every scale."""
+
+    def test_k0_record_is_the_initial_gradient_norm(self):
+        X, _, _ = synth_instance(30, 3, seed=7)
+        inst = SymTriInstance(1e-8 * X, 3)
+        result, _ = stf.solve_instance(inst, max_iters=1)
+        problem = as_block_problem(inst)
+        x0 = stf.pack_factors(inst, *initial_factors(inst, 0))
+        # (1 + norm) - 1 would lose about 1e-11 relative here
+        assert result.trace[0].residual_norm == float(np.linalg.norm(full_gradient(problem, x0)))
+
+    @pytest.mark.parametrize("c", [1e25, 1e100])
+    def test_overflow_is_an_error_not_a_misdiagnosis(self, c):
+        # the closed form's cubic overflows: an infeasible-point
+        # ConfigurationError or a certificate at rel_error 1 would misdiagnose it
+        X, _, _ = synth_instance(30, 3, seed=7)
+        inst = SymTriInstance(c * X, 3)
+        try:
+            with np.errstate(over="ignore"):  # ||grad f(x0)|| overflows at 1e100
+                result, factors = stf.solve_instance(inst)
+        except ArithmeticError as exc:
+            assert "X must be rescaled" in str(exc)
+            return
+        assert relative_error(inst, *factors) <= 1e-3
