@@ -115,7 +115,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
     p_solve = sub.add_parser("solve", help="factor a matrix from file")
     p_solve.add_argument("--input", help="square matrix (MatrixMarket or CSV)")
     p_solve.add_argument("--rank", type=_RANK, help="factorization rank")
-    for name, default in (("a1", 6.0), ("b1", 2.0), ("a2", 1.0), ("eps1", 1.0), ("eps2", 1.0),
+    for name, default in (("a1", 6.0), ("eps1", 1.0), ("eps2", 1.0),
                           ("kappa", 0.0), ("rho", 0.9), ("residual-tol", 1e-8), ("stall-tol", 0.0)):
         p_solve.add_argument(f"--{name}", type=float, default=default)
     p_solve.add_argument("--max-iters", type=int, default=5000)
@@ -165,16 +165,14 @@ def cmd_synth(args: argparse.Namespace) -> int:
 def cmd_solve(args: argparse.Namespace) -> int:
     if args.input is None or args.rank is None:
         raise ParameterError("solve requires --input and --rank (flags or config file)")
-    L1, L2, s1, s2 = stf.check_kernel_parameters(args.a1, args.b1, args.a2, args.eps1, args.eps2)
+    L1, L2, s1, s2 = stf.check_kernel_parameters(args.a1, args.eps1, args.eps2)
     with warnings.catch_warnings():  # solve_instance gives derive_schedule's warnings
         warnings.simplefilter("ignore")
         derive_schedule((L1, L2), (s1, s2), kappa=args.kappa, rho=args.rho)
     check_run_limits(args.max_iters, args.residual_tol, args.stall_tol)
     X = mio.read_matrix(args.input)
-    inst = stf.SymTriInstance(
-        X, args.rank, a1=args.a1, b1=args.b1, a2=args.a2, eps1=args.eps1, eps2=args.eps2,
-        symmetrize=args.symmetrize,
-    )
+    inst = stf.SymTriInstance(X, args.rank, a1=args.a1, eps1=args.eps1, eps2=args.eps2,
+                              symmetrize=args.symmetrize)
     result, factors = stf.solve_instance(
         inst,
         kappa=args.kappa,

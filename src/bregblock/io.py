@@ -4,8 +4,9 @@ Readers cover MatrixMarket (coordinate and array, real, general and
 symmetric storage) and headerless CSV of floats; the writer emits dense
 MatrixMarket array files with 17 significant digits so every double
 round-trips bitwise.  Readers and writer handle a file's entries in bulk,
-never one Python step per entry; a reader rescans the body line by line
-only after a bulk conversion or count check failed, to name the line.
+never one Python step per entry; a reader rescans the body line by line,
+in the same slices, only after a bulk conversion or count check failed,
+to name the line.
 
 A reader converts the file in line-aligned slices of about _CHUNK_CHARS
 characters straight into the result, so it holds the matrix (for a
@@ -18,7 +19,6 @@ from __future__ import annotations
 
 import itertools
 import os
-import re
 from io import StringIO
 from typing import Sequence
 
@@ -52,9 +52,8 @@ def read_matrix(path, require_square: bool = True) -> Array:
         if not fh.seekable():  # a pipe: a reader may read the file again
             fh = StringIO(fh.read())
             max_chars = len(fh.getvalue())
-        first = next(_chunks(fh), "")
-        eol = _EOL.search(first)
-        if first[:eol.start() if eol else None].lstrip().startswith("%%MatrixMarket"):
+        first = next(_chunks(fh), "").splitlines()
+        if first and first[0].lstrip().startswith("%%MatrixMarket"):
             matrix = _read_matrix_market(fh, max_chars, path)
         else:
             matrix = _read_csv(fh, path)
@@ -63,31 +62,29 @@ def read_matrix(path, require_square: bool = True) -> Array:
     return matrix
 
 
-# The line boundaries of str.splitlines, so that line numbers in errors
-# count lines the way the rest of the reader does.
-_EOL = re.compile(r"\r\n|[\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]")
+# The line boundaries of str.splitlines; a line that splitlines(True) gives
+# holds them only at its end.
+_EOL = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
 
 
 def _lines(chunks):
     """(number, line, its chunk, offset just past it in the chunk) for each
-    line of the text that the line-aligned ``chunks`` make up."""
+    line of the text that the line-aligned ``chunks`` make up, split by
+    str.splitlines slice by slice: every cut falls just after a newline, so
+    the numbers are those of the whole text's splitlines."""
     no = 0
     for chunk in chunks:
-        start = 0
-        for eol in _EOL.finditer(chunk):
-            no += 1
-            yield no, chunk[start:eol.start()], chunk, eol.end()
-            start = eol.end()
-        if start < len(chunk):
-            no += 1
-            yield no, chunk[start:], chunk, len(chunk)
+        end = 0
+        for no, line in enumerate(chunk.splitlines(True), no + 1):
+            end += len(line)
+            yield no, line.rstrip(_EOL), chunk, end
 
 
 def _entry_lines(fh, after: int):
     """(number, tokens) for each non-blank, non-comment line of ``fh`` after
-    line ``after``, read in one piece.  Only error paths rescan the body
-    this way, to name the line at fault."""
-    for no, line in enumerate("".join(_chunks(fh)).splitlines(), start=1):
+    line ``after``.  Only error paths rescan the body this way, to name the
+    line at fault."""
+    for no, line, _, _ in _lines(_chunks(fh)):
         tokens = line.split()
         if no > after and tokens and not tokens[0].startswith("%"):
             yield no, tokens
@@ -132,6 +129,7 @@ def _read_matrix_market(fh, max_chars: int, path) -> Array:
     if symmetric and sizes[0] != sizes[1]:
         raise ParseError(path, size_no, "symmetric storage requires a square matrix")
 
+    lines.close()  # frees the split lines of the slice that holds the size line
     body = itertools.chain((chunk[offset:],), chunks)
     if fmt == "coordinate":
         return _coordinate(body, fh, max_chars, size_no, *sizes, symmetric, path)
@@ -272,7 +270,7 @@ def _read_csv(fh, path) -> Array:
             pos += len(cells)
     except ValueError:
         # name the first line with a bad cell or a different width
-        for no, line in enumerate("".join(_chunks(fh)).splitlines(), start=1):
+        for no, line, _, _ in _lines(_chunks(fh)):
             if not line.strip():
                 continue
             cells = line.split(",")

@@ -67,10 +67,10 @@ class StepSchedule:
             object.__setattr__(self, name, tuple(float(v) for v in getattr(self, name)))
         if not len(self.gamma) == len(self.alpha) == len(self.delta) == len(self.L) == len(self.sigma):
             raise ParameterError("schedule fields must all have the same length")
-        if any(not g > 0 for g in self.gamma):
-            raise ParameterError(f"all gamma_i must be positive, got {self.gamma}")
         if any(not v > 0 for v in self.L + self.sigma):
             raise ParameterError("all L_i and sigma_i must be positive")
+        if any(not g > 0 for g in self.gamma):
+            raise ParameterError(f"all gamma_i must be positive, got {self.gamma}")
         a, b = [], []
         rows = zip(self.gamma, self.alpha, self.delta, self.L, self.sigma)
         for i, (ga, al, de, Li, si) in enumerate(rows):
@@ -131,10 +131,6 @@ def derive_schedule(
     check_schedule_parameters(kappa, rho)
     L = tuple(float(v) for v in L)
     sigma = tuple(float(v) for v in sigma)
-    if len(L) != len(sigma):
-        raise ParameterError("L and sigma must have the same length")
-    if any(not v > 0 for v in L) or any(not v > 0 for v in sigma):
-        raise ParameterError("all L_i and sigma_i must be positive")
     if rho == 1.0:
         warnings.warn(
             "rho=1 puts the step size on the admissibility boundary; the "
@@ -297,7 +293,8 @@ def run(
     for the problem's L and sigma (a StepSchedule is admissible for its own),
     and x0's block shapes against ``problem.shapes`` (ParameterError), an exact
     solver on every block (ConfigurationError) and the feasibility of x0
-    (InfeasibleError); the sweeps then check no shapes.
+    (InfeasibleError).  Each sweep checks the shape and feasibility of every
+    block solver's result (ConfigurationError, in solve_block_subproblem).
     """
     check_run_limits(max_iters, residual_tol, stall_tol)
     if (schedule.L, schedule.sigma) != (problem.L, problem.sigma):

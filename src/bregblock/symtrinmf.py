@@ -72,22 +72,19 @@ def _sq_norm(A: Array) -> float:
     return float(np.vdot(A, A))
 
 
-def check_kernel_parameters(
-    a1: float, b1: float, a2: float, eps1: float, eps2: float
-) -> tuple[float, float, float, float]:
+def check_kernel_parameters(a1: float, eps1: float, eps2: float) -> tuple[float, float, float, float]:
     """The checks SymTriInstance makes on its kernel parameters
     (ParameterError): each must be positive (NaN is not) and finite, and so
-    must the constants they give, which it returns:
-    (L1, L2, sigma1, sigma2) = (max(6/a1, 2/b1), 1/a2, b1 eps1, a2 eps2)."""
-    for name, value in (("a1", a1), ("b1", b1), ("a2", a2), ("eps1", eps1), ("eps2", eps2)):
+    must the constants 6/a1 and 2 eps1 they give.  Returns
+    (L1, L2, sigma1, sigma2) = (max(6/a1, 1), 1, 2 eps1, eps2)."""
+    for name, value in (("a1", a1), ("eps1", eps1), ("eps2", eps2)):
         if not 0.0 < float(value) < math.inf:
             raise ParameterError(f"{name} must be {'finite' if value > 0 else 'positive'}, got {value}")
-    L1a, L1b, L2, sigma1, sigma2 = 6.0 / a1, 2.0 / b1, 1.0 / a2, b1 * eps1, a2 * eps2
-    for name, value in (("6/a1", L1a), ("2/b1", L1b), ("1/a2", L2),
-                        ("b1*eps1", sigma1), ("a2*eps2", sigma2)):
+    L1, sigma1 = 6.0 / a1, 2.0 * eps1
+    for name, value in (("6/a1", L1), ("2*eps1", sigma1)):
         if not 0.0 < value < math.inf:
             raise ParameterError(f"{name} must be finite and positive, got {value}")
-    return max(L1a, L1b), L2, sigma1, sigma2
+    return max(L1, 1.0), 1.0, sigma1, float(eps2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,19 +92,19 @@ class SymTriInstance:
     """Data matrix with factorization rank and kernel parameters.
 
     Derived constants (set in __post_init__): the smallest admissible
-    relative-smoothness bounds L1 = max(6/a1, 2/b1) and L2 = 1/a2, the
-    strong-convexity moduli sigma1 = b1*eps1 and sigma2 = a2*eps2, the
+    relative-smoothness bounds L1 = max(6/a1, 1) and L2 = 1, the
+    strong-convexity moduli sigma1 = 2 eps1 and sigma2 = eps2, the
     cached Frobenius norm of X, and ``symmetric``, whether X equals X^T
     exactly.  Entries and the norm of X must be finite.  Asymmetric input
     is accepted with a warning; pass symmetrize=True to replace X by
-    (X + X^T)/2.
+    (X + X^T)/2.  The kernels fix b1 = 2 and a2 = 1: scaling a kernel by c
+    scales its sigma by c and its L by 1/c and leaves every iterate as it
+    is, so kernels with (a1, b1, a2) give the run of a1' = 2 a1 / b1.
     """
 
     X: Array
     r: int
     a1: float = 6.0
-    b1: float = 2.0
-    a2: float = 1.0
     eps1: float = 1.0
     eps2: float = 1.0
     symmetrize: InitVar[bool] = False
@@ -128,7 +125,7 @@ class SymTriInstance:
         m = X.shape[0]
         if not 1 <= int(self.r) <= m:
             raise ParameterError(f"rank must lie in [1, {m}], got {self.r}")
-        L1, L2, sigma1, sigma2 = check_kernel_parameters(self.a1, self.b1, self.a2, self.eps1, self.eps2)
+        L1, L2, sigma1, sigma2 = check_kernel_parameters(self.a1, self.eps1, self.eps2)
         norm = float(np.linalg.norm(X))
         if not math.isfinite(norm):
             # then f = ||X - U V U^T||^2 / 2 overflows at every point
@@ -138,9 +135,10 @@ class SymTriInstance:
             )
         gap = float(np.linalg.norm(X - X.T))
         if gap > 1e-12 * max(norm, 1e-30):
-            how = ("X was replaced by (X + X^T)/2" if symmetrize else "gradients remain exact, "
-                   "but pass symmetrize=True to work with (X + X^T)/2")
-            warnings.warn(f"input matrix is not symmetric; {how}", stacklevel=2)
+            how = ("X was replaced by (X + X^T)/2" if symmetrize else "gradients remain exact, but "
+                   "pass symmetrize=True (--symmetrize to bregblock solve) to work with (X + X^T)/2")
+            # stack: warn, __post_init__, the dataclass __init__, its caller
+            warnings.warn(f"input matrix is not symmetric; {how}", stacklevel=3)
             if symmetrize:
                 X = 0.5 * (X + X.T)
                 norm = float(np.linalg.norm(X))
@@ -243,49 +241,47 @@ def dense_fit(inst: SymTriInstance, U: Array, V: Array) -> tuple[float, Array, A
 
 
 def kernel_h1_value(inst: SymTriInstance, U: Array, V: Array) -> float:
-    """(a1/4)||V||^2 ||U||^4 + (b1/2)(||X|| ||V|| + eps1) ||U||^2."""
+    """(a1/4)||V||^2 ||U||^4 + (||X|| ||V|| + eps1) ||U||^2."""
     u2 = _sq_norm(U)
     v2 = _sq_norm(V)
-    return 0.25 * inst.a1 * v2 * u2 * u2 + 0.5 * inst.b1 * (
-        inst.norm_X * math.sqrt(v2) + inst.eps1
-    ) * u2
+    return 0.25 * inst.a1 * v2 * u2 * u2 + (inst.norm_X * math.sqrt(v2) + inst.eps1) * u2
 
 
 def kernel_h1_grad(inst: SymTriInstance, U: Array, V: Array) -> Array:
     u2 = _sq_norm(U)
     v2 = _sq_norm(V)
-    return (inst.a1 * u2 * v2 + inst.b1 * (inst.norm_X * math.sqrt(v2) + inst.eps1)) * U
+    return (inst.a1 * u2 * v2 + 2.0 * (inst.norm_X * math.sqrt(v2) + inst.eps1)) * U
 
 
 def kernel_h1_distance(inst: SymTriInstance, U: Array, V: Array, Y: Array) -> float:
     """Bregman distance of h1 from (U, V) to (Y, V):
     A <D, Y + U>^2 + (2 A ||U||^2 + B) ||D||^2 with D = Y - U,
-    A = a1 ||V||^2 / 4 and B = b1 (||X|| ||V|| + eps1) / 2, a sum of
+    A = a1 ||V||^2 / 4 and B = ||X|| ||V|| + eps1, a sum of
     nonnegative terms (h1 is A ||U||^4 + B ||U||^2 along U)."""
     v2 = _sq_norm(V)
     A = 0.25 * inst.a1 * v2
-    B = 0.5 * inst.b1 * (inst.norm_X * math.sqrt(v2) + inst.eps1)
+    B = inst.norm_X * math.sqrt(v2) + inst.eps1
     D = Y - U
     s = float(np.vdot(D, Y + U))
     return A * s * s + (2.0 * A * _sq_norm(U) + B) * _sq_norm(D)
 
 
 def kernel_h2_value(inst: SymTriInstance, U: Array, V: Array) -> float:
-    """(a2/2)(||U||^4 + eps2) ||V||^2."""
+    """(1/2)(||U||^4 + eps2) ||V||^2."""
     u2 = _sq_norm(U)
-    return 0.5 * inst.a2 * (u2 * u2 + inst.eps2) * _sq_norm(V)
+    return 0.5 * (u2 * u2 + inst.eps2) * _sq_norm(V)
 
 
 def kernel_h2_grad(inst: SymTriInstance, U: Array, V: Array) -> Array:
     u2 = _sq_norm(U)
-    return inst.a2 * (u2 * u2 + inst.eps2) * V
+    return (u2 * u2 + inst.eps2) * V
 
 
 def kernel_h2_distance(inst: SymTriInstance, U: Array, V: Array, W: Array) -> float:
     """Bregman distance of h2 from (U, V) to (U, W): h2 is quadratic in V,
-    so it is (a2/2)(||U||^4 + eps2) ||W - V||^2."""
+    so it is (1/2)(||U||^4 + eps2) ||W - V||^2."""
     u2 = _sq_norm(U)
-    return 0.5 * inst.a2 * (u2 * u2 + inst.eps2) * _sq_norm(W - V)
+    return 0.5 * (u2 * u2 + inst.eps2) * _sq_norm(W - V)
 
 
 def cubic_positive_root(tau1: float, tau2: float) -> float:
@@ -341,9 +337,9 @@ def update_U(
 
     Clamp G = grad_U h1(U_k, V_k) - gamma1 f_grad + alpha1 (U_k - U_prev),
     f_grad = grad_U f(U_k, V_k), to P = max(G, 0); the stationarity
-    condition forces t = a1 ||U+||^2 ||V_k||^2 + b1 (||X|| ||V_k|| + eps1),
+    condition forces t = a1 ||U+||^2 ||V_k||^2 + 2 (||X|| ||V_k|| + eps1),
     which makes t the positive root of t^3 - tau1 t^2 - tau2 with
-    tau1 = b1(||X|| ||V_k|| + eps1) and tau2 = a1 ||V_k||^2 ||P||^2, and
+    tau1 = 2 (||X|| ||V_k|| + eps1) and tau2 = a1 ||V_k||^2 ||P||^2, and
     U+ = P / t.  Returns (U+, eta): since grad_U h1(U+, V_k) = P, the
     first-order condition exhibits eta = (G - P) / gamma1 = min(G, 0) / gamma1
     in the normal cone of the orthant at U+.
@@ -352,7 +348,7 @@ def update_U(
     G += alpha1 * (U_k - U_prev)
     P = np.maximum(G, 0.0)
     v2 = _sq_norm(V_k)
-    tau1 = inst.b1 * (inst.norm_X * math.sqrt(v2) + inst.eps1)
+    tau1 = 2.0 * (inst.norm_X * math.sqrt(v2) + inst.eps1)
     tau2 = inst.a1 * v2 * _sq_norm(P)
     t = cubic_positive_root(tau1, tau2)
     return P / t, np.minimum(G, 0.0) / gamma1
@@ -370,7 +366,7 @@ def update_V(
 ) -> tuple[Array, Array]:
     """Closed-form minimizer of the block-V model, with its subgradient.
 
-    The V kernel is quadratic with curvature eta = a2(||U_next||^4 + eps2),
+    The V kernel is quadratic with curvature eta = ||U_next||^4 + eps2,
     so the model minimizer is the clamped step V+ = max(W, 0) with
     W = V_k + (alpha2 (V_k - V_prev) - gamma2 f_grad) / eta,
     f_grad = grad_V f(U_next, V_k).  Returns (V+, (eta/gamma2) min(W, 0)),
@@ -378,7 +374,7 @@ def update_V(
     condition exhibits.
     """
     u2 = _sq_norm(U_next)
-    eta = inst.a2 * (u2 * u2 + inst.eps2)
+    eta = u2 * u2 + inst.eps2
     step = alpha2 * (V_k - V_prev) - gamma2 * f_grad
     W = V_k + step / eta
     return np.maximum(W, 0.0), (eta / gamma2) * np.minimum(W, 0.0)

@@ -259,3 +259,27 @@ class TestModelValue:
         x = BlockVector(([0.0, 0.0],))
         with pytest.raises(ParameterError):
             model_value(problem, 0.0, 0.0, 0, x, x, np.zeros(2), f_grad=np.zeros(2))
+
+
+class TestConstructionChecks:
+    @pytest.mark.parametrize("sigma", [0.0, -1.0, math.nan])
+    def test_kernel_modulus_must_be_positive(self, sigma):
+        base = squared_norm_kernel(0)
+        with pytest.raises(ParameterError, match=f"sigma must be positive, got {sigma}"):
+            BlockKernel(value=base.value, block_grad=base.block_grad, distance=base.distance,
+                        sigma=sigma)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("kernels", (), "kernels/L/g must all have length 2, got 0/2/2"),
+        ("L", (1.0,), "kernels/L/g must all have length 2, got 2/1/2"),
+        ("g", (zero_term(),) * 3, "kernels/L/g must all have length 2, got 2/2/3"),
+        ("L", (1.0, 0.0), r"all L_i must be positive, got \(1.0, 0.0\)"),
+        ("L", (-2.0, 1.0), r"all L_i must be positive, got \(-2.0, 1.0\)"),
+        ("L", (1.0, math.nan), r"all L_i must be positive, got \(1.0, nan\)"),
+    ])
+    def test_problem_checks_lengths_and_constants(self, field, value, message):
+        good = linear_problem(((2,), (1,)), np.zeros(3))
+        fields = dict(shapes=good.shapes, f_value=good.f_value, f_block_grad=good.f_block_grad,
+                      kernels=good.kernels, L=good.L, g=good.g)
+        with pytest.raises(ParameterError, match=message):
+            BlockProblem(**{**fields, field: value})

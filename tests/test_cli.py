@@ -21,6 +21,13 @@ def run_cli(*args):
     return main(list(args))
 
 
+def child_env():
+    """The environment of a child ``python -m bregblock``: it imports the
+    package from this checkout, installed or not, on one BLAS thread."""
+    pythonpath = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", PYTHONPATH=pythonpath)
+
+
 def parse_summary(capsys):
     captured = capsys.readouterr().out
     fields = {}
@@ -108,6 +115,22 @@ class TestSynthSolvePipeline:
         err = capsys.readouterr().err
         assert "cubic" in err and "X must be rescaled" in err
 
+    def test_asymmetric_input_warning_names_the_flag_and_the_caller(self, tmp_path):
+        # the warning reaches stderr from cli's line, not from the
+        # dataclass's generated __init__ ("<string>")
+        x_path = tmp_path / "x.mtx"
+        x_path.write_text("%%MatrixMarket matrix array real general\n2 2\n1\n0\n2\n1\n")
+        for flags, named in (((), "(--symmetrize to bregblock solve)"),
+                             (("--symmetrize",), "X was replaced by (X + X^T)/2")):
+            proc = subprocess.run(
+                [sys.executable, "-m", "bregblock", "solve", "--input", str(x_path),
+                 "--rank", "1", "--max-iters", "2", *flags],
+                env=child_env(), capture_output=True, text=True,
+            )
+            assert proc.returncode == 0, proc.stderr
+            assert named in proc.stderr
+            assert "cli.py:" in proc.stderr and "<string>" not in proc.stderr
+
     def test_missing_input_file_exits_one(self, tmp_path):
         assert run_cli("solve", "--input", str(tmp_path / "nope.mtx"), "--rank", "2") == 1
 
@@ -164,28 +187,36 @@ class TestSynthSolvePipeline:
         ("check", "--seed", "-1"),
         ("check", "--samples", "0"),
         ("solve", "--rank", "2", "--a1", "0"),
-        ("solve", "--rank", "2", "--b1", "nan"),
+        ("solve", "--rank", "2", "--eps1", "nan"),
         ("solve", "--rank", "2", "--eps2", "-1"),
         ("solve", "--rank", "3", "--a1", "inf"),
-        ("solve", "--rank", "3", "--b1", "inf"),
         ("solve", "--rank", "3", "--eps1", "inf"),
         ("solve", "--rank", "3", "--eps2", "inf"),
-        ("solve", "--rank", "3", "--a2", "inf"),
-        ("solve", "--rank", "3", "--a1", "1e-320"),
-        ("solve", "--rank", "3", "--b1", "1e-320"),
-        ("solve", "--rank", "3", "--a2", "1e-320"),
-        ("solve", "--rank", "3", "--a2", "1e-170"),  # sigma2 * gamma2 underflows
-        ("solve", "--rank", "3", "--a1", "1e-200", "--b1", "1e200"),  # sigma1 * L1 overflows
+        ("solve", "--rank", "3", "--a1", "1e-320"),  # 6/a1 overflows
+        ("solve", "--rank", "3", "--eps1", "1e308"),  # 2*eps1 overflows
+        ("solve", "--rank", "3", "--a1", "1e-170", "--eps1", "1e-170"),  # sigma1 * gamma1 underflows
+        ("solve", "--rank", "3", "--a1", "1e-200", "--eps1", "1e200"),  # sigma1 * L1 overflows
         ("solve", "--rank", "0"),
         ("check", "--rank", "0"),
         ("bench", "--rank", "0", "--out", "unused.csv"),
     ])
-    def test_bad_solver_parameters_exit_two_before_reading(self, monkeypatch, args):
+    def test_bad_solver_parameters_exit_two_before_reading(self, monkeypatch, capsys, args):
         def unreachable(*a, **k):
             raise AssertionError("the matrix was read before the parameters were checked")
 
         monkeypatch.setattr(cli.mio, "read_matrix", unreachable)
         assert run_cli(*args, "--input", "x.mtx") == 2
+        # each case fails its own check, not argparse's unknown-flag error
+        assert "unrecognized arguments" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("gone", ["b1", "a2"])
+    def test_fixed_kernel_constants_have_no_flag_or_key(self, tmp_path, capsys, gone):
+        assert run_cli("solve", "--input", "x.mtx", "--rank", "3", f"--{gone}", "2") == 2
+        assert f"unrecognized arguments: --{gone}" in capsys.readouterr().err
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"input = x.mtx\nrank = 3\n{gone} = 2\n")
+        assert run_cli("solve", "--config", str(cfg)) == 2
+        assert f"unknown config key {gone!r}" in capsys.readouterr().err
 
 
 class TestConfigFile:
@@ -211,6 +242,12 @@ class TestConfigFile:
         summary = parse_summary(capsys)
         assert code == 0
         assert summary["iterations"] == "7"  # flag beats config
+
+    def test_config_line_without_equals_sign(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("rank = 2\n\nmax-iters 4  # no '='\n")
+        assert run_cli("solve", "--config", str(cfg)) == 2
+        assert f"{cfg}:3: expected key=value, got 'max-iters 4'" in capsys.readouterr().err
 
     def test_unknown_config_key(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -384,6 +421,21 @@ class TestBench:
             assert float(wall) >= 0.0
             assert termination in ("residual_tol", "max_iters")
 
+    def test_input_file_gives_the_rows_of_the_same_matrix(self, tmp_path, capsys):
+        # the file holds the synthesized X bitwise, so the solves are the same
+        X, _, _ = synth_instance(8, 2, noise_level=0.1, density=1.0, seed=1)
+        write_matrix_market(tmp_path / "x.mtx", X)
+        rows = []
+        for source in (("--input", str(tmp_path / "x.mtx")),
+                       ("--m", "8", "--noise", "0.1", "--instance-seed", "1")):
+            out = tmp_path / "bench.csv"
+            assert run_cli("bench", *source, "--rank", "2", "--kappas", "0,0.5", "--seeds", "3",
+                           "--max-iters", "60", "--out", str(out)) == 0
+            rows.append([line.split(",") for line in out.read_text().splitlines()])
+        assert len(rows[0]) == 3
+        drop_wall = [[row[:4] + row[5:] for row in table] for table in rows]
+        assert drop_wall[0] == drop_wall[1]
+
     def test_termination_tells_a_certified_last_sweep_from_max_iters(self, tmp_path):
         def row(max_iters):
             out = tmp_path / f"bench{max_iters}.csv"
@@ -404,10 +456,7 @@ class TestBench:
 
 class TestDeterminism:
     def test_trace_byte_identical_without_timing(self, tmp_path):
-        # the child imports the package from this checkout, installed or not
-        pythonpath = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
-        env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1",
-                   PYTHONPATH=pythonpath)
+        env = child_env()
         x_path = tmp_path / "x.mtx"
         subprocess.run(
             [sys.executable, "-m", "bregblock", "synth", "--m", "10", "--r", "2",

@@ -94,6 +94,23 @@ class TestMatrixMarket:
             read_matrix(path)
         assert err.value.line == 1
 
+    @pytest.mark.parametrize("text, message", [
+        ("%%MatrixMarket vector array real general\n1 1\n1\n",
+         "1: bad MatrixMarket header: '%%MatrixMarket vector array real general'"),
+        ("%%MatrixMarket matrix array real\n1 1\n1\n",
+         "1: bad MatrixMarket header: '%%MatrixMarket matrix array real'"),
+        ("%%MatrixMarket matrix dense real general\n1 1\n1\n", "1: unsupported format 'dense'"),
+        ("%%MatrixMarket matrix array real skew-symmetric\n1 1\n1\n",
+         "1: unsupported symmetry 'skew-symmetric'"),
+        ("%%MatrixMarket matrix array real general\n% c\n-1 2\n", "3: negative size in '-1 2'"),
+        ("%%MatrixMarket matrix coordinate real general\n2 2 -1\n",
+         "2: negative size in '2 2 -1'"),
+    ])
+    def test_header_and_size_rejections(self, tmp_path, text, message):
+        path = tmp_path / "hdr.mtx"
+        path.write_text(text)
+        assert str(parse_error(path)) == f"{path}:{message}"
+
     def test_wrong_entry_count(self, tmp_path):
         path = tmp_path / "count.mtx"
         path.write_text("%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 3.0\n")
@@ -199,6 +216,13 @@ class TestFactorPersistence:
         before = f_value(inst, factors.U, factors.V)
         after = f_value(inst, U, V)
         assert after == pytest.approx(before, rel=1e-12)
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 2, 2), ()])
+    def test_writer_rejects_non_matrices(self, tmp_path, shape):
+        with pytest.raises(ShapeError) as err:
+            write_matrix_market(tmp_path / "w.mtx", np.zeros(shape))
+        assert str(err.value) == f"can only write matrices, got shape {shape}"
+        assert not (tmp_path / "w.mtx").exists()
 
 
 ARRAY_HEADER = "%%MatrixMarket matrix array real general\n"
@@ -585,34 +609,72 @@ class TestReaderMemory:
     value arrays its fill sorts, and one slice's text and tokens at a time:
     never the file's whole text, nor a token object per value of it."""
 
-    @pytest.mark.parametrize("fmt", ["array", "symmetric", "coordinate", "csv"])
-    def test_peak_allocation(self, tmp_path, monkeypatch, fmt):
-        monkeypatch.setattr(mio, "_CHUNK_CHARS", 1 << 14)
-        m = 200
+    M = 200
+
+    @classmethod
+    def write(cls, path, fmt, last=None):
+        """A symmetric M x M matrix in the format ``fmt``, written with
+        ``last`` in place of its last value when one is given."""
+        m = cls.M
         X = np.random.default_rng(5).standard_normal((m, m))
         X += X.T
         if fmt == "array":
-            write_matrix_market(tmp_path / fmt, X)
+            write_matrix_market(path, X)
+            lines = path.read_text().splitlines()
+        elif fmt == "symmetric":
+            lines = ["%%MatrixMarket matrix array real symmetric", f"{m} {m}"] + [
+                repr(float(X[i, j])) for j in range(m) for i in range(j, m)]
+        elif fmt == "coordinate":
+            lines = [COORD_HEADER.strip(), f"{m} {m} {m * m}"] + [
+                f"{i + 1} {j + 1} {float(X[i, j])!r}" for i in range(m) for j in range(m)]
         else:
-            if fmt == "symmetric":
-                body = [f"{m} {m}"] + [repr(float(X[i, j])) for j in range(m) for i in range(j, m)]
-            elif fmt == "coordinate":
-                body = [f"{m} {m} {m * m}"] + [
-                    f"{i + 1} {j + 1} {float(X[i, j])!r}" for i in range(m) for j in range(m)
-                ]
-            else:
-                body = [",".join(map(repr, row)) for row in X.tolist()]
-            header = {"symmetric": "%%MatrixMarket matrix array real symmetric",
-                      "coordinate": COORD_HEADER.strip()}.get(fmt)
-            (tmp_path / fmt).write_text("\n".join(([header] if header else []) + body) + "\n")
-        size = (tmp_path / fmt).stat().st_size
+            lines = [",".join(map(repr, row)) for row in X.tolist()]
+        if last is not None:
+            lines[-1] = lines[-1][:max(lines[-1].rfind(sep) for sep in " ,") + 1] + last
+        path.write_text("\n".join(lines) + "\n")
+        return X, len(lines)
+
+    @staticmethod
+    def bound(X, fmt):
+        # no term grows with the file: a slice's tokens take about ten
+        # times its characters
+        return X.nbytes + (96 * X.size if fmt == "coordinate" else 0) + 32 * (1 << 14)
+
+    @pytest.mark.parametrize("fmt", ["array", "symmetric", "coordinate", "csv"])
+    def test_peak_allocation(self, tmp_path, monkeypatch, fmt):
+        monkeypatch.setattr(mio, "_CHUNK_CHARS", 1 << 14)
+        X, _ = self.write(tmp_path / fmt, fmt)
         matrix, peak = peak_traced_bytes(read_matrix, tmp_path / fmt)
         assert same_bits(matrix, X)
-        # no term grows with the file: a slice's tokens take about ten
-        # times its characters, and the file is over 20 slices long
-        assert size > 20 * (1 << 14)
-        bound = X.nbytes + (96 * X.size if fmt == "coordinate" else 0) + 32 * (1 << 14)
-        assert peak < bound, (peak, bound)
+        assert (tmp_path / fmt).stat().st_size > 20 * (1 << 14)  # over 20 slices
+        assert peak < self.bound(X, fmt), (peak, self.bound(X, fmt))
+
+    @pytest.mark.parametrize("fmt, message", [
+        ("array", "bad value: '1.0.0'"),
+        ("coordinate", "bad value: '1.0.0'"),
+        ("csv", "not a number: could not convert string to float: '1.0.0'"),
+    ])
+    def test_error_path_peak_allocation(self, tmp_path, monkeypatch, fmt, message):
+        # the rescan that names the bad line reads the file in slices too
+        monkeypatch.setattr(mio, "_CHUNK_CHARS", 1 << 14)
+        path = tmp_path / fmt
+        X, n_lines = self.write(path, fmt, last="1.0.0")
+        err, peak = peak_traced_bytes(parse_error, path)
+        assert str(err) == f"{path}:{n_lines}: {message}"
+        assert peak < self.bound(X, fmt), (peak, self.bound(X, fmt))
+
+    @pytest.mark.parametrize("text, message", [
+        (ARRAY_HEADER + "100000 100000\n1\n", "3: expected 10000000000 values, found 1"),
+        (COORD_HEADER + "100000 100000 10000000000\n1 1 1\n",
+         "2: expected 10000000000 entries, found 1"),
+    ])
+    def test_size_line_past_the_file_allocates_nothing(self, tmp_path, text, message):
+        # a size line that promises more values than the file has characters
+        # is refused before the matrix is allocated
+        path = write_bytes(tmp_path, text)
+        err, peak = peak_traced_bytes(parse_error, path)
+        assert str(err) == f"{path}:{message}"
+        assert peak < 1 << 20, peak
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
     @pytest.mark.parametrize(

@@ -262,6 +262,25 @@ class TestDeriveSchedule:
         with pytest.raises(ParameterError):
             dataclasses.replace(good, L=(1.0, L), sigma=(1.0, sigma))
 
+    @pytest.mark.parametrize("L, sigma, message", [
+        ([-1.0], [-1.0], "all L_i and sigma_i must be positive"),
+        ([0.0], [1.0], "block 0: sigma*L = 1.0 * 0.0 = 0.0 is out of range"),
+        ([1.0], [-1.0], "block 0: sigma*L = -1.0 * 1.0 = -1.0 is out of range"),
+        ([math.nan], [1.0], "block 0: sigma*L = 1.0 * nan = nan is out of range"),
+        ([1.0], [math.inf], "block 0: sigma*L = inf * 1.0 = inf is out of range"),
+        ([1.0, 1.0], [1.0], "schedule fields must all have the same length"),
+    ])
+    def test_derive_rejects_bad_constants(self, L, sigma, message):
+        with pytest.raises(ParameterError, match=re.escape(message)):
+            derive_schedule(L, sigma)
+
+    @pytest.mark.parametrize("L, sigma", [((0.0,), (1.0,)), ((1.0,), (-1.0,)),
+                                          ((math.nan,), (1.0,)), ((1.0,), (math.nan,))])
+    def test_schedule_checks_its_constants_before_its_steps(self, L, sigma):
+        # gamma is positive and the constants are not: the constants are named
+        with pytest.raises(ParameterError, match="all L_i and sigma_i must be positive"):
+            StepSchedule((0.5,), (0.0,), (0.5,), L, sigma)
+
     def test_descent_coefficients_are_not_arguments(self):
         base = derive_schedule([1.0], [2.0], kappa=0.5, rho=0.9)
         with pytest.raises(TypeError):
@@ -424,6 +443,12 @@ class TestLyapunov:
         x = point(problem.shapes, rng.standard_normal(3))
         phi = phi_value(problem, x)
         assert lyapunov_value(schedule, phi, [3.7]) == pytest.approx(phi, rel=1e-15)
+
+    @pytest.mark.parametrize("gaps", [[], [0.0, 0.0]])
+    def test_gap_count_must_match_the_blocks(self, gaps):
+        schedule = derive_schedule([1.0], [1.0])
+        with pytest.raises(ParameterError, match=f"expected 1 gaps, got {len(gaps)}"):
+            lyapunov_value(schedule, 0.0, gaps)
 
     def test_zero_gaps_is_phi(self):
         rng = np.random.default_rng(7)
@@ -653,6 +678,18 @@ class TestRun:
             with pytest.raises(ParameterError, match="schedule made for"):
                 run(problem, derive_schedule(other_L, other_sigma), x0, max_iters=1)
         run(problem, derive_schedule([L], [sigma]), x0, max_iters=1)
+
+    def test_non_finite_lyapunov_value_is_an_error(self):
+        # f is finite at x0 and NaN everywhere else, so the first sweep's
+        # Lyapunov value is NaN
+        rng = np.random.default_rng(18)
+        base = quadratic_problem(rng.standard_normal((4, 3)), rng.standard_normal(4), (3,))
+        x0 = point(base.shapes, rng.standard_normal(3))
+        problem = dataclasses.replace(
+            base, f_value=lambda x: base.f_value(x) if x is x0 else math.nan)
+        schedule = derive_schedule(problem.L, problem.sigma)
+        with pytest.raises(ArithmeticError, match="Lyapunov value is not finite at iteration 1"):
+            run(problem, schedule, x0, max_iters=5)
 
     def test_rejects_negative_limits(self):
         # library callers get the same checks as the CLI, before any sweep

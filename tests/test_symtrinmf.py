@@ -71,11 +71,19 @@ class TestInstance:
         assert inst.norm_X == pytest.approx(np.sqrt(3.0))
 
     def test_derived_constants_custom(self):
-        inst = SymTriInstance(np.eye(2), 1, a1=3.0, b1=0.5, a2=4.0, eps1=2.0, eps2=0.5)
-        assert inst.L1 == max(6.0 / 3.0, 2.0 / 0.5)  # = 4
-        assert inst.L2 == 0.25
-        assert inst.sigma1 == 0.5 * 2.0
-        assert inst.sigma2 == 4.0 * 0.5
+        inst = SymTriInstance(np.eye(2), 1, a1=3.0, eps1=2.0, eps2=0.5)
+        assert inst.L1 == 6.0 / 3.0
+        assert inst.L2 == 1.0
+        assert inst.sigma1 == 2.0 * 2.0
+        assert inst.sigma2 == 0.5
+        assert SymTriInstance(np.eye(2), 1, a1=12.0).L1 == 1.0  # max(6/a1, 1)
+
+    @pytest.mark.parametrize("gone", ["b1", "a2"])
+    def test_kernel_constants_b1_and_a2_are_not_parameters(self, gone):
+        with pytest.raises(TypeError, match=gone):
+            SymTriInstance(np.eye(2), 1, **{gone: 2.0})
+        with pytest.raises(TypeError, match=gone):
+            stf.check_kernel_parameters(**dict(a1=6.0, eps1=1.0, eps2=1.0), **{gone: 2.0})
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite(self, bad):
@@ -107,37 +115,38 @@ class TestInstance:
 
     @pytest.mark.parametrize("params,named", [
         (dict(a1=np.inf), "a1 must be finite"),
-        (dict(b1=np.inf), "b1 must be finite"),
-        (dict(a2=np.inf), "a2 must be finite"),
         (dict(eps1=np.inf), "eps1 must be finite"),
         (dict(eps2=np.inf), "eps2 must be finite"),
         (dict(eps1=np.nan), "eps1 must be positive"),
+        (dict(eps2=-1.0), "eps2 must be positive"),
         (dict(a1=1e-320), "6/a1 must be finite and positive"),
-        (dict(b1=1e-320), "2/b1 must be finite and positive"),
-        (dict(a2=1e-320), "1/a2 must be finite and positive"),
-        (dict(b1=1e-200, eps1=1e-200), "b1\\*eps1 must be finite and positive"),
-        (dict(a2=1e200, eps2=1e200), "a2\\*eps2 must be finite and positive"),
+        (dict(eps1=1e308), "2\\*eps1 must be finite and positive"),
     ])
     def test_rejects_kernel_parameters_with_non_finite_constants(self, params, named):
         with pytest.raises(ParameterError, match=named):
             SymTriInstance(np.eye(2), 1, **params)
         with pytest.raises(ParameterError, match=named):
-            stf.check_kernel_parameters(**{**dict(a1=6.0, b1=2.0, a2=1.0, eps1=1.0, eps2=1.0), **params})
+            stf.check_kernel_parameters(**{**dict(a1=6.0, eps1=1.0, eps2=1.0), **params})
 
     def test_kernel_constants_come_from_the_parameter_check(self):
-        params = dict(a1=0.3, b1=7.1, a2=2.9, eps1=0.013, eps2=41.0)
+        params = dict(a1=0.3, eps1=0.013, eps2=41.0)
         inst = SymTriInstance(np.eye(2), 1, **params)
         assert (inst.L1, inst.L2, inst.sigma1, inst.sigma2) == stf.check_kernel_parameters(**params)
-        assert (inst.L1, inst.L2, inst.sigma1, inst.sigma2) == (
-            max(6.0 / 0.3, 2.0 / 7.1), 1.0 / 2.9, 7.1 * 0.013, 2.9 * 41.0)
+        assert (inst.L1, inst.L2, inst.sigma1, inst.sigma2) == (6.0 / 0.3, 1.0, 2.0 * 0.013, 41.0)
 
     def test_asymmetric_warns_and_symmetrizes(self):
         X = np.array([[1.0, 2.0], [0.0, 1.0]])
-        with pytest.warns(UserWarning, match=r"not symmetric; .* pass symmetrize=True"):
+        with pytest.warns(UserWarning, match=r"not symmetric; .* pass symmetrize=True "
+                          r"\(--symmetrize to bregblock solve\)") as kept_warnings:
             kept = SymTriInstance(X, 1)
         assert np.array_equal(kept.X, X)  # accepted as-is
-        with pytest.warns(UserWarning, match=r"not symmetric; X was replaced by \(X \+ X\^T\)/2$"):
+        with pytest.warns(UserWarning, match=r"not symmetric; X was replaced by \(X \+ X\^T\)/2$") \
+                as fixed_warnings:
             fixed = SymTriInstance(X, 1, symmetrize=True)
+        # each warning names the line that made the instance, not the
+        # dataclass's generated __init__
+        for record in (*kept_warnings, *fixed_warnings):
+            assert record.filename == __file__
         assert np.array_equal(fixed.X, 0.5 * (X + X.T))
         assert np.linalg.norm(fixed.X - fixed.X.T) <= 1e-12 * np.linalg.norm(fixed.X)
 
@@ -314,7 +323,7 @@ class TestUpdateU:
             score += 0.2 * (U_k - U_p)
             clamped = np.maximum(score, 0.0)
             v2 = float(np.vdot(V_k, V_k))
-            tau1 = inst.b1 * (inst.norm_X * np.sqrt(v2) + inst.eps1)
+            tau1 = 2.0 * (inst.norm_X * np.sqrt(v2) + inst.eps1)
             t = cubic_positive_root(tau1, inst.a1 * v2 * float(np.vdot(clamped, clamped)))
             t_implied = inst.a1 * float(np.vdot(out, out)) * v2 + tau1
             assert abs(t - t_implied) <= 1e-8 * max(1.0, abs(t))
@@ -496,6 +505,15 @@ class TestRelativeSmoothness:
         inst, _ = random_instance(17, m=3, r=2)
         problem = as_block_problem(inst)
         report = verify_relative_smoothness(problem, samples=200, seed=0)
+        assert report["violations"] == 0
+
+    @pytest.mark.parametrize("a1,L1", [(3.0, 2.0), (6.0, 1.0), (12.0, 1.0)])
+    def test_each_a1_certifies(self, a1, L1):
+        # with b1 and a2 fixed, a1 alone sets the balance of h1's two terms
+        X, _, _ = synth_instance(8, 2, noise_level=0.25, density=1.0, seed=1)
+        inst = SymTriInstance(X, 2, a1=a1, eps1=0.3, eps2=2.5)
+        assert (inst.L1, inst.L2) == (L1, 1.0)
+        report = verify_relative_smoothness(as_block_problem(inst), samples=200, seed=1)
         assert report["violations"] == 0
 
 
@@ -770,23 +788,6 @@ class TestSolveFactors:
         ref = math.sqrt(2.0 * f_ref) / inst.norm_X
         assert relative_error(inst, U, V) == pytest.approx(ref, rel=1e-12)
         assert ref == pytest.approx(t, rel=1e-12)
-
-    def test_kernel_gauge_leaves_the_run_unchanged(self):
-        # a2 -> 2 a2 doubles h2 and sigma2 and halves L2, and (a1, b1) ->
-        # 2 (a1, b1) does the same for h1: gamma_i and alpha_i double and
-        # delta_i halves, so each update, gap and residual term changes by a
-        # power of two, and the run is the same bit for bit
-        X, _, _ = synth_instance(30, 3, noise_level=0.2, density=1.0, seed=7)
-
-        def solve(**kernel):
-            result, factors = stf.solve_instance(SymTriInstance(X, 3, **kernel), kappa=0.6,
-                                                 max_iters=300)
-            rows = [(r.phi, r.residual_norm, r.lyapunov) for r in result.trace]
-            return [b.tobytes() for b in factors], rows
-
-        default = solve()
-        assert solve(a2=2.0) == default
-        assert solve(a1=12.0, b1=4.0) == default
 
 
 class TestScaledInput:
