@@ -8,6 +8,13 @@ never one Python step per entry; a reader rescans the body line by line,
 in the same slices, only after a bulk conversion or count check failed,
 to name the line.
 
+The writer prints each value as ``"%.17g" % x`` does, byte for byte, but
+with numpy arithmetic over slabs of at most _SLAB values: the double-double
+scaling of _format_17g decides the correctly rounded 17 digits of every
+finite value in its range, and hands the few it cannot decide (exact ties,
+values at a power of ten, non-finite or out-of-range ones) to ``"%.17g"``
+itself.  It holds the matrix and one slab's arrays at a time.
+
 A reader converts the file in line-aligned slices of about _CHUNK_CHARS
 characters straight into the result, so it holds the matrix (for a
 coordinate file, also its nnz row, column and value arrays and the sort
@@ -17,7 +24,9 @@ a time: never the file's whole text, nor a Python object per value of it.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 import os
 from io import StringIO
 from typing import Sequence
@@ -292,24 +301,157 @@ def _csv_rows(fh):
         yield list(filter(str.strip, chunk.splitlines()))
 
 
+# "%.17g" in bulk.  For a finite x != 0 with decimal exponent K, "%.17g"
+# prints D, the integer nearest |x|·10**(16 - K) (ties to even; 10**16 <= D
+# < 10**17), in %g's fixed or exponential form.  With s = 16 - K from
+# _SCALES, 10**s is held as H + L (H the double nearest it, L the double
+# nearest the rest, both from exact integers: |10**s - H - L| <= 2**-106·H),
+# and a Dekker two-product gives |x|·H = p + e exactly.  So y = |x|·10**s is
+# p + t, t = e + |x|·L, to within 1e-14: |x|·L < 2**4 and |t| < 2**5 round
+# by at most 2**-49 each, and |x|·(10**s - H - L) < 2**-49.  A value is
+# decided when p lies 64 or more inside [10**16, 10**17), so that K is right
+# and D does not carry into an 18th digit, and the fraction of t is 1e-6 or
+# more away from 1/2, so that p + round(t) is the nearest integer to y.  The
+# range of s keeps |x|, H and the halves and products of both finite and
+# normal.  Everything else goes through "%.17g" itself.
+_SCALES = range(-283, 301)
+# the values, down the columns, that one slab of the writer holds
+_SLAB = 1 << 12
+# a printed value is a row of six words of eight bytes, the characters
+# "%.17g" prints in their slots and 0 bytes in the unused slots, deleted on
+# output: [sign, "0.000" for -4 <= K < 0, 0, 0], four words of four digits
+# each with a point slot after it, [17th digit, point slot, exponent and "\n"]
+_WORD = np.dtype("<u8")
+
+
+def _split(a):
+    """Veltkamp's split of ``a`` into halves of at most 26 bits each."""
+    c = 134217729.0 * a  # (2**27 + 1)·a
+    big = c - (c - a)
+    return big, a - big
+
+
+@functools.cache  # built on the first write, not on import: about 3 ms
+def _scale_tables():
+    """For each s in _SCALES: H, its halves and L; the first word's prefix,
+    the last word's suffix, and the digit the point follows (negative when it is
+    in the prefix; the point shows only before a fraction's digits)."""
+    H, L, head, tail, point = [], [], [], [], []
+    for s in _SCALES:
+        if s >= 0:
+            power = 10 ** s
+            h = float(power)  # int to float rounds correctly
+            rest = float(power - int(h))
+        else:
+            power = 10 ** -s
+            h = 1 / power  # so does int / int
+            m, e = math.frexp(h)
+            k = 53 - e  # h = int(m·2**53) / 2**k
+            rest = math.ldexp(((1 << k) - int(math.ldexp(m, 53)) * power) / power, -k)
+        H.append(h)
+        L.append(rest)
+        K = 16 - s
+        fixed = -4 <= K < 17
+        head.append(int.from_bytes(b"\0" + b"0.000"[:1 - K] if K < 0 and fixed else b"", "little"))
+        suffix = b"\n" if fixed else b"e%+03d\n" % K
+        tail.append(int.from_bytes(b"\0\0" + suffix, "little"))
+        point.append(K if fixed else 0)
+    H = np.array(H)
+    return (np.stack((H, *_split(H), np.array(L))), np.array(head, _WORD),
+            np.array(tail, _WORD), np.array(point))
+
+
+@functools.cache
+def _digit_tables():
+    """The four digits of each number below 10**4 in the digit slots of a
+    word; how many zeros end them; and, at 12 + j, the word that keeps a
+    word's first j digit slots, for j = -12..17 clipped to 0..4."""
+    four = np.arange(10_000)
+    digits = sum((48 + four // 10 ** (3 - i) % 10).astype(_WORD) << np.uint64(16 * i)
+                 for i in range(4))
+    trailing_zeros = sum((four % 10 ** i == 0) for i in range(1, 5))
+    keep = np.array([sum(0xFF << 16 * i for i in range(min(max(j, 0), 4)))
+                     for j in range(-12, 18)], _WORD)
+    return digits, trailing_zeros, keep
+
+
+_ZERO = _SCALES.index(16)  # 0 and -0 print as the layout of K = 0 gives them
+
+
+def _format_17g(x: Array) -> str:
+    """``"%.17g\n" * x.size % tuple(x)`` for a 1-D float64 array ``x``."""
+    powers, heads, tails, points = _scale_tables()
+    digits, trailing_zeros, keep = _digit_tables()
+    n = x.size
+    a = np.abs(x)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = 16 - np.floor(np.log10(a))
+        in_range = (s >= _SCALES.start) & (s < _SCALES.stop)  # not 0, inf or nan
+    row = np.where(in_range, s - _SCALES.start, _ZERO).astype(np.intp)
+    a = np.where(in_range, a, 0.0)  # the others compute D = 0
+    H, H_big, H_small, L = powers[:, row]
+    p = a * H
+    a_big, a_small = _split(a)
+    e = a_small * H_small - (((p - a_big * H_big) - a_small * H_big) - a_big * H_small)
+    t = e + a * L
+    whole = np.floor(t)
+    frac = t - whole
+    decided = (np.abs(frac - 0.5) >= 1e-6) & (p >= 1e16 + 64) & (p < 1e17 - 64)
+    D = p.astype(np.int64) + whole.astype(np.int64) + (frac > 0.5)
+
+    # D's digits: four words of four, and the 17th
+    high, low = np.divmod(D, 10 ** 9)
+    first, second = np.divmod(high, 10 ** 4)
+    third, low = np.divmod(low, 10 ** 5)
+    fourth, last = np.divmod(low, 10)
+    fours = (first, second, third, fourth)
+    zeros = trailing_zeros[first]
+    for four in fours[1:]:
+        zeros = np.where(four == 0, zeros + 4, trailing_zeros[four])
+    zeros = np.where(last == 0, zeros + 1, 0)
+    point = points[row]
+    shown = np.maximum(17 - zeros, point + 1)  # digits up to the point always show
+
+    words = np.empty((n, 6), _WORD)
+    words[:, 0] = heads[row] | np.signbit(x) * np.uint64(ord("-"))
+    for w, four in enumerate(fours):
+        words[:, w + 1] = digits[four] & keep[12 + shown - 4 * w]
+    words[:, 5] = tails[row] | (48 + last).astype(_WORD) * (shown == 17)
+    fraction = np.flatnonzero((point >= 0) & (17 - zeros > point + 1))
+    point = point[fraction]
+    words[fraction, 1 + point // 4] |= np.uint64(ord(".")) << (16 * (point % 4) + 8).astype(_WORD)
+
+    undecided = np.flatnonzero(~(in_range & decided) & (x != 0))
+    if undecided.size:  # "S48" pads each line with 0 bytes to a row's width
+        lines = np.array([b"%.17g\n" % v for v in x[undecided].tolist()], "S48")
+        words.view(np.uint8).reshape(n, 48)[undecided] = lines.view(np.uint8).reshape(-1, 48)
+    return words.tobytes().translate(None, b"\0").decode("ascii")
+
+
 def write_matrix_market(path, matrix: Array) -> None:
-    """Write a dense MatrixMarket array file (real, general storage)."""
+    """Write a dense MatrixMarket array file (real, general storage), each
+    value as ``"%.17g" % x`` prints it."""
+    if np.iscomplexobj(matrix):
+        raise TypeError(f"can only write real matrices, got dtype {np.asarray(matrix).dtype}")
     matrix = np.asarray(matrix, dtype=float)
     if matrix.ndim != 2:
         raise ShapeError(f"can only write matrices, got shape {matrix.shape}")
     rows, cols = matrix.shape
-    column = "%.17g\n" * rows
+    # a slab is whole columns, or one column's consecutive pieces when it is longer
+    per_slab = max(1, _SLAB // max(rows, 1))
     with open(path, "w") as fh:
         fh.write(f"%%MatrixMarket matrix array real general\n{rows} {cols}\n")
-        for j in range(cols):
-            fh.write(column % tuple(matrix[:, j].tolist()))
+        for j in range(0, cols, per_slab):
+            columns = matrix[:, j:j + per_slab]
+            for i in range(0, rows, _SLAB):
+                fh.write(_format_17g(columns[i:i + _SLAB].T.ravel()))
 
 
 def write_labels(path, labels: Sequence[int]) -> None:
     """One integer label per line (-1 marks an unassigned row)."""
+    labels = [int(label) for label in labels]
     with open(path, "w") as fh:
-        for label in labels:
-            fh.write(f"{int(label)}\n")
+        fh.write("%d\n" * len(labels) % tuple(labels))
 
 
 def read_labels(path) -> Array:

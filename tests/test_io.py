@@ -1,6 +1,10 @@
+import math
 import os
 import threading
 import tracemalloc
+import warnings
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -145,6 +149,19 @@ class TestLabels:
         write_labels(path, [0, 2, 1, -1, 2])
         assert read_labels(path).tolist() == [0, 2, 1, -1, 2]
 
+    @pytest.mark.parametrize("labels, text", [
+        ([0, 2, 1, -1, 2], "0\n2\n1\n-1\n2\n"),
+        ([np.int64(3), np.int32(-1), np.intp(12), 7], "3\n-1\n12\n7\n"),
+        (np.array([-1, 0, 10**12]), "-1\n0\n1000000000000\n"),
+        ([], ""),
+    ])
+    def test_bytes(self, tmp_path, labels, text):
+        # the bytes of a writer that formats one label at a time
+        path = tmp_path / "labels.txt"
+        write_labels(path, labels)
+        assert path.read_bytes() == "".join(f"{int(label)}\n" for label in labels).encode()
+        assert path.read_text() == text
+
 
 class TestSynthInstance:
     def test_noiseless_fit_is_exactly_zero(self):
@@ -222,6 +239,15 @@ class TestFactorPersistence:
         with pytest.raises(ShapeError) as err:
             write_matrix_market(tmp_path / "w.mtx", np.zeros(shape))
         assert str(err.value) == f"can only write matrices, got shape {shape}"
+        assert not (tmp_path / "w.mtx").exists()
+
+    def test_writer_rejects_complex_matrices(self, tmp_path):
+        # numpy's float conversion would drop the imaginary part with a warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TypeError) as err:
+                write_matrix_market(tmp_path / "w.mtx", [[1 + 2j, 3]])
+        assert str(err.value) == "can only write real matrices, got dtype complex128"
         assert not (tmp_path / "w.mtx").exists()
 
 
@@ -489,6 +515,131 @@ def read_in_slices(path, chars, **kwargs):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(mio, "_CHUNK_CHARS", chars)
         return read_matrix(path, **kwargs)
+
+
+def reference_17g(values) -> str:
+    """The bytes of an entry-by-entry writer: "%.17g" of each value."""
+    return "".join("%.17g\n" % v for v in np.asarray(values, float).tolist())
+
+
+def ties_at_the_17th_digit():
+    """Every double whose exact decimal has 18 significant digits ending in
+    5 is odd/2**b, odd < 2**53, with 2 <= b <= 25, since odd·5**b has the
+    18 digits; a few for each b, each side of 0."""
+    rng = np.random.default_rng(17)
+    ties = []
+    for b in range(2, 26):
+        lo, hi = -(-10**17 // 5**b), min(10**18 // 5**b, 2**53)
+        for odd in rng.integers(lo // 2, hi // 2, size=40) * 2 + 1:
+            ties.append(int(odd) / 2**b)
+    ties = np.array(ties)
+    return np.concatenate([ties, -ties])
+
+
+class TestFormat17g:
+    """The writer's bulk formatter against "%.17g" itself, byte for byte."""
+
+    def check(self, values):
+        values = np.asarray(values, float).ravel()
+        for start in range(0, values.size, 1 << 16):
+            part = values[start:start + (1 << 16)]
+            assert mio._format_17g(part) == reference_17g(part)
+
+    def test_scale_table_is_exact(self):
+        # H is the double nearest 10**s, L the double nearest 10**s - H, and
+        # H's halves have 26 significant bits at most, so their products
+        # with |x|'s halves are exact
+        for s, (H, big, small, L) in zip(mio._SCALES, mio._scale_tables()[0].T):
+            power = Fraction(10) ** s
+            assert H == float(power) and L == float(power - Fraction(H)), s
+            assert big + small == H, s
+            assert all((math.frexp(half)[0] * 2**26).is_integer() for half in (big, small)), s
+
+    def test_random_bit_patterns(self):
+        bits = np.random.default_rng(3).integers(0, 2**64, size=1 << 20, dtype=np.uint64)
+        self.check(bits.view(np.float64))
+
+    def test_random_values_over_every_scale(self):
+        rng = np.random.default_rng(4)
+        n = 1 << 18
+        self.check(rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n))
+        self.check(rng.integers(1, 10**6, n) * 10.0 ** rng.integers(-12, 20, n))
+
+    def test_powers_of_ten_and_their_neighbours(self):
+        powers = np.array([float(f"1e{k}") for k in range(-323, 309)])
+        values = np.concatenate([powers, np.nextafter(powers, 0), np.nextafter(powers, np.inf)])
+        self.check(np.concatenate([values, -values]))
+
+    def test_exact_ties_at_the_17th_digit(self):
+        ties = ties_at_the_17th_digit()
+        for tie in ties[:50]:
+            digits = Decimal(float(tie)).as_tuple().digits
+            assert len(digits) == 18 and digits[-1] == 5
+        self.check(ties)
+        self.check(np.concatenate([np.nextafter(ties, 0), np.nextafter(ties, np.inf)]))
+
+    def test_zeros_subnormals_and_non_finite_values(self):
+        tiny = np.array([5e-324, 1e-323, 2.2250738585072009e-308, 2.2250738585072014e-308,
+                         1.5e-310, 4.9406564584124654e-320])
+        self.check(np.concatenate([[0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan], tiny, -tiny]))
+        self.check(np.random.default_rng(5).integers(1, 2**52, 4096) * 5e-324)
+
+    @pytest.mark.parametrize("edge", [1e-4, 1e17, 1e16, 1e-5])
+    def test_fixed_and_exponential_switches(self, edge):
+        # %g prints fixed digits for decimal exponents -4..16: the largest
+        # double below 1e17 still prints 17 digits with no exponent
+        below, above = np.nextafter(edge, 0), np.nextafter(edge, np.inf)
+        near = edge * (1 + np.linspace(-1e-14, 1e-14, 201))
+        self.check(np.concatenate([[edge, below, above], near, -near]))
+
+    def test_fewer_digits(self):
+        # trailing zeros and a bare point go, in both forms
+        self.check([100.0, 120.5, 0.001, 1.5e-5, 1e20, 1.25e-7, 3.0, 12345678901234567.0,
+                    0.1, 0.5, 2.5e18, 1e-4 * 3, 7e15, 7.5e16])
+
+
+class TestSlabs:
+    """write_matrix_market writes slabs of at most _SLAB values: slab edges
+    change no byte, and reading the file back gives every bit."""
+
+    @staticmethod
+    def write_and_check(path, matrix):
+        write_matrix_market(path, matrix)
+        rows, cols = matrix.shape
+        body = reference_17g(np.asarray(matrix).T.ravel())
+        header = f"%%MatrixMarket matrix array real general\n{rows} {cols}\n"
+        assert path.read_text() == header + body
+        assert same_bits(read_matrix(path, require_square=False), np.asarray(matrix))
+
+    @pytest.mark.parametrize("shape", [
+        (20, 1), (7, 3), (3, 5), (6, 5), (1, 9), (0, 4), (4, 0), (0, 0), (8, 8), (15, 2),
+    ])
+    @pytest.mark.parametrize("slab", [1, 6, 7])
+    def test_slab_edges(self, tmp_path, monkeypatch, shape, slab):
+        # columns longer than a slab (20 > 7), column counts that are no
+        # multiple of a slab's columns (5 columns of 3 in slabs of 2)
+        monkeypatch.setattr(mio, "_SLAB", slab)
+        matrix = np.random.default_rng(sum(shape)).standard_normal(shape) * 1e3
+        self.write_and_check(tmp_path / "m.mtx", matrix)
+
+    @pytest.mark.parametrize("shape", [(5000, 2), (3000, 3), (1000, 7), (1, 5000)])
+    def test_default_slab_edges(self, tmp_path, shape):
+        matrix = np.random.default_rng(8).standard_normal(shape)
+        self.write_and_check(tmp_path / "m.mtx", matrix)
+
+    def test_fortran_ordered_and_strided_inputs(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(mio, "_SLAB", 10)
+        base = np.random.default_rng(9).standard_normal((30, 24))
+        for matrix in (np.asfortranarray(base), base[::3, ::5], base[::-2, 1::2], base.T,
+                       np.asfortranarray(base)[5:, ::4]):
+            self.write_and_check(tmp_path / "m.mtx", matrix)
+
+    @pytest.mark.parametrize("shape", [(1000, 1000), (10**6, 1)])
+    def test_peak_allocation(self, tmp_path, shape):
+        # one slab's arrays and text, whatever the matrix (8 MB here)
+        matrix = np.random.default_rng(10).standard_normal(shape)
+        _, peak = peak_traced_bytes(write_matrix_market, tmp_path / "m.mtx", matrix)
+        assert peak < 2 << 20, peak
 
 
 class TestSlicedBody:
