@@ -27,9 +27,13 @@ class ParameterError(ValueError):
 
 
 def _readonly(a) -> Array:
-    """``a`` as a read-only float array; one that already is one is shared."""
-    if isinstance(a, np.ndarray) and a.dtype == np.float64 and not a.flags.writeable:
-        return a
+    """``a`` as a read-only float array that shares memory with read-only
+    arrays only: a read-only view of a writable array is copied."""
+    owner = a if isinstance(a, np.ndarray) and a.dtype == np.float64 else None
+    while isinstance(owner, np.ndarray) and not owner.flags.writeable:
+        if owner.base is None:
+            return a
+        owner = owner.base
     a = np.array(a, dtype=float)
     a.setflags(write=False)
     return a
@@ -37,7 +41,9 @@ def _readonly(a) -> Array:
 
 @dataclass(frozen=True, eq=False)
 class BlockVector:
-    """Immutable point (x_1, ..., x_N); every block is a read-only array."""
+    """Immutable point (x_1, ..., x_N).  Every block is a read-only array
+    whose memory no writable array shares, so a block's identity names its
+    values: applications may key what they derive from a point by it."""
 
     blocks: tuple[Array, ...]
 
@@ -176,31 +182,32 @@ def phi_value(problem: BlockProblem, x: BlockVector) -> float:
     return total + float(problem.f_value(x))
 
 
-def model_value(
-    problem: BlockProblem,
-    gamma: float,
-    alpha: float,
-    i: int,
-    x_k: BlockVector,
-    x_prev: BlockVector,
-    z: Array,
-    *,
-    f_grad: Array,
-) -> float:
+def model_value(problem: BlockProblem, gamma: float, alpha: float, i: int, x_k: BlockVector,
+                x_prev: BlockVector, z: Array, *, f_grad: Array) -> float:
     """Value of the inertial linearized block model at trial point z, with
     f_grad = grad_i f(x_k):
     <f_grad - (alpha/gamma)(x_k_i - x_prev_i), z - x_k_i>
       + (1/gamma) * D_{h_i}(x_k | block i <- z, x_k) + g_i(z)."""
+    return _block_model(problem, gamma, alpha, i, x_k, x_prev, f_grad)[1](z)
+
+
+def _block_model(problem: BlockProblem, gamma: float, alpha: float, i: int, x_k: BlockVector,
+                 x_prev: BlockVector, f_grad: Array) -> tuple[Array, Callable[[Array], float]]:
+    """The linear coefficient f_grad - (alpha/gamma)(x_k_i - x_prev_i) of
+    model_value, formed once, and the model as a function of z."""
     if not gamma > 0:
         raise ParameterError(f"gamma must be positive, got {gamma}")
-    gz = float(problem.g[i].value(z))
-    if math.isinf(gz):
-        return math.inf
     xi = x_k.block(i)
     step = f_grad - (alpha / gamma) * (xi - x_prev.block(i))
-    lin = float(np.vdot(step, z - xi))
-    breg = block_bregman_distance(problem.kernels[i], x_k, z)
-    return lin + breg / gamma + gz
+
+    def value(z: Array) -> float:
+        gz = float(problem.g[i].value(z))
+        if math.isinf(gz):
+            return math.inf
+        lin = float(np.vdot(step, z - xi))
+        return lin + block_bregman_distance(problem.kernels[i], x_k, z) / gamma + gz
+
+    return step, value
 
 
 def full_gradient(problem: BlockProblem, x: BlockVector) -> Array:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
@@ -20,8 +19,8 @@ from .blocks import (
     Array,
     BlockProblem,
     BlockVector,
+    _block_model,
     block_bregman_distance,
-    model_value,
 )
 
 if TYPE_CHECKING:
@@ -147,11 +146,8 @@ def numeric_subproblem_oracle(
     alpha = schedule.alpha[i]
     kern = problem.kernels[i]
     xi = np.array(x.block(i))
-    gf = problem.f_block_grad(i, x)
-    drift = gf - (alpha / gamma) * (xi - x_prev.block(i))
+    drift, value = _block_model(problem, gamma, alpha, i, x, x_prev, problem.f_block_grad(i, x))
     gh_at_x = kern.block_grad(x)
-
-    value = partial(model_value, problem, gamma, alpha, i, x, x_prev, f_grad=gf)
 
     def smooth_grad(z: Array) -> Array:
         return drift + (kern.block_grad(x.with_block(i, z)) - gh_at_x) / gamma

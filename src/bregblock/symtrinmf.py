@@ -12,16 +12,15 @@ shapes); the objective, gradients, kernels and updates trust them.
 
 Every m^2 r product lives in :func:`products`: the objective and both
 block gradients are cheap functions of XU, X^T U, U^T X U and G = U^T U
-(X^T U is XU itself when X is exactly symmetric).  ``products`` remembers
-its results on the instance for the last read-only U array it computed,
-keyed by identity; a solver sweep makes one new U, so it pays one
-X-product, and every later evaluation in the sweep, the residual and the
-Lyapunov value reuse it.  The generic sweep hands the updates the block
-gradients it has already evaluated, so a sweep computes grad_U once and
-grad_V twice.  A writable U, or a read-only view of a writable array, is
-never remembered, so changing such an array in place always gives fresh
-products.  A read-only array is taken to be immutable, as BlockVector
-takes it.
+(X^T U is XU itself when X is exactly symmetric), which they take as an
+optional last argument and otherwise compute.  ``products`` remembers
+nothing; :func:`as_block_problem` keeps the products of the last point's U
+block, keyed by the block's identity, which names its values because a
+BlockVector's blocks cannot change.  A solver sweep makes one new U, so it
+pays one X-product, and every later evaluation in the sweep, the residual
+and the Lyapunov value reuse it.  The generic sweep hands the updates the
+block gradients it has already evaluated, so a sweep computes grad_U once
+and grad_V twice.
 
 The closed forms also certify the sweep.  Each update takes its block
 gradient of f and returns, with the new block, the subgradient its
@@ -114,7 +113,6 @@ class SymTriInstance:
     sigma2: float = field(init=False)
     norm_X: float = field(init=False)
     symmetric: bool = field(init=False)
-    _memo = (None, None)  # not a field: products() replaces it on the instance
 
     def __post_init__(self, symmetrize: bool) -> None:
         X = np.array(self.X, dtype=float, copy=True)
@@ -175,9 +173,12 @@ def _check_shapes(inst: SymTriInstance, U: Array, V: Array) -> tuple[Array, Arra
     return U, V
 
 
-def compute_products(inst: SymTriInstance, U: Array) -> tuple[Array, Array, Array, Array]:
-    """(XU, X^T U, U^T X U, U^T U), read-only and never remembered; X^T U
-    is the XU array itself when X is exactly symmetric."""
+Products = tuple[Array, Array, Array, Array]
+
+
+def products(inst: SymTriInstance, U: Array) -> Products:
+    """(XU, X^T U, U^T X U, U^T U), read-only; X^T U is the XU array itself
+    when X is exactly symmetric."""
     XU = inst.X @ U
     XtU = XU if inst.symmetric else inst.X.T @ U
     out = (XU, XtU, U.T @ XU, U.T @ U)
@@ -186,32 +187,16 @@ def compute_products(inst: SymTriInstance, U: Array) -> tuple[Array, Array, Arra
     return out
 
 
-def _memoizable(U: Array) -> bool:
-    base = U.base
-    return not U.flags.writeable and not (isinstance(base, np.ndarray) and base.flags.writeable)
-
-
-def products(inst: SymTriInstance, U: Array) -> tuple[Array, Array, Array, Array]:
-    """compute_products, remembered on the instance for the last read-only
-    U array it computed (matched by identity)."""
-    if not _memoizable(U):
-        return compute_products(inst, U)
-    held, out = inst._memo
-    if held is not U:
-        out = compute_products(inst, U)
-        object.__setattr__(inst, "_memo", (U, out))
-    return out
-
-
 def _residual(inst: SymTriInstance, U: Array, V: Array) -> Array:
     return inst.X - U @ V @ U.T
 
 
-def f_value(inst: SymTriInstance, U: Array, V: Array) -> float:
+def f_value(inst: SymTriInstance, U: Array, V: Array, prods: Products | None = None) -> float:
     """Fit term ||X - U V U^T||_F^2 / 2, by the trace identity
     (||X||^2 - 2 <U^T X U, V> + <G V G, V>) / 2 with G = U^T U, or from the
-    dense residual where the identity cancels (below FIT_CANCELLATION ||X||^2)."""
-    _, _, UtXU, G = products(inst, U)
+    dense residual where the identity cancels (below FIT_CANCELLATION ||X||^2).
+    ``prods`` is products(inst, U), computed here when not given."""
+    _, _, UtXU, G = prods or products(inst, U)
     x2 = inst.norm_X**2
     f = 0.5 * (x2 - 2.0 * float(np.vdot(UtXU, V)) + float(np.vdot(G @ V @ G, V)))
     if f >= FIT_CANCELLATION * x2:
@@ -219,16 +204,16 @@ def f_value(inst: SymTriInstance, U: Array, V: Array) -> float:
     return 0.5 * _sq_norm(_residual(inst, U, V))
 
 
-def grad_U(inst: SymTriInstance, U: Array, V: Array) -> Array:
+def grad_U(inst: SymTriInstance, U: Array, V: Array, prods: Products | None = None) -> Array:
     """Gradient of the fit term in U; exact for asymmetric X as well:
     -X U V^T - X^T U V + U (V G V^T + V^T G V) with G = U^T U."""
-    XU, XtU, _, G = products(inst, U)
+    XU, XtU, _, G = prods or products(inst, U)
     return U @ (V @ G @ V.T + V.T @ G @ V) - XU @ V.T - XtU @ V
 
 
-def grad_V(inst: SymTriInstance, U: Array, V: Array) -> Array:
+def grad_V(inst: SymTriInstance, U: Array, V: Array, prods: Products | None = None) -> Array:
     """Gradient of the fit term in V: G V G - U^T X U with G = U^T U."""
-    _, _, UtXU, G = products(inst, U)
+    _, _, UtXU, G = prods or products(inst, U)
     return G @ V @ G - UtXU
 
 
@@ -384,13 +369,21 @@ def as_block_problem(inst: SymTriInstance) -> BlockProblem:
     """Bind the instance into the generic two-block problem: the blocks are
     U (m x r) and V (r x r) in their natural shapes, the nonsmooth terms
     are nonnegativity indicators, and the exact subproblem solvers are the
-    closed-form updates."""
+    closed-form updates.  The problem keeps the products of the last U
+    block it evaluated at, so that a sweep pays one X-product."""
+    held: list = [None, None]  # a U block and its products
+
+    def at(x: BlockVector) -> Products:
+        U = x.block(0)
+        if held[0] is not U:
+            held[:] = U, products(inst, U)
+        return held[1]
 
     def fg(i: int, x: BlockVector) -> Array:
         if i == 0:
-            return grad_U(inst, *x.blocks)
+            return grad_U(inst, *x.blocks, at(x))
         if i == 1:
-            return grad_V(inst, *x.blocks)
+            return grad_V(inst, *x.blocks, at(x))
         raise ParameterError(f"block index {i} out of range")
 
     kernel1 = BlockKernel(
@@ -422,7 +415,7 @@ def as_block_problem(inst: SymTriInstance) -> BlockProblem:
     )
     return BlockProblem(
         shapes=((inst.m, inst.r), (inst.r, inst.r)),
-        f_value=lambda x: f_value(inst, *x.blocks),
+        f_value=lambda x: f_value(inst, *x.blocks, at(x)),
         f_block_grad=fg,
         kernels=(kernel1, kernel2),
         L=(inst.L1, inst.L2),
@@ -455,10 +448,13 @@ def relative_error(inst: SymTriInstance, U: Array, V: Array) -> float:
 
 def community_assignment(U: Array) -> Array:
     """Per-row argmax community labels; ties go to the lowest index and
-    all-zero rows get the UNASSIGNED sentinel (-1)."""
+    all-zero rows get the UNASSIGNED sentinel (-1).  U must be finite and
+    nonnegative (ParameterError): a NaN would win its row's argmax."""
     U = np.asarray(U, dtype=float)
     if U.ndim != 2:
         raise ParameterError(f"U must be a matrix, got shape {U.shape}")
+    if not np.isfinite(U).all():
+        raise ParameterError("membership matrix has NaN or infinite entries")
     if (U < 0).any():
         raise ParameterError("membership matrix must be nonnegative")
     labels = np.argmax(U, axis=1).astype(int)

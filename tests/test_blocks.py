@@ -57,8 +57,9 @@ class TestBlockVector:
             x.with_block(2, values)
 
     def test_with_block_shares_a_read_only_block(self):
-        # a read-only block is shared, not copied a second time (the
-        # products memo matches U by identity); a writable block is copied
+        # a read-only block is shared, not copied a second time (a block
+        # problem keys the products of U by its identity); a writable block
+        # is copied
         x = BlockVector((np.zeros(3), np.zeros((2, 2)), np.zeros(1)))
         y = x.with_block(1, np.ones((2, 2)))
         assert not y.block(1).flags.writeable
@@ -75,6 +76,29 @@ class TestBlockVector:
         assert x.block(0)[0, 0] == 0.0  # the caller's array was copied
         with pytest.raises(ValueError):
             x.with_block(0, source).block(0)[0, 0] = 2.0
+
+    def test_read_only_view_of_a_writable_array_is_copied(self):
+        # a read-only view still sees every write to its writable base
+        base = np.zeros((3, 2))
+        views = (base.view(), base.T, base[::2])
+        for view in views:
+            view.setflags(write=False)
+        x = BlockVector(views)
+        base[0, 0] = 5.0
+        assert all(b is not v for b, v in zip(x.blocks, views))
+        assert all(not b.any() and not b.flags.writeable for b in x.blocks)
+        assert [b.shape for b in x.blocks] == [(3, 2), (2, 3), (2, 2)]
+
+    def test_memory_of_read_only_arrays_is_shared(self):
+        owner = np.array([[0.0, 1.0], [2.0, 3.0], [4.0, 5.0]])
+        owner.setflags(write=False)
+        views = (owner, owner.T, owner[1:])
+        x = BlockVector(views)
+        assert all(b is v for b, v in zip(x.blocks, views))
+        # memory a writable buffer owns is copied
+        buffered = np.frombuffer(bytearray(16))
+        buffered.setflags(write=False)
+        assert BlockVector((buffered,)).block(0) is not buffered
 
     def test_bad_sizes(self):
         # shapes are checked where points enter: pack_factors and run

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bregblock import (
+    BlockVector,
     ParameterError,
     SymTriInstance,
     as_block_problem,
@@ -536,6 +537,12 @@ class TestCommunityAssignment:
         with pytest.raises(ParameterError):
             community_assignment(np.array([[-1.0, 0.0]]))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite(self, bad):
+        # NaN would win argmax and label its row 0
+        with pytest.raises(ParameterError, match="NaN or infinite"):
+            community_assignment(np.array([[1.0, 0.0], [bad, 1.0]]))
+
 
 class TestInitialFactors:
     def test_product_norm_matches_data(self):
@@ -563,14 +570,24 @@ def scaled_rel_err(a, b):
     return rel_err(np.asarray(a) / s, np.asarray(b) / s)
 
 
-def frozen(a):
-    a = np.array(a, dtype=float)
-    a.setflags(write=False)
-    return a
+def record_calls(monkeypatch, *names):
+    """Wrap each named symtrinmf function so that it records its calls;
+    returns name -> list of the positional arguments of each call."""
+    calls = {name: [] for name in names}
+
+    def recording(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name].append(args)
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for name in names:
+        monkeypatch.setattr(stf, name, recording(name, getattr(stf, name)))
+    return calls
 
 
 class TestProductForm:
-    """f_value, grad_U and grad_V run on the memoized products; dense_fit is
+    """f_value, grad_U and grad_V run on the products of U; dense_fit is
     the direct reference.  At points without cancellation the two agree to
     a few eps; the tolerances below are fixed from float64, not fitted."""
 
@@ -627,11 +644,9 @@ class TestProductForm:
         V = (1.0 + t) * V
         f_ref = stf.dense_fit(inst, U, V)[0]
         assert (f_ref < stf.FIT_CANCELLATION * inst.norm_X**2) == dense
-        formed = []
-        residual = stf._residual
-        monkeypatch.setattr(stf, "_residual", lambda *a: formed.append(1) or residual(*a))
+        calls = record_calls(monkeypatch, "_residual")
         f = f_value(inst, U, V)
-        assert bool(formed) == dense
+        assert bool(calls["_residual"]) == dense
         if dense:
             assert f == f_ref  # the same dense formula; exactly 0 at t = 0
         else:
@@ -648,15 +663,6 @@ class TestProductForm:
         f_ref = stf.dense_fit(inst, factors.U, factors.V)[0]
         assert 0.0 < f_ref < stf.FIT_CANCELLATION * inst.norm_X**2
         assert result.trace[-1].phi == pytest.approx(f_ref, rel=1e-12, abs=0.0)
-
-    def test_memo_serves_read_only_arrays_only(self):
-        inst, rng = random_instance(24, m=8, r=2)
-        U = frozen(rng.random((8, 2)))
-        first = stf.products(inst, U)
-        assert all(a is b for a, b in zip(stf.products(inst, U), first))
-        assert not any(a.flags.writeable for a in first)
-        W = np.array(U)
-        assert stf.products(inst, W)[0] is not stf.products(inst, W)[0]
 
     def test_writable_array_changed_in_place_gets_fresh_products(self):
         inst, rng = random_instance(25, m=8, r=2)
@@ -676,72 +682,70 @@ class TestProductForm:
         self.assert_matches_dense(inst, view, V)
 
     def test_instances_never_share_entries(self):
+        # two block problems evaluated at one point each use their own X
         a, rng = random_instance(27, m=8, r=2)
         b, _ = random_instance(28, m=8, r=2)
-        U = frozen(rng.random((8, 2)))
+        x = BlockVector((rng.random((8, 2)), rng.random((2, 2))))
+        problems = {inst: as_block_problem(inst) for inst in (a, b)}
         for _ in range(2):
             for inst in (a, b, a):
-                assert np.array_equal(stf.products(inst, U)[0], inst.X @ U)
+                got = problems[inst].f_block_grad(1, x)
+                assert got.tobytes() == grad_V(inst, *x.blocks).tobytes()
 
     def test_memo_keeps_the_last_one(self, monkeypatch):
+        # a block problem keeps the products of the last U block it met:
+        # every evaluation at that U reuses them, whatever V, and any other
+        # U computes them afresh
         inst, rng = random_instance(29, m=8, r=2)
-        made = []
-        compute = stf.compute_products
-        monkeypatch.setattr(stf, "compute_products", lambda i, U: made.append(U) or compute(i, U))
-        U1, U2 = (frozen(rng.random((8, 2))) for _ in range(2))
-        for U in (U1, U1, U2, U2, U2, U1, U2):
-            stf.products(inst, U)
-        # a repeated last U is served from the memo, any other U afresh
-        assert [id(U) for U in made] == [id(U) for U in (U1, U2, U1, U2)]
+        problem = as_block_problem(inst)
+        V = rng.random((2, 2))
+        x1, x2 = (BlockVector((rng.random((8, 2)), V)) for _ in range(2))
+        calls = record_calls(monkeypatch, "products")
+        for x in (x1, x1, x2, x2, x2, x1, x2):
+            problem.f_value(x)
+            problem.f_block_grad(0, x)
+            problem.f_block_grad(1, x.with_block(1, 2.0 * V))
+        made = [args[1] for args in calls["products"]]
+        assert [id(U) for U in made] == [id(x.block(0)) for x in (x1, x2, x1, x2)]
 
     @pytest.mark.parametrize("kappa", [0.0, 0.6])
     def test_one_x_product_per_sweep(self, monkeypatch, kappa):
         X, _, _ = synth_instance(20, 3, noise_level=0.2, density=1.0, seed=5)
         inst = SymTriInstance(X, 3)
-        made = []
-        compute = stf.compute_products
-        monkeypatch.setattr(stf, "compute_products", lambda i, U: made.append(1) or compute(i, U))
+        calls = record_calls(monkeypatch, "products")
         for sweeps in (7, 19):
-            made.clear()
+            calls["products"].clear()
             result, _ = stf.solve_instance(inst, kappa=kappa, max_iters=sweeps, residual_tol=0.0)
             assert result.trace[-1].k == sweeps
             # one at start-up (the gradient at x0), then one per sweep
-            assert len(made) == sweeps + 1
+            assert len(calls["products"]) == sweeps + 1
 
     @pytest.mark.parametrize("kappa", [0.0, 0.6])
     def test_each_block_gradient_once_per_sweep(self, monkeypatch, kappa):
         X, _, _ = synth_instance(20, 3, noise_level=0.2, density=1.0, seed=5)
         inst = SymTriInstance(X, 3)
         counted = ("grad_U", "grad_V", "kernel_h1_grad", "kernel_h2_grad",
-                   "kernel_h1_value", "kernel_h2_value", "compute_products")
-        calls = dict.fromkeys(counted, 0)
-
-        def counting(name, fn):
-            def wrapped(*args, **kwargs):
-                calls[name] += 1
-                return fn(*args, **kwargs)
-            return wrapped
-
-        for name in counted:
-            monkeypatch.setattr(stf, name, counting(name, getattr(stf, name)))
+                   "kernel_h1_value", "kernel_h2_value", "products")
+        calls = record_calls(monkeypatch, *counted)
         totals = []
         for sweeps in (7, 19):
-            calls.update(dict.fromkeys(counted, 0))
+            for made in calls.values():
+                made.clear()
             result, _ = stf.solve_instance(inst, kappa=kappa, max_iters=sweeps, residual_tol=0.0)
             assert result.trace[-1].k == sweeps
-            totals.append(dict(calls))
+            totals.append({name: len(made) for name, made in calls.items()})
         per_sweep = {name: (totals[1][name] - totals[0][name]) / 12 for name in counted}
         # the one kernel call is grad_U h1 inside update_U: the updates
         # return the subgradients and the kernels their closed-form distances
         assert per_sweep == {
             "grad_U": 1, "grad_V": 2, "kernel_h1_grad": 1, "kernel_h2_grad": 0,
-            "kernel_h1_value": 0, "kernel_h2_value": 0, "compute_products": 1,
+            "kernel_h1_value": 0, "kernel_h2_value": 0, "products": 1,
         }
         # start-up: grad f(x0) for the stopping scale, whose U part the
         # first sweep reuses
         startup = {name: totals[0][name] - 7 * per_sweep[name] for name in counted}
         assert startup == dict.fromkeys(counted, 0) | {
-            "grad_U": 1, "grad_V": 1, "compute_products": 1}
+            "grad_U": 1, "grad_V": 1, "products": 1}
 
 
 class TestSolveFactors:
@@ -768,12 +772,11 @@ class TestSolveFactors:
         result, factors = stf.solve_instance(inst, max_iters=19, residual_tol=0.0, x0=x0)
         near = result.trace[-1].phi < stf.FIT_CANCELLATION * inst.norm_X**2
         assert near == bool(start)
-        made, formed = [], []
-        compute, residual = stf.compute_products, stf._residual
-        monkeypatch.setattr(stf, "compute_products", lambda i, U: made.append(1) or compute(i, U))
-        monkeypatch.setattr(stf, "_residual", lambda *a: formed.append(1) or residual(*a))
+        calls = record_calls(monkeypatch, "products", "_residual")
         rel = relative_error(inst, *factors)
-        assert made == [] and bool(formed) == near
+        # a direct call computes the factors' products once: the solve's
+        # block problem kept them, not the instance
+        assert len(calls["products"]) == 1 and bool(calls["_residual"]) == near
         assert rel == math.sqrt(2.0 * result.trace[-1].phi) / inst.norm_X
 
     @pytest.mark.parametrize("t", [1.0, 0.1, 0.01])
