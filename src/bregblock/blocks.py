@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -55,7 +55,8 @@ class BlockVector:
 
     def with_block(self, i: int, values: Array) -> "BlockVector":
         """New point with block i replaced by ``values``; the other blocks
-        are shared, not copied."""
+        are shared, not copied, and so is ``values`` when it is a read-only
+        array that owns its memory."""
         blocks = list(self.blocks)
         blocks[i] = values
         return BlockVector(tuple(blocks))
@@ -171,11 +172,14 @@ def block_bregman_distance(kernel: BlockKernel, x: BlockVector, y_i: Array) -> f
     return d
 
 
-def phi_value(problem: BlockProblem, x: BlockVector) -> float:
-    """Composite objective f(x) + sum_i g_i(x_i), +inf when any g_i is."""
+def phi_value(problem: BlockProblem, x: BlockVector, g: Sequence[float] | None = None) -> float:
+    """Composite objective f(x) + sum_i g_i(x_i), +inf when any g_i is.
+    ``g`` holds the values g_i(x_i) when the caller has evaluated them."""
+    if g is None:
+        g = [term.value(x.block(i)) for i, term in enumerate(problem.g)]
     total = 0.0
-    for i, term in enumerate(problem.g):
-        gi = float(term.value(x.block(i)))
+    for gi in g:
+        gi = float(gi)
         if math.isinf(gi):
             return math.inf
         total += gi
@@ -188,26 +192,26 @@ def model_value(problem: BlockProblem, gamma: float, alpha: float, i: int, x_k: 
     f_grad = grad_i f(x_k):
     <f_grad - (alpha/gamma)(x_k_i - x_prev_i), z - x_k_i>
       + (1/gamma) * D_{h_i}(x_k | block i <- z, x_k) + g_i(z)."""
-    return _block_model(problem, gamma, alpha, i, x_k, x_prev, f_grad)[1](z)
+    smooth = _block_model(problem, gamma, alpha, i, x_k, x_prev, f_grad)[1]
+    gz = float(problem.g[i].value(z))
+    return math.inf if math.isinf(gz) else smooth(z) + gz
 
 
 def _block_model(problem: BlockProblem, gamma: float, alpha: float, i: int, x_k: BlockVector,
                  x_prev: BlockVector, f_grad: Array) -> tuple[Array, Callable[[Array], float]]:
     """The linear coefficient f_grad - (alpha/gamma)(x_k_i - x_prev_i) of
-    model_value, formed once, and the model as a function of z."""
+    model_value, formed once, and the model without its g_i term as a
+    function of z."""
     if not gamma > 0:
         raise ParameterError(f"gamma must be positive, got {gamma}")
     xi = x_k.block(i)
     step = f_grad - (alpha / gamma) * (xi - x_prev.block(i))
 
-    def value(z: Array) -> float:
-        gz = float(problem.g[i].value(z))
-        if math.isinf(gz):
-            return math.inf
+    def smooth(z: Array) -> float:
         lin = float(np.vdot(step, z - xi))
-        return lin + block_bregman_distance(problem.kernels[i], x_k, z) / gamma + gz
+        return lin + block_bregman_distance(problem.kernels[i], x_k, z) / gamma
 
-    return step, value
+    return step, smooth
 
 
 def full_gradient(problem: BlockProblem, x: BlockVector) -> Array:

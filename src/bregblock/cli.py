@@ -34,6 +34,7 @@ from .solver import (
 )
 
 KAPPA_GRID = (0.0, 0.3, 0.6, 0.9)
+SYMMETRIZE_HELP = "replace a matrix that is not exactly symmetric by (X + X^T)/2"
 _BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
              "0": False, "false": False, "no": False, "off": False}
 
@@ -120,7 +121,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
         p_solve.add_argument(f"--{name}", type=float, default=default)
     p_solve.add_argument("--max-iters", type=int, default=5000)
     p_solve.add_argument("--seed", type=_SEED, default=0)
-    p_solve.add_argument("--symmetrize", action="store_true")
+    p_solve.add_argument("--symmetrize", action="store_true", help=SYMMETRIZE_HELP)
     p_solve.add_argument("--trace-out")
     p_solve.add_argument("--factors-out", help="path prefix; writes <prefix>_U.mtx and <prefix>_V.mtx")
     p_solve.add_argument("--labels-out")
@@ -133,6 +134,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
     p_check.add_argument("--rank", type=_RANK, default=2)
     p_check.add_argument("--samples", type=_int_at_least(1), default=200)
     p_check.add_argument("--seed", type=_SEED, default=1)
+    p_check.add_argument("--symmetrize", action="store_true", help=SYMMETRIZE_HELP)
 
     p_bench = sub.add_parser("bench", help="kappa x seed grid on one instance")
     p_bench.add_argument("--input", help="matrix file; omit to synthesize")
@@ -146,6 +148,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
     p_bench.add_argument("--max-iters", dest="max_iters", type=int, default=5000)
     p_bench.add_argument("--residual-tol", dest="residual_tol", type=float, default=1e-8)
     p_bench.add_argument("--rho", type=float, default=0.9)
+    p_bench.add_argument("--symmetrize", action="store_true", help=SYMMETRIZE_HELP)
     p_bench.add_argument("--out", required=True, help="output CSV path")
     return parser, p_solve
 
@@ -209,7 +212,7 @@ def cmd_check(args: argparse.Namespace) -> int:
         X = mio.read_matrix(args.input)
     else:
         X, _, _ = mio.synth_instance(m=8, r=2, noise_level=0.25, density=1.0, seed=args.seed)
-    inst = stf.SymTriInstance(X, args.rank)
+    inst = stf.SymTriInstance(X, args.rank, symmetrize=args.symmetrize)
     problem = stf.as_block_problem(inst)
     rng = np.random.default_rng(args.seed)
 
@@ -288,7 +291,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         X, _, _ = mio.synth_instance(
             args.m, args.rank, args.noise, args.density, args.instance_seed
         )
-    inst = stf.SymTriInstance(X, args.rank)
+    inst = stf.SymTriInstance(X, args.rank, symmetrize=args.symmetrize)
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["kappa", "seed", "iters_to_tol", "final_phi", "wall_seconds", "termination"])

@@ -138,7 +138,9 @@ def numeric_subproblem_oracle(
     gradients of f and h_i plus the Euclidean projection of g_i (which must
     therefore be the indicator of a projectable convex set).  The step size
     is one over a local Lipschitz estimate maintained by backtracking; the
-    loop stops when an iterate moves at most ORACLE_TOL, or after ORACLE_ITERS."""
+    loop stops when an iterate moves at most ORACLE_TOL, or after ORACLE_ITERS.
+    Every point it evaluates is a projection, where g_i is 0, so it
+    evaluates the model without its g_i term."""
     term = problem.g[i]
     if term.project is None:
         raise ValueError(f"block {i} has no projection; the oracle cannot run")
@@ -146,14 +148,14 @@ def numeric_subproblem_oracle(
     alpha = schedule.alpha[i]
     kern = problem.kernels[i]
     xi = np.array(x.block(i))
-    drift, value = _block_model(problem, gamma, alpha, i, x, x_prev, problem.f_block_grad(i, x))
+    drift, smooth = _block_model(problem, gamma, alpha, i, x, x_prev, problem.f_block_grad(i, x))
     gh_at_x = kern.block_grad(x)
 
     def smooth_grad(z: Array) -> Array:
         return drift + (kern.block_grad(x.with_block(i, z)) - gh_at_x) / gamma
 
     z = term.project(xi)
-    fz = value(z)
+    fz = smooth(z)
     lip = 1.0
     for _ in range(ORACLE_ITERS):
         gz = smooth_grad(z)
@@ -161,12 +163,12 @@ def numeric_subproblem_oracle(
             cand = term.project(z - gz / lip)
             d = cand - z
             quad = fz + float(np.vdot(gz, d)) + 0.5 * lip * float(np.vdot(d, d))
-            if value(cand) <= quad + 1e-15 * (1.0 + abs(fz)) or lip > 1e16:
+            fc = smooth(cand)
+            if fc <= quad + 1e-15 * (1.0 + abs(fz)) or lip > 1e16:
                 break
             lip *= 2.0
         move = float(np.linalg.norm(cand - z))
-        z = cand
-        fz = value(z)
+        z, fz = cand, fc
         if move <= ORACLE_TOL:
             break
         lip = max(lip * 0.9, 1e-12)

@@ -149,7 +149,7 @@ def derive_schedule(
     return StepSchedule(tuple(gamma), tuple(alpha), tuple(delta), L, sigma)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IterationRecord:
     """One trace row: objective, Lyapunov value, stationarity residual, and
     the per-block Bregman gaps of the sweep that produced this iterate."""
@@ -177,25 +177,26 @@ def solve_block_subproblem(
     x_prev: BlockVector,
     *,
     f_grad: Array,
-) -> tuple[Array, Array]:
+) -> tuple[Array, Array, float]:
     """Minimize the block-i model with the block's exact solver, handing it
-    f_grad = grad_i f(x_current).  Returns the minimizer z and the
-    subgradient of g_i at z that the solver exhibits, after checking that
+    f_grad = grad_i f(x_current).  Returns the minimizer z, the subgradient
+    of g_i at z that the solver exhibits and g_i(z), after checking that
     the solver returned a pair of arrays in the block's shape and a
     feasible z (ConfigurationError)."""
     term = problem.g[i]
     out = term.solver(problem, schedule, i, x_current, x_prev, f_grad=f_grad)
     if not (isinstance(out, tuple) and len(out) == 2):
         raise ConfigurationError(f"block {i}: subproblem solver must return a (z, eta) pair")
-    z, eta = (np.asarray(a, dtype=float) for a in out)
+    z, eta = np.asarray(out[0], dtype=float), np.asarray(out[1], dtype=float)
     if z.shape != problem.shapes[i] or eta.shape != problem.shapes[i]:
         raise ConfigurationError(
             f"block {i}: subproblem solver returned z of shape {z.shape} and eta of shape "
             f"{eta.shape}, expected {problem.shapes[i]}"
         )
-    if math.isinf(float(term.value(z))):
+    gz = float(term.value(z))
+    if math.isinf(gz):
         raise ConfigurationError(f"block {i}: subproblem solver returned an infeasible point")
-    return z, eta
+    return z, eta, gz
 
 
 def sweep_with_partials(
@@ -204,9 +205,10 @@ def sweep_with_partials(
     x_k: BlockVector,
     x_prev: BlockVector,
     f_grad0: Array,
-) -> tuple[BlockVector, list[float], list[Array]]:
+) -> tuple[BlockVector, list[float], list[Array], list[float]]:
     """Cyclic pass over all blocks: the new iterate, the gaps and, per
-    block, the subgradient of g_i that its first-order condition exhibits.
+    block, the subgradient of g_i that its first-order condition exhibits
+    and the value of g_i at the new block.
 
     Block i sees the freshest partial iterate (pre) for its gradient and
     model, but the inertial difference is always taken against the lagged
@@ -215,19 +217,21 @@ def sweep_with_partials(
     the block solver sees it.  The solver returns the new block with eta_i,
     and the gap is the kernel's exact distance D_{h_i}(post, pre); the
     sweep evaluates no kernel value or gradient itself.  Returns
-    (x_next, gaps, etas).
+    (x_next, gaps, etas, g_next), g_next[i] = g_i(x_next_i).
     """
     cur = x_k
     gaps: list[float] = []
     etas: list[Array] = []
+    g_next: list[float] = []
     for i in range(problem.N):
         gf = f_grad0 if i == 0 else problem.f_block_grad(i, cur)
         gf.setflags(write=False)
-        z, eta = solve_block_subproblem(problem, schedule, i, cur, x_prev, f_grad=gf)
+        z, eta, gz = solve_block_subproblem(problem, schedule, i, cur, x_prev, f_grad=gf)
         gaps.append(block_bregman_distance(problem.kernels[i], cur, z))
         etas.append(eta)
+        g_next.append(gz)
         cur = cur.with_block(i, z)
-    return cur, gaps, etas
+    return cur, gaps, etas, g_next
 
 
 def lyapunov_value(schedule: StepSchedule, phi: float, gaps: Sequence[float]) -> float:
@@ -303,10 +307,12 @@ def run(
     shapes = tuple(b.shape for b in x0.blocks)
     if shapes != problem.shapes:
         raise ParameterError(f"x0 has block shapes {shapes}, expected {problem.shapes}")
+    g0 = []
     for i, term in enumerate(problem.g):
         if term.solver is None:
             raise ConfigurationError(f"block {i} has no exact subproblem solver")
-        if math.isinf(float(term.value(x0.block(i)))):
+        g0.append(float(term.value(x0.block(i))))
+        if math.isinf(g0[-1]):
             raise InfeasibleError(f"x0 is infeasible for nonsmooth block {i}")
 
     start = time.perf_counter()
@@ -314,7 +320,7 @@ def run(
     norm0 = float(np.linalg.norm(grad0))
     scale = 1.0 + norm0
     f_grad0 = grad0[: math.prod(problem.shapes[0])].reshape(problem.shapes[0])
-    phi0 = phi_value(problem, x0)
+    phi0 = phi_value(problem, x0, g0)
     zeros = tuple(0.0 for _ in range(problem.N))
     trace = [
         IterationRecord(
@@ -330,10 +336,10 @@ def run(
     x_prev, x = x0, x0
     termination = TERMINATION_MAX_ITERS
     for k in range(int(max_iters)):
-        x_next, gaps, etas = sweep_with_partials(problem, schedule, x, x_prev, f_grad0)
+        x_next, gaps, etas, g_next = sweep_with_partials(problem, schedule, x, x_prev, f_grad0)
         residual, grads = stationarity_residual(problem, x_next, etas)
         f_grad0 = grads[0]
-        phi = phi_value(problem, x_next)
+        phi = phi_value(problem, x_next, g_next)
         lyap = lyapunov_value(schedule, phi, gaps)
         if not math.isfinite(lyap):
             raise ArithmeticError(f"Lyapunov value is not finite at iteration {k + 1}")

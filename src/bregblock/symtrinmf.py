@@ -22,6 +22,13 @@ and the Lyapunov value reuse it.  The generic sweep hands the updates the
 block gradients it has already evaluated, so a sweep computes grad_U once
 and grad_V twice.
 
+The block problem keeps ||U||^2 and ||V||^2 the same way (the ``norms``
+of update_U, update_V, kernel_h1_grad and the kernel distances), and G V G
+of the last point (the ``gvg`` of grad_V and f_value).  Far from the
+fit a sweep then forms five squared norms: ||V_k||^2, ||U+||^2 (the next
+sweep's ||U_k||^2), and those of the clamped score and of the two block
+steps in the distances; and G V G twice, at (U+, V_k) and (U+, V+).
+
 The closed forms also certify the sweep.  Each update takes its block
 gradient of f and returns, with the new block, the subgradient its
 first-order condition exhibits: min(G, 0) / gamma1 from the score G the U
@@ -43,7 +50,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import InitVar, dataclass, field, replace
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -133,8 +140,9 @@ class SymTriInstance:
             )
         gap = float(np.linalg.norm(X - X.T))
         if gap > 1e-12 * max(norm, 1e-30):
-            how = ("X was replaced by (X + X^T)/2" if symmetrize else "gradients remain exact, but "
-                   "pass symmetrize=True (--symmetrize to bregblock solve) to work with (X + X^T)/2")
+            how = ("X was replaced by (X + X^T)/2" if symmetrize else
+                   "gradients remain exact, but pass symmetrize=True (--symmetrize to bregblock "
+                   "solve, check or bench) to work with (X + X^T)/2")
             # stack: warn, __post_init__, the dataclass __init__, its caller
             warnings.warn(f"input matrix is not symmetric; {how}", stacklevel=3)
             if symmetrize:
@@ -191,14 +199,21 @@ def _residual(inst: SymTriInstance, U: Array, V: Array) -> Array:
     return inst.X - U @ V @ U.T
 
 
-def f_value(inst: SymTriInstance, U: Array, V: Array, prods: Products | None = None) -> float:
+def _gvg(G: Array, V: Array) -> Array:
+    return G @ V @ G
+
+
+def f_value(inst: SymTriInstance, U: Array, V: Array, prods: Products | None = None,
+            gvg: Array | None = None) -> float:
     """Fit term ||X - U V U^T||_F^2 / 2, by the trace identity
     (||X||^2 - 2 <U^T X U, V> + <G V G, V>) / 2 with G = U^T U, or from the
     dense residual where the identity cancels (below FIT_CANCELLATION ||X||^2).
-    ``prods`` is products(inst, U), computed here when not given."""
+    ``prods`` is products(inst, U) and ``gvg`` is G V G, each computed here
+    when not given."""
     _, _, UtXU, G = prods or products(inst, U)
     x2 = inst.norm_X**2
-    f = 0.5 * (x2 - 2.0 * float(np.vdot(UtXU, V)) + float(np.vdot(G @ V @ G, V)))
+    GVG = _gvg(G, V) if gvg is None else gvg
+    f = 0.5 * (x2 - 2.0 * float(np.vdot(UtXU, V)) + float(np.vdot(GVG, V)))
     if f >= FIT_CANCELLATION * x2:
         return f
     return 0.5 * _sq_norm(_residual(inst, U, V))
@@ -211,10 +226,12 @@ def grad_U(inst: SymTriInstance, U: Array, V: Array, prods: Products | None = No
     return U @ (V @ G @ V.T + V.T @ G @ V) - XU @ V.T - XtU @ V
 
 
-def grad_V(inst: SymTriInstance, U: Array, V: Array, prods: Products | None = None) -> Array:
-    """Gradient of the fit term in V: G V G - U^T X U with G = U^T U."""
+def grad_V(inst: SymTriInstance, U: Array, V: Array, prods: Products | None = None,
+           gvg: Array | None = None) -> Array:
+    """Gradient of the fit term in V: G V G - U^T X U with G = U^T U;
+    ``prods`` and ``gvg`` as in f_value."""
     _, _, UtXU, G = prods or products(inst, U)
-    return G @ V @ G - UtXU
+    return (_gvg(G, V) if gvg is None else gvg) - UtXU
 
 
 def dense_fit(inst: SymTriInstance, U: Array, V: Array) -> tuple[float, Array, Array]:
@@ -232,23 +249,29 @@ def kernel_h1_value(inst: SymTriInstance, U: Array, V: Array) -> float:
     return 0.25 * inst.a1 * v2 * u2 * u2 + (inst.norm_X * math.sqrt(v2) + inst.eps1) * u2
 
 
-def kernel_h1_grad(inst: SymTriInstance, U: Array, V: Array) -> Array:
-    u2 = _sq_norm(U)
-    v2 = _sq_norm(V)
+Norms = tuple[float, float]
+
+
+def kernel_h1_grad(inst: SymTriInstance, U: Array, V: Array, norms: Norms | None = None) -> Array:
+    """(a1 ||U||^2 ||V||^2 + 2 (||X|| ||V|| + eps1)) U; ``norms`` is
+    (||U||^2, ||V||^2), computed here when not given."""
+    u2, v2 = norms or (_sq_norm(U), _sq_norm(V))
     return (inst.a1 * u2 * v2 + 2.0 * (inst.norm_X * math.sqrt(v2) + inst.eps1)) * U
 
 
-def kernel_h1_distance(inst: SymTriInstance, U: Array, V: Array, Y: Array) -> float:
+def kernel_h1_distance(inst: SymTriInstance, U: Array, V: Array, Y: Array,
+                       norms: Norms | None = None) -> float:
     """Bregman distance of h1 from (U, V) to (Y, V):
     A <D, Y + U>^2 + (2 A ||U||^2 + B) ||D||^2 with D = Y - U,
     A = a1 ||V||^2 / 4 and B = ||X|| ||V|| + eps1, a sum of
-    nonnegative terms (h1 is A ||U||^4 + B ||U||^2 along U)."""
-    v2 = _sq_norm(V)
+    nonnegative terms (h1 is A ||U||^4 + B ||U||^2 along U).  ``norms`` as
+    in kernel_h1_grad."""
+    u2, v2 = norms or (_sq_norm(U), _sq_norm(V))
     A = 0.25 * inst.a1 * v2
     B = inst.norm_X * math.sqrt(v2) + inst.eps1
     D = Y - U
     s = float(np.vdot(D, Y + U))
-    return A * s * s + (2.0 * A * _sq_norm(U) + B) * _sq_norm(D)
+    return A * s * s + (2.0 * A * u2 + B) * _sq_norm(D)
 
 
 def kernel_h2_value(inst: SymTriInstance, U: Array, V: Array) -> float:
@@ -262,10 +285,12 @@ def kernel_h2_grad(inst: SymTriInstance, U: Array, V: Array) -> Array:
     return (u2 * u2 + inst.eps2) * V
 
 
-def kernel_h2_distance(inst: SymTriInstance, U: Array, V: Array, W: Array) -> float:
+def kernel_h2_distance(inst: SymTriInstance, U: Array, V: Array, W: Array,
+                       norms: Norms | None = None) -> float:
     """Bregman distance of h2 from (U, V) to (U, W): h2 is quadratic in V,
-    so it is (1/2)(||U||^4 + eps2) ||W - V||^2."""
-    u2 = _sq_norm(U)
+    so it is (1/2)(||U||^4 + eps2) ||W - V||^2.  ``norms`` as in
+    kernel_h1_grad; only its ||U||^2 is read."""
+    u2 = norms[0] if norms else _sq_norm(U)
     return 0.5 * (u2 * u2 + inst.eps2) * _sq_norm(W - V)
 
 
@@ -317,6 +342,7 @@ def update_U(
     V_k: Array,
     *,
     f_grad: Array,
+    norms: Norms | None = None,
 ) -> tuple[Array, Array]:
     """Closed-form minimizer of the block-U model, with its subgradient.
 
@@ -327,16 +353,20 @@ def update_U(
     tau1 = 2 (||X|| ||V_k|| + eps1) and tau2 = a1 ||V_k||^2 ||P||^2, and
     U+ = P / t.  Returns (U+, eta): since grad_U h1(U+, V_k) = P, the
     first-order condition exhibits eta = (G - P) / gamma1 = min(G, 0) / gamma1
-    in the normal cone of the orthant at U+.
+    in the normal cone of the orthant at U+.  ``norms`` is
+    (||U_k||^2, ||V_k||^2), computed here when not given; U+ is read-only.
     """
-    G = kernel_h1_grad(inst, U_k, V_k) - gamma1 * f_grad
+    norms = norms or (_sq_norm(U_k), _sq_norm(V_k))
+    G = kernel_h1_grad(inst, U_k, V_k, norms) - gamma1 * f_grad
     G += alpha1 * (U_k - U_prev)
     P = np.maximum(G, 0.0)
-    v2 = _sq_norm(V_k)
+    v2 = norms[1]
     tau1 = 2.0 * (inst.norm_X * math.sqrt(v2) + inst.eps1)
     tau2 = inst.a1 * v2 * _sq_norm(P)
     t = cubic_positive_root(tau1, tau2)
-    return P / t, np.minimum(G, 0.0) / gamma1
+    U_next = P / t
+    U_next.setflags(write=False)
+    return U_next, np.minimum(G, 0.0) / gamma1
 
 
 def update_V(
@@ -348,6 +378,7 @@ def update_V(
     V_prev: Array,
     *,
     f_grad: Array,
+    norms: Norms | None = None,
 ) -> tuple[Array, Array]:
     """Closed-form minimizer of the block-V model, with its subgradient.
 
@@ -356,58 +387,77 @@ def update_V(
     W = V_k + (alpha2 (V_k - V_prev) - gamma2 f_grad) / eta,
     f_grad = grad_V f(U_next, V_k).  Returns (V+, (eta/gamma2) min(W, 0)),
     the element of the orthant's normal cone at V+ that the first-order
-    condition exhibits.
+    condition exhibits.  ``norms`` as in update_U, at (U_next, V_k); only
+    its ||U_next||^2 is read.  V+ is read-only.
     """
-    u2 = _sq_norm(U_next)
+    u2 = norms[0] if norms else _sq_norm(U_next)
     eta = u2 * u2 + inst.eps2
     step = alpha2 * (V_k - V_prev) - gamma2 * f_grad
     W = V_k + step / eta
-    return np.maximum(W, 0.0), (eta / gamma2) * np.minimum(W, 0.0)
+    V_next = np.maximum(W, 0.0)
+    V_next.setflags(write=False)
+    return V_next, (eta / gamma2) * np.minimum(W, 0.0)
+
+
+def _last(compute: Callable) -> Callable:
+    """``compute`` with a one-entry memory: a call on the very object of
+    the previous call returns the previous result."""
+    held: list = [None, None]  # the last argument and its result
+
+    def cached(key):
+        if held[0] is not key:
+            held[:] = key, compute(key)
+        return held[1]
+
+    return cached
 
 
 def as_block_problem(inst: SymTriInstance) -> BlockProblem:
     """Bind the instance into the generic two-block problem: the blocks are
     U (m x r) and V (r x r) in their natural shapes, the nonsmooth terms
     are nonnegativity indicators, and the exact subproblem solvers are the
-    closed-form updates.  The problem keeps the products of the last U
-    block it evaluated at, so that a sweep pays one X-product."""
-    held: list = [None, None]  # a U block and its products
+    closed-form updates.  The problem keeps the products and ||U||^2 of the
+    last U block, ||V||^2 of the last V block and G V G of the last point,
+    each keyed by the identity of its block or point."""
+    prods = _last(lambda U: products(inst, U))
+    u2 = _last(_sq_norm)
+    v2 = _last(_sq_norm)
+    gvg = _last(lambda x: _gvg(prods(x.block(0))[3], x.block(1)))
 
-    def at(x: BlockVector) -> Products:
-        U = x.block(0)
-        if held[0] is not U:
-            held[:] = U, products(inst, U)
-        return held[1]
+    def norms(x: BlockVector) -> Norms:
+        U, V = x.blocks
+        return u2(U), v2(V)
 
     def fg(i: int, x: BlockVector) -> Array:
+        U, V = x.blocks
         if i == 0:
-            return grad_U(inst, *x.blocks, at(x))
+            return grad_U(inst, U, V, prods(U))
         if i == 1:
-            return grad_V(inst, *x.blocks, at(x))
+            return grad_V(inst, U, V, prods(U), gvg(x))
         raise ParameterError(f"block index {i} out of range")
 
     kernel1 = BlockKernel(
         value=lambda x: kernel_h1_value(inst, *x.blocks),
-        block_grad=lambda x: kernel_h1_grad(inst, *x.blocks),
-        distance=lambda x, Y: kernel_h1_distance(inst, *x.blocks, Y),
+        block_grad=lambda x: kernel_h1_grad(inst, *x.blocks, norms(x)),
+        distance=lambda x, Y: kernel_h1_distance(inst, *x.blocks, Y, norms(x)),
         sigma=inst.sigma1,
     )
     kernel2 = BlockKernel(
         value=lambda x: kernel_h2_value(inst, *x.blocks),
         block_grad=lambda x: kernel_h2_grad(inst, *x.blocks),
-        distance=lambda x, W: kernel_h2_distance(inst, *x.blocks, W),
+        distance=lambda x, W: kernel_h2_distance(inst, *x.blocks, W, norms(x)),
         sigma=inst.sigma2,
     )
 
     def u_solver(problem, schedule, i, x_cur, x_prev, f_grad):
         U_k, V_k = x_cur.blocks
         return update_U(inst, schedule.gamma[0], schedule.alpha[0], U_k, x_prev.block(0), V_k,
-                        f_grad=f_grad)
+                        f_grad=f_grad, norms=norms(x_cur))
 
     def v_solver(problem, schedule, i, x_cur, x_prev, f_grad):
         U_next, V_k = x_cur.blocks
         return update_V(inst, schedule.gamma[1], schedule.alpha[1], U_next, V_k, x_prev.block(1),
-                        f_grad=f_grad)
+                        f_grad=f_grad, norms=norms(x_cur))
 
     g = (
         replace(nonnegative_indicator(), solver=u_solver),
@@ -415,7 +465,7 @@ def as_block_problem(inst: SymTriInstance) -> BlockProblem:
     )
     return BlockProblem(
         shapes=((inst.m, inst.r), (inst.r, inst.r)),
-        f_value=lambda x: f_value(inst, *x.blocks, at(x)),
+        f_value=lambda x: f_value(inst, *x.blocks, prods(x.block(0)), gvg(x)),
         f_block_grad=fg,
         kernels=(kernel1, kernel2),
         L=(inst.L1, inst.L2),

@@ -8,6 +8,7 @@ from bregblock import (
     BlockProblem,
     BlockVector,
     DomainError,
+    NonsmoothBlock,
     ParameterError,
     SymTriInstance,
     block_bregman_distance,
@@ -66,6 +67,22 @@ class TestBlockVector:
         z = x.with_block(1, y.block(1))
         assert z.block(1) is y.block(1)
         assert z.block(0) is x.block(0) and z.block(2) is x.block(2)
+
+    def test_with_block_shares_a_read_only_block_that_owns_its_memory(self):
+        # a closed-form update returns such a block; a writable array or a
+        # read-only view of one is copied
+        x = BlockVector((np.zeros(3), np.zeros((2, 2))))
+        owner = np.ones((2, 2))
+        owner.setflags(write=False)
+        writable = np.ones((2, 2))
+        view = writable.view()
+        view.setflags(write=False)
+        assert x.with_block(1, owner).block(1) is owner
+        made = [x.with_block(1, values) for values in (writable, view)]
+        writable[0, 0] = 5.0
+        for y in made:
+            assert y.block(0) is x.block(0)
+            assert not y.block(1).flags.writeable and np.array_equal(y.block(1), np.ones((2, 2)))
 
     def test_immutable(self):
         source = np.zeros((2, 2))
@@ -217,6 +234,17 @@ class TestPhiValue:
     )
     def test_indicator_values(self, z, value):
         assert nonnegative_indicator().value(np.array(z)) == value
+
+    def test_given_values_of_g_are_not_evaluated_again(self):
+        shapes = ((2,), (1, 2))
+        seen = []
+        term = nonnegative_indicator()
+        counted = NonsmoothBlock(value=lambda z: seen.append(z) or term.value(z))
+        problem = linear_problem(shapes, np.arange(4.0), g=counted)
+        x = point(shapes, [0.0, 1.0, 2.0, 3.0])
+        assert phi_value(problem, x, [0.0, 0.0]) == phi_value(problem, x) == 14.0
+        assert len(seen) == 2  # the call without values only
+        assert phi_value(problem, x, [0.0, math.inf]) == math.inf
 
     def test_tri_factorization_scalar(self):
         inst = SymTriInstance(np.array([[4.0]]), 1)

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -120,7 +121,7 @@ class TestSynthSolvePipeline:
         # dataclass's generated __init__ ("<string>")
         x_path = tmp_path / "x.mtx"
         x_path.write_text("%%MatrixMarket matrix array real general\n2 2\n1\n0\n2\n1\n")
-        for flags, named in (((), "(--symmetrize to bregblock solve)"),
+        for flags, named in (((), "(--symmetrize to bregblock solve, check or bench)"),
                              (("--symmetrize",), "X was replaced by (X + X^T)/2")):
             proc = subprocess.run(
                 [sys.executable, "-m", "bregblock", "solve", "--input", str(x_path),
@@ -399,6 +400,23 @@ class TestCheck:
         payload = json.loads(capsys.readouterr().out)
         assert payload["violations"] == 0
 
+    def test_symmetrize_checks_the_symmetric_part(self, tmp_path, capsys):
+        # an asymmetric file with --symmetrize gives the report of the file
+        # that holds (X + X^T)/2
+        X = np.random.default_rng(5).random((6, 6))
+        write_matrix_market(tmp_path / "asym.mtx", X)
+        write_matrix_market(tmp_path / "sym.mtx", 0.5 * (X + X.T))
+        reports = []
+        for name, flags in (("asym", ("--symmetrize",)), ("sym", ())):
+            with warnings.catch_warnings(record=True) as seen:
+                warnings.simplefilter("always")
+                assert run_cli("check", "--input", str(tmp_path / f"{name}.mtx"), "--rank", "2",
+                               "--samples", "30", *flags) == 0
+            assert [str(w.message) for w in seen] == (
+                ["input matrix is not symmetric; X was replaced by (X + X^T)/2"] if flags else [])
+            reports.append(capsys.readouterr().out)
+        assert reports[0] == reports[1]
+
 
 class TestBench:
     def test_grid_shape_and_header(self, tmp_path, capsys):
@@ -431,6 +449,27 @@ class TestBench:
             out = tmp_path / "bench.csv"
             assert run_cli("bench", *source, "--rank", "2", "--kappas", "0,0.5", "--seeds", "3",
                            "--max-iters", "60", "--out", str(out)) == 0
+            rows.append([line.split(",") for line in out.read_text().splitlines()])
+        assert len(rows[0]) == 3
+        drop_wall = [[row[:4] + row[5:] for row in table] for table in rows]
+        assert drop_wall[0] == drop_wall[1]
+
+    def test_symmetrize_solves_the_symmetric_part(self, tmp_path, capsys):
+        # as for check: the rows of an asymmetric file with --symmetrize are
+        # those of the file that holds (X + X^T)/2
+        X = np.random.default_rng(6).random((8, 8))
+        write_matrix_market(tmp_path / "asym.mtx", X)
+        write_matrix_market(tmp_path / "sym.mtx", 0.5 * (X + X.T))
+        rows = []
+        for name, flags in (("asym", ("--symmetrize",)), ("sym", ())):
+            out = tmp_path / f"{name}.csv"
+            with warnings.catch_warnings(record=True) as seen:
+                warnings.simplefilter("always")
+                assert run_cli("bench", "--input", str(tmp_path / f"{name}.mtx"), "--rank", "2",
+                               "--kappas", "0,0.5", "--seeds", "1", "--max-iters", "30",
+                               "--out", str(out), *flags) == 0
+            assert [str(w.message) for w in seen] == (
+                ["input matrix is not symmetric; X was replaced by (X + X^T)/2"] if flags else [])
             rows.append([line.split(",") for line in out.read_text().splitlines()])
         assert len(rows[0]) == 3
         drop_wall = [[row[:4] + row[5:] for row in table] for table in rows]

@@ -136,6 +136,23 @@ class TestNumericOracle:
         assert calls == [i]
         assert np.array_equal(z, numeric_subproblem_oracle(problem, schedule, i, x, x_prev))
 
+    @pytest.mark.parametrize("i", [0, 1])
+    def test_projected_points_are_not_tested_against_g(self, i):
+        # every point the oracle evaluates is a projection onto dom g_i
+        inst = SymTriInstance(synth_instance(6, 2, noise_level=0.3, seed=2)[0], 2)
+        problem = stf.as_block_problem(inst)
+        tested = []
+        terms = list(problem.g)
+        terms[i] = dataclasses.replace(terms[i], value=lambda z: tested.append(z) or 0.0)
+        counting = dataclasses.replace(problem, g=tuple(terms))
+        schedule = derive_schedule(problem.L, problem.sigma, kappa=0.5)
+        rng = np.random.default_rng(4)
+        x = stf.pack_factors(inst, rng.random((6, 2)), rng.random((2, 2)))
+        x_prev = stf.pack_factors(inst, rng.random((6, 2)), rng.random((2, 2)))
+        z = numeric_subproblem_oracle(counting, schedule, i, x, x_prev)
+        assert tested == []
+        assert np.array_equal(z, numeric_subproblem_oracle(problem, schedule, i, x, x_prev))
+
     def test_unprojectable_block(self):
         problem = quadratic_problem(np.eye(1), np.zeros(1), (1,),
                                     g=dataclasses.replace(zero_term(), project=None))

@@ -305,8 +305,8 @@ class TestSubproblem:
         schedule = derive_schedule(problem.L, problem.sigma, kappa=0.3, rho=0.9)
         x = point(problem.shapes, rng.standard_normal(4))
         xp = point(problem.shapes, rng.standard_normal(4))
-        z, eta = solve_block_subproblem(problem, schedule, 0, x, xp,
-                                        f_grad=problem.f_block_grad(0, x))
+        z, eta, _ = solve_block_subproblem(problem, schedule, 0, x, xp,
+                                           f_grad=problem.f_block_grad(0, x))
         ga, al = schedule.gamma[0], schedule.alpha[0]
         expected = flat(x) - ga * problem.f_block_grad(0, x) + al * (flat(x) - flat(xp))
         assert np.array_equal(z, expected)
@@ -380,7 +380,7 @@ class TestSubproblem:
             xp = stf.pack_factors(inst, rng.random((4, 2)), rng.random((2, 2)))
             for i in (0, 1):
                 gf = problem.f_block_grad(i, x)
-                z, _ = solve_block_subproblem(problem, schedule, i, x, xp, f_grad=gf)
+                z, _, _ = solve_block_subproblem(problem, schedule, i, x, xp, f_grad=gf)
                 ga, al = schedule.gamma[i], schedule.alpha[i]
                 m_new = model_value(problem, ga, al, i, x, xp, z, f_grad=gf)
                 m_old = model_value(problem, ga, al, i, x, xp, x.block(i), f_grad=gf)
@@ -393,7 +393,7 @@ class TestSweep:
         problem = quadratic_problem(rng.standard_normal((6, 4)), rng.standard_normal(6), (4,))
         schedule = derive_schedule(problem.L, problem.sigma, kappa=0.0, rho=0.9)
         x = point(problem.shapes, rng.standard_normal(4))
-        x_next, gaps, _ = sweep(problem, schedule, x, x)
+        x_next, gaps, _, _ = sweep(problem, schedule, x, x)
         expected = flat(x) - schedule.gamma[0] * full_gradient(problem, x)
         assert np.array_equal(flat(x_next), expected)
         assert gaps[0] == pytest.approx(
@@ -410,7 +410,7 @@ class TestSweep:
         problem = quadratic_problem(A, b, (3, 2))
         schedule = derive_schedule(problem.L, problem.sigma, kappa=0.5, rho=0.9)
         x = point(problem.shapes, xstar)
-        x_next, gaps, _ = sweep(problem, schedule, x, x)
+        x_next, gaps, _, _ = sweep(problem, schedule, x, x)
         assert np.allclose(flat(x_next), xstar, atol=1e-12)
         # the kernel's closed-form distance does not cancel: the gaps are
         # of the order of the squared step, not eps * |h|
@@ -426,7 +426,7 @@ class TestSweep:
         U_p, V_p = rng.random((5, 2)), rng.random((2, 2))
         x = stf.pack_factors(inst, U_k, V_k)
         xp = stf.pack_factors(inst, U_p, V_p)
-        x_next, _, _ = sweep(problem, schedule, x, xp)
+        x_next, _, _, _ = sweep(problem, schedule, x, xp)
         U_direct, _ = stf.update_U(inst, schedule.gamma[0], schedule.alpha[0], U_k, U_p, V_k,
                                    f_grad=stf.grad_U(inst, U_k, V_k))
         V_direct, _ = stf.update_V(inst, schedule.gamma[1], schedule.alpha[1], U_direct, V_k, V_p,
@@ -468,7 +468,7 @@ class TestStationarityResidual:
         problem = quadratic_problem(A, b, (4,))
         schedule = derive_schedule(problem.L, problem.sigma, kappa=0.0, rho=0.9)
         x = point(problem.shapes, xstar)
-        x_next, _, etas = sweep(problem, schedule, x, x)
+        x_next, _, etas, _ = sweep(problem, schedule, x, x)
         res, _ = stationarity_residual(problem, x_next, etas)
         assert res <= 1e-10
 
@@ -479,7 +479,7 @@ class TestStationarityResidual:
         problem = quadratic_problem(rng.standard_normal((5, 4)), rng.standard_normal(5), (4,))
         schedule = derive_schedule(problem.L, problem.sigma, kappa=0.0, rho=0.9)
         x = point(problem.shapes, rng.standard_normal(4))
-        x_next, _, etas = sweep(problem, schedule, x, x)
+        x_next, _, etas, _ = sweep(problem, schedule, x, x)
         res, _ = stationarity_residual(problem, x_next, etas)
         assert res == pytest.approx(float(np.linalg.norm(full_gradient(problem, x_next))), rel=1e-9)
 
@@ -489,7 +489,7 @@ class TestStationarityResidual:
         schedule = derive_schedule(problem.L, problem.sigma, kappa=0.4, rho=0.8)
         x = point(problem.shapes, rng.standard_normal(5))
         xp = point(problem.shapes, rng.standard_normal(5))
-        x_next, _, etas = sweep(problem, schedule, x, xp)
+        x_next, _, etas, _ = sweep(problem, schedule, x, xp)
         res, _ = stationarity_residual(problem, x_next, etas)
         partials = [x, x.with_block(0, x_next.block(0)), x_next]
         pieces = []
@@ -531,9 +531,9 @@ class TestCarriedFirstOrderData:
         x = point(problem.shapes, rng.standard_normal(4))
         g0 = problem.f_block_grad(0, x)
         assert g0.flags.writeable
-        same, _, _ = sweep_with_partials(problem, schedule, x, x, g0)
+        same, _, _, _ = sweep_with_partials(problem, schedule, x, x, g0)
         assert not g0.flags.writeable  # the sweep used g0 itself, not a copy
-        other, _, _ = sweep_with_partials(problem, schedule, x, x, g0 + 1.0)
+        other, _, _, _ = sweep_with_partials(problem, schedule, x, x, g0 + 1.0)
         assert not np.array_equal(other.block(0), same.block(0))
 
     @pytest.mark.parametrize("name", ["f_grad"])

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -138,7 +139,7 @@ class TestInstance:
     def test_asymmetric_warns_and_symmetrizes(self):
         X = np.array([[1.0, 2.0], [0.0, 1.0]])
         with pytest.warns(UserWarning, match=r"not symmetric; .* pass symmetrize=True "
-                          r"\(--symmetrize to bregblock solve\)") as kept_warnings:
+                          r"\(--symmetrize to bregblock solve, check or bench\)") as kept_warnings:
             kept = SymTriInstance(X, 1)
         assert np.array_equal(kept.X, X)  # accepted as-is
         with pytest.warns(UserWarning, match=r"not symmetric; X was replaced by \(X \+ X\^T\)/2$") \
@@ -439,7 +440,7 @@ class TestBlockProblemBinding:
         sched = derive_schedule(problem.L, problem.sigma, kappa=kappa, rho=0.9)
         x_prev = x = stf.pack_factors(inst, *initial_factors(inst, seed=0))
         for _ in range(50):
-            x_next, _, etas = sweep_with_partials(
+            x_next, _, etas, _ = sweep_with_partials(
                 problem, sched, x, x_prev, problem.f_block_grad(0, x)
             )
             for i, eta in enumerate(etas):
@@ -722,30 +723,82 @@ class TestProductForm:
 
     @pytest.mark.parametrize("kappa", [0.0, 0.6])
     def test_each_block_gradient_once_per_sweep(self, monkeypatch, kappa):
+        # the run stays far from the fit, so f_value never forms the dense
+        # residual and its squared norm
         X, _, _ = synth_instance(20, 3, noise_level=0.2, density=1.0, seed=5)
         inst = SymTriInstance(X, 3)
         counted = ("grad_U", "grad_V", "kernel_h1_grad", "kernel_h2_grad",
-                   "kernel_h1_value", "kernel_h2_value", "products")
+                   "kernel_h1_value", "kernel_h2_value", "products", "_sq_norm", "_gvg")
         calls = record_calls(monkeypatch, *counted)
+        calls["indicator"] = []
+        indicator = stf.nonnegative_indicator
+
+        def counting_indicator():
+            term = indicator()
+            return replace(term, value=lambda z: calls["indicator"].append(z) or term.value(z))
+
+        monkeypatch.setattr(stf, "nonnegative_indicator", counting_indicator)
         totals = []
         for sweeps in (7, 19):
             for made in calls.values():
                 made.clear()
             result, _ = stf.solve_instance(inst, kappa=kappa, max_iters=sweeps, residual_tol=0.0)
             assert result.trace[-1].k == sweeps
+            assert result.trace[-1].phi > stf.FIT_CANCELLATION * inst.norm_X**2
             totals.append({name: len(made) for name, made in calls.items()})
-        per_sweep = {name: (totals[1][name] - totals[0][name]) / 12 for name in counted}
+        per_sweep = {name: (totals[1][name] - totals[0][name]) / 12 for name in calls}
         # the one kernel call is grad_U h1 inside update_U: the updates
-        # return the subgradients and the kernels their closed-form distances
+        # return the subgradients and the kernels their closed-form distances.
+        # The squared norms are ||V_k||^2, ||U+||^2 (the next sweep's
+        # ||U_k||^2) and those of P, U+ - U_k and V+ - V_k; G V G is formed
+        # at (U+, V_k) and (U+, V+); g_i is evaluated at the new blocks only
         assert per_sweep == {
             "grad_U": 1, "grad_V": 2, "kernel_h1_grad": 1, "kernel_h2_grad": 0,
-            "kernel_h1_value": 0, "kernel_h2_value": 0, "products": 1,
+            "kernel_h1_value": 0, "kernel_h2_value": 0, "products": 1, "_sq_norm": 5,
+            "_gvg": 2, "indicator": 2,
         }
         # start-up: grad f(x0) for the stopping scale, whose U part the
-        # first sweep reuses
-        startup = {name: totals[0][name] - 7 * per_sweep[name] for name in counted}
-        assert startup == dict.fromkeys(counted, 0) | {
-            "grad_U": 1, "grad_V": 1, "products": 1}
+        # first sweep reuses, phi(x0) on g_i(x0_i) from the feasibility
+        # check, and ||U0||^2 in the first sweep
+        startup = {name: totals[0][name] - 7 * per_sweep[name] for name in calls}
+        assert startup == dict.fromkeys(calls, 0) | {
+            "grad_U": 1, "grad_V": 1, "products": 1, "_gvg": 1, "indicator": 2, "_sq_norm": 1}
+
+    def test_kept_norms_and_gvg_are_the_direct_ones(self, monkeypatch):
+        # the squared block norms the block problem hands the kernels and
+        # the updates, and the G V G it hands grad_V and f_value, equal the
+        # direct _sq_norm and G @ V @ G bit for bit; a new U or V block
+        # computes them afresh
+        inst, rng = random_instance(30, m=8, r=2)
+        calls = record_calls(monkeypatch, "_sq_norm", "_gvg", "_residual", "kernel_h1_grad",
+                             "kernel_h1_distance", "kernel_h2_distance", "grad_V", "f_value")
+        problem = as_block_problem(inst)
+        schedule = derive_schedule(problem.L, problem.sigma, kappa=0.5)
+        x11 = BlockVector((rng.random((8, 2)), rng.random((2, 2))))
+        x12 = x11.with_block(1, rng.random((2, 2)))
+        x22 = x12.with_block(0, rng.random((8, 2)))
+        counts = []
+        for x in (x11, x11, x12, x22, x22):
+            for made in calls.values():
+                made.clear()
+            problem.g[0].solver(problem, schedule, 0, x, x, f_grad=np.zeros((8, 2)))
+            problem.kernels[0].distance(x, x22.block(0))
+            problem.kernels[1].distance(x, x11.block(1))
+            problem.f_block_grad(1, x)
+            problem.f_value(x)
+            counts.append((len(calls["_sq_norm"]), len(calls["_gvg"]), len(calls["_residual"])))
+            U, V = x.blocks
+            norms = (stf._sq_norm(U).hex(), stf._sq_norm(V).hex())
+            for name in ("kernel_h1_grad", "kernel_h1_distance", "kernel_h2_distance"):
+                (args,) = calls[name]
+                assert tuple(v.hex() for v in args[-1]) == norms, name
+            G = U.T @ U
+            for name in ("grad_V", "f_value"):
+                (args,) = calls[name]
+                assert args[-1].tobytes() == (G @ V @ G).tobytes(), name
+        # ||P||^2, ||D||^2 and ||W - V||^2 are made at every call, ||U||^2
+        # and ||V||^2 once per block, G V G once per (U, V)
+        assert counts == [(5, 1, 0), (3, 0, 0), (4, 1, 0), (4, 1, 0), (3, 0, 0)]
 
 
 class TestSolveFactors:
