@@ -143,6 +143,20 @@ class TestSynthSolvePipeline:
         bad.write_text("1,frog\n")
         assert run_cli("solve", "--input", str(bad), "--rank", "1") == 1
 
+    @pytest.mark.parametrize("name, data, line", [
+        ("latin1.mtx", b"%%MatrixMarket matrix array real general\n% caf\xe9\n1 1\n1\n", 2),
+        ("x.npy", None, 1),  # a binary file
+    ])
+    def test_file_that_is_not_utf8_exits_one_naming_its_line(self, tmp_path, capsys, name,
+                                                            data, line):
+        path = tmp_path / name
+        if data is None:
+            np.save(path, np.eye(3))
+        else:
+            path.write_bytes(data)
+        assert run_cli("solve", "--input", str(path), "--rank", "1") == 1
+        assert f"error: {path}:{line}: cannot decode byte 0x" in capsys.readouterr().err
+
     def test_unknown_subcommand_exits_two(self):
         assert run_cli("frobnicate") == 2
 

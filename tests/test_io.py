@@ -642,6 +642,174 @@ class TestSlabs:
         assert peak < 2 << 20, peak
 
 
+def float_tokens(text):
+    """The reference: float() of each whitespace-separated token."""
+    return np.array([float(tok) for tok in text.split()])
+
+
+def ladder(n):
+    """The layouts the array reader is timed on, ``n`` values each, by name."""
+    rng = np.random.default_rng(12)
+    values = (rng.random(n) * 3 + 0.5).tolist()
+    seventeen = ["%.17g" % v for v in values]
+    return {
+        "fixed %.17g": "\n".join(seventeen),
+        "0/1 entries": "\n".join(map(str, rng.integers(0, 2, n).tolist())),
+        "100 per line": "\n".join(" ".join(seventeen[i:i + 100]) for i in range(0, n, 100)),
+        "%.6g": "\n".join("%.6g" % v for v in values),
+        "exponent %.17g": "\n".join("%.17g" % (v * 1e-7) for v in values),
+        "%.18e": "\n".join("%.18e" % v for v in values),
+        "21 digits": "\n".join("%.20e" % v for v in values),
+        "integer ties": "\n".join(["9007199254740993"] * n),
+        "decimal ties": "\n".join(["4503599627370496.5"] * n),
+        "mostly zeros %.17g": "\n".join(
+            "%.17g" % v for v in np.where(rng.random(n) < 0.7, 0.0, values).tolist()),
+    }
+
+
+class TestFloats:
+    """The array reader's bulk converter against float() itself, bit for
+    bit; a slice it leaves to float() (None) reads token by token."""
+
+    @staticmethod
+    def check(text, bulk=False):
+        values = mio._floats(text)
+        assert values is not None or not bulk, text[:80]
+        if values is not None:
+            assert same_bits(values, float_tokens(text)), text[:80]
+
+    FORMATS = ["%.17g", "%r", "%.18e"] + [f"%.{p}e" for p in range(1, 20)] + [
+        f"%.{p}f" for p in range(26)]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=40),
+           st.sampled_from(FORMATS), st.sampled_from([" ", "\n", "\t\n  "]))
+    @example([0, 1 << 63, 1, (1 << 63) + 1, 0x0010000000000000], "%r", "\n")  # ±0, subnormals
+    def test_formatted_bit_patterns(self, bits, fmt, sep):
+        values = np.array(bits, np.uint64).view(np.float64).tolist()
+        self.check(sep.join(fmt % v for v in values))
+
+    token = st.builds(
+        lambda sign, digits, point, exp: sign + digits[:point] + "." + digits[point:] + exp
+        if point is not None else sign + digits + exp,
+        st.sampled_from(["", "+", "-"]),
+        st.text("0123456789", min_size=1, max_size=19),
+        st.none() | st.integers(0, 19),
+        st.just("") | st.builds("".join, st.tuples(
+            st.sampled_from("eE"), st.sampled_from(["", "+", "-"]),
+            st.text("0123456789", min_size=1, max_size=5))),
+    )
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(token, min_size=1, max_size=40))
+    @example(["0000000000000000001", "-.5", "+5.", "1E+00007", "00.000e-00330", "9" * 19])
+    def test_digit_strings(self, tokens):
+        self.check(" \n".join(tokens))
+
+    def test_exact_decimal_ties_are_decided(self):
+        # decimals halfway between two doubles, rounding to the even one
+        # either way: read as integers times powers of two, they are two
+        # thirds of the tokens, and the slice is read in bulk
+        rng = np.random.default_rng(14)
+        ties = [f"{2**52 + j}.5" for j in rng.integers(0, 2**52, 200).tolist()]
+        ties += [f"{2**51 + j}.{q}" for j in rng.integers(0, 2**51, 50).tolist() for q in (25, 75)]
+        ties += [f"{2**50 + j}.{q}" for j in rng.integers(0, 2**50, 25).tolist()
+                 for q in (125, 375, 625, 875)]
+        ties += ["1e23", "-1e23", "1E+23"]
+        for tie in ties:
+            f = float(tie)
+            other = math.nextafter(f, math.copysign(math.inf, Fraction(tie) - Fraction(f)))
+            assert Fraction(tie) == (Fraction(f) + Fraction(other)) / 2, tie
+        assert {float(tie) - int(tie[:-2]) for tie in ties[:200]} == {0.0, 1.0}
+        decided = ["%.17g" % v for v in rng.standard_normal(len(ties) // 2).tolist()]
+        # for float(): a tie whose D·5**k is 2**64 or more, a value 2**-99 from
+        # a tie that 5**20 does not divide, and |x| below 1e-263
+        rest = ["3689348814741911552e1", "0.06250028846205214067", "4503599627370497.5e-300"]
+        self.check("\n".join(ties + decided + rest), bulk=True)
+
+    def test_integers_are_decided_ties_included(self):
+        # an integer token is the conversion of its D, ties to even: all but
+        # 2**64 - 2**10, whose nearest double is 2**64, are read in bulk
+        ties = [2**53 + 2 * j + 1 for j in range(700)] + [2**63 + 2**10, 2**64 - 2**10]
+        big = np.random.default_rng(15).integers(2**53, 2**63, 300, dtype=np.uint64).tolist()
+        tokens = [("", "-", "+")[i % 3] + str(v) for i, v in enumerate(ties + big)]
+        assert {abs(int(float(t))) - abs(int(t)) for t in tokens[:700]} == {-1, 1}
+        self.check("\n".join(tokens), bulk=True)
+
+    @pytest.mark.parametrize("fmt, kind", [
+        *[(fmt, "spread") for fmt in ("%.17g", "%r", "%.18e", "%.6g", "%.3f", "%.15e")],
+        # mostly exact zeros, as in factors that the projection onto the orthant makes
+        ("%.17g", "zeros"), ("%r", "zeros"), ("%.30f", "zeros"),
+        # 20 fraction digits, the first three of them zeros
+        ("%.17g", "1e-4"),
+    ])
+    def test_common_layouts_are_read_in_bulk(self, fmt, kind):
+        rng = np.random.default_rng(13)
+        values = rng.standard_normal(2000) * 10.0 ** rng.integers(-5, 6, 2000)
+        if kind == "zeros":
+            values[rng.random(2000) < 0.7] = 0.0
+        elif kind == "1e-4":
+            values = rng.uniform(1e-4, 1e-3, 2000)
+        self.check("\n".join(fmt % v for v in values.tolist()), bulk=True)
+
+    @pytest.mark.parametrize("fmt", ["%.20e", "%.1e", "%.3e", "%.14e"])
+    def test_slices_float_reads_as_fast_are_left_to_it(self, fmt):
+        # 21 mantissa digits mostly saturate D; an exponent and at most 15
+        # digits cost the bulk pass a second integer a token, for no gain
+        values = np.random.default_rng(17).standard_normal(300)
+        assert mio._floats("\n".join(fmt % v for v in values.tolist())) is None
+
+    @pytest.mark.parametrize("text", ["1e+", "0.5 1e", "0.5\n.e5", "5.e", "-", "+e5 2", "."])
+    def test_parts_without_digits_are_left_to_float(self, text):
+        # np.fromstring finds fewer integers than mantissas and exponents, or
+        # reads a 0 from a slice without digits
+        assert mio._floats(text) is None
+
+    @pytest.mark.parametrize("text", ["", " ", " \t\n\n  ", "\n"])
+    def test_whitespace_only(self, text):
+        # np.fromstring reads " " as [-1.0] (float) or [0] (int)
+        values = mio._floats(text)
+        assert values is not None and values.shape == (0,)
+
+    @pytest.mark.parametrize("token", [
+        "1.5-2", "1e5e5", "--1", "+-1", "1e+", ".e5", "5.e", "1..2", "0x10", "nan(1)",
+        "-nan", "1_0", "١", "inf", "1\x1c2", "1\xa02", ".5", "5.", "+.5", "-0",
+        "-0e-400", "9007199254740993", "2.4703282292062328e-324",
+        "1.7976931348623159e308", "  \t ", ".-5", "1e-5.5", "12e3.5", "12e-3.5", "-", "e5",
+        "+e5", "1e5-", "1e", "1E-", "1e 2e", "1e99999",
+        "12345678901234567890", "1.2345678901234567890", "0.5E-3",
+        # exponents of 1000 or more, less the hundreds of fraction digits
+        pytest.param("0." + "0" * 799 + "1e1000", id="1e200 in 806 characters"),
+        pytest.param("0." + "0" * 699 + "1e999", id="1e299 in 705 characters"),
+        pytest.param("-0." + "0" * 1199 + "5e1000", id="-5e-200 in 1207 characters"),
+        pytest.param("0." + "0" * 799 + "1e" + "9" * 25, id="inf in 827 characters"),
+    ])
+    def test_edge_tokens_read_as_float_reads_them(self, tmp_path, token):
+        # the same values as float() of each token, or the same ParseError;
+        # 17-digit values lead, so the slice's first tokens call for the bulk pass
+        lead = [repr(1 / 3 + i) for i in range(20)]
+        body = "\n".join(lead + [token, "2"]) + "\n"
+        tokens = body.split()
+        path = write_bytes(tmp_path, ARRAY_HEADER + f"{len(tokens)} 1\n" + body)
+        try:
+            expected = float_tokens(body).reshape(-1, 1)
+        except ValueError as exc:
+            bad = str(exc).split(": ", 1)[1]  # float()'s message quotes the token
+            err = parse_error(path, require_square=False)
+            assert str(err) == f"{path}:{3 + len(lead)}: bad value: {bad}"
+        else:
+            assert same_bits(read_matrix(path, require_square=False), expected)
+
+    @pytest.mark.parametrize("layout", list(ladder(1)))
+    def test_every_ladder_layout_reads_the_bits_of_float(self, tmp_path, layout):
+        text = ladder(3000)[layout]
+        expected = float_tokens(text)
+        path = write_bytes(tmp_path, ARRAY_HEADER + f"{expected.size} 1\n{text}\n")
+        for chars in (None, 1 << 10):
+            matrix = read_in_slices(path, chars or mio._CHUNK_CHARS, require_square=False)
+            assert same_bits(matrix, expected.reshape(-1, 1))
+
+
 class TestSlicedBody:
     """A body converted a few lines at a time reads, and fails, as one read
     in one piece: the slice boundaries fall on every line in turn."""
@@ -800,6 +968,19 @@ class TestReaderMemory:
         assert (tmp_path / fmt).stat().st_size > 20 * (1 << 14)  # over 20 slices
         assert peak < self.bound(X, fmt), (peak, self.bound(X, fmt))
 
+    def test_one_digit_values_peak_allocation(self, tmp_path, monkeypatch):
+        # the bulk converter's arrays take about 60 bytes per character of
+        # a slice of one-digit values, whatever the file's length
+        monkeypatch.setattr(mio, "_CHUNK_CHARS", 1 << 14)
+        m = 600
+        X = (np.random.default_rng(6).random((m, m)) < 0.5) * 1.0
+        path = write_bytes(tmp_path, ARRAY_HEADER + f"{m} {m}\n" + "".join(
+            "%d\n" % v for v in X.T.ravel().tolist()))
+        matrix, peak = peak_traced_bytes(read_matrix, path)
+        assert same_bits(matrix, X)
+        assert path.stat().st_size > 40 * (1 << 14)  # over 40 slices
+        assert peak < X.nbytes + 80 * (1 << 14), peak
+
     @pytest.mark.parametrize("fmt, message", [
         ("array", "bad value: '1.0.0'"),
         ("coordinate", "bad value: '1.0.0'"),
@@ -852,5 +1033,44 @@ class TestReaderMemory:
                 assert str(err.value) == f"{pipe}:{expected}"
             else:
                 assert same_bits(read_matrix(pipe), np.array(expected))
+        finally:
+            writer.join()
+
+
+class TestEncoding:
+    """Files are read as UTF-8, whatever the locale; a byte that UTF-8
+    cannot decode raises ParseError naming its line, wherever it is."""
+
+    @pytest.mark.parametrize("data, line, byte", [
+        (ARRAY_HEADER.encode() + b"% caf\xe9\n1 1\n1\n", 2, 0xE9),  # Latin-1
+        (ARRAY_HEADER.encode() + b"2 1\n1\n2\xff\n", 4, 0xFF),
+        (ARRAY_HEADER.encode() + b"2 1\n1\nx\n\xc3", 5, 0xC3),  # after a bad value, cut off
+        (COORD_HEADER.encode() + b"1 1 1\r\n% \xe9\r\n1 1 1\r\n", 3, 0xE9),
+        (b"1,2\r3,\x804\r", 2, 0x80),
+        (b"\x93NUMPY\x01\x00v\x00{'descr': '<f8'}\n", 1, 0x93),  # a binary file
+    ])
+    def test_undecodable_byte_names_its_line(self, tmp_path, data, line, byte):
+        path = tmp_path / "m.mtx"
+        path.write_bytes(data)
+        for chars in (1, 5, 1 << 16):
+            with pytest.raises(ParseError) as err:
+                read_in_slices(path, chars, require_square=False)
+            assert str(err.value) == f"{path}:{line}: cannot decode byte 0x{byte:02x} as UTF-8"
+
+    def test_utf8_text_reads(self, tmp_path):
+        path = write_bytes(tmp_path, ARRAY_HEADER + "% café ✓\n2 1\n١\n٢.5\n")
+        assert same_bits(read_matrix(path, require_square=False), np.array([[1.0], [2.5]]))
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_through_a_pipe(self, tmp_path):
+        pipe = tmp_path / "in"
+        os.mkfifo(pipe)
+        data = ARRAY_HEADER.encode() + b"% caf\xe9\n1 1\n1\n"
+        writer = threading.Thread(target=pipe.write_bytes, args=(data,))
+        writer.start()
+        try:
+            with pytest.raises(ParseError) as err:
+                read_matrix(pipe)
+            assert str(err.value) == f"{pipe}:2: cannot decode byte 0xe9 as UTF-8"
         finally:
             writer.join()
