@@ -117,7 +117,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
     p_solve.add_argument("--input", help="square matrix (MatrixMarket or CSV)")
     p_solve.add_argument("--rank", type=_RANK, help="factorization rank")
     for name, default in (("a1", 6.0), ("eps1", 1.0), ("eps2", 1.0),
-                          ("kappa", 0.0), ("rho", 0.9), ("residual-tol", 1e-8), ("stall-tol", 0.0)):
+                          ("kappa", 0.0), ("rho", 0.9), ("residual-tol", 1e-8)):
         p_solve.add_argument(f"--{name}", type=float, default=default)
     p_solve.add_argument("--max-iters", type=int, default=5000)
     p_solve.add_argument("--seed", type=_SEED, default=0)
@@ -136,13 +136,10 @@ def build_parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
     p_check.add_argument("--seed", type=_SEED, default=1)
     p_check.add_argument("--symmetrize", action="store_true", help=SYMMETRIZE_HELP)
 
-    p_bench = sub.add_parser("bench", help="kappa x seed grid on one instance")
-    p_bench.add_argument("--input", help="matrix file; omit to synthesize")
+    # no abbreviations: `--m 30` must be an error here, not --max-iters 30
+    p_bench = sub.add_parser("bench", help="kappa x seed grid on one instance", allow_abbrev=False)
+    p_bench.add_argument("--input", required=True, help="square matrix (MatrixMarket or CSV)")
     p_bench.add_argument("--rank", type=_RANK, default=3)
-    p_bench.add_argument("--m", type=int, default=30)
-    p_bench.add_argument("--noise", type=float, default=0.0)
-    p_bench.add_argument("--density", type=float, default=1.0)
-    p_bench.add_argument("--instance-seed", dest="instance_seed", type=_SEED, default=7)
     p_bench.add_argument("--seeds", type=_comma_list(_SEED), default="1,2,3", help="comma-separated init seeds")
     p_bench.add_argument("--kappas", type=_comma_list(float), default=",".join(str(k) for k in KAPPA_GRID))
     p_bench.add_argument("--max-iters", dest="max_iters", type=int, default=5000)
@@ -172,7 +169,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     with warnings.catch_warnings():  # solve_instance gives derive_schedule's warnings
         warnings.simplefilter("ignore")
         derive_schedule((L1, L2), (s1, s2), kappa=args.kappa, rho=args.rho)
-    check_run_limits(args.max_iters, args.residual_tol, args.stall_tol)
+    check_run_limits(args.max_iters, args.residual_tol)
     X = mio.read_matrix(args.input)
     inst = stf.SymTriInstance(X, args.rank, a1=args.a1, eps1=args.eps1, eps2=args.eps2,
                               symmetrize=args.symmetrize)
@@ -183,7 +180,6 @@ def cmd_solve(args: argparse.Namespace) -> int:
         seed=args.seed,
         max_iters=args.max_iters,
         residual_tol=args.residual_tol,
-        stall_tol=args.stall_tol,
     )
     final = result.trace[-1]
     print(f"iterations: {final.k}")
@@ -284,13 +280,8 @@ def _rel_err(a: np.ndarray, b: np.ndarray) -> float:
 def cmd_bench(args: argparse.Namespace) -> int:
     for kappa in args.kappas:
         check_schedule_parameters(kappa, args.rho)
-    check_run_limits(args.max_iters, args.residual_tol, 0.0)
-    if args.input:
-        X = mio.read_matrix(args.input)
-    else:
-        X, _, _ = mio.synth_instance(
-            args.m, args.rank, args.noise, args.density, args.instance_seed
-        )
+    check_run_limits(args.max_iters, args.residual_tol)
+    X = mio.read_matrix(args.input)
     inst = stf.SymTriInstance(X, args.rank, symmetrize=args.symmetrize)
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)

@@ -42,7 +42,6 @@ class InfeasibleError(ValueError):
 
 
 TERMINATION_RESIDUAL = "residual_tol"
-TERMINATION_STALL = "lyapunov_stall"
 TERMINATION_MAX_ITERS = "max_iters"
 
 
@@ -261,15 +260,13 @@ def stationarity_residual(
     return math.sqrt(total), grads
 
 
-def check_run_limits(max_iters: int, residual_tol: float, stall_tol: float) -> None:
-    """The checks run makes on its limits (ParameterError)."""
+def check_run_limits(max_iters: int, residual_tol: float) -> None:
+    """The checks run makes on its limits (ParameterError): max_iters and
+    residual_tol must be nonnegative (a NaN tolerance is not)."""
     if max_iters < 0:
         raise ParameterError(f"max_iters must be nonnegative, got {max_iters}")
-    if not (residual_tol >= 0 and stall_tol >= 0):
-        raise ParameterError(
-            f"tolerances must be nonnegative, got residual_tol={residual_tol}, "
-            f"stall_tol={stall_tol}"
-        )
+    if not residual_tol >= 0:
+        raise ParameterError(f"residual_tol must be nonnegative, got {residual_tol}")
 
 
 def run(
@@ -278,15 +275,14 @@ def run(
     x0: BlockVector,
     max_iters: int = 1000,
     residual_tol: float = 1e-9,
-    stall_tol: float = 0.0,
 ) -> SolveResult:
     """Iterate sweeps from x0 until a stopping rule fires.
 
     Stops when the stationarity residual falls below
-    residual_tol * (1 + ||grad f(x0)||), when consecutive Lyapunov values
-    agree to stall_tol * (1 + |L^k|) (stall_tol = 0 disables this test:
-    float quantization of L produces exact plateaus long before the
-    residual bottoms out), or after max_iters sweeps.  The lagged iterate
+    residual_tol * (1 + ||grad f(x0)||), or after max_iters sweeps: the
+    termination is TERMINATION_RESIDUAL or TERMINATION_MAX_ITERS.  A run
+    with max_iters = k is, bit for bit but for its timings, the first k
+    sweeps of every longer run from the same inputs.  The lagged iterate
     is initialized to x0, so the first sweep has no inertial pull.
     The k=0 record carries ||grad f(x0)|| as its residual (the certified
     residual needs a completed sweep); stopping only consults k >= 1.
@@ -300,7 +296,7 @@ def run(
     (InfeasibleError).  Each sweep checks the shape and feasibility of every
     block solver's result (ConfigurationError, in solve_block_subproblem).
     """
-    check_run_limits(max_iters, residual_tol, stall_tol)
+    check_run_limits(max_iters, residual_tol)
     if (schedule.L, schedule.sigma) != (problem.L, problem.sigma):
         raise ParameterError(f"schedule made for L={schedule.L}, sigma={schedule.sigma}, not "
                              f"the problem's L={problem.L}, sigma={problem.sigma}")
@@ -353,13 +349,9 @@ def run(
                 elapsed_seconds=time.perf_counter() - start,
             )
         )
-        prev_lyap = trace[-2].lyapunov
         x_prev, x = x, x_next
         if residual <= residual_tol * scale:
             termination = TERMINATION_RESIDUAL
-            break
-        if stall_tol > 0.0 and abs(prev_lyap - lyap) <= stall_tol * (1.0 + abs(prev_lyap)):
-            termination = TERMINATION_STALL
             break
     return SolveResult(x_final=x, trace=trace, termination=termination)
 

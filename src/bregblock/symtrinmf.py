@@ -100,10 +100,11 @@ class SymTriInstance:
     Derived constants (set in __post_init__): the smallest admissible
     relative-smoothness bounds L1 = max(6/a1, 1) and L2 = 1, the
     strong-convexity moduli sigma1 = 2 eps1 and sigma2 = eps2, the
-    cached Frobenius norm of X, and ``symmetric``, whether X equals X^T
-    exactly.  Entries and the norm of X must be finite.  Asymmetric input
-    is accepted with a warning; pass symmetrize=True to replace X by
-    (X + X^T)/2.  The kernels fix b1 = 2 and a2 = 1: scaling a kernel by c
+    cached Frobenius norm of X, and ``symmetric``, whether X == X^T entry
+    for entry, with no tolerance.  Entries and the norm of X must be
+    finite.  Any X that is not symmetric is solved as it is, with a
+    warning; pass symmetrize=True to replace X by (X + X^T)/2, which is.
+    The kernels fix b1 = 2 and a2 = 1: scaling a kernel by c
     scales its sigma by c and its L by 1/c and leaves every iterate as it
     is, so kernels with (a1, b1, a2) give the run of a1' = 2 a1 / b1.
     """
@@ -138,8 +139,8 @@ class SymTriInstance:
                 "the Frobenius norm of X overflows; X must be rescaled (for example "
                 "divided by its largest absolute entry) before solving"
             )
-        gap = float(np.linalg.norm(X - X.T))
-        if gap > 1e-12 * max(norm, 1e-30):
+        symmetric = bool((X == X.T).all())
+        if not symmetric:
             how = ("X was replaced by (X + X^T)/2" if symmetrize else
                    "gradients remain exact, but pass symmetrize=True (--symmetrize to bregblock "
                    "solve, check or bench) to work with (X + X^T)/2")
@@ -148,7 +149,7 @@ class SymTriInstance:
             if symmetrize:
                 X = 0.5 * (X + X.T)
                 norm = float(np.linalg.norm(X))
-                gap = 0.0
+                symmetric = True
         X.setflags(write=False)
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "r", int(self.r))
@@ -157,7 +158,7 @@ class SymTriInstance:
         object.__setattr__(self, "sigma1", sigma1)
         object.__setattr__(self, "sigma2", sigma2)
         object.__setattr__(self, "norm_X", norm)
-        object.__setattr__(self, "symmetric", gap == 0.0)
+        object.__setattr__(self, "symmetric", symmetric)
 
     @property
     def m(self) -> int:
@@ -301,8 +302,10 @@ def cubic_positive_root(tau1: float, tau2: float) -> float:
 
     The radical form cancels badly when tau1^3/27 dwarfs (or is dwarfed by)
     tau2; two Newton steps restore the residual to rounding level.  Where
-    the formula overflows (from X scaled by 1e25, ||X|| ~ 1e27, on the m=30
-    acceptance instance) it raises OverflowError: X must then be rescaled.
+    the formula overflows it raises OverflowError: X must then be rescaled,
+    or a1 or eps1 made smaller (tau1 grows with ||X|| and eps1, tau2 with
+    a1).  On the m=30 acceptance instance (||X|| = 85) that happens from X
+    scaled by 1e25, and with eps1 = 1e140 or a1 = 1e250.
     """
     tau1 = float(tau1)
     tau2 = float(tau2)
@@ -323,7 +326,7 @@ def cubic_positive_root(tau1: float, tau2: float) -> float:
         raise OverflowError(
             f"the U update's cubic t^3 - tau1 t^2 - tau2 overflows (tau1 = {tau1:.3g}, tau2 = "
             f"{tau2:.3g}); X must be rescaled (for example divided by its largest absolute "
-            "entry) before solving"
+            "entry), or the kernel parameter a1 or eps1 made smaller, before solving"
         )
     for _ in range(2):
         slope = t * (3.0 * t - 2.0 * tau1)
@@ -519,7 +522,6 @@ def solve_instance(
     seed: int = 0,
     max_iters: int = 5000,
     residual_tol: float = 1e-8,
-    stall_tol: float = 0.0,
     x0: BlockVector | None = None,
 ) -> tuple[SolveResult, FactorPair]:
     """Run the generic solver on the instance with its closed-form updates."""
@@ -528,12 +530,5 @@ def solve_instance(
     if x0 is None:
         U0, V0 = initial_factors(inst, seed)
         x0 = pack_factors(inst, U0, V0)
-    result = run(
-        problem,
-        schedule,
-        x0,
-        max_iters=max_iters,
-        residual_tol=residual_tol,
-        stall_tol=stall_tol,
-    )
+    result = run(problem, schedule, x0, max_iters=max_iters, residual_tol=residual_tol)
     return result, FactorPair(*result.x_final.blocks)

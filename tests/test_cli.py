@@ -116,6 +116,16 @@ class TestSynthSolvePipeline:
         err = capsys.readouterr().err
         assert "cubic" in err and "X must be rescaled" in err
 
+    @pytest.mark.parametrize("flag", ["--eps1=1e140", "--a1=1e250"])
+    def test_overflowing_cubic_names_the_kernel_parameters(self, tmp_path, capsys, flag):
+        # X is the acceptance instance as it is; the kernel parameter
+        # overflows the U update's cubic
+        x_path = tmp_path / "x.mtx"
+        write_matrix_market(x_path, synth_instance(30, 3, seed=7)[0])
+        assert run_cli("solve", "--input", str(x_path), "--rank", "3", flag) == 1
+        err = capsys.readouterr().err
+        assert "X must be rescaled" in err and "a1 or eps1" in err
+
     def test_asymmetric_input_warning_names_the_flag_and_the_caller(self, tmp_path):
         # the warning reaches stderr from cli's line, not from the
         # dataclass's generated __init__ ("<string>")
@@ -172,11 +182,6 @@ class TestSynthSolvePipeline:
         assert run_cli("synth", "--m", "5", "--r", "2", f"--noise={noise}", "--out", str(out)) == 2
         assert "noise_level must be finite and nonnegative" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
-        csv_out = tmp_path / "b.csv"
-        assert run_cli("bench", "--m", "12", "--rank", "2", f"--noise={noise}", "--kappas", "0",
-                       "--seeds", "1", "--max-iters", "5", "--out", str(csv_out)) == 2
-        assert "noise_level must be finite and nonnegative" in capsys.readouterr().err
-        assert list(tmp_path.iterdir()) == []
 
     def test_synth_negative_seed_exits_two(self, tmp_path, capsys):
         assert run_cli("synth", "--m", "5", "--r", "2", "--seed", "-1",
@@ -190,13 +195,11 @@ class TestSynthSolvePipeline:
         ("solve", "--rank", "3", "--rho", "0"),
         ("solve", "--rank", "3", "--max-iters", "-1"),
         ("solve", "--rank", "3", "--residual-tol", "-1e-8"),
-        ("solve", "--rank", "3", "--stall-tol", "nan"),
         ("bench", "--kappas", "0,1.5", "--out", "unused.csv"),
         ("bench", "--rho", "2", "--out", "unused.csv"),
         ("bench", "--max-iters", "-1", "--out", "unused.csv"),
         ("solve", "--rank", "3", "--seed", "-1"),
         ("bench", "--seeds=-1", "--out", "unused.csv"),
-        ("bench", "--instance-seed", "-1", "--out", "unused.csv"),
         ("bench", "--seeds", "", "--out", "unused.csv"),
         ("bench", "--kappas", "", "--out", "unused.csv"),
         ("check", "--seed", "-1"),
@@ -214,6 +217,8 @@ class TestSynthSolvePipeline:
         ("solve", "--rank", "0"),
         ("check", "--rank", "0"),
         ("bench", "--rank", "0", "--out", "unused.csv"),
+        ("solve", "--rank", "3", "--residual-tol", "nan"),
+        ("bench", "--residual-tol", "nan", "--out", "unused.csv"),
     ])
     def test_bad_solver_parameters_exit_two_before_reading(self, monkeypatch, capsys, args):
         def unreachable(*a, **k):
@@ -232,6 +237,29 @@ class TestSynthSolvePipeline:
         cfg.write_text(f"input = x.mtx\nrank = 3\n{gone} = 2\n")
         assert run_cli("solve", "--config", str(cfg)) == 2
         assert f"unknown config key {gone!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, flag", [
+        ("solve", "--stall-tol"),
+        ("bench", "--m"),
+        ("bench", "--noise"),
+        ("bench", "--density"),
+        ("bench", "--instance-seed"),
+    ])
+    def test_removed_settings_have_no_flag_or_key(self, tmp_path, capsys, command, flag):
+        # a Lyapunov-stall stop at sweep k is --max-iters k, and bench's
+        # built-in instance is the file synth writes
+        out = ("--out", "unused.csv") if command == "bench" else ()
+        assert run_cli(command, "--input", "x.mtx", "--rank", "3", flag, "1", *out) == 2
+        assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+        if command == "solve":
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text("input = x.mtx\nrank = 3\nstall-tol = 0\n")
+            assert run_cli("solve", "--config", str(cfg)) == 2
+            assert "unknown config key 'stall_tol'" in capsys.readouterr().err
+
+    def test_bench_needs_an_input_file(self, capsys):
+        assert run_cli("bench", "--out", "unused.csv") == 2
+        assert "the following arguments are required: --input" in capsys.readouterr().err
 
 
 class TestConfigFile:
@@ -433,10 +461,18 @@ class TestCheck:
 
 
 class TestBench:
+    @staticmethod
+    def synth(tmp_path, *flags):
+        """The path of the m=8, r=2, seed-1 instance that synth writes with ``flags``."""
+        x_path = tmp_path / "x.mtx"
+        assert run_cli("synth", "--m", "8", "--r", "2", "--seed", "1", *flags,
+                       "--out", str(x_path)) == 0
+        return str(x_path)
+
     def test_grid_shape_and_header(self, tmp_path, capsys):
         out = tmp_path / "bench.csv"
         code = run_cli(
-            "bench", "--m", "8", "--rank", "2", "--noise", "0", "--instance-seed", "1",
+            "bench", "--input", self.synth(tmp_path), "--rank", "2",
             "--kappas", "0,0.5", "--seeds", "1,2", "--max-iters", "40",
             "--out", str(out),
         )
@@ -454,19 +490,21 @@ class TestBench:
             assert termination in ("residual_tol", "max_iters")
 
     def test_input_file_gives_the_rows_of_the_same_matrix(self, tmp_path, capsys):
-        # the file holds the synthesized X bitwise, so the solves are the same
+        # synth's file holds the synthesized X bitwise, so each row is the
+        # solve of the in-memory instance
+        out = tmp_path / "bench.csv"
+        assert run_cli("bench", "--input", self.synth(tmp_path, "--noise", "0.1"), "--rank", "2",
+                       "--kappas", "0,0.5", "--seeds", "3", "--max-iters", "60",
+                       "--out", str(out)) == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
         X, _, _ = synth_instance(8, 2, noise_level=0.1, density=1.0, seed=1)
-        write_matrix_market(tmp_path / "x.mtx", X)
-        rows = []
-        for source in (("--input", str(tmp_path / "x.mtx")),
-                       ("--m", "8", "--noise", "0.1", "--instance-seed", "1")):
-            out = tmp_path / "bench.csv"
-            assert run_cli("bench", *source, "--rank", "2", "--kappas", "0,0.5", "--seeds", "3",
-                           "--max-iters", "60", "--out", str(out)) == 0
-            rows.append([line.split(",") for line in out.read_text().splitlines()])
-        assert len(rows[0]) == 3
-        drop_wall = [[row[:4] + row[5:] for row in table] for table in rows]
-        assert drop_wall[0] == drop_wall[1]
+        inst = stf.SymTriInstance(X, 2)
+        expected = []
+        for kappa in (0.0, 0.5):
+            result, _ = stf.solve_instance(inst, kappa=kappa, seed=3, max_iters=60)
+            final = result.trace[-1]
+            expected.append([str(kappa), "3", str(final.k), f"{final.phi:.17g}", result.termination])
+        assert [row[:4] + row[5:] for row in rows] == expected
 
     def test_symmetrize_solves_the_symmetric_part(self, tmp_path, capsys):
         # as for check: the rows of an asymmetric file with --symmetrize are
@@ -490,9 +528,11 @@ class TestBench:
         assert drop_wall[0] == drop_wall[1]
 
     def test_termination_tells_a_certified_last_sweep_from_max_iters(self, tmp_path):
+        x_path = self.synth(tmp_path)
+
         def row(max_iters):
             out = tmp_path / f"bench{max_iters}.csv"
-            assert run_cli("bench", "--m", "8", "--rank", "2", "--instance-seed", "1",
+            assert run_cli("bench", "--input", x_path, "--rank", "2",
                            "--kappas", "0", "--seeds", "1", "--residual-tol", "1e-4",
                            "--max-iters", str(max_iters), "--out", str(out)) == 0
             (line,) = out.read_text().splitlines()[1:]

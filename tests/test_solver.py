@@ -649,15 +649,30 @@ class TestRun:
             (t.phi, t.lyapunov, t.gaps) for t in r2.trace
         ]
 
-    def test_stall_termination(self):
+    def test_a_stalled_run_is_its_max_iters_run(self):
+        # run has no Lyapunov-stall stop: the run such a stop ended at the
+        # first sweep k with |L_{k-1} - L_k| <= tol (1 + |L_{k-1}|) is the
+        # run with max_iters = k, the first k sweeps of a longer run
         rng = np.random.default_rng(19)
-        problem = quadratic_problem(rng.standard_normal((6, 4)), rng.standard_normal(6), (2, 2))
-        schedule = derive_schedule(problem.L, problem.sigma, kappa=0.0, rho=0.9)
-        x0 = point(problem.shapes, rng.standard_normal(4))
-        result = run(problem, schedule, x0, max_iters=10000, residual_tol=0.0, stall_tol=1e-6)
-        assert result.termination == "lyapunov_stall"
-        last, prev = result.trace[-1].lyapunov, result.trace[-2].lyapunov
-        assert abs(prev - last) <= 1e-6 * (1.0 + abs(prev))
+        base = quadratic_problem(rng.standard_normal((6, 4)), rng.standard_normal(6), (2, 2))
+        schedule = derive_schedule(base.L, base.sigma, kappa=0.5, rho=0.9)
+        x0 = point(base.shapes, rng.standard_normal(4))
+
+        def logged(seen):  # f is evaluated last on each sweep's new iterate
+            return dataclasses.replace(base, f_value=lambda x: seen.append(flat(x)) or base.f_value(x))
+
+        long_seen, short_seen = [], []
+        long = run(logged(long_seen), schedule, x0, max_iters=10000, residual_tol=0.0)
+        lyap = [r.lyapunov for r in long.trace]
+        k = next(k for k in range(1, len(lyap))
+                 if abs(lyap[k - 1] - lyap[k]) <= 1e-6 * (1.0 + abs(lyap[k - 1])))
+        assert 1 < k < 10000
+        short = run(logged(short_seen), schedule, x0, max_iters=k, residual_tol=0.0)
+        assert short.termination == "max_iters"
+        assert trace_to_json(short.trace, with_timing=False) == trace_to_json(
+            long.trace[: k + 1], with_timing=False)
+        assert np.array_equal(short_seen[-1], flat(short.x_final))
+        assert all(np.array_equal(a, b) for a, b in zip(short_seen, long_seen, strict=False))
 
     def test_infeasible_start(self):
         rng = np.random.default_rng(16)
@@ -694,8 +709,7 @@ class TestRun:
     def test_rejects_negative_limits(self):
         # library callers get the same checks as the CLI, before any sweep
         inst = SymTriInstance(np.eye(3), 2)
-        for limits in ({"max_iters": -3}, {"residual_tol": -1e-8}, {"stall_tol": -1.0},
-                       {"residual_tol": float("nan")}):
+        for limits in ({"max_iters": -3}, {"residual_tol": -1e-8}, {"residual_tol": float("nan")}):
             with pytest.raises(ParameterError):
                 stf.solve_instance(inst, **limits)
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -150,7 +151,38 @@ class TestInstance:
         for record in (*kept_warnings, *fixed_warnings):
             assert record.filename == __file__
         assert np.array_equal(fixed.X, 0.5 * (X + X.T))
-        assert np.linalg.norm(fixed.X - fixed.X.T) <= 1e-12 * np.linalg.norm(fixed.X)
+        assert fixed.symmetric and np.array_equal(fixed.X, fixed.X.T)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-150, 1e-170])
+    def test_asymmetry_is_seen_at_any_scale(self, scale):
+        # symmetric means X == X^T entry for entry: at 1e-150 a relative
+        # bound on ||X - X^T|| sat under its 1e-30 floor, and at 1e-170 the
+        # squares underflow, so ||X - X^T|| is 0
+        X = np.random.default_rng(24).random((6, 6)) * scale
+        with pytest.warns(UserWarning, match="not symmetric; gradients remain exact"):
+            kept = SymTriInstance(X, 2)
+        assert not kept.symmetric and np.array_equal(kept.X, X)
+        XU, XtU, _, _ = stf.products(kept, np.ones((6, 2)))
+        assert XtU is not XU
+        with pytest.warns(UserWarning, match="X was replaced"):
+            fixed = SymTriInstance(X, 2, symmetrize=True)
+        assert fixed.symmetric and np.array_equal(fixed.X, 0.5 * (X + X.T))
+
+    def test_one_ulp_of_asymmetry_warns_and_symmetrizes(self):
+        X, _, _ = synth_instance(8, 2, noise_level=0.1, seed=3)
+        X[0, 1] = np.nextafter(X[0, 1], np.inf)
+        with pytest.warns(UserWarning, match="not symmetric"):
+            assert not SymTriInstance(X, 2).symmetric
+        with pytest.warns(UserWarning, match="X was replaced"):
+            fixed = SymTriInstance(X, 2, symmetrize=True)
+        assert fixed.symmetric and not np.array_equal(fixed.X, X)
+
+    def test_exactly_symmetric_x_is_kept_bitwise_without_warning(self):
+        X, _, _ = synth_instance(8, 2, noise_level=0.1, seed=3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            inst = SymTriInstance(X, 2, symmetrize=True)
+        assert inst.symmetric and inst.X.tobytes() == X.tobytes()
 
 
 class TestObjective:
@@ -858,6 +890,14 @@ class TestScaledInput:
         x0 = stf.pack_factors(inst, *initial_factors(inst, 0))
         # (1 + norm) - 1 would lose about 1e-11 relative here
         assert result.trace[0].residual_norm == float(np.linalg.norm(full_gradient(problem, x0)))
+
+    @pytest.mark.parametrize("params", [dict(eps1=1e140), dict(a1=1e250)])
+    def test_kernel_parameter_overflow_names_a1_and_eps1(self, params):
+        # ||X|| = 85, but eps1 (in tau1) or a1 (in tau2) overflows the cubic
+        X, _, _ = synth_instance(30, 3, seed=7)
+        inst = SymTriInstance(X, 3, **params)
+        with pytest.raises(OverflowError, match="X must be rescaled .* a1 or eps1 made smaller"):
+            stf.solve_instance(inst, max_iters=5)
 
     @pytest.mark.parametrize("c", [1e25, 1e100])
     def test_overflow_is_an_error_not_a_misdiagnosis(self, c):
