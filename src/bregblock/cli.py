@@ -105,7 +105,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_synth = sub.add_parser("synth", help="generate a planted-community instance")
+    # every command refuses abbreviated flags: `solve --m 7` is an error, not --max-iters 7
+    p_synth = sub.add_parser("synth", help="generate a planted-community instance", allow_abbrev=False)
     p_synth.add_argument("--m", type=int, required=True, help="matrix size")
     p_synth.add_argument("--r", type=int, required=True, help="number of planted communities")
     p_synth.add_argument("--noise", type=float, default=0.0, help="relative noise level")
@@ -113,7 +114,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
     p_synth.add_argument("--seed", type=_SEED, default=0)
     p_synth.add_argument("--out", required=True, help="output path for X (MatrixMarket)")
 
-    p_solve = sub.add_parser("solve", help="factor a matrix from file")
+    p_solve = sub.add_parser("solve", help="factor a matrix from file", allow_abbrev=False)
     p_solve.add_argument("--input", help="square matrix (MatrixMarket or CSV)")
     p_solve.add_argument("--rank", type=_RANK, help="factorization rank")
     for name, default in (("a1", 6.0), ("eps1", 1.0), ("eps2", 1.0),
@@ -129,14 +130,13 @@ def build_parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
                          help="zero the seconds field in the trace for byte-reproducible output")
     p_solve.add_argument("--config", help="flat key=value config file; flags win")
 
-    p_check = sub.add_parser("check", help="run the verification suite on an instance")
+    p_check = sub.add_parser("check", help="run the verification suite on an instance", allow_abbrev=False)
     p_check.add_argument("--input", help="matrix file; omit for a built-in synthetic instance")
     p_check.add_argument("--rank", type=_RANK, default=2)
     p_check.add_argument("--samples", type=_int_at_least(1), default=200)
     p_check.add_argument("--seed", type=_SEED, default=1)
     p_check.add_argument("--symmetrize", action="store_true", help=SYMMETRIZE_HELP)
 
-    # no abbreviations: `--m 30` must be an error here, not --max-iters 30
     p_bench = sub.add_parser("bench", help="kappa x seed grid on one instance", allow_abbrev=False)
     p_bench.add_argument("--input", required=True, help="square matrix (MatrixMarket or CSV)")
     p_bench.add_argument("--rank", type=_RANK, default=3)

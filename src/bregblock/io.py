@@ -3,10 +3,10 @@
 Readers cover MatrixMarket (coordinate and array, real, general and
 symmetric storage) and headerless CSV of floats; the writer emits dense
 MatrixMarket array files with 17 significant digits so every double
-round-trips bitwise.  Readers and writer handle a file's entries in bulk,
-never one Python step per entry; a reader rescans the body line by line,
-in the same slices, only after a bulk conversion or count check failed,
-to name the line.
+round-trips bitwise.  Writer and array reader take no Python step per
+value; coordinate and CSV tokens go through int() and float(), a slice at
+a time.  A reader rescans the body line by line, in the same slices, only
+after a bulk conversion or count check failed, to name the line.
 
 The writer prints each value as ``"%.17g" % x`` does, byte for byte, but
 with numpy arithmetic over slabs of at most _SLAB values: the double-double
@@ -17,19 +17,17 @@ itself.  It holds the matrix and one slab's arrays at a time.
 
 A reader decodes the file as UTF-8 and converts it in line-aligned slices
 of about _CHUNK_CHARS characters straight into the result, so it holds the
-matrix (for a coordinate file, also its nnz row, column and value arrays
-and the sort that keeps each position's last entry) and one slice's text
-and tokens at a time: never the file's whole text, nor a Python object per
-value of it.  An array body's slices go through _floats, which reads each
-value as ``float()`` does, bit for bit, with numpy arithmetic: one
-np.fromstring for the digits of a slice's tokens and the double-double
-scaling of the writer, run backwards.  It hands the rare token it cannot
-decide to ``float()``, and a slice it cannot read in bulk (one holding
-"nan", "inf", "_", non-ASCII text or a malformed token, or one whose
-tokens it mostly cannot decide) to ``float()`` token by token, as it does a
-slice whose first tokens ``float()`` reads faster (short ones with an
-exponent) or that mostly cannot be decided (20 digits or more).  Each slice is
-judged on its own.
+matrix and one slice's text and tokens at a time: never the file's whole
+text, nor a Python object per value of it.  An array body's slices go
+through _floats, which reads each value as ``float()`` does, bit for bit,
+with numpy arithmetic: one np.fromstring for the digits of a slice's
+tokens and the double-double scaling of the writer, run backwards.  It
+hands the rare token it cannot decide to ``float()``, and a slice it
+cannot read in bulk (one holding "nan", "inf", "_", non-ASCII text or a
+malformed token, or one whose tokens it mostly cannot decide) to
+``float()`` token by token, as it does a slice whose first tokens
+``float()`` reads faster (short ones with an exponent) or that mostly
+cannot be decided (20 digits or more).  Each slice is judged on its own.
 """
 
 from __future__ import annotations
@@ -241,30 +239,39 @@ def _array(body, fh, max_chars: int, size_no: int, rows: int, cols: int, symmetr
 
 def _coordinate(body, fh, max_chars: int, size_no: int, rows: int, cols: int, nnz: int,
                 symmetric: bool, path) -> Array:
-    """Fill a matrix from the ``i j value`` lines of a coordinate body, as _array."""
+    """Fill a matrix from the ``i j value`` lines of a coordinate body, as
+    _array; a position's last entry wins, as in an entry-by-entry fill."""
     pos = 0
     try:
         # each entry takes three characters and all but the last three separators
         if 6 * nnz - 1 > max_chars:
             raise ValueError("more entries than characters")
-        i, j, v = np.empty(nnz, np.int64), np.empty(nnz, np.int64), np.empty(nnz)
+        try:
+            matrix = np.zeros((rows, cols))
+        except (ValueError, MemoryError):
+            raise ParseError(path, size_no, f"cannot allocate a {rows} x {cols} matrix") from None
         for data in map(_uncommented, body):
             counts = np.fromiter(map(len, map(str.split, data.splitlines())), int)
             counts = counts[counts > 0]
-            end = pos + len(counts)
-            if end > nnz or (counts != 3).any():
+            n, pos = len(counts), pos + len(counts)
+            if pos > nnz or (counts != 3).any():
                 raise ValueError("more entries than the size line gives, or a short or long one")
             tokens = data.split()
-            i[pos:end] = np.fromiter(map(int, tokens[0::3]), np.int64, count=end - pos)
-            j[pos:end] = np.fromiter(map(int, tokens[1::3]), np.int64, count=end - pos)
-            v[pos:end] = np.fromiter(map(float, tokens[2::3]), float, count=end - pos)
-            pos = end
+            i = np.fromiter(map(int, tokens[0::3]), np.int64, count=n) - 1
+            j = np.fromiter(map(int, tokens[1::3]), np.int64, count=n) - 1
+            v = np.fromiter(map(float, tokens[2::3]), float, count=n)
+            if ((i < 0) | (i >= rows) | (j < 0) | (j >= cols)).any():
+                raise ValueError("an index out of range")
+            if symmetric:  # each entry writes (i, j), then its mirror (j, i)
+                i, j, v = np.stack((i, j), 1).ravel(), np.stack((j, i), 1).ravel(), np.repeat(v, 2)
+            # the slice's last write to a position wins; fancy assignment
+            # leaves the order of repeated writes unspecified
+            flat = i * cols + j
+            _, first = np.unique(flat[::-1], return_index=True)
+            last = flat.size - 1 - first
+            matrix[i[last], j[last]] = v[last]
         if pos != nnz:
             raise ValueError("fewer entries than the size line gives")
-        i -= 1
-        j -= 1
-        if ((i < 0) | (i >= rows) | (j < 0) | (j >= cols)).any():
-            raise ValueError("an index out of range")
     except (ValueError, OverflowError):
         found = sum(1 for _ in _entry_lines(fh, size_no))
         if found != nnz:
@@ -278,16 +285,7 @@ def _coordinate(body, fh, max_chars: int, size_no: int, rows: int, cols: int, nn
                 raise ParseError(path, no, f"index ({r}, {c}) out of range") from None
             _convert(float, tok[2], path, no, "value")
         raise
-    if symmetric:  # each entry writes (i, j), then its mirror (j, i)
-        i, j, v = np.stack((i, j), 1).ravel(), np.stack((j, i), 1).ravel(), np.repeat(v, 2)
-    # the last write to a position wins, as in an entry-by-entry fill;
-    # fancy assignment leaves the order of repeated writes unspecified
-    flat = i * cols + j
-    _, first = np.unique(flat[::-1], return_index=True)
-    last = flat.size - 1 - first
-    matrix = np.zeros(rows * cols)
-    matrix[flat[last]] = v[last]
-    return matrix.reshape(rows, cols)
+    return matrix
 
 
 def _read_csv(fh, path) -> Array:

@@ -257,6 +257,16 @@ class TestSynthSolvePipeline:
             assert run_cli("solve", "--config", str(cfg)) == 2
             assert "unknown config key 'stall_tol'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("args, abbreviated", [
+        (("solve", "--input", "x.mtx", "--rank", "3", "--m", "7"), "--m 7"),  # --max-iters
+        (("check", "--r", "3"), "--r 3"),  # --rank
+        (("check", "--sam", "5"), "--sam 5"),  # --samples
+        (("synth", "--m", "5", "--r", "2", "--s", "3", "--out", "unused.mtx"), "--s 3"),  # --seed
+    ])
+    def test_abbreviated_flags_are_unrecognized(self, capsys, args, abbreviated):
+        assert run_cli(*args) == 2
+        assert f"unrecognized arguments: {abbreviated}" in capsys.readouterr().err
+
     def test_bench_needs_an_input_file(self, capsys):
         assert run_cli("bench", "--out", "unused.csv") == 2
         assert "the following arguments are required: --input" in capsys.readouterr().err

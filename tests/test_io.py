@@ -460,6 +460,18 @@ class TestCoordinateEntries:
         path = tmp_path_factory.mktemp("coord") / "m.mtx"
         path.write_text(text + "\n".join(lines) + "\n")
         assert same_bits(read_matrix(path), expected)
+        # a position's entries fall in different slices, each placed in turn
+        for chars in (1, 7, 64):
+            assert same_bits(read_in_slices(path, chars), expected)
+
+    @pytest.mark.parametrize("entry, message", [
+        ("1 1 1.0", "2: cannot allocate a 4294967296 x 4294967296 matrix"),
+        ("1 1 x", "3: bad value: 'x'"),  # a bad entry is still the line named
+    ])
+    def test_size_line_numpy_cannot_allocate(self, tmp_path, entry, message):
+        # numpy refuses 2**32 x 2**32 doubles before it allocates anything
+        path = write_bytes(tmp_path, COORD_HEADER + f"4294967296 4294967296 1\n{entry}\n")
+        assert str(parse_error(path)) == f"{path}:{message}"
 
 
 finite_doubles = st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True)
@@ -924,8 +936,7 @@ def peak_traced_bytes(fn, *args, **kwargs):
 
 
 class TestReaderMemory:
-    """Reading holds the matrix, plus for coordinate files the nnz index and
-    value arrays its fill sorts, and one slice's text and tokens at a time:
+    """Reading holds the matrix and one slice's text and tokens at a time:
     never the file's whole text, nor a token object per value of it."""
 
     M = 200
@@ -954,10 +965,10 @@ class TestReaderMemory:
         return X, len(lines)
 
     @staticmethod
-    def bound(X, fmt):
+    def bound(X):
         # no term grows with the file: a slice's tokens take about ten
         # times its characters
-        return X.nbytes + (96 * X.size if fmt == "coordinate" else 0) + 32 * (1 << 14)
+        return X.nbytes + 32 * (1 << 14)
 
     @pytest.mark.parametrize("fmt", ["array", "symmetric", "coordinate", "csv"])
     def test_peak_allocation(self, tmp_path, monkeypatch, fmt):
@@ -966,7 +977,7 @@ class TestReaderMemory:
         matrix, peak = peak_traced_bytes(read_matrix, tmp_path / fmt)
         assert same_bits(matrix, X)
         assert (tmp_path / fmt).stat().st_size > 20 * (1 << 14)  # over 20 slices
-        assert peak < self.bound(X, fmt), (peak, self.bound(X, fmt))
+        assert peak < self.bound(X), (peak, self.bound(X))
 
     def test_one_digit_values_peak_allocation(self, tmp_path, monkeypatch):
         # the bulk converter's arrays take about 60 bytes per character of
@@ -993,7 +1004,7 @@ class TestReaderMemory:
         X, n_lines = self.write(path, fmt, last="1.0.0")
         err, peak = peak_traced_bytes(parse_error, path)
         assert str(err) == f"{path}:{n_lines}: {message}"
-        assert peak < self.bound(X, fmt), (peak, self.bound(X, fmt))
+        assert peak < self.bound(X), (peak, self.bound(X))
 
     @pytest.mark.parametrize("text, message", [
         (ARRAY_HEADER + "100000 100000\n1\n", "3: expected 10000000000 values, found 1"),
