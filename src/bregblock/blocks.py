@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -19,7 +19,7 @@ Array = np.ndarray
 
 
 class DomainError(ValueError):
-    """A point lies outside a kernel's domain."""
+    """A point lies outside a kernel's domain, or is NaN."""
 
 
 class ParameterError(ValueError):
@@ -94,12 +94,14 @@ class NonsmoothBlock:
     ``value`` returns an extended real (math.inf outside the domain).
     ``solver`` is the block's exact subproblem solver; ``run`` needs one on
     every block.  It is called as ``solver(problem, schedule, i, x_current,
-    x_prev, f_grad=...)`` with f_grad = grad_i f(x_current), which a sweep
-    passes read-only, and returns (z, eta): the exact minimizer z of the
-    block model and the element of the subdifferential of g_i at z that
-    the model's first-order condition exhibits,
+    x_prev, f_grad=...)`` with f_grad = grad_i f(x_current), passed
+    read-only, and returns (z, eta): the exact minimizer z of the block
+    model and the element of the subdifferential of g_i at z that the
+    model's first-order condition exhibits,
         eta = (grad_i h_i(x_current) - grad_i h_i(z)) / gamma_i
               + (alpha_i/gamma_i)(x_current_i - x_prev_i) - grad_i f(x_current).
+    ``run`` checks once, at x0, that it returns such a pair in the block's
+    shape with a feasible z; the sweeps trust it from then on.
     ``project``, a Euclidean projection onto dom g_i, serves only the
     projected-gradient reference oracle in diagnostics.
     """
@@ -164,22 +166,19 @@ class BlockProblem:
 def block_bregman_distance(kernel: BlockKernel, x: BlockVector, y_i: Array) -> float:
     """Bregman distance of the kernel of block i from x to (x with block i
     replaced by y_i): h_i(x | x_i <- y_i) - h_i(x) - <grad_i h_i(x), y_i - x_i>,
-    as the kernel's exact ``distance``.  Raises DomainError when it is not
-    finite."""
+    as the kernel's exact ``distance``.  Raises DomainError, with the value,
+    when it is not finite."""
     d = float(kernel.distance(x, y_i))
     if not math.isfinite(d):
-        raise DomainError("Bregman distance is not finite: a point lies outside the kernel's domain")
+        raise DomainError(f"Bregman distance is {d}: a point is NaN or outside the kernel's domain")
     return d
 
 
-def phi_value(problem: BlockProblem, x: BlockVector, g: Sequence[float] | None = None) -> float:
-    """Composite objective f(x) + sum_i g_i(x_i), +inf when any g_i is.
-    ``g`` holds the values g_i(x_i) when the caller has evaluated them."""
-    if g is None:
-        g = [term.value(x.block(i)) for i, term in enumerate(problem.g)]
+def phi_value(problem: BlockProblem, x: BlockVector) -> float:
+    """Composite objective f(x) + sum_i g_i(x_i), +inf when any g_i is."""
     total = 0.0
-    for gi in g:
-        gi = float(gi)
+    for i, term in enumerate(problem.g):
+        gi = float(term.value(x.block(i)))
         if math.isinf(gi):
             return math.inf
         total += gi

@@ -176,12 +176,12 @@ def solve_block_subproblem(
     x_prev: BlockVector,
     *,
     f_grad: Array,
-) -> tuple[Array, Array, float]:
+) -> tuple[Array, Array]:
     """Minimize the block-i model with the block's exact solver, handing it
-    f_grad = grad_i f(x_current).  Returns the minimizer z, the subgradient
-    of g_i at z that the solver exhibits and g_i(z), after checking that
-    the solver returned a pair of arrays in the block's shape and a
-    feasible z (ConfigurationError)."""
+    f_grad = grad_i f(x_current), and check its result: a pair of arrays in
+    the block's shape with a feasible z (ConfigurationError).  Returns the
+    minimizer z and the subgradient of g_i at z that the solver exhibits.
+    ``run`` calls it once per block, at x0; sweeps call the solvers bare."""
     term = problem.g[i]
     out = term.solver(problem, schedule, i, x_current, x_prev, f_grad=f_grad)
     if not (isinstance(out, tuple) and len(out) == 2):
@@ -192,10 +192,9 @@ def solve_block_subproblem(
             f"block {i}: subproblem solver returned z of shape {z.shape} and eta of shape "
             f"{eta.shape}, expected {problem.shapes[i]}"
         )
-    gz = float(term.value(z))
-    if math.isinf(gz):
+    if math.isinf(float(term.value(z))):
         raise ConfigurationError(f"block {i}: subproblem solver returned an infeasible point")
-    return z, eta, gz
+    return z, eta
 
 
 def sweep_with_partials(
@@ -204,33 +203,30 @@ def sweep_with_partials(
     x_k: BlockVector,
     x_prev: BlockVector,
     f_grad0: Array,
-) -> tuple[BlockVector, list[float], list[Array], list[float]]:
+) -> tuple[BlockVector, list[float], list[Array]]:
     """Cyclic pass over all blocks: the new iterate, the gaps and, per
-    block, the subgradient of g_i that its first-order condition exhibits
-    and the value of g_i at the new block.
+    block, the subgradient of g_i that its first-order condition exhibits.
 
     Block i sees the freshest partial iterate (pre) for its gradient and
     model, but the inertial difference is always taken against the lagged
     full iterate x_prev.  grad_i f(pre) is evaluated once (``f_grad0`` is
     grad_0 f(x_k), which the caller already has) and made read-only before
-    the block solver sees it.  The solver returns the new block with eta_i,
-    and the gap is the kernel's exact distance D_{h_i}(post, pre); the
-    sweep evaluates no kernel value or gradient itself.  Returns
-    (x_next, gaps, etas, g_next), g_next[i] = g_i(x_next_i).
+    the block solver sees it.  The solver, whose contract ``run`` checked
+    at x0, returns the new block with eta_i, and the gap is the kernel's
+    exact distance D_{h_i}(post, pre); the sweep evaluates no kernel value
+    or gradient itself.  Returns (x_next, gaps, etas).
     """
     cur = x_k
     gaps: list[float] = []
     etas: list[Array] = []
-    g_next: list[float] = []
     for i in range(problem.N):
         gf = f_grad0 if i == 0 else problem.f_block_grad(i, cur)
         gf.setflags(write=False)
-        z, eta, gz = solve_block_subproblem(problem, schedule, i, cur, x_prev, f_grad=gf)
+        z, eta = problem.g[i].solver(problem, schedule, i, cur, x_prev, f_grad=gf)
         gaps.append(block_bregman_distance(problem.kernels[i], cur, z))
         etas.append(eta)
-        g_next.append(gz)
         cur = cur.with_block(i, z)
-    return cur, gaps, etas, g_next
+    return cur, gaps, etas
 
 
 def lyapunov_value(schedule: StepSchedule, phi: float, gaps: Sequence[float]) -> float:
@@ -293,8 +289,9 @@ def run(
     for the problem's L and sigma (a StepSchedule is admissible for its own),
     and x0's block shapes against ``problem.shapes`` (ParameterError), an exact
     solver on every block (ConfigurationError) and the feasibility of x0
-    (InfeasibleError).  Each sweep checks the shape and feasibility of every
-    block solver's result (ConfigurationError, in solve_block_subproblem).
+    (InfeasibleError).  Then, max_iters = 0 included, it checks each block
+    solver's (z, eta) once, at x0, through solve_block_subproblem
+    (ConfigurationError); the sweeps trust the solvers and check nothing.
     """
     check_run_limits(max_iters, residual_tol)
     if (schedule.L, schedule.sigma) != (problem.L, problem.sigma):
@@ -303,20 +300,22 @@ def run(
     shapes = tuple(b.shape for b in x0.blocks)
     if shapes != problem.shapes:
         raise ParameterError(f"x0 has block shapes {shapes}, expected {problem.shapes}")
-    g0 = []
     for i, term in enumerate(problem.g):
         if term.solver is None:
             raise ConfigurationError(f"block {i} has no exact subproblem solver")
-        g0.append(float(term.value(x0.block(i))))
-        if math.isinf(g0[-1]):
+        if math.isinf(float(term.value(x0.block(i)))):
             raise InfeasibleError(f"x0 is infeasible for nonsmooth block {i}")
 
     start = time.perf_counter()
     grad0 = full_gradient(problem, x0)
     norm0 = float(np.linalg.norm(grad0))
     scale = 1.0 + norm0
-    f_grad0 = grad0[: math.prod(problem.shapes[0])].reshape(problem.shapes[0])
-    phi0 = phi_value(problem, x0, g0)
+    grad0.setflags(write=False)
+    parts = np.split(grad0, np.cumsum([math.prod(s) for s in problem.shapes])[:-1])
+    for i, part in enumerate(parts):
+        solve_block_subproblem(problem, schedule, i, x0, x0, f_grad=part.reshape(problem.shapes[i]))
+    f_grad0 = parts[0].reshape(problem.shapes[0])
+    phi0 = phi_value(problem, x0)
     zeros = tuple(0.0 for _ in range(problem.N))
     trace = [
         IterationRecord(
@@ -332,13 +331,13 @@ def run(
     x_prev, x = x0, x0
     termination = TERMINATION_MAX_ITERS
     for k in range(int(max_iters)):
-        x_next, gaps, etas, g_next = sweep_with_partials(problem, schedule, x, x_prev, f_grad0)
+        x_next, gaps, etas = sweep_with_partials(problem, schedule, x, x_prev, f_grad0)
         residual, grads = stationarity_residual(problem, x_next, etas)
         f_grad0 = grads[0]
-        phi = phi_value(problem, x_next, g_next)
+        phi = phi_value(problem, x_next)
         lyap = lyapunov_value(schedule, phi, gaps)
         if not math.isfinite(lyap):
-            raise ArithmeticError(f"Lyapunov value is not finite at iteration {k + 1}")
+            raise ArithmeticError(f"Lyapunov value is not finite at iteration {k + 1}: phi = {phi}")
         trace.append(
             IterationRecord(
                 k=k + 1,

@@ -10,6 +10,7 @@ from bregblock import (
     BlockProblem,
     BlockVector,
     ConfigurationError,
+    DomainError,
     InfeasibleError,
     IterationRecord,
     NonsmoothBlock,
@@ -305,8 +306,8 @@ class TestSubproblem:
         schedule = derive_schedule(problem.L, problem.sigma, kappa=0.3, rho=0.9)
         x = point(problem.shapes, rng.standard_normal(4))
         xp = point(problem.shapes, rng.standard_normal(4))
-        z, eta, _ = solve_block_subproblem(problem, schedule, 0, x, xp,
-                                           f_grad=problem.f_block_grad(0, x))
+        z, eta = solve_block_subproblem(problem, schedule, 0, x, xp,
+                                        f_grad=problem.f_block_grad(0, x))
         ga, al = schedule.gamma[0], schedule.alpha[0]
         expected = flat(x) - ga * problem.f_block_grad(0, x) + al * (flat(x) - flat(xp))
         assert np.array_equal(z, expected)
@@ -346,7 +347,8 @@ class TestSubproblem:
     ])
     def test_malformed_solver_result(self, result, message):
         # z alone would unpack into two scalars, and an eta of shape (1,)
-        # would broadcast into the residual: both are refused, naming the block
+        # would broadcast into the residual: both are refused, naming the
+        # block, before any sweep
         exact = euclidean_step_solver()
 
         def solver(*args, **kwargs):
@@ -355,8 +357,9 @@ class TestSubproblem:
         problem = self.with_block_one_solver(solver)
         schedule = derive_schedule(problem.L, problem.sigma)
         x0 = point(problem.shapes, np.ones(4))
-        with pytest.raises(ConfigurationError, match=f"block 1: .*{message}"):
-            run(problem, schedule, x0, max_iters=3)
+        for max_iters in (0, 3):
+            with pytest.raises(ConfigurationError, match=f"block 1: .*{message}"):
+                run(problem, schedule, x0, max_iters=max_iters)
 
     def test_infeasible_solver_result(self):
         def solver(problem, schedule, i, x_cur, x_prev, f_grad):
@@ -365,9 +368,39 @@ class TestSubproblem:
         problem = self.with_block_one_solver(solver, g=nonnegative_indicator())
         schedule = derive_schedule(problem.L, problem.sigma)
         x0 = point(problem.shapes, np.ones(4))
-        with pytest.raises(ConfigurationError,
-                           match="block 1: subproblem solver returned an infeasible point"):
-            run(problem, schedule, x0, max_iters=3)
+        for max_iters in (0, 3):
+            with pytest.raises(ConfigurationError,
+                               match="block 1: subproblem solver returned an infeasible point"):
+                run(problem, schedule, x0, max_iters=max_iters)
+
+    @pytest.mark.parametrize("bad, error, message", [
+        (math.nan, DomainError, "Bregman distance is nan: a point is NaN"),
+        (-1.0, ArithmeticError, "Lyapunov value is not finite at iteration 3: phi = inf"),
+    ])
+    def test_solver_that_breaks_after_the_check_at_x0(self, bad, error, message):
+        # run checks each solver once, at x0, and the sweeps trust it: a
+        # block-1 solver that is right at x0 and on sweeps 1 and 2, then
+        # returns a NaN or an infeasible block, still ends the run in an
+        # error, never in a result
+        calls = []
+
+        def solver(problem, schedule, i, x_cur, x_prev, f_grad):
+            # the projected Euclidean step and its normal-cone element
+            ga, al = schedule.gamma[i], schedule.alpha[i]
+            xi = x_cur.block(i)
+            y = xi - ga * f_grad + al * (xi - x_prev.block(i))
+            calls.append(i)
+            z = np.maximum(y, 0.0) if len(calls) <= 3 else np.full(2, bad)
+            return z, (y - z) / ga
+
+        problem = self.with_block_one_solver(solver, g=nonnegative_indicator())
+        schedule = derive_schedule(problem.L, problem.sigma, kappa=0.3)
+        x0 = point(problem.shapes, np.ones(4))
+        assert run(problem, schedule, x0, max_iters=2, residual_tol=0.0).trace[-1].k == 2
+        calls.clear()
+        with pytest.raises(error, match=message):
+            run(problem, schedule, x0, max_iters=5, residual_tol=0.0)
+        assert len(calls) == 4
 
     def test_never_increases_model(self):
         rng = np.random.default_rng(2)
@@ -380,7 +413,7 @@ class TestSubproblem:
             xp = stf.pack_factors(inst, rng.random((4, 2)), rng.random((2, 2)))
             for i in (0, 1):
                 gf = problem.f_block_grad(i, x)
-                z, _, _ = solve_block_subproblem(problem, schedule, i, x, xp, f_grad=gf)
+                z, _ = solve_block_subproblem(problem, schedule, i, x, xp, f_grad=gf)
                 ga, al = schedule.gamma[i], schedule.alpha[i]
                 m_new = model_value(problem, ga, al, i, x, xp, z, f_grad=gf)
                 m_old = model_value(problem, ga, al, i, x, xp, x.block(i), f_grad=gf)
@@ -393,7 +426,7 @@ class TestSweep:
         problem = quadratic_problem(rng.standard_normal((6, 4)), rng.standard_normal(6), (4,))
         schedule = derive_schedule(problem.L, problem.sigma, kappa=0.0, rho=0.9)
         x = point(problem.shapes, rng.standard_normal(4))
-        x_next, gaps, _, _ = sweep(problem, schedule, x, x)
+        x_next, gaps, _ = sweep(problem, schedule, x, x)
         expected = flat(x) - schedule.gamma[0] * full_gradient(problem, x)
         assert np.array_equal(flat(x_next), expected)
         assert gaps[0] == pytest.approx(
@@ -410,7 +443,7 @@ class TestSweep:
         problem = quadratic_problem(A, b, (3, 2))
         schedule = derive_schedule(problem.L, problem.sigma, kappa=0.5, rho=0.9)
         x = point(problem.shapes, xstar)
-        x_next, gaps, _, _ = sweep(problem, schedule, x, x)
+        x_next, gaps, _ = sweep(problem, schedule, x, x)
         assert np.allclose(flat(x_next), xstar, atol=1e-12)
         # the kernel's closed-form distance does not cancel: the gaps are
         # of the order of the squared step, not eps * |h|
@@ -426,7 +459,7 @@ class TestSweep:
         U_p, V_p = rng.random((5, 2)), rng.random((2, 2))
         x = stf.pack_factors(inst, U_k, V_k)
         xp = stf.pack_factors(inst, U_p, V_p)
-        x_next, _, _, _ = sweep(problem, schedule, x, xp)
+        x_next, _, _ = sweep(problem, schedule, x, xp)
         U_direct, _ = stf.update_U(inst, schedule.gamma[0], schedule.alpha[0], U_k, U_p, V_k,
                                    f_grad=stf.grad_U(inst, U_k, V_k))
         V_direct, _ = stf.update_V(inst, schedule.gamma[1], schedule.alpha[1], U_direct, V_k, V_p,
@@ -468,7 +501,7 @@ class TestStationarityResidual:
         problem = quadratic_problem(A, b, (4,))
         schedule = derive_schedule(problem.L, problem.sigma, kappa=0.0, rho=0.9)
         x = point(problem.shapes, xstar)
-        x_next, _, etas, _ = sweep(problem, schedule, x, x)
+        x_next, _, etas = sweep(problem, schedule, x, x)
         res, _ = stationarity_residual(problem, x_next, etas)
         assert res <= 1e-10
 
@@ -479,7 +512,7 @@ class TestStationarityResidual:
         problem = quadratic_problem(rng.standard_normal((5, 4)), rng.standard_normal(5), (4,))
         schedule = derive_schedule(problem.L, problem.sigma, kappa=0.0, rho=0.9)
         x = point(problem.shapes, rng.standard_normal(4))
-        x_next, _, etas, _ = sweep(problem, schedule, x, x)
+        x_next, _, etas = sweep(problem, schedule, x, x)
         res, _ = stationarity_residual(problem, x_next, etas)
         assert res == pytest.approx(float(np.linalg.norm(full_gradient(problem, x_next))), rel=1e-9)
 
@@ -489,7 +522,7 @@ class TestStationarityResidual:
         schedule = derive_schedule(problem.L, problem.sigma, kappa=0.4, rho=0.8)
         x = point(problem.shapes, rng.standard_normal(5))
         xp = point(problem.shapes, rng.standard_normal(5))
-        x_next, _, etas, _ = sweep(problem, schedule, x, xp)
+        x_next, _, etas = sweep(problem, schedule, x, xp)
         res, _ = stationarity_residual(problem, x_next, etas)
         partials = [x, x.with_block(0, x_next.block(0)), x_next]
         pieces = []
@@ -531,9 +564,9 @@ class TestCarriedFirstOrderData:
         x = point(problem.shapes, rng.standard_normal(4))
         g0 = problem.f_block_grad(0, x)
         assert g0.flags.writeable
-        same, _, _, _ = sweep_with_partials(problem, schedule, x, x, g0)
+        same, _, _ = sweep_with_partials(problem, schedule, x, x, g0)
         assert not g0.flags.writeable  # the sweep used g0 itself, not a copy
-        other, _, _, _ = sweep_with_partials(problem, schedule, x, x, g0 + 1.0)
+        other, _, _ = sweep_with_partials(problem, schedule, x, x, g0 + 1.0)
         assert not np.array_equal(other.block(0), same.block(0))
 
     @pytest.mark.parametrize("name", ["f_grad"])

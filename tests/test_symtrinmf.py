@@ -472,7 +472,7 @@ class TestBlockProblemBinding:
         sched = derive_schedule(problem.L, problem.sigma, kappa=kappa, rho=0.9)
         x_prev = x = stf.pack_factors(inst, *initial_factors(inst, seed=0))
         for _ in range(50):
-            x_next, _, etas, _ = sweep_with_partials(
+            x_next, _, etas = sweep_with_partials(
                 problem, sched, x, x_prev, problem.f_block_grad(0, x)
             )
             for i, eta in enumerate(etas):
@@ -790,11 +790,15 @@ class TestProductForm:
             "_gvg": 2, "indicator": 2,
         }
         # start-up: grad f(x0) for the stopping scale, whose U part the
-        # first sweep reuses, phi(x0) on g_i(x0_i) from the feasibility
-        # check, and ||U0||^2 in the first sweep
+        # first sweep reuses, g_i(x0_i) for the feasibility check, and the
+        # check of both block solvers at x0: update_U forms grad_U h1 and
+        # ||P||^2 there and keeps ||U0||^2 and ||V0||^2 for the first sweep,
+        # and g_i is evaluated at both results.  phi(x0) evaluates g_i(x0_i)
+        # again
         startup = {name: totals[0][name] - 7 * per_sweep[name] for name in calls}
         assert startup == dict.fromkeys(calls, 0) | {
-            "grad_U": 1, "grad_V": 1, "products": 1, "_gvg": 1, "indicator": 2, "_sq_norm": 1}
+            "grad_U": 1, "grad_V": 1, "kernel_h1_grad": 1, "products": 1, "_gvg": 1,
+            "indicator": 6, "_sq_norm": 2}
 
     def test_kept_norms_and_gvg_are_the_direct_ones(self, monkeypatch):
         # the squared block norms the block problem hands the kernels and
