@@ -54,12 +54,14 @@ class BlockVector:
         return self.blocks[i]
 
     def with_block(self, i: int, values: Array) -> "BlockVector":
-        """New point with block i replaced by ``values``; the other blocks
-        are shared, not copied, and so is ``values`` when it is a read-only
-        array that owns its memory."""
+        """New point with block i replaced by ``values``, the only block it
+        checks: the others passed when this point was made and are shared, and
+        so is ``values`` when it is a read-only array that owns its memory."""
         blocks = list(self.blocks)
-        blocks[i] = values
-        return BlockVector(tuple(blocks))
+        blocks[i] = _readonly(values)
+        point = object.__new__(BlockVector)
+        object.__setattr__(point, "blocks", tuple(blocks))
+        return point
 
 
 @dataclass(frozen=True)

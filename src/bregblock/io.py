@@ -219,8 +219,13 @@ def _array(body, fh, max_chars: int, size_no: int, rows: int, cols: int, symmetr
                 c = np.searchsorted(start, p, side="right") - 1
                 r = p - start[c] + c
                 matrix[r, c] = matrix[c, r] = values
-            else:
-                matrix.T.flat[pos:pos + values.size] = values
+            elif values.size:  # value p is entry (p % rows, p // rows): fill by columns
+                c, r = divmod(pos, rows)
+                k = min(-r % rows, values.size)  # ends the column an earlier slice began
+                matrix[r:r + k, c] = values[:k]
+                c, (full, tail) = c + (r > 0), divmod(values.size - k, rows)
+                matrix[:, c:c + full] = values[k:k + full * rows].reshape(full, rows).T
+                matrix[:tail, c + full:c + full + 1] = values[values.size - tail:, None]
             pos += values.size
         if pos != n:
             raise ValueError("fewer values than the size line gives")

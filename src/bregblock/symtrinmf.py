@@ -20,7 +20,8 @@ BlockVector's blocks cannot change.  A solver sweep makes one new U, so it
 pays one X-product, and every later evaluation in the sweep, the residual
 and the Lyapunov value reuse it.  The generic sweep hands the updates the
 block gradients it has already evaluated, so a sweep computes grad_U once
-and grad_V twice.
+and grad_V twice.  The hot path multiplies with ndarray.dot, not @: at
+r-sized shapes @ costs about 1 us more per call, for the same BLAS result.
 
 The block problem keeps ||U||^2 and ||V||^2 the same way (the ``norms``
 of update_U, update_V, kernel_h1_grad and the kernel distances), and G V G
@@ -188,20 +189,20 @@ Products = tuple[Array, Array, Array, Array]
 def products(inst: SymTriInstance, U: Array) -> Products:
     """(XU, X^T U, U^T X U, U^T U), read-only; X^T U is the XU array itself
     when X is exactly symmetric."""
-    XU = inst.X @ U
-    XtU = XU if inst.symmetric else inst.X.T @ U
-    out = (XU, XtU, U.T @ XU, U.T @ U)
+    XU = inst.X.dot(U)
+    XtU = XU if inst.symmetric else inst.X.T.dot(U)
+    out = (XU, XtU, U.T.dot(XU), U.T.dot(U))
     for a in out:
         a.setflags(write=False)
     return out
 
 
 def _residual(inst: SymTriInstance, U: Array, V: Array) -> Array:
-    return inst.X - U @ V @ U.T
+    return inst.X - U.dot(V).dot(U.T)
 
 
 def _gvg(G: Array, V: Array) -> Array:
-    return G @ V @ G
+    return G.dot(V).dot(G)
 
 
 def f_value(inst: SymTriInstance, U: Array, V: Array, prods: Products | None = None,
@@ -224,7 +225,7 @@ def grad_U(inst: SymTriInstance, U: Array, V: Array, prods: Products | None = No
     """Gradient of the fit term in U; exact for asymmetric X as well:
     -X U V^T - X^T U V + U (V G V^T + V^T G V) with G = U^T U."""
     XU, XtU, _, G = prods or products(inst, U)
-    return U @ (V @ G @ V.T + V.T @ G @ V) - XU @ V.T - XtU @ V
+    return U.dot(V.dot(G).dot(V.T) + V.T.dot(G).dot(V)) - XU.dot(V.T) - XtU.dot(V)
 
 
 def grad_V(inst: SymTriInstance, U: Array, V: Array, prods: Products | None = None,
@@ -319,6 +320,8 @@ def cubic_positive_root(tau1: float, tau2: float) -> float:
     except OverflowError:  # float ** raises where * gives inf
         disc = math.inf
     sq = math.sqrt(disc)
+    # np.cbrt, never math.cbrt: the two differ in the last bit on about half
+    # of all random doubles, so a swap would change every iterate
     t = tau1 / 3.0 + float(np.cbrt((tau2 + sq) / 2.0 + cube)) + float(
         np.cbrt((tau2 - sq) / 2.0 + cube)
     )
@@ -420,16 +423,13 @@ def as_block_problem(inst: SymTriInstance) -> BlockProblem:
     U (m x r) and V (r x r) in their natural shapes, the nonsmooth terms
     are nonnegativity indicators, and the exact subproblem solvers are the
     closed-form updates.  The problem keeps the products and ||U||^2 of the
-    last U block, ||V||^2 of the last V block and G V G of the last point,
-    each keyed by the identity of its block or point."""
+    last U block, ||V||^2 of the last V block, and G V G and the norms of the
+    last point, each keyed by the identity of its block or point."""
     prods = _last(lambda U: products(inst, U))
     u2 = _last(_sq_norm)
     v2 = _last(_sq_norm)
     gvg = _last(lambda x: _gvg(prods(x.block(0))[3], x.block(1)))
-
-    def norms(x: BlockVector) -> Norms:
-        U, V = x.blocks
-        return u2(U), v2(V)
+    norms = _last(lambda x: (u2(x.block(0)), v2(x.block(1))))
 
     def fg(i: int, x: BlockVector) -> Array:
         U, V = x.blocks

@@ -83,6 +83,23 @@ class TestBlockVector:
             assert y.block(0) is x.block(0)
             assert not y.block(1).flags.writeable and np.array_equal(y.block(1), np.ones((2, 2)))
 
+    def test_with_block_checks_only_the_new_block(self, monkeypatch):
+        from bregblock import blocks
+
+        x = BlockVector((np.zeros(3), np.zeros((2, 2)), np.zeros(1)))
+        checked = []
+        real = blocks._readonly
+        monkeypatch.setattr(blocks, "_readonly", lambda a: checked.append(a) or real(a))
+        values = np.ones((2, 2))
+        y = x.with_block(1, values)
+        assert len(checked) == 1 and checked[0] is values
+        assert type(y) is BlockVector and y.block(0) is x.block(0) and y.block(2) is x.block(2)
+        assert not y.block(1).flags.writeable and y.block(1) is not values
+        with pytest.raises(AttributeError):  # a frozen dataclass
+            y.blocks = x.blocks
+        BlockVector(y.blocks)  # the constructor still checks every block
+        assert len(checked) == 4
+
     def test_immutable(self):
         source = np.zeros((2, 2))
         x = BlockVector((source,))

@@ -69,6 +69,9 @@ class TestSynthSolvePipeline:
         U = read_matrix(tmp_path / "factors_U.mtx", require_square=False)
         V = read_matrix(tmp_path / "factors_V.mtx", require_square=False)
         assert U.shape == (12, 2) and V.shape == (2, 2)
+        # near the fit, where f_value forms the dense residual
+        inst = stf.SymTriInstance(read_matrix(x_path), 2)
+        assert summary["relative_error"] == "%.17g" % stf.relative_error(inst, U, V)
         assert (U >= 0).all() and (V >= 0).all()
 
         planted_U = read_matrix(tmp_path / "x_U.mtx", require_square=False)
@@ -79,6 +82,21 @@ class TestSynthSolvePipeline:
             for perm in itertools.permutations(range(2))
         )
         assert matched
+
+    @pytest.mark.parametrize("scale, iters", [(1.0, "0"), (1.0, "200"), (0.0, "20")])
+    def test_printed_relative_error_is_that_of_the_written_factors(self, tmp_path, capsys,
+                                                                     scale, iters):
+        # that of the factors as written; at X = 0 it is the absolute residual
+        X, _, _ = synth_instance(30, 3, seed=7)
+        x_path = tmp_path / "x.mtx"
+        write_matrix_market(x_path, scale * X)
+        assert run_cli("solve", "--input", str(x_path), "--rank", "3", "--max-iters", iters,
+                       "--factors-out", str(tmp_path / "f")) == 0
+        printed = parse_summary(capsys)["relative_error"]
+        U = read_matrix(tmp_path / "f_U.mtx", require_square=False)
+        inst = stf.SymTriInstance(read_matrix(x_path), 3)
+        assert printed == "%.17g" % stf.relative_error(inst, U, read_matrix(tmp_path / "f_V.mtx"))
+        assert (inst.norm_X == 0.0) == (scale == 0.0)
 
     def test_rank_zero_exits_two(self, tmp_path, capsys):
         x_path = tmp_path / "x.csv"

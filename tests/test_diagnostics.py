@@ -187,8 +187,7 @@ class TestAuditTrace:
     def test_adversarial_bump_fails_at_five(self):
         schedule = derive_schedule((1.0, 1.0), (2.0, 1.0), kappa=0.3, rho=0.9)
         trace = [constant_record(k, 10.0 - 0.01 * k) for k in range(12)]
-        trace[5] = dataclasses.replace(trace[5], lyapunov=trace[5].lyapunov + 1.0,
-                                       phi=trace[5].phi + 1.0)
+        trace[5] = trace[5]._replace(lyapunov=trace[5].lyapunov + 1.0, phi=trace[5].phi + 1.0)
         report = audit_trace(trace, schedule)
         assert not report["passed"]
         assert report["first_fail_k"] == 5
@@ -204,7 +203,7 @@ class TestAuditTrace:
         rec = doctored[5]
         # large enough to exceed the natural decrease, so monotonicity flips
         bump = 1.0 + (doctored[4].lyapunov - rec.lyapunov)
-        doctored[5] = dataclasses.replace(rec, lyapunov=rec.lyapunov + bump)
+        doctored[5] = rec._replace(lyapunov=rec.lyapunov + bump)
         report = audit_trace(doctored, schedule)
         assert not report["passed"]
         assert report["first_fail_k"] == 5

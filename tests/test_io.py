@@ -474,6 +474,25 @@ class TestCoordinateEntries:
         assert str(parse_error(path)) == f"{path}:{message}"
 
 
+class TestArrayEntries:
+    @given(rows=st.integers(1, 9), cols=st.integers(1, 9), width=st.integers(1, 4),
+           data=st.data())
+    def test_matches_the_entry_by_entry_fill(self, tmp_path_factory, rows, cols, width, data):
+        values = data.draw(st.lists(st.integers(-9, 9), min_size=rows * cols,
+                                    max_size=rows * cols))
+        expected = np.empty((rows, cols))
+        for p, v in enumerate(values):
+            expected[p % rows, p // rows] = v
+        tokens = [repr(float(v)) for v in values]
+        lines = [" ".join(tokens[i:i + width]) for i in range(0, len(tokens), width)]
+        path = tmp_path_factory.mktemp("array") / "m.mtx"
+        path.write_text(f"{ARRAY_HEADER}{rows} {cols}\n" + "\n".join(lines) + "\n")
+        assert same_bits(read_matrix(path, require_square=False), expected)
+        # slices begin and end inside columns, and span whole ones
+        for chars in (1, 7, 64):
+            assert same_bits(read_in_slices(path, chars, require_square=False), expected)
+
+
 finite_doubles = st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True)
 
 

@@ -746,6 +746,13 @@ class TestRun:
             with pytest.raises(ParameterError):
                 stf.solve_instance(inst, **limits)
 
+    def test_a_trace_row_is_immutable(self):
+        row = trace_rows([2])[0]
+        with pytest.raises(AttributeError):
+            row.phi = 0.0
+        changed = row._replace(phi=0.0)
+        assert changed.phi == 0.0 and changed.k == row.k and row.phi != 0.0
+
     def test_trace_json_schema(self):
         rng = np.random.default_rng(18)
         problem = quadratic_problem(rng.standard_normal((4, 3)), rng.standard_normal(4), (3,))
