@@ -35,38 +35,6 @@ from .solver import (
 
 KAPPA_GRID = (0.0, 0.3, 0.6, 0.9)
 SYMMETRIZE_HELP = "replace a matrix that is not exactly symmetric by (X + X^T)/2"
-_BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
-             "0": False, "false": False, "no": False, "off": False}
-
-
-def _read_config_file(path, solve: argparse.ArgumentParser) -> list[str]:
-    """Flat key=value file; '#' starts a comment, dashes equal underscores.
-
-    Each key is the dest of a solve option and becomes that option's flag,
-    so the solve parser alone types, checks and defaults the values.  A
-    boolean emits its flag only when the value equals the flag's const.
-    """
-    actions = {a.dest: a for a in solve._actions if a.dest not in ("help", "config")}
-    flags = []
-    with open(path, "r") as fh:
-        for no, line in enumerate(fh, start=1):
-            text = line.split("#", 1)[0].strip()
-            if not text:
-                continue
-            if "=" not in text:
-                raise ParameterError(f"{path}:{no}: expected key=value, got {text!r}")
-            key, raw = text.split("=", 1)
-            key, raw = key.strip().replace("-", "_"), raw.strip()
-            action = actions.get(key)
-            if action is None:
-                raise ParameterError(f"{path}:{no}: unknown config key {key!r}")
-            if action.nargs != 0:
-                flags.append(f"{action.option_strings[0]}={raw}")
-            elif raw.lower() not in _BOOLEANS:
-                raise ParameterError(f"{path}:{no}: config key {key}: expected a boolean, got {raw!r}")
-            elif _BOOLEANS[raw.lower()] == action.const:
-                flags.append(action.option_strings[0])
-    return flags
 
 
 def _int_at_least(low: int):
@@ -95,9 +63,9 @@ def _comma_list(kind):
     return parse
 
 
-def build_parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
-    """The bregblock parser and its solve subparser, whose actions are the
-    one table of solve option names, types and defaults."""
+def build_parser() -> argparse.ArgumentParser:
+    """The bregblock parser; its solve subparser's actions are the one table
+    of solve option names, types and defaults."""
     parser = argparse.ArgumentParser(
         prog="bregblock",
         description="Inertial block Bregman proximal solver for symmetric "
@@ -114,9 +82,12 @@ def build_parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
     p_synth.add_argument("--seed", type=_SEED, default=0)
     p_synth.add_argument("--out", required=True, help="output path for X (MatrixMarket)")
 
-    p_solve = sub.add_parser("solve", help="factor a matrix from file", allow_abbrev=False)
-    p_solve.add_argument("--input", help="square matrix (MatrixMarket or CSV)")
-    p_solve.add_argument("--rank", type=_RANK, help="factorization rank")
+    p_solve = sub.add_parser("solve", help="factor a matrix from file", allow_abbrev=False,
+                             fromfile_prefix_chars="@", description="@FILE reads arguments from "
+                             "FILE, one per line as is; blank lines and '#' lines are skipped")
+    p_solve.convert_arg_line_to_args = lambda line: [] if line.strip()[:1] in ("", "#") else [line]
+    p_solve.add_argument("--input", required=True, help="square matrix (MatrixMarket or CSV)")
+    p_solve.add_argument("--rank", type=_RANK, required=True, help="factorization rank")
     for name, default in (("a1", 6.0), ("eps1", 1.0), ("eps2", 1.0),
                           ("kappa", 0.0), ("rho", 0.9), ("residual-tol", 1e-8)):
         p_solve.add_argument(f"--{name}", type=float, default=default)
@@ -128,7 +99,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
     p_solve.add_argument("--labels-out")
     p_solve.add_argument("--no-timing", action="store_false", dest="timing",
                          help="zero the seconds field in the trace for byte-reproducible output")
-    p_solve.add_argument("--config", help="flat key=value config file; flags win")
 
     p_check = sub.add_parser("check", help="run the verification suite on an instance", allow_abbrev=False)
     p_check.add_argument("--input", help="matrix file; omit for a built-in synthetic instance")
@@ -147,7 +117,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
     p_bench.add_argument("--rho", type=float, default=0.9)
     p_bench.add_argument("--symmetrize", action="store_true", help=SYMMETRIZE_HELP)
     p_bench.add_argument("--out", required=True, help="output CSV path")
-    return parser, p_solve
+    return parser
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
@@ -163,8 +133,6 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
-    if args.input is None or args.rank is None:
-        raise ParameterError("solve requires --input and --rank (flags or config file)")
     L1, L2, s1, s2 = stf.check_kernel_parameters(args.a1, args.eps1, args.eps2)
     with warnings.catch_warnings():  # solve_instance gives derive_schedule's warnings
         warnings.simplefilter("ignore")
@@ -306,15 +274,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
-    parser, solve = build_parser()
     handlers = {"synth": cmd_synth, "solve": cmd_solve, "check": cmd_check, "bench": cmd_bench}
     try:
-        args = parser.parse_args(argv)
-        if args.command == "solve" and args.config:
-            # the file's flags go first, so the command line's flags win
-            config = _read_config_file(args.config, solve)
-            args = parser.parse_args(["solve", *config, *argv[argv.index("solve") + 1:]])
+        args = build_parser().parse_args(argv)
         return handlers[args.command](args)
     except SystemExit as exc:
         return int(exc.code or 0)

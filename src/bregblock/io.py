@@ -3,10 +3,8 @@
 Readers cover MatrixMarket (coordinate and array, real, general and
 symmetric storage) and headerless CSV of floats; the writer emits dense
 MatrixMarket array files with 17 significant digits so every double
-round-trips bitwise.  Writer and array reader take no Python step per
-value; coordinate and CSV tokens go through int() and float(), a slice at
-a time.  A reader rescans the body line by line, in the same slices, only
-after a bulk conversion or count check failed, to name the line.
+round-trips bitwise.  A reader rescans the body line by line, in the same
+slices, only after a bulk conversion or count check failed, to name the line.
 
 The writer prints each value as ``"%.17g" % x`` does, byte for byte, but
 with numpy arithmetic over slabs of at most _SLAB values: the double-double
@@ -17,12 +15,13 @@ itself.  It holds the matrix and one slab's arrays at a time.
 
 A reader decodes the file as UTF-8 and converts it in line-aligned slices
 of about _CHUNK_CHARS characters straight into the result, so it holds the
-matrix and one slice's text and tokens at a time: never the file's whole
-text, nor a Python object per value of it.  An array body's slices go
-through _floats, which reads each value as ``float()`` does, bit for bit,
-with numpy arithmetic: one np.fromstring for the digits of a slice's
-tokens and the double-double scaling of the writer, run backwards.  It
-hands the rare token it cannot decide to ``float()``, and a slice it
+matrix and one slice's text and tokens at a time, never the file's whole
+text.  Coordinate indices go through int(), a slice at a time; values go
+through _values, but in a CSV slice holding whitespace, whose cells go to
+float() one by one.  _values reads them with _floats, bit for bit as
+``float()`` does, with numpy arithmetic: one np.fromstring for the digits
+of a slice's tokens and the writer's double-double scaling run backwards.
+It hands the rare token it cannot decide to ``float()``, and a slice it
 cannot read in bulk (one holding "nan", "inf", "_", non-ASCII text or a
 malformed token, or one whose tokens it mostly cannot decide) to
 ``float()`` token by token, as it does a slice whose first tokens
@@ -209,9 +208,7 @@ def _array(body, fh, max_chars: int, size_no: int, rows: int, cols: int, symmetr
             c = np.arange(rows)
             start = c * rows - c * (c - 1) // 2
         for data in map(_uncommented, body):
-            if (values := _floats(data)) is None:
-                tokens = data.split()
-                values = np.fromiter(map(float, tokens), float, count=len(tokens))
+            values = _values(data)
             if pos + values.size > n:
                 raise ValueError("more values than the size line gives")
             if symmetric:
@@ -264,7 +261,7 @@ def _coordinate(body, fh, max_chars: int, size_no: int, rows: int, cols: int, nn
             tokens = data.split()
             i = np.fromiter(map(int, tokens[0::3]), np.int64, count=n) - 1
             j = np.fromiter(map(int, tokens[1::3]), np.int64, count=n) - 1
-            v = np.fromiter(map(float, tokens[2::3]), float, count=n)
+            v = _values(" ".join(tokens[2::3]))
             if ((i < 0) | (i >= rows) | (j < 0) | (j >= cols)).any():
                 raise ValueError("an index out of range")
             if symmetric:  # each entry writes (i, j), then its mirror (j, i)
@@ -306,9 +303,16 @@ def _read_csv(fh, path) -> Array:
         matrix = np.empty((rows, width))
         flat, pos = matrix.reshape(-1), 0
         for lines in filter(None, _csv_rows(fh)):
-            cells = ",".join(lines).split(",")
-            flat[pos:pos + len(cells)] = np.fromiter(map(float, cells), float, count=len(cells))
-            pos += len(cells)
+            text, n = ",".join(lines), len(lines) * width
+            # splitlines leaves " ", "\t" and "\x1f" the only ASCII whitespace:
+            # without them a cell holds one token or, empty, none, which the
+            # count finds; with them, float() reads each cell alone
+            if text.isascii() and not any(map(text.__contains__, " \t\x1f")):
+                values = _values(text.replace(",", " "))
+            else:
+                values = np.fromiter(map(float, text.split(",")), float, count=n)
+            flat[pos:pos + n] = values.reshape(n)  # a ValueError unless n values
+            pos += n
     except ValueError:
         # name the first line with a bad cell or a different width
         for no, line, _, _ in _lines(_chunks(fh)):
@@ -325,6 +329,14 @@ def _read_csv(fh, path) -> Array:
     if not rows:
         raise ParseError(path, 1, "no data found")
     return matrix
+
+
+def _values(text: str) -> Array:
+    """float() of each whitespace-separated token of ``text``, by _floats where it can."""
+    if (values := _floats(text)) is None:
+        tokens = text.split()
+        values = np.fromiter(map(float, tokens), float, count=len(tokens))
+    return values
 
 
 def _csv_rows(fh):

@@ -1,3 +1,4 @@
+import argparse
 import itertools
 import json
 import math
@@ -163,8 +164,9 @@ class TestSynthSolvePipeline:
     def test_missing_input_file_exits_one(self, tmp_path):
         assert run_cli("solve", "--input", str(tmp_path / "nope.mtx"), "--rank", "2") == 1
 
-    def test_missing_required_flags_exit_two(self):
+    def test_missing_required_flags_exit_two(self, capsys):
         assert run_cli("solve") == 2
+        assert "the following arguments are required: --input, --rank" in capsys.readouterr().err
 
     def test_malformed_file_exits_one(self, tmp_path):
         bad = tmp_path / "bad.csv"
@@ -237,11 +239,24 @@ class TestSynthSolvePipeline:
         ("bench", "--rank", "0", "--out", "unused.csv"),
         ("solve", "--rank", "3", "--residual-tol", "nan"),
         ("bench", "--residual-tol", "nan", "--out", "unused.csv"),
+        # the arguments after "@" come from an options file
+        ("solve", "@", "--rank=3", "--a1=inf"),
+        ("solve", "@", "--rank=0"),
+        ("solve", "@", "--rank=3", "--kappa=1.5"),
+        ("solve", "@", "--rank=3", "--residual-tol=nan"),
+        ("solve", "@", "--rank=3", "--seed=-1"),
+        ("solve", "--rank", "3", "@", "--a1=1e-170", "--eps1=1e-170"),
     ])
-    def test_bad_solver_parameters_exit_two_before_reading(self, monkeypatch, capsys, args):
+    def test_bad_solver_parameters_exit_two_before_reading(self, tmp_path, monkeypatch, capsys,
+                                                           args):
         def unreachable(*a, **k):
             raise AssertionError("the matrix was read before the parameters were checked")
 
+        if "@" in args:
+            at = args.index("@")
+            options = tmp_path / "run.args"
+            options.write_text("\n".join(args[at + 1:]) + "\n")
+            args = (*args[:at], f"@{options}")
         monkeypatch.setattr(cli.mio, "read_matrix", unreachable)
         assert run_cli(*args, "--input", "x.mtx") == 2
         # each case fails its own check, not argparse's unknown-flag error
@@ -251,10 +266,10 @@ class TestSynthSolvePipeline:
     def test_fixed_kernel_constants_have_no_flag_or_key(self, tmp_path, capsys, gone):
         assert run_cli("solve", "--input", "x.mtx", "--rank", "3", f"--{gone}", "2") == 2
         assert f"unrecognized arguments: --{gone}" in capsys.readouterr().err
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(f"input = x.mtx\nrank = 3\n{gone} = 2\n")
-        assert run_cli("solve", "--config", str(cfg)) == 2
-        assert f"unknown config key {gone!r}" in capsys.readouterr().err
+        options = tmp_path / "run.args"
+        options.write_text(f"--input=x.mtx\n--rank=3\n--{gone}=2\n")
+        assert run_cli("solve", f"@{options}") == 2
+        assert f"unrecognized arguments: --{gone}=2" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command, flag", [
         ("solve", "--stall-tol"),
@@ -270,10 +285,10 @@ class TestSynthSolvePipeline:
         assert run_cli(command, "--input", "x.mtx", "--rank", "3", flag, "1", *out) == 2
         assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
         if command == "solve":
-            cfg = tmp_path / "run.cfg"
-            cfg.write_text("input = x.mtx\nrank = 3\nstall-tol = 0\n")
-            assert run_cli("solve", "--config", str(cfg)) == 2
-            assert "unknown config key 'stall_tol'" in capsys.readouterr().err
+            options = tmp_path / "run.args"
+            options.write_text("--input=x.mtx\n--rank=3\n--stall-tol=0\n")
+            assert run_cli("solve", f"@{options}") == 2
+            assert "unrecognized arguments: --stall-tol=0" in capsys.readouterr().err
 
     @pytest.mark.parametrize("args, abbreviated", [
         (("solve", "--input", "x.mtx", "--rank", "3", "--m", "7"), "--m 7"),  # --max-iters
@@ -290,86 +305,111 @@ class TestSynthSolvePipeline:
         assert "the following arguments are required: --input" in capsys.readouterr().err
 
 
+def solve_parser():
+    sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return sub.choices["solve"]
+
+
 class TestConfigFile:
+    """``solve @FILE`` reads a run's options from FILE, one argument per line
+    as on the command line; blank lines and '#' lines are skipped."""
+
+    @staticmethod
+    def options(tmp_path, *lines, name="run.args"):
+        path = tmp_path / name
+        path.write_text("".join(f"{line}\n" for line in lines))
+        return f"@{path}"
+
     def test_config_supplies_values_and_flags_win(self, tmp_path, capsys):
         x_path = tmp_path / "x.mtx"
         run_cli("synth", "--m", "8", "--r", "2", "--noise", "0.2", "--seed", "1",
                 "--out", str(x_path))
         capsys.readouterr()
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(
-            "# experiment configuration\n"
-            f"input = {x_path}\n"
-            "rank = 2\n"
-            "max-iters = 4\n"
-            "kappa = 0.3\n"
-        )
-        code = run_cli("solve", "--config", str(cfg))
-        summary = parse_summary(capsys)
-        assert code == 0
-        assert summary["iterations"] == "4"  # from config
-
-        code = run_cli("solve", "--config", str(cfg), "--max-iters", "7")
-        summary = parse_summary(capsys)
-        assert code == 0
-        assert summary["iterations"] == "7"  # flag beats config
+        options = self.options(tmp_path, "# experiment options", f"--input={x_path}",
+                               "--rank=2", "", "--max-iters=4", "--kappa=0.3")
+        for args, iterations in (((options,), "4"),  # from the file
+                                 ((options, "--max-iters", "7"), "7"),  # a flag after it wins
+                                 (("--max-iters", "7", options), "4")):  # and so does the file
+            assert run_cli("solve", *args) == 0
+            assert parse_summary(capsys)["iterations"] == iterations
 
     def test_config_line_without_equals_sign(self, tmp_path, capsys):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("rank = 2\n\nmax-iters 4  # no '='\n")
-        assert run_cli("solve", "--config", str(cfg)) == 2
-        assert f"{cfg}:3: expected key=value, got 'max-iters 4'" in capsys.readouterr().err
+        # one argument per line: "--max-iters 4" is one argument, not two
+        options = self.options(tmp_path, "--input=x.mtx", "--rank=2", "--max-iters 4")
+        assert run_cli("solve", options) == 2
+        assert "unrecognized arguments: --max-iters 4" in capsys.readouterr().err
 
-    def test_unknown_config_key(self, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("rank = 2\nwibble = 3\n")
-        assert run_cli("solve", "--config", str(cfg)) == 2
+    def test_unknown_config_key(self, tmp_path, capsys):
+        options = self.options(tmp_path, "--input=x.mtx", "--rank=2", "--wibble=3")
+        assert run_cli("solve", options) == 2
+        assert "unrecognized arguments: --wibble=3" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("line, named", [
-        ("rank = abc", "--rank"),
-        ("kappa = x", "--kappa"),
-        ("timing = maybe", "timing"),
-        ("config = other.cfg", "'config'"),
-        ("seed = -1", "--seed"),
-    ])
-    def test_bad_config_line_exits_two(self, tmp_path, capsys, line, named):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(f"input = x.mtx\n{line}\n")
-        assert run_cli("solve", "--config", str(cfg)) == 2
+    @pytest.mark.parametrize("line, message", [pytest.param(*case, id=case[0]) for case in (
+        ("--rank=abc", "argument --rank: invalid int value: 'abc'"),
+        ("--kappa=x", "argument --kappa: invalid float value: 'x'"),
+        ("--no-timing=off", "argument --no-timing: ignored explicit argument 'off'"),
+        ("--symmetrize=yes", "argument --symmetrize: ignored explicit argument 'yes'"),
+        ("--seed=-1", "argument --seed: must be >= 0"),
+        ("--config=other.cfg", "unrecognized arguments: --config=other.cfg"),
+        ("max-iters = 4", "unrecognized arguments: max-iters = 4"),  # a key=value line
+    )])
+    def test_bad_config_line_exits_two(self, tmp_path, capsys, line, message):
+        assert run_cli("solve", self.options(tmp_path, "--input=x.mtx", "--rank=2", line)) == 2
         err = capsys.readouterr().err
-        assert named in err and "Traceback" not in err
+        assert message in err and "Traceback" not in err
 
     @staticmethod
     def parsed(monkeypatch, *argv):
         seen = []
         monkeypatch.setattr(cli, "cmd_solve", lambda args: seen.append(args) or 0)
-        assert run_cli("solve", *argv) == 0
-        ns = vars(seen[0])
-        del ns["config"]
-        return ns
+        assert run_cli("solve", "--input", "base.mtx", "--rank", "1", *argv) == 0
+        return vars(seen[0])
 
     @pytest.mark.parametrize("action", [
-        a for a in cli.build_parser()[1]._actions if a.dest not in ("help", "config")
+        a for a in solve_parser()._actions if a.dest != "help"
     ], ids=lambda a: a.dest)
     def test_config_key_parses_like_its_flag(self, tmp_path, monkeypatch, action):
-        # the solve parser is the one option table: a config key gives the
+        # the solve parser is the one option table: a file's line gives the
         # namespace its flag gives, for every solve option
         flag = action.option_strings[0]
-        cfg = tmp_path / "run.cfg"
         if action.nargs == 0:
-            flag_args = [flag]
-            word = {True: "yes", False: "false"}[action.const]
+            flag_args, line = [flag], flag
         else:
             kind = getattr(action.type, "__name__", None)  # bounded ints are "int" too
-            word = {"int": "3", "float": "0.25", None: "some/path"}[kind]
-            flag_args = [flag, word]
-        cfg.write_text(f"{action.dest.replace('_', '-')} = {word}\n")
+            word = {"int": "3", "float": "0.25", None: "some dir/x y.mtx"}[kind]
+            flag_args, line = [flag, word], f"{flag}={word}"
         via_flag = self.parsed(monkeypatch, *flag_args)
-        assert via_flag[action.dest] != action.default
-        assert self.parsed(monkeypatch, "--config", str(cfg)) == via_flag
-        if action.nargs == 0:  # the other boolean word leaves the default
-            cfg.write_text(f"{action.dest} = {'no' if action.const else 'on'}\n")
-            assert self.parsed(monkeypatch, "--config", str(cfg)) == self.parsed(monkeypatch)
+        assert via_flag[action.dest] != self.parsed(monkeypatch)[action.dest]
+        assert self.parsed(monkeypatch, self.options(tmp_path, line)) == via_flag
+
+    def test_blank_and_comment_lines_are_skipped(self, tmp_path, monkeypatch):
+        options = self.options(tmp_path, "# a comment", "", "   ", "  # indented", "--rank=3",
+                               "--trace-out=a#b.json")  # '#' inside a line is no comment
+        assert self.parsed(monkeypatch, options) == self.parsed(
+            monkeypatch, "--rank", "3", "--trace-out", "a#b.json")
+
+    def test_nested_file_expands(self, tmp_path, monkeypatch):
+        inner = self.options(tmp_path, "--kappa=0.5", name="inner.args")
+        outer = self.options(tmp_path, "--rank=2", inner, "--rho=0.5", name="outer.args")
+        assert self.parsed(monkeypatch, outer) == self.parsed(
+            monkeypatch, "--rank", "2", "--kappa", "0.5", "--rho", "0.5")
+
+    def test_missing_file_exits_two_naming_it(self, tmp_path, capsys):
+        missing = tmp_path / "missing.args"
+        assert run_cli("solve", "--input", "x.mtx", f"@{missing}") == 2
+        err = capsys.readouterr().err
+        assert "No such file or directory" in err and str(missing) in err
+
+    def test_config_flag_is_gone(self, tmp_path, capsys):
+        assert run_cli("solve", "--input", "x.mtx", "--rank", "3", "--config", "run.cfg") == 2
+        assert "unrecognized arguments: --config run.cfg" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, args", [
+        ("check", ()), ("bench", ("--input", "x.mtx", "--out", "unused.csv"))])
+    def test_only_solve_reads_options_files(self, tmp_path, capsys, command, args):
+        options = self.options(tmp_path, "--rank=2")
+        assert run_cli(command, *args, options) == 2
+        assert f"unrecognized arguments: {options}" in capsys.readouterr().err
 
 
 class TestCheck:

@@ -841,6 +841,73 @@ class TestFloats:
             assert same_bits(matrix, expected.reshape(-1, 1))
 
 
+def mixed_tokens(n):
+    """``n`` "%.17g" tokens with every 20th replaced by one that only float()
+    reads, or that _floats reads as an exact tie."""
+    rng = np.random.default_rng(5)
+    values = rng.standard_normal(n) * 10.0 ** rng.integers(-30, 31, n)
+    tokens = ["%.17g" % v for v in values.tolist()]
+    special = ["1e23", "nan", "1_0", "-0", "9007199254740993", "-inf", "4503599627370496.5"]
+    for k, i in enumerate(range(7, n, 20)):
+        tokens[i] = special[k % len(special)]
+    return tokens
+
+
+class TestValueColumns:
+    """Coordinate values and CSV cells go through the array body's converter:
+    each reads bit for bit as float() reads its token, whether its slice is
+    read in bulk or left to float()."""
+
+    ROWS, COLS = 60, 50
+
+    @pytest.fixture
+    def tokens(self):
+        return mixed_tokens(self.ROWS * self.COLS)
+
+    def read_both_ways(self, path, expected, monkeypatch):
+        # small slices hold both kinds: ones with a special token go to float()
+        seen = []
+        floats = mio._floats
+        monkeypatch.setattr(mio, "_floats", lambda text: seen.append(floats(text)) or seen[-1])
+        for chars in (1 << 8, 1 << 10, mio._CHUNK_CHARS):
+            assert same_bits(read_in_slices(path, chars, require_square=False), expected)
+        assert any(v is None for v in seen) and any(v is not None and v.size for v in seen)
+
+    def test_coordinate_values(self, tmp_path, tokens, monkeypatch):
+        # entry k is (k % ROWS, k // ROWS), each position once
+        body = "".join(f"{k % self.ROWS + 1} {k // self.ROWS + 1} {tok}\n"
+                       for k, tok in enumerate(tokens))
+        path = write_bytes(tmp_path, COORD_HEADER + f"{self.ROWS} {self.COLS} {len(tokens)}\n"
+                           + body)
+        expected = float_tokens(" ".join(tokens)).reshape(self.COLS, self.ROWS).T
+        self.read_both_ways(path, expected, monkeypatch)
+
+    def test_csv_cells(self, tmp_path, tokens, monkeypatch):
+        lines = [",".join(tokens[i:i + self.COLS]) for i in range(0, len(tokens), self.COLS)]
+        lines[3] = " " + lines[3].replace(",", " , ")  # whitespace: each cell alone
+        path = write_bytes(tmp_path, "\n".join(lines) + "\n", "m.csv")
+        expected = float_tokens(" ".join(tokens)).reshape(self.ROWS, self.COLS)
+        self.read_both_ways(path, expected, monkeypatch)
+
+    @pytest.mark.parametrize("bad, line, cell", [
+        (["1,,3"], 31, "''"),
+        (["1 2,3,4"], 31, "'1 2'"),
+        (["1,2,"], 31, "''"),
+        (["1 2,,3"], 31, "'1 2'"),  # one token too many and one too few
+        (["1 2,3,4", "5,,6"], 31, "'1 2'"),  # the same, over two lines
+        (["1,2,3", "4\xa05,6,7", ",8,9"], 32, "'4\\xa05'"),
+        (["1,2,3\x1f4"], 31, "'3\\x1f4'"),
+    ])
+    def test_bad_cell_names_its_line(self, tmp_path, bad, line, cell):
+        good = ["%.17g,%.17g,%.17g" % (1 / 3, 2 / 3, k) for k in range(30)]
+        path = write_bytes(tmp_path, "\n".join(good + bad + good[:5]) + "\n", "m.csv")
+        for chars in (1 << 6, 1 << 9, mio._CHUNK_CHARS):
+            with pytest.raises(ParseError) as err:
+                read_in_slices(path, chars, require_square=False)
+            assert str(err.value) == (f"{path}:{line}: not a number: "
+                                      f"could not convert string to float: {cell}")
+
+
 class TestSlicedBody:
     """A body converted a few lines at a time reads, and fails, as one read
     in one piece: the slice boundaries fall on every line in turn."""
