@@ -101,7 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="zero the seconds field in the trace for byte-reproducible output")
 
     p_check = sub.add_parser("check", help="run the verification suite on an instance", allow_abbrev=False)
-    p_check.add_argument("--input", help="matrix file; omit for a built-in synthetic instance")
+    p_check.add_argument("--input", required=True, help="square matrix (MatrixMarket or CSV)")
     p_check.add_argument("--rank", type=_RANK, default=2)
     p_check.add_argument("--samples", type=_int_at_least(1), default=200)
     p_check.add_argument("--seed", type=_SEED, default=1)
@@ -132,15 +132,22 @@ def cmd_synth(args: argparse.Namespace) -> int:
     return 0
 
 
+def read_instance(args: argparse.Namespace, **kernel) -> stf.SymTriInstance:
+    """--input's instance at --rank; --symmetrize replaces an asymmetric X by (X + X^T)/2."""
+    X = mio.read_matrix(args.input)
+    if args.symmetrize and not (X == X.T).all():
+        warnings.warn("input matrix is not symmetric; X was replaced by (X + X^T)/2")
+        X = 0.5 * (X + X.T)
+    return stf.SymTriInstance(X, args.rank, **kernel)
+
+
 def cmd_solve(args: argparse.Namespace) -> int:
     L1, L2, s1, s2 = stf.check_kernel_parameters(args.a1, args.eps1, args.eps2)
     with warnings.catch_warnings():  # solve_instance gives derive_schedule's warnings
         warnings.simplefilter("ignore")
         derive_schedule((L1, L2), (s1, s2), kappa=args.kappa, rho=args.rho)
     check_run_limits(args.max_iters, args.residual_tol)
-    X = mio.read_matrix(args.input)
-    inst = stf.SymTriInstance(X, args.rank, a1=args.a1, eps1=args.eps1, eps2=args.eps2,
-                              symmetrize=args.symmetrize)
+    inst = read_instance(args, a1=args.a1, eps1=args.eps1, eps2=args.eps2)
     result, factors = stf.solve_instance(
         inst,
         kappa=args.kappa,
@@ -172,11 +179,7 @@ CLOSED_FORM_TOL = 1e-10
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    if args.input:
-        X = mio.read_matrix(args.input)
-    else:
-        X, _, _ = mio.synth_instance(m=8, r=2, noise_level=0.25, density=1.0, seed=args.seed)
-    inst = stf.SymTriInstance(X, args.rank, symmetrize=args.symmetrize)
+    inst = read_instance(args)
     problem = stf.as_block_problem(inst)
     rng = np.random.default_rng(args.seed)
 
@@ -249,8 +252,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     for kappa in args.kappas:
         check_schedule_parameters(kappa, args.rho)
     check_run_limits(args.max_iters, args.residual_tol)
-    X = mio.read_matrix(args.input)
-    inst = stf.SymTriInstance(X, args.rank, symmetrize=args.symmetrize)
+    inst = read_instance(args)
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["kappa", "seed", "iters_to_tol", "final_phi", "wall_seconds", "termination"])

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -256,10 +257,17 @@ def stationarity_residual(
     return math.sqrt(total), grads
 
 
+def check_integer(name: str, value) -> int:
+    """value as an int; ParameterError unless an integer (numpy's too), not a bool."""
+    if not isinstance(value, bool) and hasattr(type(value), "__index__"):
+        return operator.index(value)
+    raise ParameterError(f"{name} must be an integer, got {value!r}")
+
+
 def check_run_limits(max_iters: int, residual_tol: float) -> None:
-    """The checks run makes on its limits (ParameterError): max_iters and
-    residual_tol must be nonnegative (a NaN tolerance is not)."""
-    if max_iters < 0:
+    """The checks run makes on its limits (ParameterError): max_iters must be a
+    nonnegative integer, residual_tol nonnegative (a NaN tolerance is not)."""
+    if check_integer("max_iters", max_iters) < 0:
         raise ParameterError(f"max_iters must be nonnegative, got {max_iters}")
     if not residual_tol >= 0:
         raise ParameterError(f"residual_tol must be nonnegative, got {residual_tol}")
@@ -330,7 +338,7 @@ def run(
 
     x_prev, x = x0, x0
     termination = TERMINATION_MAX_ITERS
-    for k in range(int(max_iters)):
+    for k in range(max_iters):
         x_next, gaps, etas = sweep_with_partials(problem, schedule, x, x_prev, f_grad0)
         residual, grads = stationarity_residual(problem, x_next, etas)
         f_grad0 = grads[0]

@@ -50,7 +50,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import InitVar, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -63,7 +63,7 @@ from .blocks import (
     ParameterError,
     nonnegative_indicator,
 )
-from .solver import SolveResult, derive_schedule, run
+from .solver import SolveResult, check_integer, derive_schedule, run
 
 UNASSIGNED = -1
 
@@ -103,8 +103,8 @@ class SymTriInstance:
     strong-convexity moduli sigma1 = 2 eps1 and sigma2 = eps2, the
     cached Frobenius norm of X, and ``symmetric``, whether X == X^T entry
     for entry, with no tolerance.  Entries and the norm of X must be
-    finite.  Any X that is not symmetric is solved as it is, with a
-    warning; pass symmetrize=True to replace X by (X + X^T)/2, which is.
+    finite, and r an integer in [1, m].  Any X that is not symmetric is
+    solved as it is, with a warning that names (X + X^T)/2, which is.
     The kernels fix b1 = 2 and a2 = 1: scaling a kernel by c
     scales its sigma by c and its L by 1/c and leaves every iterate as it
     is, so kernels with (a1, b1, a2) give the run of a1' = 2 a1 / b1.
@@ -115,7 +115,6 @@ class SymTriInstance:
     a1: float = 6.0
     eps1: float = 1.0
     eps2: float = 1.0
-    symmetrize: InitVar[bool] = False
     L1: float = field(init=False)
     L2: float = field(init=False)
     sigma1: float = field(init=False)
@@ -123,15 +122,16 @@ class SymTriInstance:
     norm_X: float = field(init=False)
     symmetric: bool = field(init=False)
 
-    def __post_init__(self, symmetrize: bool) -> None:
+    def __post_init__(self) -> None:
         X = np.array(self.X, dtype=float, copy=True)
         if X.ndim != 2 or X.shape[0] != X.shape[1]:
             raise ParameterError(f"X must be square, got shape {X.shape}")
         if not np.isfinite(X).all():
             raise ParameterError("X has NaN or infinite entries")
         m = X.shape[0]
-        if not 1 <= int(self.r) <= m:
-            raise ParameterError(f"rank must lie in [1, {m}], got {self.r}")
+        r = check_integer("r", self.r)
+        if not 1 <= r <= m:
+            raise ParameterError(f"rank must lie in [1, {m}], got {r}")
         L1, L2, sigma1, sigma2 = check_kernel_parameters(self.a1, self.eps1, self.eps2)
         norm = float(np.linalg.norm(X))
         if not math.isfinite(norm):
@@ -142,18 +142,13 @@ class SymTriInstance:
             )
         symmetric = bool((X == X.T).all())
         if not symmetric:
-            how = ("X was replaced by (X + X^T)/2" if symmetrize else
-                   "gradients remain exact, but pass symmetrize=True (--symmetrize to bregblock "
-                   "solve, check or bench) to work with (X + X^T)/2")
             # stack: warn, __post_init__, the dataclass __init__, its caller
-            warnings.warn(f"input matrix is not symmetric; {how}", stacklevel=3)
-            if symmetrize:
-                X = 0.5 * (X + X.T)
-                norm = float(np.linalg.norm(X))
-                symmetric = True
+            warnings.warn("input matrix is not symmetric; gradients remain exact, but pass "
+                          "(X + X^T)/2 (--symmetrize to bregblock solve, check or bench) to "
+                          "work with a symmetric X", stacklevel=3)
         X.setflags(write=False)
         object.__setattr__(self, "X", X)
-        object.__setattr__(self, "r", int(self.r))
+        object.__setattr__(self, "r", r)
         object.__setattr__(self, "L1", L1)
         object.__setattr__(self, "L2", L2)
         object.__setattr__(self, "sigma1", sigma1)

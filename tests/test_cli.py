@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -292,8 +293,8 @@ class TestSynthSolvePipeline:
 
     @pytest.mark.parametrize("args, abbreviated", [
         (("solve", "--input", "x.mtx", "--rank", "3", "--m", "7"), "--m 7"),  # --max-iters
-        (("check", "--r", "3"), "--r 3"),  # --rank
-        (("check", "--sam", "5"), "--sam 5"),  # --samples
+        (("check", "--input", "x.mtx", "--r", "3"), "--r 3"),  # --rank
+        (("check", "--input", "x.mtx", "--sam", "5"), "--sam 5"),  # --samples
         (("synth", "--m", "5", "--r", "2", "--s", "3", "--out", "unused.mtx"), "--s 3"),  # --seed
     ])
     def test_abbreviated_flags_are_unrecognized(self, capsys, args, abbreviated):
@@ -303,6 +304,21 @@ class TestSynthSolvePipeline:
     def test_bench_needs_an_input_file(self, capsys):
         assert run_cli("bench", "--out", "unused.csv") == 2
         assert "the following arguments are required: --input" in capsys.readouterr().err
+
+    def test_check_needs_an_input_file(self, capsys):
+        # check makes no instance of its own: synth writes one
+        assert run_cli("check") == 2
+        assert "the following arguments are required: --input" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, flag, value", [
+        ("solve", "--rank", "2.5"), ("solve", "--max-iters", "2.5"), ("solve", "--max-iters", "inf"),
+        ("check", "--rank", "2.5"), ("bench", "--rank", "2.5"), ("bench", "--max-iters", "2.5")])
+    def test_non_integer_rank_or_max_iters_exits_two_before_reading(self, monkeypatch, capsys,
+                                                                     command, flag, value):
+        monkeypatch.setattr(cli.mio, "read_matrix", lambda *a, **k: pytest.fail("X was read"))
+        required = {"solve": ("--rank", "2"), "check": (), "bench": ("--out", "unused.csv")}
+        assert run_cli(command, "--input", "x.mtx", *required[command], flag, value) == 2
+        assert f"argument {flag}: invalid int value: '{value}'" in capsys.readouterr().err
 
 
 def solve_parser():
@@ -405,7 +421,7 @@ class TestConfigFile:
         assert "unrecognized arguments: --config run.cfg" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command, args", [
-        ("check", ()), ("bench", ("--input", "x.mtx", "--out", "unused.csv"))])
+        ("check", ("--input", "x.mtx")), ("bench", ("--input", "x.mtx", "--out", "unused.csv"))])
     def test_only_solve_reads_options_files(self, tmp_path, capsys, command, args):
         options = self.options(tmp_path, "--rank=2")
         assert run_cli(command, *args, options) == 2
@@ -426,8 +442,17 @@ class TestCheck:
         monkeypatch.setattr(cli, "verify_relative_smoothness",
                             lambda *a, **k: {**report(*a, **k), **rows})
 
-    def test_defaults_pass(self, capsys):
-        assert run_cli("check") == 0
+    @pytest.fixture
+    def c8(self, tmp_path, capsys):
+        """The path of the m=8, r=2, noise-0.25, seed-1 instance that synth writes."""
+        x_path = tmp_path / "c8.mtx"
+        assert run_cli("synth", "--m", "8", "--r", "2", "--noise", "0.25", "--seed", "1",
+                       "--out", str(x_path)) == 0
+        capsys.readouterr()
+        return str(x_path)
+
+    def test_defaults_pass(self, capsys, c8):
+        assert run_cli("check", "--input", c8) == 0
         payload = json.loads(capsys.readouterr().out)
         assert list(payload) == self.ROWS
         assert payload["violations"] == 0
@@ -437,16 +462,16 @@ class TestCheck:
         assert payload["bregman_closed_form_max_rel_gap"] <= 1e-10
         assert payload["subgradient_max_gap"] <= 1e-10
 
-    def test_failed_check_is_named(self, monkeypatch, capsys):
+    def test_failed_check_is_named(self, monkeypatch, capsys, c8):
         dense = stf.dense_fit
         monkeypatch.setattr(stf, "dense_fit", lambda *a: (1.01 * dense(*a)[0],) + dense(*a)[1:])
-        assert run_cli("check") == 1
+        assert run_cli("check", "--input", c8) == 1
         captured = capsys.readouterr()
         assert json.loads(captured.out)["product_form_max_rel_gap"] > 1e-3
         assert "failed checks: product_form_max_rel_gap" in captured.err
 
     @pytest.mark.parametrize("row", ["bregman_closed_form_max_rel_gap", "subgradient_max_gap"])
-    def test_failed_closed_form_row_is_named(self, monkeypatch, capsys, row):
+    def test_failed_closed_form_row_is_named(self, monkeypatch, capsys, c8, row):
         if row == "bregman_closed_form_max_rel_gap":
             distance = stf.kernel_h1_distance
             monkeypatch.setattr(stf, "kernel_h1_distance", lambda *a: 1.01 * distance(*a))
@@ -458,7 +483,7 @@ class TestCheck:
                 return V, eta - 1e-3
 
             monkeypatch.setattr(stf, "update_V", shifted)
-        assert run_cli("check") == 1
+        assert run_cli("check", "--input", c8) == 1
         captured = capsys.readouterr()
         assert json.loads(captured.out)[row] > 1e-6
         # a wrong distance also moves the model values the oracle row compares
@@ -474,28 +499,28 @@ class TestCheck:
         ("subgradient_max_gap", "CLOSED_FORM_TOL",
          ["bregman_closed_form_max_rel_gap", "subgradient_max_gap"]),
     ])
-    def test_each_bounded_row_fails_past_its_bound(self, monkeypatch, capsys, row, bound, named):
+    def test_each_bounded_row_fails_past_its_bound(self, monkeypatch, capsys, c8, row, bound, named):
         # every gap is >= 0, so a bound of -1 fails it; the two closed-form
         # rows share CLOSED_FORM_TOL
         if bound is None:
             self.patch_report(monkeypatch, violations=1)
         else:
             monkeypatch.setattr(cli, bound, -1.0)
-        assert run_cli("check") == 1
+        assert run_cli("check", "--input", c8) == 1
         captured = capsys.readouterr()
         assert list(json.loads(captured.out)) == self.ROWS
         assert self.failed_rows(captured.err) == named
 
-    def test_nan_value_fails(self, monkeypatch, capsys):
+    def test_nan_value_fails(self, monkeypatch, capsys, c8):
         self.patch_report(monkeypatch, bregman_max_rel_gap=float("nan"))
-        assert run_cli("check") == 1
+        assert run_cli("check", "--input", c8) == 1
         captured = capsys.readouterr()
         assert math.isnan(json.loads(captured.out)["bregman_closed_form_max_rel_gap"])
         assert self.failed_rows(captured.err) == ["bregman_closed_form_max_rel_gap"]
 
-    def test_worst_slack_is_only_reported(self, monkeypatch, capsys):
+    def test_worst_slack_is_only_reported(self, monkeypatch, capsys, c8):
         self.patch_report(monkeypatch, worst_slack=1.0)
-        assert run_cli("check") == 0
+        assert run_cli("check", "--input", c8) == 0
         captured = capsys.readouterr()
         assert json.loads(captured.out)["worst_slack"] == 1.0
         assert captured.err == ""
@@ -613,6 +638,109 @@ class TestBench:
         certified, cut = row(k), row(k - 1)
         assert (certified[2], certified[-1]) == (str(k), "residual_tol")
         assert (cut[2], cut[-1]) == (str(k - 1), "max_iters")
+
+
+class TestReadInstance:
+    """solve, check and bench build their instance in ``cli.read_instance``:
+    it reads --input, replaces X by (X + X^T)/2 under --symmetrize when X is
+    not exactly symmetric, and keeps no reference to the array it read."""
+
+    REPLACED = "input matrix is not symmetric; X was replaced by (X + X^T)/2"
+
+    @staticmethod
+    def solved(tmp_path, monkeypatch, capsys, X, *flags):
+        """The instance that ``solve`` builds from a file holding X, with
+        ``flags``; its stdout; and the warnings it gave."""
+        x_path = tmp_path / "x.mtx"
+        write_matrix_market(x_path, X)
+        instances = []
+        solve = stf.solve_instance
+        monkeypatch.setattr(stf, "solve_instance",
+                            lambda inst, **kw: instances.append(inst) or solve(inst, **kw))
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            assert run_cli("solve", "--input", str(x_path), "--rank", "2", "--max-iters", "20",
+                           *flags) == 0
+        monkeypatch.setattr(stf, "solve_instance", solve)
+        (inst,) = instances
+        return inst, capsys.readouterr().out, seen
+
+    def test_asymmetric_warns_and_symmetrizes(self, tmp_path, monkeypatch, capsys):
+        # the file's X is replaced, with one warning from cli's line, and the
+        # run is that of the file holding (X + X^T)/2, bit for bit
+        X = np.random.default_rng(5).random((6, 6))
+        sym = 0.5 * (X + X.T)
+        inst, out, seen = self.solved(tmp_path, monkeypatch, capsys, X, "--symmetrize")
+        assert [str(w.message) for w in seen] == [self.REPLACED]
+        assert seen[0].filename == cli.__file__
+        assert inst.symmetric and inst.X.tobytes() == sym.tobytes()
+        assert inst.norm_X == stf.SymTriInstance(sym, 2).norm_X
+        XU, XtU, _, _ = stf.products(inst, np.ones((6, 2)))
+        assert XtU is XU
+        ref, ref_out, ref_seen = self.solved(tmp_path, monkeypatch, capsys, sym)
+        assert ref_seen == [] and out == ref_out and ref.X.tobytes() == inst.X.tobytes()
+
+    def test_without_the_flag_the_library_warning_names_the_caller(self, tmp_path, monkeypatch,
+                                                                    capsys):
+        # one warning, the instance's, naming the flag; it is reported at
+        # cli's line, not at the dataclass's generated __init__
+        X = np.random.default_rng(5).random((6, 6))
+        inst, _, seen = self.solved(tmp_path, monkeypatch, capsys, X)
+        assert len(seen) == 1 and "(--symmetrize to bregblock solve, check or bench)" in \
+            str(seen[0].message)
+        assert seen[0].filename == cli.__file__
+        assert not inst.symmetric and inst.X.tobytes() == X.tobytes()
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-150, 1e-170])
+    def test_asymmetry_is_seen_at_any_scale(self, tmp_path, monkeypatch, capsys, scale):
+        # X == X^T entry for entry: no norm of X - X^T, which underflows
+        X = np.random.default_rng(24).random((6, 6)) * scale
+        inst, _, seen = self.solved(tmp_path, monkeypatch, capsys, X, "--symmetrize")
+        assert [str(w.message) for w in seen] == [self.REPLACED]
+        assert inst.symmetric and inst.X.tobytes() == (0.5 * (X + X.T)).tobytes()
+
+    def test_one_ulp_of_asymmetry_warns_and_symmetrizes(self, tmp_path, monkeypatch, capsys):
+        X, _, _ = synth_instance(8, 2, noise_level=0.1, seed=3)
+        X[0, 1] = np.nextafter(X[0, 1], np.inf)
+        inst, _, seen = self.solved(tmp_path, monkeypatch, capsys, X, "--symmetrize")
+        assert [str(w.message) for w in seen] == [self.REPLACED]
+        assert inst.symmetric and not np.array_equal(inst.X, X)
+        assert inst.X.tobytes() == (0.5 * (X + X.T)).tobytes()
+
+    def test_exactly_symmetric_x_is_kept_bitwise_without_warning(self, tmp_path, monkeypatch,
+                                                                 capsys):
+        X, _, _ = synth_instance(8, 2, noise_level=0.1, seed=3)
+        inst, _, seen = self.solved(tmp_path, monkeypatch, capsys, X, "--symmetrize")
+        assert seen == []
+        assert inst.symmetric and inst.X.tobytes() == X.tobytes()
+
+    @pytest.mark.parametrize("flags", [(), ("--symmetrize",)], ids=["as-is", "symmetrize"])
+    @pytest.mark.parametrize("command", ["solve", "bench"])
+    def test_the_array_read_is_released_before_the_solve(self, tmp_path, monkeypatch, command,
+                                                         flags):
+        # while it solves, a command holds one copy of X: the instance's
+        write_matrix_market(tmp_path / "x.mtx", np.random.default_rng(7).random((8, 8)))
+        read, solve = cli.mio.read_matrix, stf.solve_instance
+        refs, solves = [], []
+
+        def read_spy(*args, **kwargs):
+            X = read(*args, **kwargs)
+            refs.append(weakref.ref(X))
+            return X
+
+        def solve_spy(inst, **kwargs):
+            solves.append([ref() is None for ref in refs])
+            return solve(inst, **kwargs)
+
+        monkeypatch.setattr(cli.mio, "read_matrix", read_spy)
+        monkeypatch.setattr(stf, "solve_instance", solve_spy)
+        rest = {"solve": (), "bench": ("--kappas", "0", "--seeds", "1,2",
+                                       "--out", str(tmp_path / "b.csv"))}
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # X is not symmetric
+            assert run_cli(command, "--input", str(tmp_path / "x.mtx"), "--rank", "2",
+                           "--max-iters", "3", *rest[command], *flags) == 0
+        assert solves == [[True]] * (2 if command == "bench" else 1)
 
 
 class TestDeterminism:

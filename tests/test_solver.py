@@ -33,7 +33,7 @@ from bregblock import symtrinmf as stf
 from bregblock.blocks import full_gradient
 from bregblock.diagnostics import numeric_subproblem_oracle
 from bregblock.io import synth_instance
-from bregblock.solver import sweep_with_partials
+from bregblock.solver import check_run_limits, sweep_with_partials
 from points import flat, point, squared_norm_kernel, zero_term
 
 
@@ -745,6 +745,22 @@ class TestRun:
         for limits in ({"max_iters": -3}, {"residual_tol": -1e-8}, {"residual_tol": float("nan")}):
             with pytest.raises(ParameterError):
                 stf.solve_instance(inst, **limits)
+
+    @pytest.mark.parametrize("max_iters", [2.5, float("inf"), True, "3", None])
+    def test_max_iters_must_be_an_integer(self, max_iters):
+        # refused before any sweep, not truncated (2.5 ran 2 sweeps) or
+        # converted (inf raised OverflowError from int())
+        inst = SymTriInstance(np.eye(3), 2)
+        with pytest.raises(ParameterError, match=f"max_iters must be an integer, got {max_iters!r}"):
+            stf.solve_instance(inst, max_iters=max_iters)
+        with pytest.raises(ParameterError, match="max_iters must be an integer"):
+            check_run_limits(max_iters, 1e-8)
+
+    def test_numpy_integer_max_iters_runs_its_sweeps(self):
+        inst = SymTriInstance(np.eye(3), 2)
+        for max_iters in (np.int64(3), np.uint8(3)):
+            result, _ = stf.solve_instance(inst, max_iters=max_iters, residual_tol=0.0)
+            assert [row.k for row in result.trace] == [0, 1, 2, 3]
 
     def test_a_trace_row_is_immutable(self):
         row = trace_rows([2])[0]

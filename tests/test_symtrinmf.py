@@ -1,3 +1,4 @@
+import inspect
 import math
 import warnings
 from dataclasses import replace
@@ -137,21 +138,30 @@ class TestInstance:
         assert (inst.L1, inst.L2, inst.sigma1, inst.sigma2) == stf.check_kernel_parameters(**params)
         assert (inst.L1, inst.L2, inst.sigma1, inst.sigma2) == (6.0 / 0.3, 1.0, 2.0 * 0.013, 41.0)
 
-    def test_asymmetric_warns_and_symmetrizes(self):
+    def test_asymmetric_warns_once_naming_the_remedy_and_the_caller(self):
         X = np.array([[1.0, 2.0], [0.0, 1.0]])
-        with pytest.warns(UserWarning, match=r"not symmetric; .* pass symmetrize=True "
-                          r"\(--symmetrize to bregblock solve, check or bench\)") as kept_warnings:
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
             kept = SymTriInstance(X, 1)
-        assert np.array_equal(kept.X, X)  # accepted as-is
-        with pytest.warns(UserWarning, match=r"not symmetric; X was replaced by \(X \+ X\^T\)/2$") \
-                as fixed_warnings:
-            fixed = SymTriInstance(X, 1, symmetrize=True)
-        # each warning names the line that made the instance, not the
+        assert [str(w.message) for w in seen] == [
+            "input matrix is not symmetric; gradients remain exact, but pass (X + X^T)/2 "
+            "(--symmetrize to bregblock solve, check or bench) to work with a symmetric X"]
+        # the warning names the line that made the instance, not the
         # dataclass's generated __init__
-        for record in (*kept_warnings, *fixed_warnings):
-            assert record.filename == __file__
-        assert np.array_equal(fixed.X, 0.5 * (X + X.T))
-        assert fixed.symmetric and np.array_equal(fixed.X, fixed.X.T)
+        assert seen[0].filename == __file__
+        assert np.array_equal(kept.X, X) and not kept.symmetric  # accepted as-is
+        assert "symmetrize" not in inspect.signature(SymTriInstance).parameters
+
+    @pytest.mark.parametrize("r", [2.5, "3", True, 2.0, None])
+    def test_rank_must_be_an_integer(self, r):
+        # refused where it enters, not truncated or converted
+        with pytest.raises(ParameterError, match=f"r must be an integer, got {r!r}"):
+            SymTriInstance(np.eye(3), r)
+
+    def test_numpy_integer_rank_is_a_python_int(self):
+        for r in (np.int64(2), np.uint8(2), np.array(2)):
+            inst = SymTriInstance(np.eye(3), r)
+            assert inst.r == 2 and type(inst.r) is int
 
     @pytest.mark.parametrize("scale", [1.0, 1e-150, 1e-170])
     def test_asymmetry_is_seen_at_any_scale(self, scale):
@@ -164,24 +174,12 @@ class TestInstance:
         assert not kept.symmetric and np.array_equal(kept.X, X)
         XU, XtU, _, _ = stf.products(kept, np.ones((6, 2)))
         assert XtU is not XU
-        with pytest.warns(UserWarning, match="X was replaced"):
-            fixed = SymTriInstance(X, 2, symmetrize=True)
-        assert fixed.symmetric and np.array_equal(fixed.X, 0.5 * (X + X.T))
-
-    def test_one_ulp_of_asymmetry_warns_and_symmetrizes(self):
-        X, _, _ = synth_instance(8, 2, noise_level=0.1, seed=3)
-        X[0, 1] = np.nextafter(X[0, 1], np.inf)
-        with pytest.warns(UserWarning, match="not symmetric"):
-            assert not SymTriInstance(X, 2).symmetric
-        with pytest.warns(UserWarning, match="X was replaced"):
-            fixed = SymTriInstance(X, 2, symmetrize=True)
-        assert fixed.symmetric and not np.array_equal(fixed.X, X)
 
     def test_exactly_symmetric_x_is_kept_bitwise_without_warning(self):
         X, _, _ = synth_instance(8, 2, noise_level=0.1, seed=3)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            inst = SymTriInstance(X, 2, symmetrize=True)
+            inst = SymTriInstance(X, 2)
         assert inst.symmetric and inst.X.tobytes() == X.tobytes()
 
 
@@ -649,9 +647,12 @@ class TestProductForm:
             self.assert_matches_dense(inst, rng.random((15, 3)), rng.random((3, 3)))
 
     def test_symmetrize_makes_x_exactly_symmetric(self):
+        # (X + X^T)/2, which --symmetrize passes, is symmetric entry for entry
         rng = np.random.default_rng(22)
-        with pytest.warns(UserWarning):
-            inst = SymTriInstance(rng.random((6, 6)), 2, symmetrize=True)
+        X = rng.random((6, 6))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            inst = SymTriInstance(0.5 * (X + X.T), 2)
         assert inst.symmetric and np.array_equal(inst.X, inst.X.T)
         XU, XtU, _, _ = stf.products(inst, rng.random((6, 2)))
         assert XtU is XU
