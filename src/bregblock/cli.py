@@ -33,9 +33,6 @@ from .solver import (
     trace_to_json,
 )
 
-KAPPA_GRID = (0.0, 0.3, 0.6, 0.9)
-SYMMETRIZE_HELP = "replace a matrix that is not exactly symmetric by (X + X^T)/2"
-
 
 def _int_at_least(low: int):
     """argparse type: an integer no smaller than ``low``."""
@@ -52,17 +49,6 @@ _SEED = _int_at_least(0)
 _RANK = _int_at_least(1)
 
 
-def _comma_list(kind):
-    """argparse type: a nonempty comma-separated list of ``kind`` values."""
-    def parse(raw: str) -> list:
-        values = [kind(tok) for tok in raw.split(",") if tok.strip()]
-        if not values:
-            raise argparse.ArgumentTypeError("expected at least one value")
-        return values
-    parse.__name__ = f"{kind.__name__} list"  # argparse: "invalid float list value"
-    return parse
-
-
 def build_parser() -> argparse.ArgumentParser:
     """The bregblock parser; its solve subparser's actions are the one table
     of solve option names, types and defaults."""
@@ -72,6 +58,15 @@ def build_parser() -> argparse.ArgumentParser:
         "nonnegative tri-factorization",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # the options of every command that builds an instance, and of every one that solves it
+    instance = argparse.ArgumentParser(add_help=False)
+    instance.add_argument("--input", required=True, help="square matrix (MatrixMarket or CSV)")
+    instance.add_argument("--rank", type=_RANK, required=True, help="factorization rank")
+    instance.add_argument("--symmetrize", action="store_true",
+                          help="replace a matrix that is not exactly symmetric by (X + X^T)/2")
+    run = argparse.ArgumentParser(add_help=False)
+    for name, kind, default in (("rho", float, 0.9), ("max-iters", int, 5000), ("residual-tol", float, 1e-8)):
+        run.add_argument(f"--{name}", type=kind, default=default)
 
     # every command refuses abbreviated flags: `solve --m 7` is an error, not --max-iters 7
     p_synth = sub.add_parser("synth", help="generate a planted-community instance", allow_abbrev=False)
@@ -83,39 +78,28 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth.add_argument("--out", required=True, help="output path for X (MatrixMarket)")
 
     p_solve = sub.add_parser("solve", help="factor a matrix from file", allow_abbrev=False,
-                             fromfile_prefix_chars="@", description="@FILE reads arguments from "
-                             "FILE, one per line as is; blank lines and '#' lines are skipped")
+                             parents=[instance, run], fromfile_prefix_chars="@", description="@FILE "
+                             "reads arguments from FILE, one per line as is; blank lines and '#' "
+                             "lines are skipped")
     p_solve.convert_arg_line_to_args = lambda line: [] if line.strip()[:1] in ("", "#") else [line]
-    p_solve.add_argument("--input", required=True, help="square matrix (MatrixMarket or CSV)")
-    p_solve.add_argument("--rank", type=_RANK, required=True, help="factorization rank")
-    for name, default in (("a1", 6.0), ("eps1", 1.0), ("eps2", 1.0),
-                          ("kappa", 0.0), ("rho", 0.9), ("residual-tol", 1e-8)):
+    for name, default in (("a1", 6.0), ("eps1", 1.0), ("eps2", 1.0), ("kappa", 0.0)):
         p_solve.add_argument(f"--{name}", type=float, default=default)
-    p_solve.add_argument("--max-iters", type=int, default=5000)
     p_solve.add_argument("--seed", type=_SEED, default=0)
-    p_solve.add_argument("--symmetrize", action="store_true", help=SYMMETRIZE_HELP)
     p_solve.add_argument("--trace-out")
     p_solve.add_argument("--factors-out", help="path prefix; writes <prefix>_U.mtx and <prefix>_V.mtx")
     p_solve.add_argument("--labels-out")
     p_solve.add_argument("--no-timing", action="store_false", dest="timing",
                          help="zero the seconds field in the trace for byte-reproducible output")
 
-    p_check = sub.add_parser("check", help="run the verification suite on an instance", allow_abbrev=False)
-    p_check.add_argument("--input", required=True, help="square matrix (MatrixMarket or CSV)")
-    p_check.add_argument("--rank", type=_RANK, default=2)
+    p_check = sub.add_parser("check", help="run the verification suite on an instance",
+                             allow_abbrev=False, parents=[instance])
     p_check.add_argument("--samples", type=_int_at_least(1), default=200)
     p_check.add_argument("--seed", type=_SEED, default=1)
-    p_check.add_argument("--symmetrize", action="store_true", help=SYMMETRIZE_HELP)
 
-    p_bench = sub.add_parser("bench", help="kappa x seed grid on one instance", allow_abbrev=False)
-    p_bench.add_argument("--input", required=True, help="square matrix (MatrixMarket or CSV)")
-    p_bench.add_argument("--rank", type=_RANK, default=3)
-    p_bench.add_argument("--seeds", type=_comma_list(_SEED), default="1,2,3", help="comma-separated init seeds")
-    p_bench.add_argument("--kappas", type=_comma_list(float), default=",".join(str(k) for k in KAPPA_GRID))
-    p_bench.add_argument("--max-iters", dest="max_iters", type=int, default=5000)
-    p_bench.add_argument("--residual-tol", dest="residual_tol", type=float, default=1e-8)
-    p_bench.add_argument("--rho", type=float, default=0.9)
-    p_bench.add_argument("--symmetrize", action="store_true", help=SYMMETRIZE_HELP)
+    p_bench = sub.add_parser("bench", help="kappa x seed grid on one instance", allow_abbrev=False,
+                             parents=[instance, run])
+    p_bench.add_argument("--seeds", type=_SEED, nargs="+", default=[1, 2, 3], help="init seeds")
+    p_bench.add_argument("--kappas", type=float, nargs="+", default=[0.0, 0.3, 0.6, 0.9])
     p_bench.add_argument("--out", required=True, help="output CSV path")
     return parser
 
@@ -133,12 +117,16 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 
 def read_instance(args: argparse.Namespace, **kernel) -> stf.SymTriInstance:
-    """--input's instance at --rank; --symmetrize replaces an asymmetric X by (X + X^T)/2."""
+    """--input's instance at --rank; --symmetrize replaces an asymmetric X by
+    (X + X^T)/2 and warns once the instance has accepted it."""
     X = mio.read_matrix(args.input)
-    if args.symmetrize and not (X == X.T).all():
-        warnings.warn("input matrix is not symmetric; X was replaced by (X + X^T)/2")
-        X = 0.5 * (X + X.T)
-    return stf.SymTriInstance(X, args.rank, **kernel)
+    if not args.symmetrize or (X == X.T).all():
+        return stf.SymTriInstance(X, args.rank, **kernel)
+    X *= 0.5
+    X = X + X.T  # X/2 + X^T/2: no finite X overflows
+    inst = stf.SymTriInstance(X, args.rank, **kernel)
+    warnings.warn("input matrix is not symmetric; X was replaced by (X + X^T)/2")
+    return inst
 
 
 def cmd_solve(args: argparse.Namespace) -> int:

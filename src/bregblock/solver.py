@@ -109,9 +109,12 @@ def _product(i: int, name: str, a: float, b: float) -> float:
 
 
 def _delta_interval(i: int, Li: float, si: float, al: float, ga: float) -> tuple[float, float]:
-    """The admissible delta interval [lo, hi] of block i at step ga."""
+    """The admissible delta interval [lo, hi] of block i at step ga: finite, or ParameterError."""
     lo = abs(al) / _product(i, "sigma*gamma", si, ga)
-    return lo, (1.0 - ga * Li) / ga - lo
+    hi = (1.0 - ga * Li) / ga - lo
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ParameterError(f"block {i}: the delta interval [{lo}, {hi}] at gamma={ga} is not finite")
+    return lo, hi
 
 
 def derive_schedule(

@@ -211,45 +211,63 @@ class TestSynthSolvePipeline:
         assert "argument --seed: must be >= 0" in err and "Traceback" not in err
         assert not (tmp_path / "x.mtx").exists()
 
-    @pytest.mark.parametrize("args", [
-        ("solve", "--rank", "3", "--kappa", "1.5"),
-        ("solve", "--rank", "3", "--rho", "0"),
-        ("solve", "--rank", "3", "--max-iters", "-1"),
-        ("solve", "--rank", "3", "--residual-tol", "-1e-8"),
-        ("bench", "--kappas", "0,1.5", "--out", "unused.csv"),
-        ("bench", "--rho", "2", "--out", "unused.csv"),
-        ("bench", "--max-iters", "-1", "--out", "unused.csv"),
-        ("solve", "--rank", "3", "--seed", "-1"),
-        ("bench", "--seeds=-1", "--out", "unused.csv"),
-        ("bench", "--seeds", "", "--out", "unused.csv"),
-        ("bench", "--kappas", "", "--out", "unused.csv"),
-        ("check", "--seed", "-1"),
-        ("check", "--samples", "0"),
-        ("solve", "--rank", "2", "--a1", "0"),
-        ("solve", "--rank", "2", "--eps1", "nan"),
-        ("solve", "--rank", "2", "--eps2", "-1"),
-        ("solve", "--rank", "3", "--a1", "inf"),
-        ("solve", "--rank", "3", "--eps1", "inf"),
-        ("solve", "--rank", "3", "--eps2", "inf"),
-        ("solve", "--rank", "3", "--a1", "1e-320"),  # 6/a1 overflows
-        ("solve", "--rank", "3", "--eps1", "1e308"),  # 2*eps1 overflows
-        ("solve", "--rank", "3", "--a1", "1e-170", "--eps1", "1e-170"),  # sigma1 * gamma1 underflows
-        ("solve", "--rank", "3", "--a1", "1e-200", "--eps1", "1e200"),  # sigma1 * L1 overflows
-        ("solve", "--rank", "0"),
-        ("check", "--rank", "0"),
-        ("bench", "--rank", "0", "--out", "unused.csv"),
-        ("solve", "--rank", "3", "--residual-tol", "nan"),
-        ("bench", "--residual-tol", "nan", "--out", "unused.csv"),
+    @pytest.mark.parametrize("args, named", [
+        (("solve", "--rank", "3", "--kappa", "1.5"), "kappa must lie in [0, 1), got 1.5"),
+        (("solve", "--rank", "3", "--rho", "0"), "rho must lie in (0, 1], got 0.0"),
+        (("solve", "--rank", "3", "--max-iters", "-1"), "max_iters must be nonnegative, got -1"),
+        # "--residual-tol -1e-8" would be argparse's "expected one argument": "-1e-8" reads as a flag
+        (("solve", "--rank", "3", "--residual-tol=-1e-8"), "residual_tol must be nonnegative"),
+        (("bench", "--rank", "2", "--kappas", "0", "1.5", "--out", "unused.csv"),
+         "kappa must lie in [0, 1), got 1.5"),
+        (("bench", "--rank", "2", "--rho", "2", "--out", "unused.csv"), "rho must lie in (0, 1], got 2.0"),
+        (("bench", "--rank", "2", "--max-iters", "-1", "--out", "unused.csv"),
+         "max_iters must be nonnegative, got -1"),
+        (("solve", "--rank", "3", "--seed", "-1"), "argument --seed: must be >= 0, got -1"),
+        (("bench", "--rank", "2", "--seeds=-1", "--out", "unused.csv"),
+         "argument --seeds: must be >= 0, got -1"),
+        (("bench", "--rank", "2", "--seeds", "1", "-1", "--out", "unused.csv"),
+         "argument --seeds: must be >= 0, got -1"),
+        (("bench", "--rank", "2", "--seeds", "", "--out", "unused.csv"),
+         "argument --seeds: invalid int value: ''"),
+        (("bench", "--rank", "2", "--kappas", "", "--out", "unused.csv"),
+         "argument --kappas: invalid float value: ''"),
+        (("bench", "--rank", "2", "--kappas", "--out", "unused.csv"),
+         "argument --kappas: expected at least one argument"),
+        (("check", "--rank", "2", "--seed", "-1"), "argument --seed: must be >= 0, got -1"),
+        (("check", "--rank", "2", "--samples", "0"), "argument --samples: must be >= 1, got 0"),
+        (("solve", "--rank", "2", "--a1", "0"), "a1 must be positive, got 0.0"),
+        (("solve", "--rank", "2", "--eps1", "nan"), "eps1 must be positive, got nan"),
+        (("solve", "--rank", "2", "--eps2", "-1"), "eps2 must be positive, got -1.0"),
+        (("solve", "--rank", "3", "--a1", "inf"), "a1 must be finite, got inf"),
+        (("solve", "--rank", "3", "--eps1", "inf"), "eps1 must be finite, got inf"),
+        (("solve", "--rank", "3", "--eps2", "inf"), "eps2 must be finite, got inf"),
+        (("solve", "--rank", "3", "--a1", "1e-320"), "6/a1 must be finite"),  # 6/a1 overflows
+        (("solve", "--rank", "3", "--eps1", "1e308"), "2*eps1 must be finite"),  # 2*eps1 overflows
+        # sigma1 * gamma1 underflows
+        (("solve", "--rank", "3", "--a1", "1e-170", "--eps1", "1e-170"), "block 0: sigma*gamma ="),
+        # sigma1 * L1 overflows
+        (("solve", "--rank", "3", "--a1", "1e-200", "--eps1", "1e200"), "block 0: sigma*L ="),
+        # 1/gamma overflows: the upper end of block 0's delta interval is inf
+        (("solve", "--rank", "3", "--rho", "1e-310"), "block 0: the delta interval [0.0, inf]"),
+        (("solve", "--rank", "3", "--a1", "1e-300", "--rho", "1e-10"),
+         "block 0: the delta interval [0.0, inf]"),
+        (("solve", "--rank", "0"), "argument --rank: must be >= 1, got 0"),
+        (("check", "--rank", "0"), "argument --rank: must be >= 1, got 0"),
+        (("bench", "--rank", "0", "--out", "unused.csv"), "argument --rank: must be >= 1, got 0"),
+        (("solve", "--rank", "3", "--residual-tol", "nan"), "residual_tol must be nonnegative, got nan"),
+        (("bench", "--rank", "2", "--residual-tol", "nan", "--out", "unused.csv"),
+         "residual_tol must be nonnegative, got nan"),
         # the arguments after "@" come from an options file
-        ("solve", "@", "--rank=3", "--a1=inf"),
-        ("solve", "@", "--rank=0"),
-        ("solve", "@", "--rank=3", "--kappa=1.5"),
-        ("solve", "@", "--rank=3", "--residual-tol=nan"),
-        ("solve", "@", "--rank=3", "--seed=-1"),
-        ("solve", "--rank", "3", "@", "--a1=1e-170", "--eps1=1e-170"),
+        (("solve", "@", "--rank=3", "--a1=inf"), "a1 must be finite, got inf"),
+        (("solve", "@", "--rank=0"), "argument --rank: must be >= 1, got 0"),
+        (("solve", "@", "--rank=3", "--kappa=1.5"), "kappa must lie in [0, 1), got 1.5"),
+        (("solve", "@", "--rank=3", "--residual-tol=nan"), "residual_tol must be nonnegative"),
+        (("solve", "@", "--rank=3", "--seed=-1"), "argument --seed: must be >= 0, got -1"),
+        (("solve", "--rank", "3", "@", "--a1=1e-170", "--eps1=1e-170"), "block 0: sigma*gamma ="),
+        (("solve", "@", "--rank=3", "--rho=1e-310"), "block 0: the delta interval [0.0, inf]"),
     ])
     def test_bad_solver_parameters_exit_two_before_reading(self, tmp_path, monkeypatch, capsys,
-                                                           args):
+                                                           args, named):
         def unreachable(*a, **k):
             raise AssertionError("the matrix was read before the parameters were checked")
 
@@ -260,8 +278,8 @@ class TestSynthSolvePipeline:
             args = (*args[:at], f"@{options}")
         monkeypatch.setattr(cli.mio, "read_matrix", unreachable)
         assert run_cli(*args, "--input", "x.mtx") == 2
-        # each case fails its own check, not argparse's unknown-flag error
-        assert "unrecognized arguments" not in capsys.readouterr().err
+        # each case fails its own check: the error names its flag or parameter
+        assert named in capsys.readouterr().err
 
     @pytest.mark.parametrize("gone", ["b1", "a2"])
     def test_fixed_kernel_constants_have_no_flag_or_key(self, tmp_path, capsys, gone):
@@ -293,8 +311,8 @@ class TestSynthSolvePipeline:
 
     @pytest.mark.parametrize("args, abbreviated", [
         (("solve", "--input", "x.mtx", "--rank", "3", "--m", "7"), "--m 7"),  # --max-iters
-        (("check", "--input", "x.mtx", "--r", "3"), "--r 3"),  # --rank
-        (("check", "--input", "x.mtx", "--sam", "5"), "--sam 5"),  # --samples
+        (("check", "--input", "x.mtx", "--rank", "2", "--r", "3"), "--r 3"),  # --rank
+        (("check", "--input", "x.mtx", "--rank", "2", "--sam", "5"), "--sam 5"),  # --samples
         (("synth", "--m", "5", "--r", "2", "--s", "3", "--out", "unused.mtx"), "--s 3"),  # --seed
     ])
     def test_abbreviated_flags_are_unrecognized(self, capsys, args, abbreviated):
@@ -316,14 +334,62 @@ class TestSynthSolvePipeline:
     def test_non_integer_rank_or_max_iters_exits_two_before_reading(self, monkeypatch, capsys,
                                                                      command, flag, value):
         monkeypatch.setattr(cli.mio, "read_matrix", lambda *a, **k: pytest.fail("X was read"))
-        required = {"solve": ("--rank", "2"), "check": (), "bench": ("--out", "unused.csv")}
-        assert run_cli(command, "--input", "x.mtx", *required[command], flag, value) == 2
+        required = {"solve": (), "check": (), "bench": ("--out", "unused.csv")}
+        assert run_cli(command, "--input", "x.mtx", "--rank", "2", *required[command], flag, value) == 2
         assert f"argument {flag}: invalid int value: '{value}'" in capsys.readouterr().err
 
 
-def solve_parser():
+def subparser(command):
     sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-    return sub.choices["solve"]
+    return sub.choices[command]
+
+
+class TestSharedOptions:
+    """solve, check and bench share one declaration of each option they have
+    in common, and --rank has no default in any of them."""
+
+    FLAGS = {
+        "synth": ["--m", "--r", "--noise", "--density", "--seed", "--out"],
+        "solve": ["--input", "--rank", "--symmetrize", "--rho", "--max-iters", "--residual-tol",
+                  "--a1", "--eps1", "--eps2", "--kappa", "--seed", "--trace-out", "--factors-out",
+                  "--labels-out", "--no-timing"],
+        "check": ["--input", "--rank", "--symmetrize", "--samples", "--seed"],
+        "bench": ["--input", "--rank", "--symmetrize", "--rho", "--max-iters", "--residual-tol",
+                  "--seeds", "--kappas", "--out"],
+    }
+
+    @pytest.mark.parametrize("command", FLAGS)
+    def test_each_command_keeps_its_flags(self, command):
+        flags = [f for a in subparser(command)._actions for f in a.option_strings]
+        assert sorted(flags) == sorted(["-h", "--help", *self.FLAGS[command]])
+
+    @pytest.mark.parametrize("flag, commands", [
+        *((flag, ("solve", "check", "bench")) for flag in ("--input", "--rank", "--symmetrize")),
+        *((flag, ("solve", "bench")) for flag in ("--rho", "--max-iters", "--residual-tol")),
+    ])
+    def test_a_shared_flag_means_the_same_in_every_command(self, flag, commands):
+        def spec(command):
+            (action,) = [a for a in subparser(command)._actions if flag in a.option_strings]
+            return action.dest, action.type, action.default, action.required, action.nargs
+
+        assert [spec(command) for command in commands] == [spec(commands[0])] * len(commands)
+
+    @pytest.mark.parametrize("args", [("check", "--input", "x.mtx"),
+                                      ("bench", "--input", "x.mtx", "--out", "unused.csv")])
+    def test_rank_is_required_wherever_an_instance_is_built(self, capsys, args):
+        assert run_cli(*args) == 2
+        assert "the following arguments are required: --rank" in capsys.readouterr().err
+
+    def test_bench_grids_are_space_separated_lists(self, monkeypatch, capsys):
+        seen = []
+        monkeypatch.setattr(cli, "cmd_bench", lambda args: seen.append(args) or 0)
+        base = ("bench", "--input", "x.mtx", "--rank", "2", "--out", "unused.csv")
+        assert run_cli(*base) == 0
+        assert (seen[0].seeds, seen[0].kappas) == ([1, 2, 3], [0.0, 0.3, 0.6, 0.9])
+        assert run_cli(*base, "--seeds", "4", "5", "--kappas", "0", "0.5") == 0
+        assert (seen[1].seeds, seen[1].kappas) == ([4, 5], [0.0, 0.5])
+        assert run_cli(*base, "--kappas", "0,0.5") == 2
+        assert "argument --kappas: invalid float value: '0,0.5'" in capsys.readouterr().err
 
 
 class TestConfigFile:
@@ -382,7 +448,7 @@ class TestConfigFile:
         return vars(seen[0])
 
     @pytest.mark.parametrize("action", [
-        a for a in solve_parser()._actions if a.dest != "help"
+        a for a in subparser("solve")._actions if a.dest != "help"
     ], ids=lambda a: a.dest)
     def test_config_key_parses_like_its_flag(self, tmp_path, monkeypatch, action):
         # the solve parser is the one option table: a file's line gives the
@@ -421,7 +487,8 @@ class TestConfigFile:
         assert "unrecognized arguments: --config run.cfg" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command, args", [
-        ("check", ("--input", "x.mtx")), ("bench", ("--input", "x.mtx", "--out", "unused.csv"))])
+        ("check", ("--input", "x.mtx", "--rank", "2")),
+        ("bench", ("--input", "x.mtx", "--rank", "2", "--out", "unused.csv"))])
     def test_only_solve_reads_options_files(self, tmp_path, capsys, command, args):
         options = self.options(tmp_path, "--rank=2")
         assert run_cli(command, *args, options) == 2
@@ -452,7 +519,7 @@ class TestCheck:
         return str(x_path)
 
     def test_defaults_pass(self, capsys, c8):
-        assert run_cli("check", "--input", c8) == 0
+        assert run_cli("check", "--input", c8, "--rank", "2") == 0
         payload = json.loads(capsys.readouterr().out)
         assert list(payload) == self.ROWS
         assert payload["violations"] == 0
@@ -465,7 +532,7 @@ class TestCheck:
     def test_failed_check_is_named(self, monkeypatch, capsys, c8):
         dense = stf.dense_fit
         monkeypatch.setattr(stf, "dense_fit", lambda *a: (1.01 * dense(*a)[0],) + dense(*a)[1:])
-        assert run_cli("check", "--input", c8) == 1
+        assert run_cli("check", "--input", c8, "--rank", "2") == 1
         captured = capsys.readouterr()
         assert json.loads(captured.out)["product_form_max_rel_gap"] > 1e-3
         assert "failed checks: product_form_max_rel_gap" in captured.err
@@ -483,7 +550,7 @@ class TestCheck:
                 return V, eta - 1e-3
 
             monkeypatch.setattr(stf, "update_V", shifted)
-        assert run_cli("check", "--input", c8) == 1
+        assert run_cli("check", "--input", c8, "--rank", "2") == 1
         captured = capsys.readouterr()
         assert json.loads(captured.out)[row] > 1e-6
         # a wrong distance also moves the model values the oracle row compares
@@ -506,21 +573,21 @@ class TestCheck:
             self.patch_report(monkeypatch, violations=1)
         else:
             monkeypatch.setattr(cli, bound, -1.0)
-        assert run_cli("check", "--input", c8) == 1
+        assert run_cli("check", "--input", c8, "--rank", "2") == 1
         captured = capsys.readouterr()
         assert list(json.loads(captured.out)) == self.ROWS
         assert self.failed_rows(captured.err) == named
 
     def test_nan_value_fails(self, monkeypatch, capsys, c8):
         self.patch_report(monkeypatch, bregman_max_rel_gap=float("nan"))
-        assert run_cli("check", "--input", c8) == 1
+        assert run_cli("check", "--input", c8, "--rank", "2") == 1
         captured = capsys.readouterr()
         assert math.isnan(json.loads(captured.out)["bregman_closed_form_max_rel_gap"])
         assert self.failed_rows(captured.err) == ["bregman_closed_form_max_rel_gap"]
 
     def test_worst_slack_is_only_reported(self, monkeypatch, capsys, c8):
         self.patch_report(monkeypatch, worst_slack=1.0)
-        assert run_cli("check", "--input", c8) == 0
+        assert run_cli("check", "--input", c8, "--rank", "2") == 0
         captured = capsys.readouterr()
         assert json.loads(captured.out)["worst_slack"] == 1.0
         assert captured.err == ""
@@ -566,7 +633,7 @@ class TestBench:
         out = tmp_path / "bench.csv"
         code = run_cli(
             "bench", "--input", self.synth(tmp_path), "--rank", "2",
-            "--kappas", "0,0.5", "--seeds", "1,2", "--max-iters", "40",
+            "--kappas", "0", "0.5", "--seeds", "1", "2", "--max-iters", "40",
             "--out", str(out),
         )
         assert code == 0
@@ -587,7 +654,7 @@ class TestBench:
         # solve of the in-memory instance
         out = tmp_path / "bench.csv"
         assert run_cli("bench", "--input", self.synth(tmp_path, "--noise", "0.1"), "--rank", "2",
-                       "--kappas", "0,0.5", "--seeds", "3", "--max-iters", "60",
+                       "--kappas", "0", "0.5", "--seeds", "3", "--max-iters", "60",
                        "--out", str(out)) == 0
         rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
         X, _, _ = synth_instance(8, 2, noise_level=0.1, density=1.0, seed=1)
@@ -611,7 +678,7 @@ class TestBench:
             with warnings.catch_warnings(record=True) as seen:
                 warnings.simplefilter("always")
                 assert run_cli("bench", "--input", str(tmp_path / f"{name}.mtx"), "--rank", "2",
-                               "--kappas", "0,0.5", "--seeds", "1", "--max-iters", "30",
+                               "--kappas", "0", "0.5", "--seeds", "1", "--max-iters", "30",
                                "--out", str(out), *flags) == 0
             assert [str(w.message) for w in seen] == (
                 ["input matrix is not symmetric; X was replaced by (X + X^T)/2"] if flags else [])
@@ -714,6 +781,39 @@ class TestReadInstance:
         assert seen == []
         assert inst.symmetric and inst.X.tobytes() == X.tobytes()
 
+    def test_a_subnormal_pair_is_halved_before_it_is_summed(self, tmp_path, monkeypatch, capsys):
+        # X/2 + X^T/2 is (X + X^T)/2 bit for bit except where a half or a
+        # half-sum is subnormal: 1 and 2 units of the least subnormal halve to
+        # 0 and 1 unit, where their sum of 3 units halves to 2
+        X = np.random.default_rng(25).random((6, 6))
+        X[0, 1], X[1, 0] = 5e-324, 1e-323
+        inst, _, seen = self.solved(tmp_path, monkeypatch, capsys, X, "--symmetrize")
+        assert [str(w.message) for w in seen] == [self.REPLACED]
+        ref = 0.5 * (X + X.T)
+        assert (inst.X[0, 1], inst.X[1, 0], ref[0, 1]) == (5e-324, 5e-324, 1e-323)
+        ref[0, 1] = ref[1, 0] = 5e-324
+        assert inst.X.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("X, error", [
+        ([[1.0, np.nan], [0.0, 1.0]], "error: X has NaN or infinite entries"),
+        # X[0, 1] + X[1, 0] overflows, their halves' sum does not
+        ([[1.0, 1e308], [1.5e308, 1.0]], "error: the Frobenius norm of X overflows"),
+    ], ids=["nan", "sum-overflows"])
+    def test_a_refused_file_reports_what_it_reports_without_the_flag(self, tmp_path, capsys,
+                                                                     X, error):
+        # no "X was replaced" for an X the instance refuses, and no overflow
+        # of the symmetrization: the error and the warnings of the run as is
+        x_path = tmp_path / "x.mtx"
+        write_matrix_market(x_path, np.array(X))
+        runs = []
+        for flags in ((), ("--symmetrize",)):
+            with warnings.catch_warnings(record=True) as seen:
+                warnings.simplefilter("always")
+                assert run_cli("solve", "--input", str(x_path), "--rank", "1", *flags) == 2
+            runs.append((capsys.readouterr().err, [str(w.message) for w in seen]))
+        assert runs[0][0].startswith(error)
+        assert runs[1] == runs[0]
+
     @pytest.mark.parametrize("flags", [(), ("--symmetrize",)], ids=["as-is", "symmetrize"])
     @pytest.mark.parametrize("command", ["solve", "bench"])
     def test_the_array_read_is_released_before_the_solve(self, tmp_path, monkeypatch, command,
@@ -734,7 +834,7 @@ class TestReadInstance:
 
         monkeypatch.setattr(cli.mio, "read_matrix", read_spy)
         monkeypatch.setattr(stf, "solve_instance", solve_spy)
-        rest = {"solve": (), "bench": ("--kappas", "0", "--seeds", "1,2",
+        rest = {"solve": (), "bench": ("--kappas", "0", "--seeds", "1", "2",
                                        "--out", str(tmp_path / "b.csv"))}
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # X is not symmetric

@@ -263,6 +263,17 @@ class TestDeriveSchedule:
         with pytest.raises(ParameterError):
             dataclasses.replace(good, L=(1.0, L), sigma=(1.0, sigma))
 
+    @pytest.mark.parametrize("kappa, interval", [(0.0, "[0.0, inf]"), (0.5, "[inf, nan]")])
+    def test_infinite_delta_interval_is_refused(self, kappa, interval):
+        # at rho = 1e-310, 1/gamma overflows (and |alpha|/(sigma gamma) too
+        # with inertia): delta, a and b would be inf or nan
+        with pytest.raises(ParameterError, match=re.escape(f"block 0: the delta interval {interval}")):
+            derive_schedule([1.0, 1.0], [2.0, 1.0], kappa=kappa, rho=1e-310)
+        # a schedule built by hand with such a step is refused too
+        good = derive_schedule([1.0, 1.0], [2.0, 1.0])
+        with pytest.raises(ParameterError, match=r"block 1: the delta interval \[0\.0, inf\]"):
+            dataclasses.replace(good, gamma=(good.gamma[0], 1e-310), delta=(good.delta[0], 0.0))
+
     @pytest.mark.parametrize("L, sigma, message", [
         ([-1.0], [-1.0], "all L_i and sigma_i must be positive"),
         ([0.0], [1.0], "block 0: sigma*L = 1.0 * 0.0 = 0.0 is out of range"),
