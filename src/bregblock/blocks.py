@@ -179,8 +179,8 @@ def block_bregman_distance(kernel: BlockKernel, x: BlockVector, y_i: Array) -> f
 def phi_value(problem: BlockProblem, x: BlockVector) -> float:
     """Composite objective f(x) + sum_i g_i(x_i), +inf when any g_i is."""
     total = 0.0
-    for i, term in enumerate(problem.g):
-        gi = float(term.value(x.block(i)))
+    for term, block in zip(problem.g, x.blocks, strict=True):
+        gi = float(term.value(block))
         if math.isinf(gi):
             return math.inf
         total += gi

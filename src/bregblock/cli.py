@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import re
 import sys
 import time
 import warnings
@@ -49,10 +50,20 @@ _SEED = _int_at_least(0)
 _RANK = _int_at_least(1)
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argparse parser that reads -1e-8, -inf and -nan, like -5 and -.5,
+    as values, not flags, through argparse's private negative-number pattern
+    (checked with Python 3.11; TestNegativeValues runs on every CI Python)."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"(?i)^-((\d+\.?\d*|\.\d+)(e[-+]?\d+)?|inf(inity)?|nan)$")
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The bregblock parser; its solve subparser's actions are the one table
     of solve option names, types and defaults."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="bregblock",
         description="Inertial block Bregman proximal solver for symmetric "
         "nonnegative tri-factorization",

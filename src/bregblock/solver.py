@@ -223,11 +223,11 @@ def sweep_with_partials(
     cur = x_k
     gaps: list[float] = []
     etas: list[Array] = []
-    for i in range(problem.N):
-        gf = f_grad0 if i == 0 else problem.f_block_grad(i, cur)
+    for i, (term, kernel) in enumerate(zip(problem.g, problem.kernels)):
+        gf = problem.f_block_grad(i, cur) if i else f_grad0
         gf.setflags(write=False)
-        z, eta = problem.g[i].solver(problem, schedule, i, cur, x_prev, f_grad=gf)
-        gaps.append(block_bregman_distance(problem.kernels[i], cur, z))
+        z, eta = term.solver(problem, schedule, i, cur, x_prev, f_grad=gf)
+        gaps.append(block_bregman_distance(kernel, cur, z))
         etas.append(eta)
         cur = cur.with_block(i, z)
     return cur, gaps, etas
@@ -238,7 +238,7 @@ def lyapunov_value(schedule: StepSchedule, phi: float, gaps: Sequence[float]) ->
     delta-weighted Bregman gaps of that sweep."""
     if len(gaps) != schedule.N:
         raise ParameterError(f"expected {schedule.N} gaps, got {len(gaps)}")
-    return phi + sum(d * g for d, g in zip(schedule.delta, gaps))
+    return phi + sum(map(operator.mul, schedule.delta, gaps))
 
 
 def stationarity_residual(

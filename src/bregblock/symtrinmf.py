@@ -14,30 +14,30 @@ Every m^2 r product lives in :func:`products`: the objective and both
 block gradients are cheap functions of XU, X^T U, U^T X U and G = U^T U
 (X^T U is XU itself when X is exactly symmetric), which they take as an
 optional last argument and otherwise compute.  ``products`` remembers
-nothing; :func:`as_block_problem` keeps the products of the last point's U
-block, keyed by the block's identity, which names its values because a
-BlockVector's blocks cannot change.  A solver sweep makes one new U, so it
-pays one X-product, and every later evaluation in the sweep, the residual
-and the Lyapunov value reuse it.  The generic sweep hands the updates the
+nothing; :func:`as_block_problem` keeps one record of the last point it
+met, with the products and ||U||^2 of its U block, ||V||^2 of its V block
+(the ``norms`` of update_U, update_V, kernel_h1_grad and the kernel
+distances) and its G V G (the ``gvg`` of grad_V and f_value), each made on
+first use and taken over by the next point's record for each block the two
+share: a block's identity names its values, because a BlockVector's blocks
+cannot change.  A sweep meets (U_k, V_k), (U+, V_k) and (U+, V+), so it
+pays one X-product, which every later evaluation in the sweep, the residual
+and the Lyapunov value reuse, and far from the fit it forms five squared
+norms: ||V_k||^2, ||U+||^2 (the next sweep's ||U_k||^2), and those of the
+clamped score and of the two block steps in the distances; and G V G
+twice, at (U+, V_k) and (U+, V+).  The generic sweep hands the updates the
 block gradients it has already evaluated, so a sweep computes grad_U once
 and grad_V twice.  The hot path multiplies with ndarray.dot, not @: at
 r-sized shapes @ costs about 1 us more per call, for the same BLAS result.
 
-The block problem keeps ||U||^2 and ||V||^2 the same way (the ``norms``
-of update_U, update_V, kernel_h1_grad and the kernel distances), and G V G
-of the last point (the ``gvg`` of grad_V and f_value).  Far from the
-fit a sweep then forms five squared norms: ||V_k||^2, ||U+||^2 (the next
-sweep's ||U_k||^2), and those of the clamped score and of the two block
-steps in the distances; and G V G twice, at (U+, V_k) and (U+, V+).
-
 The closed forms also certify the sweep.  Each update takes its block
 gradient of f and returns, with the new block, the subgradient its
 first-order condition exhibits: min(G, 0) / gamma1 from the score G the U
-update clamps, and (eta / gamma2) min(W, 0) from the step W the V update
-clamps.  Each kernel supplies its exact Bregman distance as a sum of
-nonnegative terms (:func:`kernel_h1_distance`, :func:`kernel_h2_distance`),
-so a gap never cancels to rounding noise.  A sweep then evaluates one
-kernel function, the grad_U h1 inside update_U.
+update clamps, and (c / gamma2) min(W, 0), c the V kernel's curvature,
+from the step W the V update clamps.  Each kernel supplies its exact
+Bregman distance as a sum of nonnegative terms (:func:`kernel_h1_distance`,
+:func:`kernel_h2_distance`), so a gap never cancels to rounding noise.  A
+sweep then evaluates one kernel function, the grad_U h1 inside update_U.
 
 The objective uses the trace identity
 f = (||X||^2 - 2 <U^T X U, V> + <G V G, V>) / 2.  Its rounding error is a
@@ -51,7 +51,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field, replace
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -359,7 +359,8 @@ def update_U(
     """
     norms = norms or (_sq_norm(U_k), _sq_norm(V_k))
     G = kernel_h1_grad(inst, U_k, V_k, norms) - gamma1 * f_grad
-    G += alpha1 * (U_k - U_prev)
+    if alpha1:  # a zero term would change no bit of U+ or ||eta||
+        G += alpha1 * (U_k - U_prev)
     P = np.maximum(G, 0.0)
     v2 = norms[1]
     tau1 = 2.0 * (inst.norm_X * math.sqrt(v2) + inst.eps1)
@@ -383,79 +384,96 @@ def update_V(
 ) -> tuple[Array, Array]:
     """Closed-form minimizer of the block-V model, with its subgradient.
 
-    The V kernel is quadratic with curvature eta = ||U_next||^4 + eps2,
+    The V kernel is quadratic with curvature c = ||U_next||^4 + eps2,
     so the model minimizer is the clamped step V+ = max(W, 0) with
-    W = V_k + (alpha2 (V_k - V_prev) - gamma2 f_grad) / eta,
-    f_grad = grad_V f(U_next, V_k).  Returns (V+, (eta/gamma2) min(W, 0)),
+    W = V_k + (alpha2 (V_k - V_prev) - gamma2 f_grad) / c,
+    f_grad = grad_V f(U_next, V_k).  Returns (V+, (c/gamma2) min(W, 0)),
     the element of the orthant's normal cone at V+ that the first-order
     condition exhibits.  ``norms`` as in update_U, at (U_next, V_k); only
     its ||U_next||^2 is read.  V+ is read-only.
     """
     u2 = norms[0] if norms else _sq_norm(U_next)
-    eta = u2 * u2 + inst.eps2
-    step = alpha2 * (V_k - V_prev) - gamma2 * f_grad
-    W = V_k + step / eta
+    curvature = u2 * u2 + inst.eps2
+    step = alpha2 * (V_k - V_prev) - gamma2 * f_grad if alpha2 else -gamma2 * f_grad  # as in update_U
+    W = V_k + step / curvature
     V_next = np.maximum(W, 0.0)
     V_next.setflags(write=False)
-    return V_next, (eta / gamma2) * np.minimum(W, 0.0)
+    return V_next, (curvature / gamma2) * np.minimum(W, 0.0)
 
 
-def _last(compute: Callable) -> Callable:
-    """``compute`` with a one-entry memory: a call on the very object of
-    the previous call returns the previous result."""
-    held: list = [None, None]  # the last argument and its result
+class _Record:
+    """What a block problem keeps of a point x = (U, V), each made on first
+    use: the products and ||U||^2 of U, ||V||^2 of V, and G V G.  It takes
+    over the entries of each block x shares with ``last``'s point."""
 
-    def cached(key):
-        if held[0] is not key:
-            held[:] = key, compute(key)
-        return held[1]
+    def __init__(self, inst: SymTriInstance, x: BlockVector, last: _Record | None) -> None:
+        self.inst, self.x, self.gvg = inst, x, None
+        self.U, self.V = x.blocks
+        self.prods, self.u2 = (last.prods, last.u2) if last and last.U is self.U else (None, None)
+        self.v2 = last.v2 if last and last.V is self.V else None
 
-    return cached
+    def products(self) -> Products:
+        if self.prods is None:
+            self.prods = products(self.inst, self.U)
+        return self.prods
+
+    def norms(self) -> Norms:
+        if self.u2 is None:
+            self.u2 = _sq_norm(self.U)
+        if self.v2 is None:
+            self.v2 = _sq_norm(self.V)
+        return self.u2, self.v2
+
+    def fit(self) -> tuple[Products, Array]:
+        """The products and G V G, the last arguments of f_value and grad_V."""
+        if self.gvg is None:
+            self.gvg = _gvg(self.products()[3], self.V)
+        return self.prods, self.gvg
 
 
 def as_block_problem(inst: SymTriInstance) -> BlockProblem:
     """Bind the instance into the generic two-block problem: the blocks are
     U (m x r) and V (r x r) in their natural shapes, the nonsmooth terms
     are nonnegativity indicators, and the exact subproblem solvers are the
-    closed-form updates.  The problem keeps the products and ||U||^2 of the
-    last U block, ||V||^2 of the last V block, and G V G and the norms of the
-    last point, each keyed by the identity of its block or point."""
-    prods = _last(lambda U: products(inst, U))
-    u2 = _last(_sq_norm)
-    v2 = _last(_sq_norm)
-    gvg = _last(lambda x: _gvg(prods(x.block(0))[3], x.block(1)))
-    norms = _last(lambda x: (u2(x.block(0)), v2(x.block(1))))
+    closed-form updates.  The problem keeps the record of the last point it
+    met, which every evaluation at that point reads."""
+    last = None
+
+    def record(x: BlockVector) -> _Record:
+        nonlocal last
+        if last is None or last.x is not x:
+            last = _Record(inst, x, last)
+        return last
 
     def fg(i: int, x: BlockVector) -> Array:
-        U, V = x.blocks
         if i == 0:
-            return grad_U(inst, U, V, prods(U))
+            return grad_U(inst, *x.blocks, record(x).products())
         if i == 1:
-            return grad_V(inst, U, V, prods(U), gvg(x))
+            return grad_V(inst, *x.blocks, *record(x).fit())
         raise ParameterError(f"block index {i} out of range")
 
     kernel1 = BlockKernel(
         value=lambda x: kernel_h1_value(inst, *x.blocks),
-        block_grad=lambda x: kernel_h1_grad(inst, *x.blocks, norms(x)),
-        distance=lambda x, Y: kernel_h1_distance(inst, *x.blocks, Y, norms(x)),
+        block_grad=lambda x: kernel_h1_grad(inst, *x.blocks, record(x).norms()),
+        distance=lambda x, Y: kernel_h1_distance(inst, *x.blocks, Y, record(x).norms()),
         sigma=inst.sigma1,
     )
     kernel2 = BlockKernel(
         value=lambda x: kernel_h2_value(inst, *x.blocks),
         block_grad=lambda x: kernel_h2_grad(inst, *x.blocks),
-        distance=lambda x, W: kernel_h2_distance(inst, *x.blocks, W, norms(x)),
+        distance=lambda x, W: kernel_h2_distance(inst, *x.blocks, W, record(x).norms()),
         sigma=inst.sigma2,
     )
 
     def u_solver(problem, schedule, i, x_cur, x_prev, f_grad):
         U_k, V_k = x_cur.blocks
         return update_U(inst, schedule.gamma[0], schedule.alpha[0], U_k, x_prev.block(0), V_k,
-                        f_grad=f_grad, norms=norms(x_cur))
+                        f_grad=f_grad, norms=record(x_cur).norms())
 
     def v_solver(problem, schedule, i, x_cur, x_prev, f_grad):
         U_next, V_k = x_cur.blocks
         return update_V(inst, schedule.gamma[1], schedule.alpha[1], U_next, V_k, x_prev.block(1),
-                        f_grad=f_grad, norms=norms(x_cur))
+                        f_grad=f_grad, norms=record(x_cur).norms())
 
     g = (
         replace(nonnegative_indicator(), solver=u_solver),
@@ -463,7 +481,7 @@ def as_block_problem(inst: SymTriInstance) -> BlockProblem:
     )
     return BlockProblem(
         shapes=((inst.m, inst.r), (inst.r, inst.r)),
-        f_value=lambda x: f_value(inst, *x.blocks, prods(x.block(0)), gvg(x)),
+        f_value=lambda x: f_value(inst, *x.blocks, *record(x).fit()),
         f_block_grad=fg,
         kernels=(kernel1, kernel2),
         L=(inst.L1, inst.L2),

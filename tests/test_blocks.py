@@ -254,6 +254,14 @@ class TestPhiValue:
     def test_indicator_values(self, z, value):
         assert nonnegative_indicator().value(np.array(z)) == value
 
+    def test_one_block_per_term_is_required(self):
+        # a missing block would drop its g-term from phi
+        shapes = ((2,), (1, 2))
+        problem = linear_problem(shapes, np.zeros(4), g=nonnegative_indicator())
+        for blocks in ((np.zeros(2),), (np.zeros(2), np.zeros((1, 2)), np.zeros(1))):
+            with pytest.raises(ValueError, match="zip"):
+                phi_value(problem, BlockVector(blocks))
+
     def test_tri_factorization_scalar(self):
         inst = SymTriInstance(np.array([[4.0]]), 1)
         problem = stf.as_block_problem(inst)

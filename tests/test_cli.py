@@ -215,7 +215,6 @@ class TestSynthSolvePipeline:
         (("solve", "--rank", "3", "--kappa", "1.5"), "kappa must lie in [0, 1), got 1.5"),
         (("solve", "--rank", "3", "--rho", "0"), "rho must lie in (0, 1], got 0.0"),
         (("solve", "--rank", "3", "--max-iters", "-1"), "max_iters must be nonnegative, got -1"),
-        # "--residual-tol -1e-8" would be argparse's "expected one argument": "-1e-8" reads as a flag
         (("solve", "--rank", "3", "--residual-tol=-1e-8"), "residual_tol must be nonnegative"),
         (("bench", "--rank", "2", "--kappas", "0", "1.5", "--out", "unused.csv"),
          "kappa must lie in [0, 1), got 1.5"),
@@ -390,6 +389,56 @@ class TestSharedOptions:
         assert (seen[1].seeds, seen[1].kappas) == ([4, 5], [0.0, 0.5])
         assert run_cli(*base, "--kappas", "0,0.5") == 2
         assert "argument --kappas: invalid float value: '0,0.5'" in capsys.readouterr().err
+
+
+class TestNegativeValues:
+    """A negative number after a space means what it means after "=", in
+    every form float() reads: argparse's own pattern knows only -5 and -.5."""
+
+    REQUIRED = {"synth": ("--m", "5", "--r", "2", "--out", "x.mtx"), "solve": ("--input", "x.mtx", "--rank", "3"),
+                "bench": ("--input", "x.mtx", "--rank", "2", "--out", "unused.csv")}
+    FLOAT_OPTIONS = [(command, action.option_strings[0]) for command in REQUIRED
+                     for action in subparser(command)._actions if action.type is float]
+
+    @staticmethod
+    def outcome(monkeypatch, capsys, tmp_path, command, *args):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(cli.mio, "read_matrix", lambda *a, **k: pytest.fail("X was read"))
+        code = run_cli(command, *TestNegativeValues.REQUIRED[command], *args)
+        err = capsys.readouterr().err.splitlines()
+        assert list(tmp_path.iterdir()) == []  # synth wrote nothing
+        return code, err[-1]
+
+    def test_every_float_option_is_covered(self):
+        assert sorted(flag for _, flag in self.FLOAT_OPTIONS) == sorted([
+            "--noise", "--density", "--rho", "--residual-tol", "--a1", "--eps1", "--eps2", "--kappa",
+            "--rho", "--residual-tol", "--kappas"])
+
+    @pytest.mark.parametrize("value", ["-1e-8", "-2.5E+3", "-inf", "-nan"])
+    @pytest.mark.parametrize("command, flag", FLOAT_OPTIONS)
+    def test_both_spellings_give_the_same_error(self, monkeypatch, capsys, tmp_path, command, flag,
+                                                 value):
+        spaced = self.outcome(monkeypatch, capsys, tmp_path, command, flag, value)
+        joined = self.outcome(monkeypatch, capsys, tmp_path, command, f"{flag}={value}")
+        assert spaced == joined and spaced[0] == 2
+        assert "expected one argument" not in spaced[1] and "error: " in spaced[1]
+
+    @pytest.mark.parametrize("flag", [flag for command, flag in FLOAT_OPTIONS if command == "solve"])
+    def test_options_file_lines_read_as_the_command_line(self, monkeypatch, capsys, tmp_path, flag):
+        options = tmp_path.parent / f"{tmp_path.name}.args"
+        options.write_text(f"{flag}\n-1e-8\n")
+        from_file = self.outcome(monkeypatch, capsys, tmp_path, "solve", f"@{options}")
+        assert from_file == self.outcome(monkeypatch, capsys, tmp_path, "solve", f"{flag}=-1e-8")
+
+    @pytest.mark.parametrize("command, args, same_as", [
+        ("bench", ("--kappas", "0", "-1e-3"), ("--kappas", "0", "-0.001")),  # a list's later value
+        ("solve", ("--seed", "-1e3"), ("--seed=-1e3",)),  # an int option reads it as "=" does
+    ])
+    def test_other_places_of_a_negative_number(self, monkeypatch, capsys, tmp_path, command, args,
+                                               same_as):
+        got = self.outcome(monkeypatch, capsys, tmp_path, command, *args)
+        assert got == self.outcome(monkeypatch, capsys, tmp_path, command, *same_as)
+        assert got[0] == 2 and "expected one argument" not in got[1]
 
 
 class TestConfigFile:

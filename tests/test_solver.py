@@ -527,6 +527,16 @@ class TestStationarityResidual:
         res, _ = stationarity_residual(problem, x_next, etas)
         assert res == pytest.approx(float(np.linalg.norm(full_gradient(problem, x_next))), rel=1e-9)
 
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_one_eta_per_block_is_required(self, count):
+        # a missing eta would drop its block from the norm the run stops on
+        rng = np.random.default_rng(11)
+        problem = quadratic_problem(rng.standard_normal((7, 5)), rng.standard_normal(7), (3, 2))
+        x = point(problem.shapes, rng.standard_normal(5))
+        etas = [np.zeros(3), np.zeros(2), np.zeros(2)][:count]
+        with pytest.raises(ValueError, match="zip"):
+            stationarity_residual(problem, x, etas)
+
     def test_matches_independent_assembly(self):
         rng = np.random.default_rng(10)
         problem = quadratic_problem(rng.standard_normal((7, 5)), rng.standard_normal(7), (3, 2))

@@ -408,6 +408,84 @@ class TestUpdateV:
             assert abs(mc - mo) <= 1e-8
 
 
+def with_inertial_term(inst, gamma, alpha, block, k, prev, other, f_grad):
+    """update_U (block 0, other = V_k) or update_V (block 1, other = U_next)
+    written out with the inertial term alpha (x_k - x_prev) that the updates
+    skip at alpha = 0."""
+    if block == 0:
+        u2, v2 = stf._sq_norm(k), stf._sq_norm(other)
+        G = kernel_h1_grad(inst, k, other, (u2, v2)) - gamma * f_grad
+        G += alpha * (k - prev)
+        P = np.maximum(G, 0.0)
+        tau1 = 2.0 * (inst.norm_X * math.sqrt(v2) + inst.eps1)
+        t = cubic_positive_root(tau1, inst.a1 * v2 * stf._sq_norm(P))
+        return P / t, np.minimum(G, 0.0) / gamma
+    u2 = stf._sq_norm(other)
+    curvature = u2 * u2 + inst.eps2
+    W = k + (alpha * (k - prev) - gamma * f_grad) / curvature
+    return np.maximum(W, 0.0), (curvature / gamma) * np.minimum(W, 0.0)
+
+
+class TestZeroInertia:
+    """At alpha = 0 the updates form no inertial term: its +-0 entries could
+    change only the sign of a zero in the clamped score, which neither clamp
+    passes on, so the new block and ||eta||^2 keep every bit."""
+
+    # exact zeros of both signs, in the blocks and in the gradient
+    NONNEGATIVE = st.one_of(st.just(0.0), st.just(-0.0), st.floats(0.0, 2.0))
+    ANY = st.one_of(st.just(0.0), st.just(-0.0), st.floats(-3.0, 3.0))
+
+    @settings(max_examples=200, deadline=None)
+    @given(block=st.sampled_from([0, 1]), m=st.integers(1, 5), r=st.integers(1, 3),
+           gamma=st.floats(0.01, 2.0), data=st.data())
+    def test_no_inertial_term_keeps_every_bit(self, block, m, r, gamma, data):
+        r = min(r, m)
+        inst, _ = random_instance(m, m=m, r=r)
+        shape = (m, r) if block == 0 else (r, r)
+        draw = lambda elements, s: np.array(data.draw(st.lists(elements, min_size=s[0] * s[1],
+                                                               max_size=s[0] * s[1]))).reshape(s)
+        k = draw(self.NONNEGATIVE, shape)
+        # x_prev shares some entries with x_k, -0.0 among them (the first
+        # sweep's x_prev is x0), and differs from it at entry j at least
+        prev = draw(self.NONNEGATIVE, shape)
+        shared = draw(st.booleans(), shape)
+        prev[shared] = k[shared]
+        j = data.draw(st.integers(0, k.size - 1))
+        prev.flat[j] = k.flat[j] + 0.5
+        other = draw(self.NONNEGATIVE, (r, r) if block == 0 else (m, r))
+        f_grad = draw(self.ANY, shape)
+        update = update_U if block == 0 else update_V
+        args = (k, prev, other) if block == 0 else (other, k, prev)
+        z, eta = update(inst, gamma, 0.0, *args, f_grad=f_grad)
+        z_ref, eta_ref = with_inertial_term(inst, gamma, 0.0, block, k, prev, other, f_grad)
+        assert z.tobytes() == z_ref.tobytes()
+        assert stf._sq_norm(eta).hex() == stf._sq_norm(eta_ref).hex()
+        assert np.array_equal(eta, eta_ref)  # -0.0 == 0.0: only a zero's sign may differ
+
+    @pytest.mark.parametrize("block", [0, 1])
+    def test_negative_zeros_in_both_points(self, block):
+        # -0.0 in x_k and x_prev with a zero gradient puts -0.0 in the score
+        # the update clamps, where the inertial term would have put +0.0
+        inst, rng = random_instance(41, m=4, r=2)
+        shape, other = ((4, 2), rng.random((2, 2))) if block == 0 else ((2, 2), rng.random((4, 2)))
+        k, f_grad = np.full(shape, -0.0), np.zeros(shape)
+        args = (k, k.copy(), other) if block == 0 else (other, k, k.copy())
+        z, eta = (update_U, update_V)[block](inst, 0.5, 0.0, *args, f_grad=f_grad)
+        z_ref, eta_ref = with_inertial_term(inst, 0.5, 0.0, block, k, k.copy(), other, f_grad)
+        assert not np.signbit(z_ref).any() and z.tobytes() == z_ref.tobytes()
+        assert stf._sq_norm(eta).hex() == stf._sq_norm(eta_ref).hex() == (0.0).hex()
+
+    def test_inertial_term_is_formed_when_alpha_is_not_zero(self):
+        inst, rng = random_instance(40, m=5, r=2)
+        for block, shape, other in ((0, (5, 2), (2, 2)), (1, (2, 2), (5, 2))):
+            k, prev, f_grad = rng.random(shape), rng.random(shape), rng.standard_normal(shape)
+            o = rng.random(other)
+            args = (k, prev, o) if block == 0 else (o, k, prev)
+            z, eta = (update_U, update_V)[block](inst, 0.3, 0.2, *args, f_grad=f_grad)
+            z_ref, eta_ref = with_inertial_term(inst, 0.3, 0.2, block, k, prev, o, f_grad)
+            assert z.tobytes() == z_ref.tobytes() and eta.tobytes() == eta_ref.tobytes()
+
+
 class TestBlockProblemBinding:
     def test_phi_equals_f_on_feasible_points(self):
         inst, rng = random_instance(16)
@@ -741,6 +819,27 @@ class TestProductForm:
             problem.f_block_grad(1, x.with_block(1, 2.0 * V))
         made = [args[1] for args in calls["products"]]
         assert [id(U) for U in made] == [id(x.block(0)) for x in (x1, x2, x1, x2)]
+
+    def test_a_new_u_block_with_the_same_values_gets_its_own_record(self, monkeypatch):
+        # x2's U is another array holding x1's values, so a record taken over
+        # from the wrong point would give the same numbers: only the calls of
+        # products show that each change of U block makes them afresh
+        inst, rng = random_instance(31, m=8, r=2)
+        problem = as_block_problem(inst)
+        x1 = BlockVector((rng.random((8, 2)), rng.random((2, 2))))
+        x2 = x1.with_block(0, x1.block(0).copy())
+        assert x2.block(0) is not x1.block(0) and x2.block(1) is x1.block(1)
+        U, V = x1.blocks
+        direct = (f_value(inst, U, V), grad_U(inst, U, V), grad_V(inst, U, V),
+                  kernel_h1_grad(inst, U, V))
+        calls = record_calls(monkeypatch, "products")
+        for x in (x1, x2, x1):
+            got = (problem.f_value(x), problem.f_block_grad(0, x), problem.f_block_grad(1, x),
+                   problem.kernels[0].block_grad(x))
+            assert got[0].hex() == direct[0].hex()
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(got[1:], direct[1:]))
+        made = [args[1] for args in calls["products"]]
+        assert [id(U) for U in made] == [id(x.block(0)) for x in (x1, x2, x1)]
 
     @pytest.mark.parametrize("kappa", [0.0, 0.6])
     def test_one_x_product_per_sweep(self, monkeypatch, kappa):
