@@ -177,9 +177,12 @@ def block_bregman_distance(kernel: BlockKernel, x: BlockVector, y_i: Array) -> f
 
 
 def phi_value(problem: BlockProblem, x: BlockVector) -> float:
-    """Composite objective f(x) + sum_i g_i(x_i), +inf when any g_i is."""
+    """Composite objective f(x) + sum_i g_i(x_i), +inf when any g_i is.  x
+    must have one block per g_i (ValueError)."""
+    if len(x.blocks) != len(problem.g):
+        raise ValueError(f"the point has {len(x.blocks)} blocks and the problem {len(problem.g)}")
     total = 0.0
-    for term, block in zip(problem.g, x.blocks, strict=True):
+    for term, block in zip(problem.g, x.blocks):
         gi = float(term.value(block))
         if math.isinf(gi):
             return math.inf

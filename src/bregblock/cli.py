@@ -29,7 +29,6 @@ from .solver import (
     ConfigurationError,
     InfeasibleError,
     check_run_limits,
-    check_schedule_parameters,
     derive_schedule,
     trace_to_json,
 )
@@ -128,8 +127,9 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 
 def read_instance(args: argparse.Namespace, **kernel) -> stf.SymTriInstance:
-    """--input's instance at --rank; --symmetrize replaces an asymmetric X by
-    (X + X^T)/2 and warns once the instance has accepted it."""
+    """--input's instance at --rank.  The instance refuses an X that is not
+    exactly symmetric; --symmetrize replaces such an X by (X + X^T)/2 and
+    warns once the instance has accepted it."""
     X = mio.read_matrix(args.input)
     if not args.symmetrize or (X == X.T).all():
         return stf.SymTriInstance(X, args.rank, **kernel)
@@ -140,13 +140,20 @@ def read_instance(args: argparse.Namespace, **kernel) -> stf.SymTriInstance:
     return inst
 
 
-def cmd_solve(args: argparse.Namespace) -> int:
-    L1, L2, s1, s2 = stf.check_kernel_parameters(args.a1, args.eps1, args.eps2)
+def check_solves(args: argparse.Namespace, kappas, **kernel) -> None:
+    """solve's and bench's checks before the read: kernel, each kappa's schedule, run limits."""
+    L1, L2, s1, s2 = stf.check_kernel_parameters(**kernel)
     with warnings.catch_warnings():  # solve_instance gives derive_schedule's warnings
         warnings.simplefilter("ignore")
-        derive_schedule((L1, L2), (s1, s2), kappa=args.kappa, rho=args.rho)
+        for kappa in kappas:
+            derive_schedule((L1, L2), (s1, s2), kappa=kappa, rho=args.rho)
     check_run_limits(args.max_iters, args.residual_tol)
-    inst = read_instance(args, a1=args.a1, eps1=args.eps1, eps2=args.eps2)
+
+
+def cmd_solve(args: argparse.Namespace) -> int:
+    kernel = {"a1": args.a1, "eps1": args.eps1, "eps2": args.eps2}
+    check_solves(args, [args.kappa], **kernel)
+    inst = read_instance(args, **kernel)
     result, factors = stf.solve_instance(
         inst,
         kappa=args.kappa,
@@ -248,9 +255,7 @@ def _rel_err(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    for kappa in args.kappas:
-        check_schedule_parameters(kappa, args.rho)
-    check_run_limits(args.max_iters, args.residual_tol)
+    check_solves(args, args.kappas)
     inst = read_instance(args)
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)

@@ -93,14 +93,6 @@ class StepSchedule:
         return len(self.gamma)
 
 
-def check_schedule_parameters(kappa: float, rho: float) -> None:
-    """The checks derive_schedule makes on kappa and rho (ParameterError)."""
-    if not 0.0 <= kappa < 1.0:
-        raise ParameterError(f"kappa must lie in [0, 1), got {kappa}")
-    if not 0.0 < rho <= 1.0:
-        raise ParameterError(f"rho must lie in (0, 1], got {rho}")
-
-
 def _product(i: int, name: str, a: float, b: float) -> float:
     """a * b, a divisor of block i's schedule: positive and finite, or ParameterError."""
     if not 0.0 < a * b < math.inf:
@@ -130,8 +122,12 @@ def derive_schedule(
     and delta_i is the midpoint of its admissible interval, which maximizes
     min(a_i, b_i).  With rho < 1 both descent coefficients are strictly
     positive; rho = 1 is allowed but makes them vanish, so it is flagged.
+    kappa outside [0, 1) and rho outside (0, 1] are refused (ParameterError).
     """
-    check_schedule_parameters(kappa, rho)
+    if not 0.0 <= kappa < 1.0:
+        raise ParameterError(f"kappa must lie in [0, 1), got {kappa}")
+    if not 0.0 < rho <= 1.0:
+        raise ParameterError(f"rho must lie in (0, 1], got {rho}")
     L = tuple(float(v) for v in L)
     sigma = tuple(float(v) for v in sigma)
     if rho == 1.0:

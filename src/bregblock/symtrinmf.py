@@ -10,10 +10,10 @@ factorizations.  Factor shapes are checked where factors enter
 (pack_factors, relative_error, and run through the problem's block
 shapes); the objective, gradients, kernels and updates trust them.
 
-Every m^2 r product lives in :func:`products`: the objective and both
-block gradients are cheap functions of XU, X^T U, U^T X U and G = U^T U
-(X^T U is XU itself when X is exactly symmetric), which they take as an
-optional last argument and otherwise compute.  ``products`` remembers
+X is exactly symmetric (:class:`SymTriInstance` refuses any other X), so
+every m^2 r product lives in :func:`products`: the objective and both block
+gradients are cheap functions of XU, U^T X U and G = U^T U, which they take
+as an optional last argument and otherwise compute.  ``products`` remembers
 nothing; :func:`as_block_problem` keeps one record of the last point it
 met, with the products and ||U||^2 of its U block, ||V||^2 of its V block
 (the ``norms`` of update_U, update_V, kernel_h1_grad and the kernel
@@ -24,11 +24,11 @@ cannot change.  A sweep meets (U_k, V_k), (U+, V_k) and (U+, V+), so it
 pays one X-product, which every later evaluation in the sweep, the residual
 and the Lyapunov value reuse, and far from the fit it forms five squared
 norms: ||V_k||^2, ||U+||^2 (the next sweep's ||U_k||^2), and those of the
-clamped score and of the two block steps in the distances; and G V G
-twice, at (U+, V_k) and (U+, V+).  The generic sweep hands the updates the
-block gradients it has already evaluated, so a sweep computes grad_U once
-and grad_V twice.  The hot path multiplies with ndarray.dot, not @: at
-r-sized shapes @ costs about 1 us more per call, for the same BLAS result.
+clamped score and of the two block steps in the distances; and G V G twice,
+at (U+, V_k) and (U+, V+).  The generic sweep hands the updates the block
+gradients it has already evaluated, so a sweep computes grad_U once and
+grad_V twice.  The hot path multiplies with ndarray.dot, not @: at r-sized
+shapes @ costs about 1 us more per call, for the same BLAS result.
 
 The closed forms also certify the sweep.  Each update takes its block
 gradient of f and returns, with the new block, the subgradient its
@@ -49,7 +49,6 @@ formulas.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
@@ -79,7 +78,8 @@ def _sq_norm(A: Array) -> float:
     return float(np.vdot(A, A))
 
 
-def check_kernel_parameters(a1: float, eps1: float, eps2: float) -> tuple[float, float, float, float]:
+def check_kernel_parameters(a1: float = 6.0, eps1: float = 1.0,
+                            eps2: float = 1.0) -> tuple[float, float, float, float]:
     """The checks SymTriInstance makes on its kernel parameters
     (ParameterError): each must be positive (NaN is not) and finite, and so
     must the constants 6/a1 and 2 eps1 they give.  Returns
@@ -100,14 +100,13 @@ class SymTriInstance:
 
     Derived constants (set in __post_init__): the smallest admissible
     relative-smoothness bounds L1 = max(6/a1, 1) and L2 = 1, the
-    strong-convexity moduli sigma1 = 2 eps1 and sigma2 = eps2, the
-    cached Frobenius norm of X, and ``symmetric``, whether X == X^T entry
-    for entry, with no tolerance.  Entries and the norm of X must be
-    finite, and r an integer in [1, m].  Any X that is not symmetric is
-    solved as it is, with a warning that names (X + X^T)/2, which is.
-    The kernels fix b1 = 2 and a2 = 1: scaling a kernel by c
-    scales its sigma by c and its L by 1/c and leaves every iterate as it
-    is, so kernels with (a1, b1, a2) give the run of a1' = 2 a1 / b1.
+    strong-convexity moduli sigma1 = 2 eps1 and sigma2 = eps2, and the
+    cached Frobenius norm of X.  Entries and the norm of X must be finite,
+    X must equal X^T entry for entry, with no tolerance, and r must be an
+    integer in [1, m] (ParameterError).  The kernels fix b1 = 2 and a2 = 1:
+    scaling a kernel by c scales its sigma by c and its L by 1/c and leaves
+    every iterate as it is, so kernels with (a1, b1, a2) give the run of
+    a1' = 2 a1 / b1.
     """
 
     X: Array
@@ -120,7 +119,6 @@ class SymTriInstance:
     sigma1: float = field(init=False)
     sigma2: float = field(init=False)
     norm_X: float = field(init=False)
-    symmetric: bool = field(init=False)
 
     def __post_init__(self) -> None:
         X = np.array(self.X, dtype=float, copy=True)
@@ -140,12 +138,9 @@ class SymTriInstance:
                 "the Frobenius norm of X overflows; X must be rescaled (for example "
                 "divided by its largest absolute entry) before solving"
             )
-        symmetric = bool((X == X.T).all())
-        if not symmetric:
-            # stack: warn, __post_init__, the dataclass __init__, its caller
-            warnings.warn("input matrix is not symmetric; gradients remain exact, but pass "
-                          "(X + X^T)/2 (--symmetrize to bregblock solve, check or bench) to "
-                          "work with a symmetric X", stacklevel=3)
+        if not (X == X.T).all():
+            raise ParameterError("X is not symmetric; pass (X + X^T)/2 (--symmetrize to "
+                                 "bregblock solve, check or bench)")
         X.setflags(write=False)
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "r", r)
@@ -154,7 +149,6 @@ class SymTriInstance:
         object.__setattr__(self, "sigma1", sigma1)
         object.__setattr__(self, "sigma2", sigma2)
         object.__setattr__(self, "norm_X", norm)
-        object.__setattr__(self, "symmetric", symmetric)
 
     @property
     def m(self) -> int:
@@ -178,15 +172,13 @@ def _check_shapes(inst: SymTriInstance, U: Array, V: Array) -> tuple[Array, Arra
     return U, V
 
 
-Products = tuple[Array, Array, Array, Array]
+Products = tuple[Array, Array, Array]
 
 
 def products(inst: SymTriInstance, U: Array) -> Products:
-    """(XU, X^T U, U^T X U, U^T U), read-only; X^T U is the XU array itself
-    when X is exactly symmetric."""
+    """(XU, U^T X U, U^T U), read-only."""
     XU = inst.X.dot(U)
-    XtU = XU if inst.symmetric else inst.X.T.dot(U)
-    out = (XU, XtU, U.T.dot(XU), U.T.dot(U))
+    out = (XU, U.T.dot(XU), U.T.dot(U))
     for a in out:
         a.setflags(write=False)
     return out
@@ -207,7 +199,7 @@ def f_value(inst: SymTriInstance, U: Array, V: Array, prods: Products | None = N
     dense residual where the identity cancels (below FIT_CANCELLATION ||X||^2).
     ``prods`` is products(inst, U) and ``gvg`` is G V G, each computed here
     when not given."""
-    _, _, UtXU, G = prods or products(inst, U)
+    _, UtXU, G = prods or products(inst, U)
     x2 = inst.norm_X**2
     GVG = _gvg(G, V) if gvg is None else gvg
     f = 0.5 * (x2 - 2.0 * float(np.vdot(UtXU, V)) + float(np.vdot(GVG, V)))
@@ -217,17 +209,17 @@ def f_value(inst: SymTriInstance, U: Array, V: Array, prods: Products | None = N
 
 
 def grad_U(inst: SymTriInstance, U: Array, V: Array, prods: Products | None = None) -> Array:
-    """Gradient of the fit term in U; exact for asymmetric X as well:
-    -X U V^T - X^T U V + U (V G V^T + V^T G V) with G = U^T U."""
-    XU, XtU, _, G = prods or products(inst, U)
-    return U.dot(V.dot(G).dot(V.T) + V.T.dot(G).dot(V)) - XU.dot(V.T) - XtU.dot(V)
+    """Gradient of the fit term in U:
+    -X U V^T - X U V + U (V G V^T + V^T G V) with G = U^T U."""
+    XU, _, G = prods or products(inst, U)
+    return U.dot(V.dot(G).dot(V.T) + V.T.dot(G).dot(V)) - XU.dot(V.T) - XU.dot(V)
 
 
 def grad_V(inst: SymTriInstance, U: Array, V: Array, prods: Products | None = None,
            gvg: Array | None = None) -> Array:
     """Gradient of the fit term in V: G V G - U^T X U with G = U^T U;
     ``prods`` and ``gvg`` as in f_value."""
-    _, _, UtXU, G = prods or products(inst, U)
+    _, UtXU, G = prods or products(inst, U)
     return (_gvg(G, V) if gvg is None else gvg) - UtXU
 
 
@@ -427,7 +419,7 @@ class _Record:
     def fit(self) -> tuple[Products, Array]:
         """The products and G V G, the last arguments of f_value and grad_V."""
         if self.gvg is None:
-            self.gvg = _gvg(self.products()[3], self.V)
+            self.gvg = _gvg(self.products()[2], self.V)
         return self.prods, self.gvg
 
 

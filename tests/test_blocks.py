@@ -255,11 +255,13 @@ class TestPhiValue:
         assert nonnegative_indicator().value(np.array(z)) == value
 
     def test_one_block_per_term_is_required(self):
-        # a missing block would drop its g-term from phi
+        # a missing block would drop its g-term from phi; the count is checked
+        # before any value, so an infeasible first block does not give inf
         shapes = ((2,), (1, 2))
         problem = linear_problem(shapes, np.zeros(4), g=nonnegative_indicator())
-        for blocks in ((np.zeros(2),), (np.zeros(2), np.zeros((1, 2)), np.zeros(1))):
-            with pytest.raises(ValueError, match="zip"):
+        for blocks in ((np.zeros(2),), (-np.ones(2),),
+                       (np.zeros(2), np.zeros((1, 2)), np.zeros(1))):
+            with pytest.raises(ValueError, match=f"the point has {len(blocks)} blocks and the problem 2"):
                 phi_value(problem, BlockVector(blocks))
 
     def test_tri_factorization_scalar(self):

@@ -146,21 +146,22 @@ class TestSynthSolvePipeline:
         err = capsys.readouterr().err
         assert "X must be rescaled" in err and "a1 or eps1" in err
 
-    def test_asymmetric_input_warning_names_the_flag_and_the_caller(self, tmp_path):
-        # the warning reaches stderr from cli's line, not from the
-        # dataclass's generated __init__ ("<string>")
+    def test_asymmetric_input_is_refused_naming_the_flag(self, tmp_path):
+        # without --symmetrize the instance refuses X, with no traceback; with
+        # it, the warning reaches stderr from cli's line
         x_path = tmp_path / "x.mtx"
         x_path.write_text("%%MatrixMarket matrix array real general\n2 2\n1\n0\n2\n1\n")
-        for flags, named in (((), "(--symmetrize to bregblock solve, check or bench)"),
-                             (("--symmetrize",), "X was replaced by (X + X^T)/2")):
+        for flags, code, named in (((), 2, "error: X is not symmetric; pass (X + X^T)/2 "
+                                    "(--symmetrize to bregblock solve, check or bench)"),
+                                   (("--symmetrize",), 0, "X was replaced by (X + X^T)/2")):
             proc = subprocess.run(
                 [sys.executable, "-m", "bregblock", "solve", "--input", str(x_path),
                  "--rank", "1", "--max-iters", "2", *flags],
                 env=child_env(), capture_output=True, text=True,
             )
-            assert proc.returncode == 0, proc.stderr
-            assert named in proc.stderr
-            assert "cli.py:" in proc.stderr and "<string>" not in proc.stderr
+            assert proc.returncode == code, proc.stderr
+            assert named in proc.stderr and "Traceback" not in proc.stderr
+            assert ("cli.py:" in proc.stderr) == bool(flags) and "<string>" not in proc.stderr
 
     def test_missing_input_file_exits_one(self, tmp_path):
         assert run_cli("solve", "--input", str(tmp_path / "nope.mtx"), "--rank", "2") == 1
@@ -264,6 +265,11 @@ class TestSynthSolvePipeline:
         (("solve", "@", "--rank=3", "--seed=-1"), "argument --seed: must be >= 0, got -1"),
         (("solve", "--rank", "3", "@", "--a1=1e-170", "--eps1=1e-170"), "block 0: sigma*gamma ="),
         (("solve", "@", "--rank=3", "--rho=1e-310"), "block 0: the delta interval [0.0, inf]"),
+        # bench derives the schedule of each kappa before it reads
+        (("bench", "--rank", "3", "--rho", "1e-310", "--out", "unused.csv"),
+         "block 0: the delta interval [0.0, inf]"),
+        (("bench", "--rank", "3", "--kappas", "0.5", "--rho", "1e-310", "--out", "unused.csv"),
+         "block 0: the delta interval [inf, nan]"),
     ])
     def test_bad_solver_parameters_exit_two_before_reading(self, tmp_path, monkeypatch, capsys,
                                                            args, named):
@@ -736,6 +742,17 @@ class TestBench:
         drop_wall = [[row[:4] + row[5:] for row in table] for table in rows]
         assert drop_wall[0] == drop_wall[1]
 
+    def test_a_refused_schedule_exits_two_without_a_csv(self, tmp_path, capsys):
+        # as in solve, before the read: a missing file does not exit 1, and a
+        # readable one leaves no header-only CSV
+        out = tmp_path / "b.csv"
+        for x_path in (str(tmp_path / "missing.mtx"), self.synth(tmp_path)):
+            capsys.readouterr()
+            assert run_cli("bench", "--input", x_path, "--rank", "3", "--rho", "1e-310",
+                           "--out", str(out)) == 2
+            assert "block 0: the delta interval [0.0, inf]" in capsys.readouterr().err
+            assert not out.exists()
+
     def test_termination_tells_a_certified_last_sweep_from_max_iters(self, tmp_path):
         x_path = self.synth(tmp_path)
 
@@ -789,23 +806,25 @@ class TestReadInstance:
         inst, out, seen = self.solved(tmp_path, monkeypatch, capsys, X, "--symmetrize")
         assert [str(w.message) for w in seen] == [self.REPLACED]
         assert seen[0].filename == cli.__file__
-        assert inst.symmetric and inst.X.tobytes() == sym.tobytes()
+        assert inst.X.tobytes() == sym.tobytes()
         assert inst.norm_X == stf.SymTriInstance(sym, 2).norm_X
-        XU, XtU, _, _ = stf.products(inst, np.ones((6, 2)))
-        assert XtU is XU
         ref, ref_out, ref_seen = self.solved(tmp_path, monkeypatch, capsys, sym)
         assert ref_seen == [] and out == ref_out and ref.X.tobytes() == inst.X.tobytes()
 
-    def test_without_the_flag_the_library_warning_names_the_caller(self, tmp_path, monkeypatch,
-                                                                    capsys):
-        # one warning, the instance's, naming the flag; it is reported at
-        # cli's line, not at the dataclass's generated __init__
-        X = np.random.default_rng(5).random((6, 6))
-        inst, _, seen = self.solved(tmp_path, monkeypatch, capsys, X)
-        assert len(seen) == 1 and "(--symmetrize to bregblock solve, check or bench)" in \
-            str(seen[0].message)
-        assert seen[0].filename == cli.__file__
-        assert not inst.symmetric and inst.X.tobytes() == X.tobytes()
+    @pytest.mark.parametrize("command", ["solve", "check", "bench"])
+    def test_without_the_flag_an_asymmetric_file_is_refused(self, tmp_path, monkeypatch, capsys,
+                                                             command):
+        # no warning, no solve and no CSV: the instance refuses X, naming the flag
+        write_matrix_market(tmp_path / "x.mtx", np.random.default_rng(5).random((6, 6)))
+        monkeypatch.setattr(stf, "solve_instance", None)
+        out = tmp_path / "b.csv"
+        rest = ("--out", str(out)) if command == "bench" else ()
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            assert run_cli(command, "--input", str(tmp_path / "x.mtx"), "--rank", "2", *rest) == 2
+        assert seen == [] and not out.exists()
+        assert capsys.readouterr() == ("", "error: X is not symmetric; pass (X + X^T)/2 "
+                                       "(--symmetrize to bregblock solve, check or bench)\n")
 
     @pytest.mark.parametrize("scale", [1.0, 1e-150, 1e-170])
     def test_asymmetry_is_seen_at_any_scale(self, tmp_path, monkeypatch, capsys, scale):
@@ -813,14 +832,14 @@ class TestReadInstance:
         X = np.random.default_rng(24).random((6, 6)) * scale
         inst, _, seen = self.solved(tmp_path, monkeypatch, capsys, X, "--symmetrize")
         assert [str(w.message) for w in seen] == [self.REPLACED]
-        assert inst.symmetric and inst.X.tobytes() == (0.5 * (X + X.T)).tobytes()
+        assert inst.X.tobytes() == (0.5 * (X + X.T)).tobytes()
 
     def test_one_ulp_of_asymmetry_warns_and_symmetrizes(self, tmp_path, monkeypatch, capsys):
         X, _, _ = synth_instance(8, 2, noise_level=0.1, seed=3)
         X[0, 1] = np.nextafter(X[0, 1], np.inf)
         inst, _, seen = self.solved(tmp_path, monkeypatch, capsys, X, "--symmetrize")
         assert [str(w.message) for w in seen] == [self.REPLACED]
-        assert inst.symmetric and not np.array_equal(inst.X, X)
+        assert not np.array_equal(inst.X, X)
         assert inst.X.tobytes() == (0.5 * (X + X.T)).tobytes()
 
     def test_exactly_symmetric_x_is_kept_bitwise_without_warning(self, tmp_path, monkeypatch,
@@ -828,7 +847,7 @@ class TestReadInstance:
         X, _, _ = synth_instance(8, 2, noise_level=0.1, seed=3)
         inst, _, seen = self.solved(tmp_path, monkeypatch, capsys, X, "--symmetrize")
         assert seen == []
-        assert inst.symmetric and inst.X.tobytes() == X.tobytes()
+        assert inst.X.tobytes() == X.tobytes()
 
     def test_a_subnormal_pair_is_halved_before_it_is_summed(self, tmp_path, monkeypatch, capsys):
         # X/2 + X^T/2 is (X + X^T)/2 bit for bit except where a half or a
@@ -867,8 +886,10 @@ class TestReadInstance:
     @pytest.mark.parametrize("command", ["solve", "bench"])
     def test_the_array_read_is_released_before_the_solve(self, tmp_path, monkeypatch, command,
                                                          flags):
-        # while it solves, a command holds one copy of X: the instance's
-        write_matrix_market(tmp_path / "x.mtx", np.random.default_rng(7).random((8, 8)))
+        # while it solves, a command holds one copy of X: the instance's; the
+        # file is symmetric as is, and is replaced under --symmetrize
+        X = np.random.default_rng(7).random((8, 8))
+        write_matrix_market(tmp_path / "x.mtx", X if flags else 0.5 * (X + X.T))
         read, solve = cli.mio.read_matrix, stf.solve_instance
         refs, solves = [], []
 
@@ -886,7 +907,7 @@ class TestReadInstance:
         rest = {"solve": (), "bench": ("--kappas", "0", "--seeds", "1", "2",
                                        "--out", str(tmp_path / "b.csv"))}
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # X is not symmetric
+            warnings.simplefilter("ignore")  # X was replaced
             assert run_cli(command, "--input", str(tmp_path / "x.mtx"), "--rank", "2",
                            "--max-iters", "3", *rest[command], *flags) == 0
         assert solves == [[True]] * (2 if command == "bench" else 1)

@@ -1,7 +1,7 @@
 import inspect
 import math
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -138,19 +138,16 @@ class TestInstance:
         assert (inst.L1, inst.L2, inst.sigma1, inst.sigma2) == stf.check_kernel_parameters(**params)
         assert (inst.L1, inst.L2, inst.sigma1, inst.sigma2) == (6.0 / 0.3, 1.0, 2.0 * 0.013, 41.0)
 
-    def test_asymmetric_warns_once_naming_the_remedy_and_the_caller(self):
+    def test_asymmetric_x_is_refused_naming_the_remedy(self):
         X = np.array([[1.0, 2.0], [0.0, 1.0]])
-        with warnings.catch_warnings(record=True) as seen:
-            warnings.simplefilter("always")
-            kept = SymTriInstance(X, 1)
-        assert [str(w.message) for w in seen] == [
-            "input matrix is not symmetric; gradients remain exact, but pass (X + X^T)/2 "
-            "(--symmetrize to bregblock solve, check or bench) to work with a symmetric X"]
-        # the warning names the line that made the instance, not the
-        # dataclass's generated __init__
-        assert seen[0].filename == __file__
-        assert np.array_equal(kept.X, X) and not kept.symmetric  # accepted as-is
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # refused, with no warning first
+            with pytest.raises(ParameterError) as refused:
+                SymTriInstance(X, 1)
+        assert str(refused.value) == ("X is not symmetric; pass (X + X^T)/2 (--symmetrize to "
+                                      "bregblock solve, check or bench)")
         assert "symmetrize" not in inspect.signature(SymTriInstance).parameters
+        assert "symmetric" not in {f.name for f in fields(SymTriInstance)}
 
     @pytest.mark.parametrize("r", [2.5, "3", True, 2.0, None])
     def test_rank_must_be_an_integer(self, r):
@@ -167,20 +164,26 @@ class TestInstance:
     def test_asymmetry_is_seen_at_any_scale(self, scale):
         # symmetric means X == X^T entry for entry: at 1e-150 a relative
         # bound on ||X - X^T|| sat under its 1e-30 floor, and at 1e-170 the
-        # squares underflow, so ||X - X^T|| is 0
-        X = np.random.default_rng(24).random((6, 6)) * scale
-        with pytest.warns(UserWarning, match="not symmetric; gradients remain exact"):
-            kept = SymTriInstance(X, 2)
-        assert not kept.symmetric and np.array_equal(kept.X, X)
-        XU, XtU, _, _ = stf.products(kept, np.ones((6, 2)))
-        assert XtU is not XU
+        # squares underflow, so ||X - X^T|| is 0; one asymmetric entry is enough
+        X = np.random.default_rng(24).random((6, 6))
+        X = 0.5 * (X + X.T) * scale
+        SymTriInstance(X, 2)
+        X[4, 1] *= 2.0
+        with pytest.raises(ParameterError, match=r"pass \(X \+ X\^T\)/2 \(--symmetrize"):
+            SymTriInstance(X, 2)
+
+    def test_one_ulp_of_asymmetry_is_refused(self):
+        X, _, _ = synth_instance(8, 2, noise_level=0.1, seed=3)
+        X[0, 1] = np.nextafter(X[0, 1], np.inf)
+        with pytest.raises(ParameterError, match="X is not symmetric"):
+            SymTriInstance(X, 2)
 
     def test_exactly_symmetric_x_is_kept_bitwise_without_warning(self):
         X, _, _ = synth_instance(8, 2, noise_level=0.1, seed=3)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             inst = SymTriInstance(X, 2)
-        assert inst.symmetric and inst.X.tobytes() == X.tobytes()
+        assert inst.X.tobytes() == X.tobytes()
 
 
 class TestObjective:
@@ -247,12 +250,11 @@ class TestGradients:
         fd = finite_difference_block_grad(problem.f_value, 1, x)
         assert rel_err(grad_V(inst, U, V), fd) <= 1e-6
 
-    def test_gradients_exact_for_asymmetric_data(self):
-        rng = np.random.default_rng(6)
-        with pytest.warns(UserWarning):
-            inst = SymTriInstance(rng.random((4, 4)), 2)
+    def test_gradients_exact_for_asymmetric_v(self):
+        # X is symmetric and V is not: grad_U's X U V^T and X U V differ
+        inst, rng = random_instance(6)
         problem = as_block_problem(inst)
-        U, V = rng.random((4, 2)), rng.random((2, 2))
+        U, V = rng.random((4, 2)), np.array([[1.0, 3.0], [0.0, 2.0]])
         x = stf.pack_factors(inst, U, V)
         for i, grad in enumerate((grad_U(inst, U, V), grad_V(inst, U, V))):
             fd = finite_difference_block_grad(problem.f_value, i, x)
@@ -710,19 +712,18 @@ class TestProductForm:
     @pytest.mark.parametrize("seed", range(4))
     def test_symmetric_random_points(self, seed):
         inst, rng = random_instance(seed, m=15, r=3)
-        assert inst.symmetric
         for _ in range(3):
             self.assert_matches_dense(inst, rng.random((15, 3)), rng.random((3, 3)))
 
-    def test_asymmetric_data(self):
-        rng = np.random.default_rng(21)
-        with pytest.warns(UserWarning):
-            inst = SymTriInstance(rng.random((15, 15)), 3)
-        assert not inst.symmetric
-        XU, XtU, _, _ = stf.products(inst, rng.random((15, 3)))
-        assert XtU is not XU
+    def test_asymmetric_v(self):
+        # the dense reference's R^T U V term is grad_U's X U V term
+        inst, rng = random_instance(21, m=15, r=3)
+        XU, UtXU, G = stf.products(inst, rng.random((15, 3)))
+        assert XU.shape == (15, 3) and UtXU.shape == G.shape == (3, 3)
         for _ in range(3):
-            self.assert_matches_dense(inst, rng.random((15, 3)), rng.random((3, 3)))
+            V = rng.random((3, 3))
+            assert not np.array_equal(V, V.T)
+            self.assert_matches_dense(inst, rng.random((15, 3)), V)
 
     def test_symmetrize_makes_x_exactly_symmetric(self):
         # (X + X^T)/2, which --symmetrize passes, is symmetric entry for entry
@@ -731,9 +732,7 @@ class TestProductForm:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             inst = SymTriInstance(0.5 * (X + X.T), 2)
-        assert inst.symmetric and np.array_equal(inst.X, inst.X.T)
-        XU, XtU, _, _ = stf.products(inst, rng.random((6, 2)))
-        assert XtU is XU
+        assert np.array_equal(inst.X, inst.X.T)
 
     @pytest.mark.parametrize("scale", [1e150, 1e-150])
     def test_extreme_scales(self, scale):
