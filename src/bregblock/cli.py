@@ -1,4 +1,4 @@
-"""Command-line interface: synth, solve, check, and bench subcommands.
+"""Command-line interface: synth, solve and check subcommands.
 
 Exit codes: 0 on success, 1 when a run fails (bad file, diverged check),
 2 on argument errors.
@@ -7,11 +7,9 @@ Exit codes: 0 on success, 1 when a run fails (bad file, diverged check),
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import re
 import sys
-import time
 import warnings
 from pathlib import Path
 
@@ -60,23 +58,21 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """The bregblock parser; its solve subparser's actions are the one table
-    of solve option names, types and defaults."""
+    """The bregblock parser, with the subcommands synth, solve and check; its
+    solve subparser's actions are the one table of solve option names, types
+    and defaults.  A kappa x seed grid is a shell loop over solve."""
     parser = _Parser(
         prog="bregblock",
         description="Inertial block Bregman proximal solver for symmetric "
         "nonnegative tri-factorization",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    # the options of every command that builds an instance, and of every one that solves it
+    # the options of every command that builds an instance
     instance = argparse.ArgumentParser(add_help=False)
     instance.add_argument("--input", required=True, help="square matrix (MatrixMarket or CSV)")
     instance.add_argument("--rank", type=_RANK, required=True, help="factorization rank")
     instance.add_argument("--symmetrize", action="store_true",
                           help="replace a matrix that is not exactly symmetric by (X + X^T)/2")
-    run = argparse.ArgumentParser(add_help=False)
-    for name, kind, default in (("rho", float, 0.9), ("max-iters", int, 5000), ("residual-tol", float, 1e-8)):
-        run.add_argument(f"--{name}", type=kind, default=default)
 
     # every command refuses abbreviated flags: `solve --m 7` is an error, not --max-iters 7
     p_synth = sub.add_parser("synth", help="generate a planted-community instance", allow_abbrev=False)
@@ -88,10 +84,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth.add_argument("--out", required=True, help="output path for X (MatrixMarket)")
 
     p_solve = sub.add_parser("solve", help="factor a matrix from file", allow_abbrev=False,
-                             parents=[instance, run], fromfile_prefix_chars="@", description="@FILE "
+                             parents=[instance], fromfile_prefix_chars="@", description="@FILE "
                              "reads arguments from FILE, one per line as is; blank lines and '#' "
                              "lines are skipped")
     p_solve.convert_arg_line_to_args = lambda line: [] if line.strip()[:1] in ("", "#") else [line]
+    for name, kind, default in (("rho", float, 0.9), ("max-iters", int, 5000), ("residual-tol", float, 1e-8)):
+        p_solve.add_argument(f"--{name}", type=kind, default=default)
     for name, default in (("a1", 6.0), ("eps1", 1.0), ("eps2", 1.0), ("kappa", 0.0)):
         p_solve.add_argument(f"--{name}", type=float, default=default)
     p_solve.add_argument("--seed", type=_SEED, default=0)
@@ -105,12 +103,6 @@ def build_parser() -> argparse.ArgumentParser:
                              allow_abbrev=False, parents=[instance])
     p_check.add_argument("--samples", type=_int_at_least(1), default=200)
     p_check.add_argument("--seed", type=_SEED, default=1)
-
-    p_bench = sub.add_parser("bench", help="kappa x seed grid on one instance", allow_abbrev=False,
-                             parents=[instance, run])
-    p_bench.add_argument("--seeds", type=_SEED, nargs="+", default=[1, 2, 3], help="init seeds")
-    p_bench.add_argument("--kappas", type=float, nargs="+", default=[0.0, 0.3, 0.6, 0.9])
-    p_bench.add_argument("--out", required=True, help="output CSV path")
     return parser
 
 
@@ -140,19 +132,14 @@ def read_instance(args: argparse.Namespace, **kernel) -> stf.SymTriInstance:
     return inst
 
 
-def check_solves(args: argparse.Namespace, kappas, **kernel) -> None:
-    """solve's and bench's checks before the read: kernel, each kappa's schedule, run limits."""
+def cmd_solve(args: argparse.Namespace) -> int:
+    kernel = {"a1": args.a1, "eps1": args.eps1, "eps2": args.eps2}
+    # before the read: the kernel, the schedule at --kappa, the run limits
     L1, L2, s1, s2 = stf.check_kernel_parameters(**kernel)
     with warnings.catch_warnings():  # solve_instance gives derive_schedule's warnings
         warnings.simplefilter("ignore")
-        for kappa in kappas:
-            derive_schedule((L1, L2), (s1, s2), kappa=kappa, rho=args.rho)
+        derive_schedule((L1, L2), (s1, s2), kappa=args.kappa, rho=args.rho)
     check_run_limits(args.max_iters, args.residual_tol)
-
-
-def cmd_solve(args: argparse.Namespace) -> int:
-    kernel = {"a1": args.a1, "eps1": args.eps1, "eps2": args.eps2}
-    check_solves(args, [args.kappa], **kernel)
     inst = read_instance(args, **kernel)
     result, factors = stf.solve_instance(
         inst,
@@ -254,33 +241,8 @@ def _rel_err(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.linalg.norm(a - b)) / denom
 
 
-def cmd_bench(args: argparse.Namespace) -> int:
-    check_solves(args, args.kappas)
-    inst = read_instance(args)
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["kappa", "seed", "iters_to_tol", "final_phi", "wall_seconds", "termination"])
-        for kappa in args.kappas:
-            for seed in args.seeds:
-                start = time.perf_counter()
-                result, _ = stf.solve_instance(
-                    inst,
-                    kappa=kappa,
-                    rho=args.rho,
-                    seed=seed,
-                    max_iters=args.max_iters,
-                    residual_tol=args.residual_tol,
-                )
-                wall = time.perf_counter() - start
-                final = result.trace[-1]
-                writer.writerow([kappa, seed, final.k, f"{final.phi:.17g}", f"{wall:.6f}",
-                                 result.termination])
-    print(f"wrote: {args.out} ({len(args.kappas) * len(args.seeds)} rows)")
-    return 0
-
-
 def main(argv=None) -> int:
-    handlers = {"synth": cmd_synth, "solve": cmd_solve, "check": cmd_check, "bench": cmd_bench}
+    handlers = {"synth": cmd_synth, "solve": cmd_solve, "check": cmd_check}
     try:
         args = build_parser().parse_args(argv)
         return handlers[args.command](args)

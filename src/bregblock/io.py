@@ -678,8 +678,8 @@ def synth_instance(
     off-diagonal entries in [0, 0.5) masked by ``density``.  All planted
     entries live on a dyadic grid, so in the noiseless case X equals
     U* V* U*^T exactly (bitwise) and is exactly symmetric.  The noise term
-    is symmetric, nonnegative, and scaled to noise_level * mean(X).
-    Deterministic in ``seed``.
+    is symmetric, nonnegative, and scaled to noise_level * mean(X); a
+    noise_level that makes X overflow is refused.  Deterministic in ``seed``.
     """
     if m < 1 or not 1 <= r <= m:
         raise ParameterError(f"need 1 <= r <= m, got m={m}, r={r}")
@@ -701,5 +701,8 @@ def synth_instance(
     X = U @ V @ U.T
     if noise_level > 0:
         raw = rng.random((m, m))
-        X = X + noise_level * X.mean() * 0.5 * (raw + raw.T)
+        with np.errstate(over="ignore", invalid="ignore"):
+            X = X + noise_level * X.mean() * 0.5 * (raw + raw.T)
+        if not np.isfinite(X).all():
+            raise ParameterError(f"noise_level={noise_level} makes X overflow")
     return X, U, V

@@ -78,8 +78,7 @@ def _sq_norm(A: Array) -> float:
     return float(np.vdot(A, A))
 
 
-def check_kernel_parameters(a1: float = 6.0, eps1: float = 1.0,
-                            eps2: float = 1.0) -> tuple[float, float, float, float]:
+def check_kernel_parameters(a1: float, eps1: float, eps2: float) -> tuple[float, float, float, float]:
     """The checks SymTriInstance makes on its kernel parameters
     (ParameterError): each must be positive (NaN is not) and finite, and so
     must the constants 6/a1 and 2 eps1 they give.  Returns
@@ -140,7 +139,7 @@ class SymTriInstance:
             )
         if not (X == X.T).all():
             raise ParameterError("X is not symmetric; pass (X + X^T)/2 (--symmetrize to "
-                                 "bregblock solve, check or bench)")
+                                 "bregblock solve or check)")
         X.setflags(write=False)
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "r", r)

@@ -152,7 +152,7 @@ class TestSynthSolvePipeline:
         x_path = tmp_path / "x.mtx"
         x_path.write_text("%%MatrixMarket matrix array real general\n2 2\n1\n0\n2\n1\n")
         for flags, code, named in (((), 2, "error: X is not symmetric; pass (X + X^T)/2 "
-                                    "(--symmetrize to bregblock solve, check or bench)"),
+                                    "(--symmetrize to bregblock solve or check)"),
                                    (("--symmetrize",), 0, "X was replaced by (X + X^T)/2")):
             proc = subprocess.run(
                 [sys.executable, "-m", "bregblock", "solve", "--input", str(x_path),
@@ -205,6 +205,14 @@ class TestSynthSolvePipeline:
         assert "noise_level must be finite and nonnegative" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    def test_overflowing_noise_exits_two_without_writing(self, tmp_path, capsys):
+        out = tmp_path / "n.mtx"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy overflow warning first
+            assert run_cli("synth", "--m", "4", "--r", "2", "--noise", "1e308", "--out", str(out)) == 2
+        assert "error: noise_level=1e+308 makes X overflow" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_synth_negative_seed_exits_two(self, tmp_path, capsys):
         assert run_cli("synth", "--m", "5", "--r", "2", "--seed", "-1",
                        "--out", str(tmp_path / "x.mtx")) == 2
@@ -217,22 +225,15 @@ class TestSynthSolvePipeline:
         (("solve", "--rank", "3", "--rho", "0"), "rho must lie in (0, 1], got 0.0"),
         (("solve", "--rank", "3", "--max-iters", "-1"), "max_iters must be nonnegative, got -1"),
         (("solve", "--rank", "3", "--residual-tol=-1e-8"), "residual_tol must be nonnegative"),
-        (("bench", "--rank", "2", "--kappas", "0", "1.5", "--out", "unused.csv"),
-         "kappa must lie in [0, 1), got 1.5"),
-        (("bench", "--rank", "2", "--rho", "2", "--out", "unused.csv"), "rho must lie in (0, 1], got 2.0"),
-        (("bench", "--rank", "2", "--max-iters", "-1", "--out", "unused.csv"),
-         "max_iters must be nonnegative, got -1"),
+        (("solve", "--rank", "3", "--kappa", "-0.5"), "kappa must lie in [0, 1), got -0.5"),
+        (("solve", "--rank", "3", "--rho", "2"), "rho must lie in (0, 1], got 2.0"),
+        (("solve", "@", "--rank=3", "--max-iters=-1"), "max_iters must be nonnegative, got -1"),
         (("solve", "--rank", "3", "--seed", "-1"), "argument --seed: must be >= 0, got -1"),
-        (("bench", "--rank", "2", "--seeds=-1", "--out", "unused.csv"),
-         "argument --seeds: must be >= 0, got -1"),
-        (("bench", "--rank", "2", "--seeds", "1", "-1", "--out", "unused.csv"),
-         "argument --seeds: must be >= 0, got -1"),
-        (("bench", "--rank", "2", "--seeds", "", "--out", "unused.csv"),
-         "argument --seeds: invalid int value: ''"),
-        (("bench", "--rank", "2", "--kappas", "", "--out", "unused.csv"),
-         "argument --kappas: invalid float value: ''"),
-        (("bench", "--rank", "2", "--kappas", "--out", "unused.csv"),
-         "argument --kappas: expected at least one argument"),
+        (("solve", "--rank", "-1"), "argument --rank: must be >= 1, got -1"),
+        (("solve", "--rank", "3", "--seed", ""), "argument --seed: invalid int value: ''"),
+        (("solve", "--rank", "3", "--kappa", ""), "argument --kappa: invalid float value: ''"),
+        (("solve", "--rank", "3", "--kappa"), "argument --kappa: expected one argument"),
+        (("solve", "--rank", "3", "--max-iters", ""), "argument --max-iters: invalid int value: ''"),
         (("check", "--rank", "2", "--seed", "-1"), "argument --seed: must be >= 0, got -1"),
         (("check", "--rank", "2", "--samples", "0"), "argument --samples: must be >= 1, got 0"),
         (("solve", "--rank", "2", "--a1", "0"), "a1 must be positive, got 0.0"),
@@ -253,10 +254,9 @@ class TestSynthSolvePipeline:
          "block 0: the delta interval [0.0, inf]"),
         (("solve", "--rank", "0"), "argument --rank: must be >= 1, got 0"),
         (("check", "--rank", "0"), "argument --rank: must be >= 1, got 0"),
-        (("bench", "--rank", "0", "--out", "unused.csv"), "argument --rank: must be >= 1, got 0"),
+        (("check", "--rank", "-2"), "argument --rank: must be >= 1, got -2"),
         (("solve", "--rank", "3", "--residual-tol", "nan"), "residual_tol must be nonnegative, got nan"),
-        (("bench", "--rank", "2", "--residual-tol", "nan", "--out", "unused.csv"),
-         "residual_tol must be nonnegative, got nan"),
+        (("solve", "--rank", "3", "--residual-tol", "-inf"), "residual_tol must be nonnegative, got -inf"),
         # the arguments after "@" come from an options file
         (("solve", "@", "--rank=3", "--a1=inf"), "a1 must be finite, got inf"),
         (("solve", "@", "--rank=0"), "argument --rank: must be >= 1, got 0"),
@@ -265,11 +265,10 @@ class TestSynthSolvePipeline:
         (("solve", "@", "--rank=3", "--seed=-1"), "argument --seed: must be >= 0, got -1"),
         (("solve", "--rank", "3", "@", "--a1=1e-170", "--eps1=1e-170"), "block 0: sigma*gamma ="),
         (("solve", "@", "--rank=3", "--rho=1e-310"), "block 0: the delta interval [0.0, inf]"),
-        # bench derives the schedule of each kappa before it reads
-        (("bench", "--rank", "3", "--rho", "1e-310", "--out", "unused.csv"),
-         "block 0: the delta interval [0.0, inf]"),
-        (("bench", "--rank", "3", "--kappas", "0.5", "--rho", "1e-310", "--out", "unused.csv"),
+        # the schedule checked before the read is the one at --kappa
+        (("solve", "--rank", "3", "--kappa", "0.5", "--rho", "1e-310"),
          "block 0: the delta interval [inf, nan]"),
+        (("solve", "@", "--rank=3", "--kappa=0.5", "--rho=1e-310"), "block 0: the delta interval [inf, nan]"),
     ])
     def test_bad_solver_parameters_exit_two_before_reading(self, tmp_path, monkeypatch, capsys,
                                                            args, named):
@@ -295,24 +294,15 @@ class TestSynthSolvePipeline:
         assert run_cli("solve", f"@{options}") == 2
         assert f"unrecognized arguments: --{gone}=2" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command, flag", [
-        ("solve", "--stall-tol"),
-        ("bench", "--m"),
-        ("bench", "--noise"),
-        ("bench", "--density"),
-        ("bench", "--instance-seed"),
-    ])
+    @pytest.mark.parametrize("command, flag", [("solve", "--stall-tol")])
     def test_removed_settings_have_no_flag_or_key(self, tmp_path, capsys, command, flag):
-        # a Lyapunov-stall stop at sweep k is --max-iters k, and bench's
-        # built-in instance is the file synth writes
-        out = ("--out", "unused.csv") if command == "bench" else ()
-        assert run_cli(command, "--input", "x.mtx", "--rank", "3", flag, "1", *out) == 2
+        # a Lyapunov-stall stop at sweep k is --max-iters k
+        assert run_cli(command, "--input", "x.mtx", "--rank", "3", flag, "1") == 2
         assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
-        if command == "solve":
-            options = tmp_path / "run.args"
-            options.write_text("--input=x.mtx\n--rank=3\n--stall-tol=0\n")
-            assert run_cli("solve", f"@{options}") == 2
-            assert "unrecognized arguments: --stall-tol=0" in capsys.readouterr().err
+        options = tmp_path / "run.args"
+        options.write_text("--input=x.mtx\n--rank=3\n--stall-tol=0\n")
+        assert run_cli("solve", f"@{options}") == 2
+        assert "unrecognized arguments: --stall-tol=0" in capsys.readouterr().err
 
     @pytest.mark.parametrize("args, abbreviated", [
         (("solve", "--input", "x.mtx", "--rank", "3", "--m", "7"), "--m 7"),  # --max-iters
@@ -324,9 +314,13 @@ class TestSynthSolvePipeline:
         assert run_cli(*args) == 2
         assert f"unrecognized arguments: {abbreviated}" in capsys.readouterr().err
 
-    def test_bench_needs_an_input_file(self, capsys):
-        assert run_cli("bench", "--out", "unused.csv") == 2
-        assert "the following arguments are required: --input" in capsys.readouterr().err
+    def test_bench_is_an_invalid_choice(self, tmp_path, capsys):
+        # a kappa x seed grid is a shell loop over solve
+        out = tmp_path / "b.csv"
+        assert run_cli("bench", "--input", "x.mtx", "--rank", "3", "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert "invalid choice" in err and "Traceback" not in err
+        assert not out.exists()
 
     def test_check_needs_an_input_file(self, capsys):
         # check makes no instance of its own: synth writes one
@@ -335,12 +329,11 @@ class TestSynthSolvePipeline:
 
     @pytest.mark.parametrize("command, flag, value", [
         ("solve", "--rank", "2.5"), ("solve", "--max-iters", "2.5"), ("solve", "--max-iters", "inf"),
-        ("check", "--rank", "2.5"), ("bench", "--rank", "2.5"), ("bench", "--max-iters", "2.5")])
+        ("check", "--rank", "2.5")])
     def test_non_integer_rank_or_max_iters_exits_two_before_reading(self, monkeypatch, capsys,
                                                                      command, flag, value):
         monkeypatch.setattr(cli.mio, "read_matrix", lambda *a, **k: pytest.fail("X was read"))
-        required = {"solve": (), "check": (), "bench": ("--out", "unused.csv")}
-        assert run_cli(command, "--input", "x.mtx", "--rank", "2", *required[command], flag, value) == 2
+        assert run_cli(command, "--input", "x.mtx", "--rank", "2", flag, value) == 2
         assert f"argument {flag}: invalid int value: '{value}'" in capsys.readouterr().err
 
 
@@ -350,8 +343,8 @@ def subparser(command):
 
 
 class TestSharedOptions:
-    """solve, check and bench share one declaration of each option they have
-    in common, and --rank has no default in any of them."""
+    """solve and check share one declaration of each option they have in
+    common, and --rank has no default in either."""
 
     FLAGS = {
         "synth": ["--m", "--r", "--noise", "--density", "--seed", "--out"],
@@ -359,8 +352,6 @@ class TestSharedOptions:
                   "--a1", "--eps1", "--eps2", "--kappa", "--seed", "--trace-out", "--factors-out",
                   "--labels-out", "--no-timing"],
         "check": ["--input", "--rank", "--symmetrize", "--samples", "--seed"],
-        "bench": ["--input", "--rank", "--symmetrize", "--rho", "--max-iters", "--residual-tol",
-                  "--seeds", "--kappas", "--out"],
     }
 
     @pytest.mark.parametrize("command", FLAGS)
@@ -369,9 +360,7 @@ class TestSharedOptions:
         assert sorted(flags) == sorted(["-h", "--help", *self.FLAGS[command]])
 
     @pytest.mark.parametrize("flag, commands", [
-        *((flag, ("solve", "check", "bench")) for flag in ("--input", "--rank", "--symmetrize")),
-        *((flag, ("solve", "bench")) for flag in ("--rho", "--max-iters", "--residual-tol")),
-    ])
+        (flag, ("solve", "check")) for flag in ("--input", "--rank", "--symmetrize")])
     def test_a_shared_flag_means_the_same_in_every_command(self, flag, commands):
         def spec(command):
             (action,) = [a for a in subparser(command)._actions if flag in a.option_strings]
@@ -379,22 +368,10 @@ class TestSharedOptions:
 
         assert [spec(command) for command in commands] == [spec(commands[0])] * len(commands)
 
-    @pytest.mark.parametrize("args", [("check", "--input", "x.mtx"),
-                                      ("bench", "--input", "x.mtx", "--out", "unused.csv")])
+    @pytest.mark.parametrize("args", [("check", "--input", "x.mtx"), ("solve", "--input", "x.mtx")])
     def test_rank_is_required_wherever_an_instance_is_built(self, capsys, args):
         assert run_cli(*args) == 2
         assert "the following arguments are required: --rank" in capsys.readouterr().err
-
-    def test_bench_grids_are_space_separated_lists(self, monkeypatch, capsys):
-        seen = []
-        monkeypatch.setattr(cli, "cmd_bench", lambda args: seen.append(args) or 0)
-        base = ("bench", "--input", "x.mtx", "--rank", "2", "--out", "unused.csv")
-        assert run_cli(*base) == 0
-        assert (seen[0].seeds, seen[0].kappas) == ([1, 2, 3], [0.0, 0.3, 0.6, 0.9])
-        assert run_cli(*base, "--seeds", "4", "5", "--kappas", "0", "0.5") == 0
-        assert (seen[1].seeds, seen[1].kappas) == ([4, 5], [0.0, 0.5])
-        assert run_cli(*base, "--kappas", "0,0.5") == 2
-        assert "argument --kappas: invalid float value: '0,0.5'" in capsys.readouterr().err
 
 
 class TestNegativeValues:
@@ -402,7 +379,7 @@ class TestNegativeValues:
     every form float() reads: argparse's own pattern knows only -5 and -.5."""
 
     REQUIRED = {"synth": ("--m", "5", "--r", "2", "--out", "x.mtx"), "solve": ("--input", "x.mtx", "--rank", "3"),
-                "bench": ("--input", "x.mtx", "--rank", "2", "--out", "unused.csv")}
+                "check": ("--input", "x.mtx", "--rank", "2")}
     FLOAT_OPTIONS = [(command, action.option_strings[0]) for command in REQUIRED
                      for action in subparser(command)._actions if action.type is float]
 
@@ -417,8 +394,7 @@ class TestNegativeValues:
 
     def test_every_float_option_is_covered(self):
         assert sorted(flag for _, flag in self.FLOAT_OPTIONS) == sorted([
-            "--noise", "--density", "--rho", "--residual-tol", "--a1", "--eps1", "--eps2", "--kappa",
-            "--rho", "--residual-tol", "--kappas"])
+            "--noise", "--density", "--rho", "--residual-tol", "--a1", "--eps1", "--eps2", "--kappa"])
 
     @pytest.mark.parametrize("value", ["-1e-8", "-2.5E+3", "-inf", "-nan"])
     @pytest.mark.parametrize("command, flag", FLOAT_OPTIONS)
@@ -437,8 +413,8 @@ class TestNegativeValues:
         assert from_file == self.outcome(monkeypatch, capsys, tmp_path, "solve", f"{flag}=-1e-8")
 
     @pytest.mark.parametrize("command, args, same_as", [
-        ("bench", ("--kappas", "0", "-1e-3"), ("--kappas", "0", "-0.001")),  # a list's later value
-        ("solve", ("--seed", "-1e3"), ("--seed=-1e3",)),  # an int option reads it as "=" does
+        ("check", ("--samples", "-1e3"), ("--samples=-1e3",)),  # an int option reads it as "=" does
+        ("solve", ("--seed", "-1e3"), ("--seed=-1e3",)),
     ])
     def test_other_places_of_a_negative_number(self, monkeypatch, capsys, tmp_path, command, args,
                                                same_as):
@@ -543,7 +519,7 @@ class TestConfigFile:
 
     @pytest.mark.parametrize("command, args", [
         ("check", ("--input", "x.mtx", "--rank", "2")),
-        ("bench", ("--input", "x.mtx", "--rank", "2", "--out", "unused.csv"))])
+        ("synth", ("--m", "5", "--r", "2", "--out", "unused.mtx"))])
     def test_only_solve_reads_options_files(self, tmp_path, capsys, command, args):
         options = self.options(tmp_path, "--rank=2")
         assert run_cli(command, *args, options) == 2
@@ -675,7 +651,10 @@ class TestCheck:
         assert reports[0] == reports[1]
 
 
-class TestBench:
+class TestGrid:
+    """A kappa x seed grid is a shell loop over solve: each point prints what
+    the library solve of the same matrix gives."""
+
     @staticmethod
     def synth(tmp_path, *flags):
         """The path of the m=8, r=2, seed-1 instance that synth writes with ``flags``."""
@@ -684,97 +663,42 @@ class TestBench:
                        "--out", str(x_path)) == 0
         return str(x_path)
 
-    def test_grid_shape_and_header(self, tmp_path, capsys):
-        out = tmp_path / "bench.csv"
-        code = run_cli(
-            "bench", "--input", self.synth(tmp_path), "--rank", "2",
-            "--kappas", "0", "0.5", "--seeds", "1", "2", "--max-iters", "40",
-            "--out", str(out),
-        )
-        assert code == 0
-        lines = out.read_text().strip().splitlines()
-        assert lines[0] == "kappa,seed,iters_to_tol,final_phi,wall_seconds,termination"
-        assert len(lines) == 1 + 2 * 2
-        for line in lines[1:]:
-            kappa, seed, iters, phi, wall, termination = line.split(",")
-            assert float(kappa) in (0.0, 0.5)
-            assert int(seed) in (1, 2)
-            assert int(iters) <= 40
-            assert float(phi) >= 0.0
-            assert float(wall) >= 0.0
-            assert termination in ("residual_tol", "max_iters")
-
-    def test_input_file_gives_the_rows_of_the_same_matrix(self, tmp_path, capsys):
-        # synth's file holds the synthesized X bitwise, so each row is the
+    def test_input_file_gives_the_runs_of_the_same_matrix(self, tmp_path, capsys):
+        # synth's file holds the synthesized X bitwise, so each point is the
         # solve of the in-memory instance
-        out = tmp_path / "bench.csv"
-        assert run_cli("bench", "--input", self.synth(tmp_path, "--noise", "0.1"), "--rank", "2",
-                       "--kappas", "0", "0.5", "--seeds", "3", "--max-iters", "60",
-                       "--out", str(out)) == 0
-        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        x_path = self.synth(tmp_path, "--noise", "0.1")
         X, _, _ = synth_instance(8, 2, noise_level=0.1, density=1.0, seed=1)
         inst = stf.SymTriInstance(X, 2)
-        expected = []
-        for kappa in (0.0, 0.5):
-            result, _ = stf.solve_instance(inst, kappa=kappa, seed=3, max_iters=60)
-            final = result.trace[-1]
-            expected.append([str(kappa), "3", str(final.k), f"{final.phi:.17g}", result.termination])
-        assert [row[:4] + row[5:] for row in rows] == expected
-
-    def test_symmetrize_solves_the_symmetric_part(self, tmp_path, capsys):
-        # as for check: the rows of an asymmetric file with --symmetrize are
-        # those of the file that holds (X + X^T)/2
-        X = np.random.default_rng(6).random((8, 8))
-        write_matrix_market(tmp_path / "asym.mtx", X)
-        write_matrix_market(tmp_path / "sym.mtx", 0.5 * (X + X.T))
-        rows = []
-        for name, flags in (("asym", ("--symmetrize",)), ("sym", ())):
-            out = tmp_path / f"{name}.csv"
-            with warnings.catch_warnings(record=True) as seen:
-                warnings.simplefilter("always")
-                assert run_cli("bench", "--input", str(tmp_path / f"{name}.mtx"), "--rank", "2",
-                               "--kappas", "0", "0.5", "--seeds", "1", "--max-iters", "30",
-                               "--out", str(out), *flags) == 0
-            assert [str(w.message) for w in seen] == (
-                ["input matrix is not symmetric; X was replaced by (X + X^T)/2"] if flags else [])
-            rows.append([line.split(",") for line in out.read_text().splitlines()])
-        assert len(rows[0]) == 3
-        drop_wall = [[row[:4] + row[5:] for row in table] for table in rows]
-        assert drop_wall[0] == drop_wall[1]
-
-    def test_a_refused_schedule_exits_two_without_a_csv(self, tmp_path, capsys):
-        # as in solve, before the read: a missing file does not exit 1, and a
-        # readable one leaves no header-only CSV
-        out = tmp_path / "b.csv"
-        for x_path in (str(tmp_path / "missing.mtx"), self.synth(tmp_path)):
+        for kappa, seed in itertools.product(("0", "0.5"), ("1", "2")):
             capsys.readouterr()
-            assert run_cli("bench", "--input", x_path, "--rank", "3", "--rho", "1e-310",
-                           "--out", str(out)) == 2
-            assert "block 0: the delta interval [0.0, inf]" in capsys.readouterr().err
-            assert not out.exists()
+            assert run_cli("solve", "--input", x_path, "--rank", "2", "--kappa", kappa,
+                           "--seed", seed, "--max-iters", "60") == 0
+            printed = parse_summary(capsys)
+            result, _ = stf.solve_instance(inst, kappa=float(kappa), seed=int(seed), max_iters=60)
+            final = result.trace[-1]
+            assert (printed["iterations"], printed["phi"], printed["termination"]) == (
+                str(final.k), f"{final.phi:.17g}", result.termination)
 
-    def test_termination_tells_a_certified_last_sweep_from_max_iters(self, tmp_path):
+    def test_termination_tells_a_certified_last_sweep_from_max_iters(self, tmp_path, capsys):
         x_path = self.synth(tmp_path)
 
-        def row(max_iters):
-            out = tmp_path / f"bench{max_iters}.csv"
-            assert run_cli("bench", "--input", x_path, "--rank", "2",
-                           "--kappas", "0", "--seeds", "1", "--residual-tol", "1e-4",
-                           "--max-iters", str(max_iters), "--out", str(out)) == 0
-            (line,) = out.read_text().splitlines()[1:]
-            return line.split(",")
+        def run(max_iters):
+            capsys.readouterr()
+            assert run_cli("solve", "--input", x_path, "--rank", "2", "--seed", "1",
+                           "--residual-tol", "1e-4", "--max-iters", str(max_iters)) == 0
+            printed = parse_summary(capsys)
+            return printed["iterations"], printed["termination"]
 
-        k = int(row(5000)[2])
+        k = int(run(5000)[0])
         assert k < 5000
-        # the certifying sweep is the last one allowed: iters_to_tol equals
-        # max_iters in both rows, and only the termination column differs
-        certified, cut = row(k), row(k - 1)
-        assert (certified[2], certified[-1]) == (str(k), "residual_tol")
-        assert (cut[2], cut[-1]) == (str(k - 1), "max_iters")
+        # the certifying sweep is the last one allowed: iterations equals
+        # --max-iters in both runs, and only the termination differs
+        assert run(k) == (str(k), "residual_tol")
+        assert run(k - 1) == (str(k - 1), "max_iters")
 
 
 class TestReadInstance:
-    """solve, check and bench build their instance in ``cli.read_instance``:
+    """solve and check build their instance in ``cli.read_instance``:
     it reads --input, replaces X by (X + X^T)/2 under --symmetrize when X is
     not exactly symmetric, and keeps no reference to the array it read."""
 
@@ -811,20 +735,18 @@ class TestReadInstance:
         ref, ref_out, ref_seen = self.solved(tmp_path, monkeypatch, capsys, sym)
         assert ref_seen == [] and out == ref_out and ref.X.tobytes() == inst.X.tobytes()
 
-    @pytest.mark.parametrize("command", ["solve", "check", "bench"])
+    @pytest.mark.parametrize("command", ["solve", "check"])
     def test_without_the_flag_an_asymmetric_file_is_refused(self, tmp_path, monkeypatch, capsys,
                                                              command):
-        # no warning, no solve and no CSV: the instance refuses X, naming the flag
+        # no warning and no solve: the instance refuses X, naming the flag
         write_matrix_market(tmp_path / "x.mtx", np.random.default_rng(5).random((6, 6)))
         monkeypatch.setattr(stf, "solve_instance", None)
-        out = tmp_path / "b.csv"
-        rest = ("--out", str(out)) if command == "bench" else ()
         with warnings.catch_warnings(record=True) as seen:
             warnings.simplefilter("always")
-            assert run_cli(command, "--input", str(tmp_path / "x.mtx"), "--rank", "2", *rest) == 2
-        assert seen == [] and not out.exists()
+            assert run_cli(command, "--input", str(tmp_path / "x.mtx"), "--rank", "2") == 2
+        assert seen == []
         assert capsys.readouterr() == ("", "error: X is not symmetric; pass (X + X^T)/2 "
-                                       "(--symmetrize to bregblock solve, check or bench)\n")
+                                       "(--symmetrize to bregblock solve or check)\n")
 
     @pytest.mark.parametrize("scale", [1.0, 1e-150, 1e-170])
     def test_asymmetry_is_seen_at_any_scale(self, tmp_path, monkeypatch, capsys, scale):
@@ -883,11 +805,9 @@ class TestReadInstance:
         assert runs[1] == runs[0]
 
     @pytest.mark.parametrize("flags", [(), ("--symmetrize",)], ids=["as-is", "symmetrize"])
-    @pytest.mark.parametrize("command", ["solve", "bench"])
-    def test_the_array_read_is_released_before_the_solve(self, tmp_path, monkeypatch, command,
-                                                         flags):
-        # while it solves, a command holds one copy of X: the instance's; the
-        # file is symmetric as is, and is replaced under --symmetrize
+    def test_the_array_read_is_released_before_the_solve(self, tmp_path, monkeypatch, flags):
+        # while it solves, solve holds one copy of X: the instance's; the file
+        # is symmetric as is, and is replaced under --symmetrize
         X = np.random.default_rng(7).random((8, 8))
         write_matrix_market(tmp_path / "x.mtx", X if flags else 0.5 * (X + X.T))
         read, solve = cli.mio.read_matrix, stf.solve_instance
@@ -904,13 +824,11 @@ class TestReadInstance:
 
         monkeypatch.setattr(cli.mio, "read_matrix", read_spy)
         monkeypatch.setattr(stf, "solve_instance", solve_spy)
-        rest = {"solve": (), "bench": ("--kappas", "0", "--seeds", "1", "2",
-                                       "--out", str(tmp_path / "b.csv"))}
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # X was replaced
-            assert run_cli(command, "--input", str(tmp_path / "x.mtx"), "--rank", "2",
-                           "--max-iters", "3", *rest[command], *flags) == 0
-        assert solves == [[True]] * (2 if command == "bench" else 1)
+            assert run_cli("solve", "--input", str(tmp_path / "x.mtx"), "--rank", "2",
+                           "--max-iters", "3", *flags) == 0
+        assert solves == [[True]]
 
 
 class TestDeterminism:

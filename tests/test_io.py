@@ -220,6 +220,16 @@ class TestSynthInstance:
         with pytest.raises(ParameterError):
             synth_instance(**kwargs)
 
+    @pytest.mark.parametrize("noise_level", [1e308, 1.7e308])
+    def test_noise_that_overflows_x_is_refused(self, noise_level):
+        # noise_level * mean(X) overflows: refused by name, with no
+        # RuntimeWarning first
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParameterError) as refused:
+                synth_instance(4, 2, noise_level=noise_level)
+        assert str(refused.value) == f"noise_level={noise_level} makes X overflow"
+
 
 class TestFactorPersistence:
     def test_phi_reproduced_after_roundtrip(self, tmp_path):

@@ -145,7 +145,7 @@ class TestInstance:
             with pytest.raises(ParameterError) as refused:
                 SymTriInstance(X, 1)
         assert str(refused.value) == ("X is not symmetric; pass (X + X^T)/2 (--symmetrize to "
-                                      "bregblock solve, check or bench)")
+                                      "bregblock solve or check)")
         assert "symmetrize" not in inspect.signature(SymTriInstance).parameters
         assert "symmetric" not in {f.name for f in fields(SymTriInstance)}
 
