@@ -7,7 +7,9 @@ Exit codes: 0 on success, 1 when a run fails (bad file, diverged check),
 from __future__ import annotations
 
 import argparse
+import errno
 import json
+import os
 import re
 import sys
 import warnings
@@ -134,12 +136,19 @@ def read_instance(args: argparse.Namespace, **kernel) -> stf.SymTriInstance:
 
 def cmd_solve(args: argparse.Namespace) -> int:
     kernel = {"a1": args.a1, "eps1": args.eps1, "eps2": args.eps2}
-    # before the read: the kernel, the schedule at --kappa, the run limits
+    # before the read: the kernel, the schedule at --kappa, the run limits,
+    # and each output path: its directory must exist, and it must be no directory
     L1, L2, s1, s2 = stf.check_kernel_parameters(**kernel)
     with warnings.catch_warnings():  # solve_instance gives derive_schedule's warnings
         warnings.simplefilter("ignore")
         derive_schedule((L1, L2), (s1, s2), kappa=args.kappa, rho=args.rho)
     check_run_limits(args.max_iters, args.residual_tol)
+    factors_out = [f"{args.factors_out}_{b}.mtx" for b in "UV"] if args.factors_out else []
+    for out in filter(None, [args.trace_out, *factors_out, args.labels_out]):
+        if Path(out).is_dir():
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), out)
+        if not Path(out).parent.is_dir():
+            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), out)
     inst = read_instance(args, **kernel)
     result, factors = stf.solve_instance(
         inst,

@@ -62,14 +62,14 @@ def read_matrix(path, require_square: bool = True) -> Array:
 
     MatrixMarket symmetric storage is expanded to the full matrix.  With
     ``require_square`` (the default, suitable for solve input) non-square
-    data raises ShapeError.  The file must be UTF-8 text.
+    data raises ShapeError.  The file must be UTF-8 text, with or without a BOM.
     """
     # universal newlines: no "\r" is left
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:  # "-sig": a leading BOM is dropped
         max_chars = os.fstat(fh.fileno()).st_size  # a character takes a byte or more
         if not fh.seekable():  # a pipe: a reader may read the file again
             data = fh.buffer.read()
-            fh = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
+            fh = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig")
             max_chars = len(data)
         try:
             first = next(_chunks(fh), "").splitlines()
@@ -492,16 +492,15 @@ def _format_17g(x: Array) -> str:
 # p + (t - d) and p + (t + d), d = 2**-90·p, round to one double r, r is
 # the value: d covers that error and the roundings of t - d and t + d,
 # another 2**-96·p, four times over.  Every token is decided but exact
-# decimal ties and those within d of one; _scaled reads exact ties such as
-# 9007199254740993, 4503599627370496.5 and 1e23 as integers times powers of
-# two.  p within (1e-263, 1e300) keeps k in the table, as 1 <= D < 2**64,
-# and every product normal; D = 0 is 0 whatever k.  Tokens outside it, and
-# the undecided ones, go to float().
+# decimal ties (9007199254740993, 4503599627370496.5, 1e23), which no
+# round-trip writer prints, and those within d of one.  p within (1e-263,
+# 1e300) keeps k in the table, as 1 <= D < 2**64, and every product normal;
+# D = 0 is 0 whatever k.  The one rule: a token is read in bulk when the
+# double-double decides its rounding, and by float() otherwise.
 _POINT, _PLUS, _MINUS = ord("."), ord("+"), ord("-")
 _NOT_IN_TOKENS = np.ones(256, bool)  # bytes that no token of the bulk form holds
 _NOT_IN_TOKENS[list(b"0123456789.eE+- \t\n\r\v\f")] = False
 _POWERS_OF_TEN = np.array([float(10 ** i) for i in range(23)])  # exact doubles
-_POWERS_OF_FIVE = np.array([5**i for i in range(28)], np.uint64)  # all below 2**64
 # a slice's text for np.fromstring: "-1.5e-3" reads as the integers 15 and 3
 _TO_INTEGERS = bytes.maketrans(b"eE+-", b"    ")
 
@@ -599,7 +598,7 @@ def _floats(text: str) -> Array | None:
 
 def _scaled(D, x, k):
     """D·10**k for unsigned integers D and their nearest doubles ``x``, and
-    where it is decided."""
+    where the double-double decides its rounding (elsewhere, float() does)."""
     H, H_big, H_small, L = _scale_tables()[0].take(k - _SCALES.start, axis=1, mode="clip")
     with np.errstate(over="ignore", invalid="ignore"):
         in_range = x < 2.0**64  # D not saturated; then D - x wraps to the right value
@@ -610,20 +609,7 @@ def _scaled(D, x, k):
         t = e + (x * L + rest * H)
         d = p * 2.0**-90
         r = p + (t - d)
-        decided = in_range & ((D == 0) | ((p > 1e-263) & (p < 1e300) & (r == p + (t + d))))
-    # the undecided ones, exact ties among them: D·10**k is N·2**k, N = D·5**k
-    # or D / 5**-k; when N is an integer below 2**64, its conversion rounds
-    # correctly and 2**k scales exactly
-    i = np.flatnonzero(~decided & in_range & (np.abs(k) < _POWERS_OF_FIVE.size))
-    if i.size:
-        Di, ki = D[i], k[i]
-        five = _POWERS_OF_FIVE[np.abs(ki)]
-        exact = np.where(ki >= 0, Di <= np.uint64(2**64 - 1) // five, Di % five == 0)
-        N = np.where(ki >= 0, Di * five, Di // five)[exact]
-        i = i[exact]
-        r[i] = np.ldexp(N.astype(float), ki[exact])
-        decided[i] = True
-    return r, decided
+        return r, in_range & ((D == 0) | ((p > 1e-263) & (p < 1e300) & (r == p + (t + d))))
 
 
 def write_matrix_market(path, matrix: Array) -> None:

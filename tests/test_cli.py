@@ -285,6 +285,33 @@ class TestSynthSolvePipeline:
         # each case fails its own check: the error names its flag or parameter
         assert named in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, value, named, made", [
+        ("--trace-out", "missing/t.json", "missing/t.json", None),
+        ("--factors-out", "missing/run", "missing/run_U.mtx", None),
+        ("--labels-out", "missing/labels.txt", "missing/labels.txt", None),
+        ("--trace-out", "out", "out", "out"),
+        ("--factors-out", "run", "run_U.mtx", "run_U.mtx"),
+        ("--factors-out", "run", "run_V.mtx", "run_V.mtx"),
+        ("--labels-out", "out", "out", "out"),
+    ])
+    def test_unwritable_output_exits_one_before_reading(self, tmp_path, monkeypatch, capsys,
+                                                        flag, value, named, made):
+        # an output path whose directory is missing, or that is a directory,
+        # fails as its write would, before the matrix is read
+        def unreachable(*a, **k):
+            raise AssertionError("the matrix was read before the output paths were checked")
+
+        if made:
+            (tmp_path / made).mkdir()
+        with pytest.raises(OSError) as write_error:
+            open(tmp_path / named, "w")
+        before = sorted(tmp_path.rglob("*"))
+        monkeypatch.setattr(cli.mio, "read_matrix", unreachable)
+        assert run_cli("solve", "--input", "x.mtx", "--rank", "3", flag, str(tmp_path / value)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {write_error.value}\n"
+        assert sorted(tmp_path.rglob("*")) == before
+
     @pytest.mark.parametrize("gone", ["b1", "a2"])
     def test_fixed_kernel_constants_have_no_flag_or_key(self, tmp_path, capsys, gone):
         assert run_cli("solve", "--input", "x.mtx", "--rank", "3", f"--{gone}", "2") == 2

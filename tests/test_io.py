@@ -263,6 +263,7 @@ class TestFactorPersistence:
 
 ARRAY_HEADER = "%%MatrixMarket matrix array real general\n"
 COORD_HEADER = "%%MatrixMarket matrix coordinate real general\n"
+BOM = b"\xef\xbb\xbf"  # UTF-8's byte-order mark, as Excel's "CSV UTF-8" writes it
 
 
 def write_bytes(tmp_path, text, name="m.mtx"):
@@ -708,6 +709,33 @@ def ladder(n):
     }
 
 
+def is_exact_tie(token):
+    """Whether the decimal ``token`` lies halfway between two doubles."""
+    value, exact = float(token), Fraction(token)
+    other = math.nextafter(value, math.copysign(math.inf, exact - Fraction(value)))
+    return exact != value and 2 * exact == Fraction(value) + Fraction(other)
+
+
+def record_bulk_reads(monkeypatch):
+    """Wraps _floats and _scaled: the lists of what _floats returned for each
+    slice and of each _scaled call's ``decided`` mask."""
+    slices, masks = [], []
+    floats, scaled = mio._floats, mio._scaled
+
+    def record_floats(text):
+        slices.append(floats(text))
+        return slices[-1]
+
+    def record_scaled(D, x, k):
+        values, decided = scaled(D, x, k)
+        masks.append(decided)
+        return values, decided
+
+    monkeypatch.setattr(mio, "_floats", record_floats)
+    monkeypatch.setattr(mio, "_scaled", record_scaled)
+    return slices, masks
+
+
 class TestFloats:
     """The array reader's bulk converter against float() itself, bit for
     bit; a slice it leaves to float() (None) reads token by token."""
@@ -747,35 +775,48 @@ class TestFloats:
     def test_digit_strings(self, tokens):
         self.check(" \n".join(tokens))
 
-    def test_exact_decimal_ties_are_decided(self):
+    @staticmethod
+    def check_ties(tokens, monkeypatch):
+        """A slice of ``tokens``, mostly exact ties, is for float() token by
+        token; a slice of them with every other tie left out and as many
+        "%.17g" tokens added is read in bulk, its ties patched by float()."""
+        ties = [is_exact_tie(tok) for tok in tokens]
+        text = "\n".join(tokens)
+        assert 2 * sum(ties) > len(tokens) and mio._floats(text) is None
+        assert same_bits(mio._values(text), float_tokens(text))
+        kept = [tok for i, tok in enumerate(tokens) if not ties[i] or i % 2]
+        rng = np.random.default_rng(16)
+        kept += ["%.17g" % v for v in rng.standard_normal(len(kept)).tolist()]
+        _, masks = record_bulk_reads(monkeypatch)
+        TestFloats.check("\n".join(kept), bulk=True)
+        (decided,) = masks
+        assert not decided[[is_exact_tie(tok) for tok in kept]].any()
+
+    def test_exact_decimal_ties_read_as_float_reads_them(self, monkeypatch):
         # decimals halfway between two doubles, rounding to the even one
-        # either way: read as integers times powers of two, they are two
-        # thirds of the tokens, and the slice is read in bulk
+        # either way: the double-double cannot decide them
         rng = np.random.default_rng(14)
         ties = [f"{2**52 + j}.5" for j in rng.integers(0, 2**52, 200).tolist()]
         ties += [f"{2**51 + j}.{q}" for j in rng.integers(0, 2**51, 50).tolist() for q in (25, 75)]
         ties += [f"{2**50 + j}.{q}" for j in rng.integers(0, 2**50, 25).tolist()
                  for q in (125, 375, 625, 875)]
         ties += ["1e23", "-1e23", "1E+23"]
-        for tie in ties:
-            f = float(tie)
-            other = math.nextafter(f, math.copysign(math.inf, Fraction(tie) - Fraction(f)))
-            assert Fraction(tie) == (Fraction(f) + Fraction(other)) / 2, tie
+        assert all(map(is_exact_tie, ties))
         assert {float(tie) - int(tie[:-2]) for tie in ties[:200]} == {0.0, 1.0}
         decided = ["%.17g" % v for v in rng.standard_normal(len(ties) // 2).tolist()]
-        # for float(): a tie whose D·5**k is 2**64 or more, a value 2**-99 from
-        # a tie that 5**20 does not divide, and |x| below 1e-263
+        # for float() too: a tie of a 19-digit mantissa, a value 2**-99 from
+        # a tie, and |x| below 1e-263
         rest = ["3689348814741911552e1", "0.06250028846205214067", "4503599627370497.5e-300"]
-        self.check("\n".join(ties + decided + rest), bulk=True)
+        self.check_ties(ties + decided + rest, monkeypatch)
 
-    def test_integers_are_decided_ties_included(self):
-        # an integer token is the conversion of its D, ties to even: all but
-        # 2**64 - 2**10, whose nearest double is 2**64, are read in bulk
+    def test_integer_ties_read_as_float_reads_them(self, monkeypatch):
+        # an integer token is the conversion of its D, ties to even
         ties = [2**53 + 2 * j + 1 for j in range(700)] + [2**63 + 2**10, 2**64 - 2**10]
         big = np.random.default_rng(15).integers(2**53, 2**63, 300, dtype=np.uint64).tolist()
         tokens = [("", "-", "+")[i % 3] + str(v) for i, v in enumerate(ties + big)]
         assert {abs(int(float(t))) - abs(int(t)) for t in tokens[:700]} == {-1, 1}
-        self.check("\n".join(tokens), bulk=True)
+        assert all(map(is_exact_tie, tokens[:702]))
+        self.check_ties(tokens, monkeypatch)
 
     @pytest.mark.parametrize("fmt, kind", [
         *[(fmt, "spread") for fmt in ("%.17g", "%r", "%.18e", "%.6g", "%.3f", "%.15e")],
@@ -851,9 +892,36 @@ class TestFloats:
             assert same_bits(matrix, expected.reshape(-1, 1))
 
 
+class TestWrittenFilesReadInBulk:
+    """Every token of a file write_matrix_market writes is decided in bulk:
+    "%.17g" reads back to its double, which lies strictly nearer it than any
+    other double, so no such file holds an exact tie for float() to decide."""
+
+    @pytest.fixture(params=["spread", "noisy X"])
+    def matrix(self, request):
+        if request.param == "noisy X":
+            return synth_instance(1000, 10, noise_level=0.1, seed=3)[0]
+        rng = np.random.default_rng(18)
+        X = rng.choice([-1.0, 1.0], (400, 250)) * 10.0 ** rng.uniform(-250, 290, (400, 250))
+        X[::7, ::3] = 0.0
+        X[1::7, ::3] = -0.0
+        return X
+
+    @pytest.mark.parametrize("chars", [None, 1 << 12])
+    def test_every_slice_is_read_in_bulk(self, tmp_path, monkeypatch, matrix, chars):
+        path = tmp_path / "m.mtx"
+        write_matrix_market(path, matrix)
+        slices, masks = record_bulk_reads(monkeypatch)
+        read = read_in_slices(path, chars or mio._CHUNK_CHARS, require_square=False)
+        assert same_bits(read, matrix)
+        # each slice goes through the double-double, which decides every token
+        assert len(slices) > 10 and all(values is not None for values in slices)
+        assert len(masks) == len(slices) and all(decided.all() for decided in masks)
+
+
 def mixed_tokens(n):
     """``n`` "%.17g" tokens with every 20th replaced by one that only float()
-    reads, or that _floats reads as an exact tie."""
+    reads: one not of the bulk form, or an exact tie."""
     rng = np.random.default_rng(5)
     values = rng.standard_normal(n) * 10.0 ** rng.integers(-30, 31, n)
     tokens = ["%.17g" % v for v in values.tolist()]
@@ -1123,6 +1191,11 @@ class TestReaderMemory:
             (ARRAY_HEADER + "2 2\n1\n2\n% c\n3\n4x\n", "7: bad value: '4x'"),
             ("1,2\n3,4\n", [[1.0, 2.0], [3.0, 4.0]]),
             ("1,2\n3,x\n", "2: not a number: could not convert string to float: 'x'"),
+            # after a byte-order mark, the same values and lines
+            ("\ufeff" + ARRAY_HEADER + "2 2\n1\n2\n% c\n3\n4\n", [[1.0, 3.0], [2.0, 4.0]]),
+            ("\ufeff" + COORD_HEADER + "2 2 2\n1 1 1\n2 2 4\n", [[1.0, 0.0], [0.0, 4.0]]),
+            ("\ufeff1,2\n3,4\n", [[1.0, 2.0], [3.0, 4.0]]),
+            ("\ufeff1,2\n3,x\n", "2: not a number: could not convert string to float: 'x'"),
         ],
     )
     def test_reads_a_pipe(self, tmp_path, monkeypatch, text, expected):
@@ -1155,6 +1228,9 @@ class TestEncoding:
         (COORD_HEADER.encode() + b"1 1 1\r\n% \xe9\r\n1 1 1\r\n", 3, 0xE9),
         (b"1,2\r3,\x804\r", 2, 0x80),
         (b"\x93NUMPY\x01\x00v\x00{'descr': '<f8'}\n", 1, 0x93),  # a binary file
+        # after a byte-order mark, the same lines
+        (BOM + ARRAY_HEADER.encode() + b"% caf\xe9\n1 1\n1\n", 2, 0xE9),
+        (BOM + b"1,2\r3,\x804\r", 2, 0x80),
     ])
     def test_undecodable_byte_names_its_line(self, tmp_path, data, line, byte):
         path = tmp_path / "m.mtx"
@@ -1181,3 +1257,34 @@ class TestEncoding:
             assert str(err.value) == f"{pipe}:2: cannot decode byte 0xe9 as UTF-8"
         finally:
             writer.join()
+
+
+class TestByteOrderMark:
+    """A UTF-8 file may start with a byte-order mark: it reads the bits of
+    the same file without one, and its errors name the same lines (see also
+    TestEncoding and TestReaderMemory.test_reads_a_pipe)."""
+
+    @pytest.mark.parametrize("text, name", [
+        ("1.5,2\n-3e-5,4\n", "m.csv"),
+        (ARRAY_HEADER + "% note\n2 2\n1.5\n-3e-5\n2\n4\n", "m.mtx"),
+        (COORD_HEADER + "2 2 3\n1 1 1.5\n2 1 -3e-5\n2 2 4\n", "m.mtx"),
+    ], ids=["csv", "array", "coordinate"])
+    def test_reads_the_bits_of_the_file_without_it(self, tmp_path, text, name):
+        expected = read_matrix(write_bytes(tmp_path, text, name))
+        path = tmp_path / ("bom_" + name)
+        path.write_bytes(BOM + text.encode())
+        for chars in (1, 5, 1 << 16):  # every slice, and each rescan, starts at a seek(0)
+            assert same_bits(read_in_slices(path, chars), expected)
+
+    @pytest.mark.parametrize("data, message", [
+        (b"1,2\n3,4\n5,x\n", "3: not a number: could not convert string to float: 'x'"),
+        (ARRAY_HEADER.encode() + b"2 1\nx\n2\n", "3: bad value: 'x'"),
+        (COORD_HEADER.encode() + b"1 1 2\n1 1 x\n1 1 1\n", "3: bad value: 'x'"),
+    ], ids=["csv", "array", "coordinate"])
+    def test_a_bad_value_names_the_same_line(self, tmp_path, data, message):
+        path = tmp_path / "m.mtx"
+        path.write_bytes(BOM + data)
+        for chars in (1, 5, 1 << 16):
+            with pytest.raises(ParseError) as err:
+                read_in_slices(path, chars, require_square=False)
+            assert str(err.value) == f"{path}:{message}"
