@@ -137,7 +137,7 @@ def read_instance(args: argparse.Namespace, **kernel) -> stf.SymTriInstance:
 def cmd_solve(args: argparse.Namespace) -> int:
     kernel = {"a1": args.a1, "eps1": args.eps1, "eps2": args.eps2}
     # before the read: the kernel, the schedule at --kappa, the run limits,
-    # and each output path: its directory must exist, and it must be no directory
+    # and each output path, which fails with the error its write would give
     L1, L2, s1, s2 = stf.check_kernel_parameters(**kernel)
     with warnings.catch_warnings():  # solve_instance gives derive_schedule's warnings
         warnings.simplefilter("ignore")
@@ -145,10 +145,12 @@ def cmd_solve(args: argparse.Namespace) -> int:
     check_run_limits(args.max_iters, args.residual_tol)
     factors_out = [f"{args.factors_out}_{b}.mtx" for b in "UV"] if args.factors_out else []
     for out in filter(None, [args.trace_out, *factors_out, args.labels_out]):
+        try:  # the trailing slash fails as open does on a directory missing or under a file
+            os.stat(f"{Path(out).parent}/")
+        except OSError as exc:
+            raise OSError(exc.errno, exc.strerror, out) from None
         if Path(out).is_dir():
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), out)
-        if not Path(out).parent.is_dir():
-            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), out)
     inst = read_instance(args, **kernel)
     result, factors = stf.solve_instance(
         inst,
@@ -166,9 +168,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
     print(f"relative_error: {stf.relative_error(inst, factors.U, factors.V):.17g}")
     if args.trace_out:
         Path(args.trace_out).write_text(trace_to_json(result.trace, with_timing=args.timing))
-    if args.factors_out:
-        mio.write_matrix_market(f"{args.factors_out}_U.mtx", factors.U)
-        mio.write_matrix_market(f"{args.factors_out}_V.mtx", factors.V)
+    for out, block in zip(factors_out, factors):
+        mio.write_matrix_market(out, block)
     if args.labels_out:
         mio.write_labels(args.labels_out, stf.community_assignment(factors.U))
     return 0

@@ -14,18 +14,19 @@ X is exactly symmetric (:class:`SymTriInstance` refuses any other X), so
 every m^2 r product lives in :func:`products`: the objective and both block
 gradients are cheap functions of XU, U^T X U and G = U^T U, which they take
 as an optional last argument and otherwise compute.  ``products`` remembers
-nothing; :func:`as_block_problem` keeps one record of the last point it
-met, with the products and ||U||^2 of its U block, ||V||^2 of its V block
-(the ``norms`` of update_U, update_V, kernel_h1_grad and the kernel
-distances) and its G V G (the ``gvg`` of grad_V and f_value), each made on
-first use and taken over by the next point's record for each block the two
-share: a block's identity names its values, because a BlockVector's blocks
-cannot change.  A sweep meets (U_k, V_k), (U+, V_k) and (U+, V+), so it
-pays one X-product, which every later evaluation in the sweep, the residual
-and the Lyapunov value reuse, and far from the fit it forms five squared
-norms: ||V_k||^2, ||U+||^2 (the next sweep's ||U_k||^2), and those of the
-clamped score and of the two block steps in the distances; and G V G twice,
-at (U+, V_k) and (U+, V+).  The generic sweep hands the updates the block
+nothing; :func:`as_block_problem` keeps a record of the last point it met,
+made when the problem meets the point: the products and ||U||^2 of its U
+block, ||V||^2 of its V block (the ``norms`` of update_U, update_V and the
+kernel distances) and its G V G (the ``gvg`` of grad_V and f_value), each
+block's entries taken over from the last record when the point shares the
+block, whose identity names its values since a BlockVector's blocks cannot
+change.  The kernels' block gradients, which only checks call, compute
+their own norms.  A sweep meets (U_k, V_k), (U+, V_k) and (U+, V+), so it
+pays one X-product, which the rest of the sweep, the residual and the
+Lyapunov value reuse, and far from the fit five squared norms: ||U+||^2,
+||V+||^2 (the next sweep's ||U_k||^2 and ||V_k||^2) and those of the
+clamped score and the two block steps in the distances; and G V G twice, at
+(U+, V_k) and (U+, V+).  The generic sweep hands the updates the block
 gradients it has already evaluated, so a sweep computes grad_U once and
 grad_V twice.  The hot path multiplies with ndarray.dot, not @: at r-sized
 shapes @ costs about 1 us more per call, for the same BLAS result.
@@ -392,34 +393,14 @@ def update_V(
     return V_next, (curvature / gamma2) * np.minimum(W, 0.0)
 
 
-class _Record:
-    """What a block problem keeps of a point x = (U, V), each made on first
-    use: the products and ||U||^2 of U, ||V||^2 of V, and G V G.  It takes
-    over the entries of each block x shares with ``last``'s point."""
+class _Record(NamedTuple):
+    """What a block problem keeps of a point x = (U, V) it meets: the
+    products of U, (||U||^2, ||V||^2) and G V G."""
 
-    def __init__(self, inst: SymTriInstance, x: BlockVector, last: _Record | None) -> None:
-        self.inst, self.x, self.gvg = inst, x, None
-        self.U, self.V = x.blocks
-        self.prods, self.u2 = (last.prods, last.u2) if last and last.U is self.U else (None, None)
-        self.v2 = last.v2 if last and last.V is self.V else None
-
-    def products(self) -> Products:
-        if self.prods is None:
-            self.prods = products(self.inst, self.U)
-        return self.prods
-
-    def norms(self) -> Norms:
-        if self.u2 is None:
-            self.u2 = _sq_norm(self.U)
-        if self.v2 is None:
-            self.v2 = _sq_norm(self.V)
-        return self.u2, self.v2
-
-    def fit(self) -> tuple[Products, Array]:
-        """The products and G V G, the last arguments of f_value and grad_V."""
-        if self.gvg is None:
-            self.gvg = _gvg(self.products()[2], self.V)
-        return self.prods, self.gvg
+    x: BlockVector
+    prods: Products
+    norms: Norms
+    gvg: Array
 
 
 def as_block_problem(inst: SymTriInstance) -> BlockProblem:
@@ -433,38 +414,47 @@ def as_block_problem(inst: SymTriInstance) -> BlockProblem:
     def record(x: BlockVector) -> _Record:
         nonlocal last
         if last is None or last.x is not x:
-            last = _Record(inst, x, last)
+            U, V = x.blocks
+            old_U, old_V = last.x.blocks if last else (None, None)
+            prods, u2 = (last.prods, last.norms[0]) if U is old_U else (products(inst, U), _sq_norm(U))
+            v2 = last.norms[1] if V is old_V else _sq_norm(V)
+            last = _Record(x, prods, (u2, v2), _gvg(prods[2], V))
         return last
 
     def fg(i: int, x: BlockVector) -> Array:
         if i == 0:
-            return grad_U(inst, *x.blocks, record(x).products())
+            return grad_U(inst, *x.blocks, record(x).prods)
         if i == 1:
-            return grad_V(inst, *x.blocks, *record(x).fit())
+            rec = record(x)
+            return grad_V(inst, *x.blocks, rec.prods, rec.gvg)
         raise ParameterError(f"block index {i} out of range")
+
+    def fit(x: BlockVector) -> float:
+        rec = record(x)
+        return f_value(inst, *x.blocks, rec.prods, rec.gvg)
 
     kernel1 = BlockKernel(
         value=lambda x: kernel_h1_value(inst, *x.blocks),
-        block_grad=lambda x: kernel_h1_grad(inst, *x.blocks, record(x).norms()),
-        distance=lambda x, Y: kernel_h1_distance(inst, *x.blocks, Y, record(x).norms()),
+        block_grad=lambda x: kernel_h1_grad(inst, *x.blocks),
+        distance=lambda x, Y: kernel_h1_distance(inst, *x.blocks, Y, record(x).norms),
         sigma=inst.sigma1,
     )
     kernel2 = BlockKernel(
         value=lambda x: kernel_h2_value(inst, *x.blocks),
         block_grad=lambda x: kernel_h2_grad(inst, *x.blocks),
-        distance=lambda x, W: kernel_h2_distance(inst, *x.blocks, W, record(x).norms()),
+        distance=lambda x, W: kernel_h2_distance(inst, *x.blocks, W, record(x).norms),
         sigma=inst.sigma2,
     )
 
     def u_solver(problem, schedule, i, x_cur, x_prev, f_grad):
         U_k, V_k = x_cur.blocks
         return update_U(inst, schedule.gamma[0], schedule.alpha[0], U_k, x_prev.block(0), V_k,
-                        f_grad=f_grad, norms=record(x_cur).norms())
+                        f_grad=f_grad, norms=record(x_cur).norms)
 
     def v_solver(problem, schedule, i, x_cur, x_prev, f_grad):
         U_next, V_k = x_cur.blocks
         return update_V(inst, schedule.gamma[1], schedule.alpha[1], U_next, V_k, x_prev.block(1),
-                        f_grad=f_grad, norms=record(x_cur).norms())
+                        f_grad=f_grad, norms=record(x_cur).norms)
 
     g = (
         replace(nonnegative_indicator(), solver=u_solver),
@@ -472,7 +462,7 @@ def as_block_problem(inst: SymTriInstance) -> BlockProblem:
     )
     return BlockProblem(
         shapes=((inst.m, inst.r), (inst.r, inst.r)),
-        f_value=lambda x: f_value(inst, *x.blocks, *record(x).fit()),
+        f_value=fit,
         f_block_grad=fg,
         kernels=(kernel1, kernel2),
         L=(inst.L1, inst.L2),

@@ -312,6 +312,28 @@ class TestSynthSolvePipeline:
         assert captured.out == "" and captured.err == f"error: {write_error.value}\n"
         assert sorted(tmp_path.rglob("*")) == before
 
+    @pytest.mark.parametrize("flag, value, named", [
+        ("--trace-out", "x.mtx/t.json", "x.mtx/t.json"),
+        ("--trace-out", "x.mtx/sub/t.json", "x.mtx/sub/t.json"),
+        ("--factors-out", "x.mtx/run", "x.mtx/run_U.mtx"),
+        ("--labels-out", "x.mtx/labels.txt", "x.mtx/labels.txt"),
+    ])
+    def test_output_under_a_regular_file_fails_as_its_write_would(self, tmp_path, monkeypatch,
+                                                                 capsys, flag, value, named):
+        # the write gives ENOTDIR, not ENOENT, for a path through a regular file
+        def unreachable(*a, **k):
+            raise AssertionError("the matrix was read before the output paths were checked")
+
+        (tmp_path / "x.mtx").write_text("")
+        with pytest.raises(NotADirectoryError) as write_error:
+            open(tmp_path / named, "w")
+        before = sorted(tmp_path.rglob("*"))
+        monkeypatch.setattr(cli.mio, "read_matrix", unreachable)
+        assert run_cli("solve", "--input", "x.mtx", "--rank", "3", flag, str(tmp_path / value)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {write_error.value}\n"
+        assert sorted(tmp_path.rglob("*")) == before
+
     @pytest.mark.parametrize("gone", ["b1", "a2"])
     def test_fixed_kernel_constants_have_no_flag_or_key(self, tmp_path, capsys, gone):
         assert run_cli("solve", "--input", "x.mtx", "--rank", "3", f"--{gone}", "2") == 2

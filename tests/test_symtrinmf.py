@@ -890,14 +890,32 @@ class TestProductForm:
         }
         # start-up: grad f(x0) for the stopping scale, whose U part the
         # first sweep reuses, g_i(x0_i) for the feasibility check, and the
-        # check of both block solvers at x0: update_U forms grad_U h1 and
-        # ||P||^2 there and keeps ||U0||^2 and ||V0||^2 for the first sweep,
-        # and g_i is evaluated at both results.  phi(x0) evaluates g_i(x0_i)
-        # again
+        # check of both block solvers at x0: x0's record keeps ||U0||^2 and
+        # ||V0||^2 for the first sweep, update_U forms grad_U h1 and ||P||^2
+        # there, and g_i is evaluated at both results.  phi(x0) evaluates
+        # g_i(x0_i) again.  The last point's record forms ||V+||^2, which no
+        # later sweep reads: one squared norm more than the sweeps count
         startup = {name: totals[0][name] - 7 * per_sweep[name] for name in calls}
         assert startup == dict.fromkeys(calls, 0) | {
             "grad_U": 1, "grad_V": 1, "kernel_h1_grad": 1, "products": 1, "_gvg": 1,
-            "indicator": 6, "_sq_norm": 2}
+            "indicator": 6, "_sq_norm": 3}
+
+    def test_checks_never_make_a_record(self, monkeypatch):
+        # the kernels' block gradients, which only checks call, take their
+        # own norms: the oracle evaluates grad h1 at a new point on every
+        # iteration, and a record there would cost an X-product each
+        inst, rng = random_instance(32, m=8, r=2)
+        problem = as_block_problem(inst)
+        schedule = derive_schedule(problem.L, problem.sigma, kappa=0.5)
+        x, x_prev = (BlockVector((rng.random((8, 2)), rng.random((2, 2)))) for _ in range(2))
+        calls = record_calls(monkeypatch, "products", "kernel_h1_grad")
+        got = problem.kernels[0].block_grad(x)
+        assert not calls["products"]
+        assert got.tobytes() == kernel_h1_grad(inst, *x.blocks).tobytes()
+        calls["kernel_h1_grad"].clear()
+        numeric_subproblem_oracle(problem, schedule, 0, x, x_prev)
+        # one record, at x, for grad_U f and the model's Bregman distance
+        assert len(calls["products"]) == 1 and len(calls["kernel_h1_grad"]) > 10
 
     def test_kept_norms_and_gvg_are_the_direct_ones(self, monkeypatch):
         # the squared block norms the block problem hands the kernels and
